@@ -60,6 +60,7 @@ from .qsb import (
 )
 from .tomography import (
     Dataset,
+    DistinctRecords,
     MlResult,
     batch_ml_solve,
     generate_dataset,
@@ -86,7 +87,7 @@ __all__ = [
     "run_ops_game", "soft_bayes_step",
     "QsbState", "QstTranscript", "eta_bar", "qsb_init", "qsb_regret_bound",
     "qsb_step", "reverse_jensen_gap", "run_qst_game",
-    "Dataset", "MlResult", "batch_ml_solve", "generate_dataset", "ml_objective",
-    "pauli_basis_povms", "sample_outcome", "stationarity_operator",
-    "stochastic_qsb", "validate_dataset", "validate_povm",
+    "Dataset", "DistinctRecords", "MlResult", "batch_ml_solve",
+    "generate_dataset", "ml_objective", "pauli_basis_povms", "sample_outcome",
+    "stationarity_operator", "stochastic_qsb", "validate_dataset", "validate_povm",
 ]

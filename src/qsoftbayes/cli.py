@@ -60,6 +60,7 @@ from .tomography import (
     batch_ml_solve,
     generate_dataset,
     pauli_basis_povms,
+    stationarity_operator,
     stochastic_qsb,
     validate_dataset,
 )
@@ -475,6 +476,11 @@ def run_experiment(config: ExperimentConfig) -> int:
             rho_hat, f_star = batch_ml_solve(data, tol=1e-7)
             save_matrix(out_dir / "rho_hat_oracle.json", rho_hat)
             extra["oracle_objective"] = f_star
+            extra["oracle_cert_gap"] = (
+                float(np.linalg.eigvalsh(stationarity_operator(rho_hat, data))[-1]) - 1.0
+            )
+            extra["records"] = len(data)
+            extra["distinct_records"] = len(data.distinct.counts)
             summaries = _run_per_seed(_ml_seed, config, str(out_dir), data, f_star)
             extra["seed_summaries"] = summaries
             gaps = [s["final_gap"] for s in summaries if "final_gap" in s]
@@ -492,7 +498,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, DomainError) as exc:
+    except (ValidationError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:

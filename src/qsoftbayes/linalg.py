@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -132,19 +133,22 @@ def quantum_relative_entropy(
     return term1 - term2
 
 
-def validate_density(M: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Check that M is a density matrix; return its hermitianized copy.
+def _hermitian_psd(M: np.ndarray, tol: Tolerances, symbol: str) -> np.ndarray:
+    """Checks shared by the validators: a square, finite, Hermitian, PSD matrix.
 
-    Raises ValidationError naming the violated invariant and by how much.
+    Returns the hermitianized copy. `symbol` names the matrix in messages.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {M.shape}")
-    scale = max(1.0, float(npl.norm(M)))
+    norm = float(npl.norm(M))
+    if not math.isfinite(norm):
+        raise ValidationError(f"matrix norm is {norm!r}: an entry is non-finite or too large")
+    scale = max(1.0, norm)
     dev = float(npl.norm(M - M.conj().T))
     if dev > tol.sym_tol * scale:
         raise ValidationError(
-            f"not Hermitian: ||M - M^dagger|| = {dev:.3e} exceeds {tol.sym_tol:.1e} relative"
+            f"not Hermitian: ||{symbol} - {symbol}^dagger|| = {dev:.3e} exceeds {tol.sym_tol:.1e} relative"
         )
     H = hermitianize(M)
     w = npl.eigvalsh(H)
@@ -152,6 +156,15 @@ def validate_density(M: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarra
         raise ValidationError(
             f"not positive semidefinite: min eigenvalue {w[0]:.3e} below -{tol.psd_tol:.1e}"
         )
+    return H
+
+
+def validate_density(M: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """Check that M is a density matrix; return its hermitianized copy.
+
+    Raises ValidationError naming the violated invariant and by how much.
+    """
+    H = _hermitian_psd(M, tol, "M")
     tr_dev = abs(float(np.trace(H).real) - 1.0)
     if tr_dev > tol.trace_tol:
         raise ValidationError(
@@ -162,23 +175,9 @@ def validate_density(M: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarra
 
 def validate_observation(A: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Check that A is a nonzero PSD Hermitian matrix; return it hermitianized."""
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {A.shape}")
+    H = _hermitian_psd(A, tol, "A")
     if not np.any(A):
         raise ValidationError("observation matrix is exactly zero")
-    scale = max(1.0, float(npl.norm(A)))
-    dev = float(npl.norm(A - A.conj().T))
-    if dev > tol.sym_tol * scale:
-        raise ValidationError(
-            f"not Hermitian: ||A - A^dagger|| = {dev:.3e} exceeds {tol.sym_tol:.1e} relative"
-        )
-    H = hermitianize(A)
-    w = npl.eigvalsh(H)
-    if w[0] < -tol.psd_tol:
-        raise ValidationError(
-            f"not positive semidefinite: min eigenvalue {w[0]:.3e} below -{tol.psd_tol:.1e}"
-        )
     return H
 
 

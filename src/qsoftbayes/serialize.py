@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +29,18 @@ def matrix_to_record(M: np.ndarray) -> dict:
 
 
 def matrix_from_record(rec: dict) -> np.ndarray:
-    dim = int(rec["dim"])
-    entries = rec["entries"]
-    if len(entries) != dim * dim:
-        raise ValidationError(f"matrix record has {len(entries)} entries, expected {dim * dim}")
-    flat = np.array([complex(re, im) for re, im in entries])
-    return flat.reshape(dim, dim)
+    dim = _dim_field(rec)
+    entries = _field(rec, "entries")
+    try:
+        pairs = np.ascontiguousarray(entries, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("matrix record entries are not [re, im] number pairs") from exc
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValidationError(f"matrix record entries have shape {pairs.shape}, expected [re, im] pairs")
+    if pairs.shape[0] != dim * dim:
+        raise ValidationError(f"matrix record has {pairs.shape[0]} entries, expected {dim * dim}")
+    # a contiguous (dim^2, 2) float array is the complex array's memory layout
+    return pairs.view(np.complex128).reshape(dim, dim)
 
 
 def save_matrix(path, M: np.ndarray) -> None:
@@ -63,14 +70,23 @@ def dataset_to_record(data: Dataset) -> dict:
 
 
 def dataset_from_record(rec: dict) -> Dataset:
-    dim, n = int(rec["dim"]), int(rec["n"])
+    dim = _dim_field(rec)
+    n = _int_field(rec, "n")
+    records = _field(rec, "matrices")
+    if not isinstance(records, list):
+        raise ValidationError("dataset 'matrices' is not a list of records")
+    if len(records) != n:
+        raise ValidationError(f"dataset header says n={n} but {len(records)} records are stored")
     matrices = np.empty((n, dim, dim), dtype=complex)
-    for i, entries in enumerate(rec["matrices"]):
-        matrices[i] = matrix_from_record({"dim": dim, "entries": entries})
+    for i, entries in enumerate(records):
+        try:
+            matrices[i] = matrix_from_record({"dim": dim, "entries": entries})
+        except ValidationError as exc:
+            raise ValidationError(f"record {i}: {exc}") from exc
     povm_idx = out_idx = None
     if rec.get("has_provenance"):
-        povm_idx = np.array(rec["povm_indices"], dtype=np.int64)
-        out_idx = np.array(rec["outcome_indices"], dtype=np.int64)
+        povm_idx = np.array(_field(rec, "povm_indices"), dtype=np.int64)
+        out_idx = np.array(_field(rec, "outcome_indices"), dtype=np.int64)
     return Dataset(matrices=matrices, povm_indices=povm_idx, outcome_indices=out_idx)
 
 
@@ -112,6 +128,30 @@ def load_payload(path) -> dict:
     return _load(path)
 
 
+def _field(rec: dict, key: str):
+    if key not in rec:
+        raise ValidationError(f"container record is missing {key!r}")
+    return rec[key]
+
+
+def _int_field(rec: dict, key: str) -> int:
+    value = _field(rec, key)
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = -1
+    if number < 0:
+        raise ValidationError(f"{key!r} must be a nonnegative integer, got {value!r}")
+    return number
+
+
+def _dim_field(rec: dict) -> int:
+    dim = _int_field(rec, "dim")
+    if dim < 1:
+        raise ValidationError(f"'dim' must be positive, got {dim}")
+    return dim
+
+
 def _dump(path, obj: dict) -> None:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     Path(path).write_text(text + "\n", encoding="utf-8")
@@ -119,9 +159,12 @@ def _dump(path, obj: dict) -> None:
 
 def _load(path) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        rec = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not a valid container file: {exc}") from exc
+    if not isinstance(rec, dict):
+        raise ValidationError(f"{path}: not a container file: the top level is not an object")
+    return rec
 
 
 def format_cell(value) -> str:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +29,15 @@ from .linalg import (
 )
 from .portfolio import SolverError, learning_rate
 from .qsb import qsb_init, qsb_step
+
+
+class DistinctRecords(NamedTuple):
+    """The distinct records of a dataset, each stored once with its count."""
+
+    elements: np.ndarray  # (K, D, D) complex, in order of first appearance
+    counts: np.ndarray    # (K,) number of records equal to each element
+    first: np.ndarray     # (K,) index of the first record equal to each element
+    index: np.ndarray     # (N,) element of each record
 
 
 @dataclass(frozen=True)
@@ -47,6 +58,28 @@ class Dataset:
     @property
     def has_provenance(self) -> bool:
         return self.povm_indices is not None and self.outcome_indices is not None
+
+    @cached_property
+    def distinct(self) -> DistinctRecords:
+        """The distinct records with their counts, computed on first use.
+
+        Two records are one element when their entries, cast to complex, are
+        equal bit for bit, so a count-weighted sum over the elements adds
+        exactly the values a sum over the records would. The view is kept
+        for the life of the instance: do not modify `matrices` after using it.
+        """
+        M = np.ascontiguousarray(self.matrices, dtype=complex)
+        rows = M.reshape(M.shape[0], math.prod(M.shape[1:]))
+        keys: dict[bytes, int] = {}
+        index = np.fromiter(
+            (keys.setdefault(row.tobytes(), len(keys)) for row in rows),
+            dtype=np.int64, count=rows.shape[0],
+        )
+        # elements are numbered in order of first appearance
+        first = np.unique(index, return_index=True)[1]
+        return DistinctRecords(
+            elements=M[first], counts=np.bincount(index), first=first, index=index
+        )
 
 
 @dataclass(frozen=True)
@@ -84,15 +117,20 @@ def validate_povm(elements: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.nd
 
 
 def validate_dataset(data: Dataset, tol: Tolerances = DEFAULT_TOLS) -> Dataset:
-    """Check every record is a valid observation; return the dataset."""
+    """Check every record is a valid observation; return the dataset.
+
+    Each distinct record is checked once; a failure names the first record
+    holding the failing element.
+    """
     M = np.asarray(data.matrices)
     if M.ndim != 3 or M.shape[1] != M.shape[2] or M.shape[0] < 1:
         raise ValidationError(f"expected a nonempty (N, D, D) stack, got shape {M.shape}")
-    for n in range(M.shape[0]):
+    view = data.distinct
+    for k, A in enumerate(view.elements):
         try:
-            validate_observation(M[n], tol)
+            validate_observation(A, tol)
         except ValidationError as exc:
-            raise ValidationError(f"record {n}: {exc}") from exc
+            raise ValidationError(f"record {view.first[k]}: {exc}") from exc
     for name, idx in (("povm_indices", data.povm_indices), ("outcome_indices", data.outcome_indices)):
         if idx is not None and len(idx) != M.shape[0]:
             raise ValidationError(f"{name} has length {len(idx)}, expected {M.shape[0]}")
@@ -100,17 +138,37 @@ def validate_dataset(data: Dataset, tol: Tolerances = DEFAULT_TOLS) -> Dataset:
 
 
 def _overlaps(matrices: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """tr(A_n rho) for every record, as a real vector."""
+    """tr(A rho) for every matrix A of a stack, as a real vector."""
     return np.einsum("nij,ji->n", matrices, rho).real
 
 
-def ml_objective(rho: np.ndarray, data: Dataset) -> float:
-    """Negative mean log-likelihood (1/N) sum_n -log tr(A_n rho)."""
-    p = _overlaps(data.matrices, np.asarray(rho))
+def _positive_overlaps(view: DistinctRecords, rho: np.ndarray) -> np.ndarray:
+    """tr(E_k rho) for every element; a nonpositive one names its first record."""
+    p = _overlaps(view.elements, np.asarray(rho))
     if p.min() <= 0.0:
-        n = int(np.argmin(p))
-        raise DomainError(f"tr(A_n rho) = {p[n]!r} is not positive at record n={n}")
-    return float(-np.log(p).mean())
+        k = int(np.argmin(p))
+        raise DomainError(f"tr(A_n rho) = {p[k]!r} is not positive at record n={view.first[k]}")
+    return p
+
+
+def _neg_log_likelihood(view: DistinctRecords, p: np.ndarray) -> float:
+    """-(1/N) sum_k c_k log p_k, the record mean in frequency form."""
+    return float(-(view.counts @ np.log(p)) / len(view.index))
+
+
+def _stationarity(view: DistinctRecords, p: np.ndarray) -> np.ndarray:
+    """(1/N) sum_k (c_k / p_k) E_k, the record mean in frequency form."""
+    R = np.einsum("k,kij->ij", view.counts / p, view.elements) / len(view.index)
+    return hermitianize(R)
+
+
+def ml_objective(rho: np.ndarray, data: Dataset) -> float:
+    """Negative mean log-likelihood (1/N) sum_n -log tr(A_n rho).
+
+    Evaluated over the distinct records as -(1/N) sum_k c_k log tr(E_k rho).
+    """
+    view = data.distinct
+    return _neg_log_likelihood(view, _positive_overlaps(view, rho))
 
 
 def sample_outcome(
@@ -266,14 +324,11 @@ def stationarity_operator(rho: np.ndarray, data: Dataset) -> np.ndarray:
 
     At an interior ML optimum R(rho) = I; in general the largest eigenvalue
     of R minus one is a duality gap for the ML problem, and tr(R(rho) rho)
-    is identically one.
+    is identically one. Evaluated over the distinct records as
+    (1/N) sum_k (c_k / tr(E_k rho)) E_k.
     """
-    M = data.matrices
-    p = _overlaps(M, np.asarray(rho))
-    if p.min() <= 0.0:
-        n = int(np.argmin(p))
-        raise DomainError(f"tr(A_n rho) = {p[n]!r} is not positive at record n={n}")
-    return hermitianize(np.einsum("n,nij->ij", 1.0 / p, M) / len(data))
+    view = data.distinct
+    return _stationarity(view, _positive_overlaps(view, rho))
 
 
 def batch_ml_solve(
@@ -285,20 +340,22 @@ def batch_ml_solve(
     by R with trace renormalization, accepted only when the objective drops)
     and falls back to a line-searched step toward the top eigenvector of R
     otherwise. Terminates when lambda_max(R(rho)) - 1 <= tol, which certifies
-    rho within tol of stationarity regardless of the path taken.
+    rho within tol of stationarity regardless of the path taken. Every sum
+    runs over the distinct records, weighted by their counts.
     """
     validate_dataset(data)
-    M = data.matrices
-    n_records, dim = M.shape[0], M.shape[1]
+    view = data.distinct
+    E = view.elements
+    dim = data.dim
     rho = np.eye(dim, dtype=complex) / dim
-    p = _overlaps(M, rho)
+    p = _overlaps(E, rho)
     if p.min() <= 0.0:
         raise DomainError("ML objective is infinite at the maximally mixed state")
-    f = float(-np.log(p).mean())
+    f = _neg_log_likelihood(view, p)
     best_gap = math.inf
 
     for _ in range(max_iters):
-        R = hermitianize(np.einsum("n,nij->ij", 1.0 / p, M) / n_records)
+        R = _stationarity(view, p)
         lam, V = spectral(R)
         gap = float(lam[-1]) - 1.0
         best_gap = min(best_gap, gap)
@@ -308,20 +365,20 @@ def batch_ml_solve(
         # multiplicative step; monotone because acceptance is guarded
         cand = R @ rho @ R
         cand = hermitianize(cand / np.trace(cand).real)
-        p_cand = _overlaps(M, cand)
+        p_cand = _overlaps(E, cand)
         if p_cand.min() > 0.0:
-            f_cand = float(-np.log(p_cand).mean())
+            f_cand = _neg_log_likelihood(view, p_cand)
             if f_cand < f:
                 rho, p, f = cand, p_cand, f_cand
                 continue
 
         # line-searched move toward the top eigenvector of R
         v = V[:, -1]
-        q = np.einsum("i,nij,j->n", v.conj(), M, v).real
-        step = _line_search(p, q)
+        q = np.einsum("i,kij,j->k", v.conj(), E, v).real
+        step = _line_search(p, q, view.counts)
         rho = hermitianize((1.0 - step) * rho + step * np.outer(v, v.conj()))
         p = (1.0 - step) * p + step * q
-        f = float(-np.log(p).mean())
+        f = _neg_log_likelihood(view, p)
 
     raise SolverError(
         f"ML solver gap {best_gap:.3e} above tolerance {tol:.1e} after {max_iters} iterations",
@@ -330,15 +387,16 @@ def batch_ml_solve(
     )
 
 
-def _line_search(p: np.ndarray, q: np.ndarray, iters: int = 80) -> float:
-    """Step size minimizing -mean log((1-s) p + s q) over s in (0, 1).
+def _line_search(p: np.ndarray, q: np.ndarray, counts: np.ndarray, iters: int = 80) -> float:
+    """Step size minimizing -sum_k c_k log((1-s) p_k + s q_k) over s in (0, 1).
 
     The derivative at 0 is negative whenever q comes from the top eigenvector
     of R, so a sign change (or the right endpoint) brackets the minimum; the
-    objective is convex in s, making bisection on the derivative exact.
+    objective is convex in s, making bisection on the derivative exact. Only
+    the derivative's sign is used, so the counts need no normalization.
     """
     def deriv(s: float) -> float:
-        return float(-np.mean((q - p) / ((1.0 - s) * p + s * q)))
+        return float(-(counts @ ((q - p) / ((1.0 - s) * p + s * q))))
 
     hi = 1.0 if q.min() > 0.0 else 1.0 - 1e-12
     if deriv(hi) <= 0.0 and q.min() > 0.0:

@@ -260,6 +260,9 @@ class TestMlRunMode:
 
         gaps = [s["final_gap"] for s in manifest["seed_summaries"]]
         assert manifest["mean_final_gap"] == pytest.approx(np.mean(gaps), abs=1e-15)
+        assert manifest["records"] == 200
+        assert manifest["distinct_records"] == len(data.distinct.counts) <= 6
+        assert manifest["oracle_cert_gap"] <= 1e-7
 
     def test_empty_checkpoints_skip_evaluation(self, tmp_path, run_cli):
         out = tmp_path / "run"
@@ -348,6 +351,17 @@ class TestValidateMode:
     def test_missing_argument(self, capsys):
         assert main(["validate"]) == 2
         assert "input file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["ml-run", "--dim", "2", "--povm", "from-file", "--input"],
+    ])
+    def test_missing_file_is_a_one_line_error(self, tmp_path, capsys, argv):
+        missing = tmp_path / "missing.json"
+        assert main(argv + [str(missing), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "missing.json" in err
 
 
 class TestExitCodes:

@@ -189,6 +189,14 @@ class TestValidators:
         validate_observation(1e6 * random_psd(rng, 3))
         validate_observation(1e-6 * random_psd(rng, 3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("validator", [validate_observation, validate_density])
+    def test_rejects_non_finite_entries(self, validator, bad):
+        M = np.eye(2, dtype=complex) / 2
+        M[0, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            validator(M)
+
 
 class TestGoldenThompson:
 

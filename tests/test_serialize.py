@@ -7,6 +7,8 @@ from qsoftbayes.ensembles import make_rng, random_density, uniform_returns
 from qsoftbayes.linalg import ValidationError
 from qsoftbayes.serialize import (
     config_hash,
+    dataset_from_record,
+    dataset_to_record,
     format_cell,
     load_dataset,
     load_matrix,
@@ -20,7 +22,7 @@ from qsoftbayes.serialize import (
     write_csv,
     write_manifest,
 )
-from qsoftbayes.tomography import generate_dataset, pauli_basis_povms
+from qsoftbayes.tomography import Dataset, generate_dataset, pauli_basis_povms
 
 
 class TestMatrixContainer:
@@ -57,6 +59,12 @@ class TestMatrixContainer:
         with pytest.raises(ValidationError, match="container"):
             load_payload(path)
 
+    def test_rejects_a_top_level_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValidationError, match="not an object"):
+            load_matrix(path)
+
 
 class TestDatasetContainer:
 
@@ -71,8 +79,6 @@ class TestDatasetContainer:
         assert np.array_equal(back.outcome_indices, data.outcome_indices)
 
     def test_round_trip_without_provenance(self, tmp_path):
-        from qsoftbayes.tomography import Dataset
-
         data = Dataset(matrices=np.broadcast_to(np.eye(2), (3, 2, 2)).astype(complex))
         path = tmp_path / "d.json"
         save_dataset(path, data)
@@ -85,6 +91,33 @@ class TestDatasetContainer:
         save_matrix(path, np.eye(2))
         with pytest.raises(ValidationError, match="kind"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_header_count_must_match_the_stored_records(self, tmp_path, n):
+        data = generate_dataset(np.eye(2) / 2, pauli_basis_povms(1), 2, make_rng(5))
+        rec = dataset_to_record(data)
+        rec["n"] = n
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(rec))
+        with pytest.raises(ValidationError, match=f"n={n} but 2 records"):
+            load_dataset(path)
+
+    def test_every_record_must_hold_dim_squared_entries(self):
+        rec = dataset_to_record(Dataset(matrices=np.broadcast_to(np.eye(2), (3, 2, 2))))
+        rec["matrices"][1] = rec["matrices"][1][:3]
+        with pytest.raises(ValidationError, match="record 1: .*3 entries, expected 4"):
+            dataset_from_record(rec)
+
+    @pytest.mark.parametrize("key", ["dim", "n", "matrices"])
+    def test_missing_header_keys(self, key):
+        rec = dataset_to_record(Dataset(matrices=np.broadcast_to(np.eye(2), (2, 2, 2))))
+        del rec[key]
+        with pytest.raises(ValidationError, match=f"missing '{key}'"):
+            dataset_from_record(rec)
+
+    def test_missing_matrix_entries(self):
+        with pytest.raises(ValidationError, match="missing 'entries'"):
+            matrix_from_record({"kind": "matrix", "dim": 2})
 
 
 class TestReturnStreamContainer:

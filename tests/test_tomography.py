@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qsoftbayes.ensembles import make_rng, random_density, uniform_returns
+from qsoftbayes.ensembles import make_rng, random_density, random_psd, uniform_returns
 from qsoftbayes.linalg import DomainError, ValidationError, hs_inner
 from qsoftbayes.portfolio import SolverError, kelly_online_to_batch
 from qsoftbayes.qsb import qsb_regret_bound
@@ -32,6 +33,69 @@ def diag_dataset(weights: dict[int, int], dim: int) -> Dataset:
     return Dataset(matrices=np.array(records))
 
 
+def per_record_objective(rho: np.ndarray, matrices: np.ndarray) -> float:
+    """Reference: -(1/N) sum_n log tr(A_n rho), one record at a time."""
+    return -float(np.mean([np.log(np.trace(A @ rho).real) for A in matrices]))
+
+
+def per_record_stationarity(rho: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Reference: (1/N) sum_n A_n / tr(A_n rho), one record at a time."""
+    R = sum(A / np.trace(A @ rho).real for A in matrices) / len(matrices)
+    return (R + R.conj().T) / 2
+
+
+@st.composite
+def repeated_datasets(draw):
+    """Datasets of 1-4 random PSD elements repeated over up to 40 records,
+    stored as a complex stack, a real stack, or a read-only broadcast view."""
+    dim = draw(st.integers(2, 3))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    elements = [random_psd(rng, dim, rank=draw(st.integers(1, dim)))
+                for _ in range(draw(st.integers(1, 4)))]
+    layout = draw(st.sampled_from(["complex", "real", "broadcast"]))
+    if layout == "real":
+        elements = [E.real for E in elements]
+    if layout == "broadcast":
+        matrices = np.broadcast_to(elements[0], (draw(st.integers(2, 40)), dim, dim))
+    else:
+        order = draw(st.lists(st.integers(0, len(elements) - 1),
+                              min_size=len(elements) + 1, max_size=40))
+        matrices = np.stack([elements[k] for k in order])
+    return Dataset(matrices=matrices), random_density(rng, dim)
+
+
+class TestDistinctRecords:
+
+    def test_counts_records_in_order_of_first_appearance(self):
+        a, b = np.eye(2), np.diag([1.0, 0.0])
+        data = Dataset(matrices=np.stack([b, a, b, b, a]))
+        view = data.distinct
+        assert view.elements.dtype == complex
+        assert np.array_equal(view.elements, np.stack([b, a]))
+        assert list(view.counts) == [3, 2]
+        assert list(view.first) == [0, 1]
+        assert list(view.index) == [0, 1, 0, 0, 1]
+        assert data.distinct is view
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(repeated_datasets())
+    def test_frequency_form_matches_the_per_record_sums(self, case):
+        data, rho = case
+        view = data.distinct
+        assert np.array_equal(view.elements[view.index], data.matrices.astype(complex))
+        assert np.array_equal(view.first, [list(view.index).index(k) for k in range(len(view.counts))])
+
+        f_ref = per_record_objective(rho, data.matrices)
+        assert ml_objective(rho, data) == pytest.approx(f_ref, rel=1e-12, abs=1e-14)
+        R_ref = per_record_stationarity(rho, data.matrices)
+        R = stationarity_operator(rho, data)
+        assert np.abs(R - R_ref).max() <= 1e-12 * np.abs(R_ref).max()
+
+        rho_hat, f_star = batch_ml_solve(data)
+        f_hat_ref = per_record_objective(rho_hat, data.matrices)
+        assert f_star == pytest.approx(f_hat_ref, rel=1e-12, abs=1e-14)
+
+
 class TestDataset:
 
     def test_shape_accessors(self):
@@ -44,6 +108,12 @@ class TestDataset:
         bad = np.stack([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]).astype(complex)
         with pytest.raises(ValidationError, match="record 1"):
             validate_dataset(Dataset(matrices=bad))
+
+    def test_validate_names_the_first_record_of_a_bad_element(self):
+        good, bad = np.eye(2), SIGMA_X.real
+        data = Dataset(matrices=np.stack([good, good, bad, good, bad, bad]))
+        with pytest.raises(ValidationError, match="record 2:"):
+            validate_dataset(data)
 
     def test_validate_rejects_index_length_mismatch(self):
         data = Dataset(
