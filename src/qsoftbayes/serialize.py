@@ -31,16 +31,16 @@ def matrix_to_record(M: np.ndarray) -> dict:
 def matrix_from_record(rec: dict) -> np.ndarray:
     dim = _dim_field(rec)
     entries = _field(rec, "entries")
+    if not isinstance(entries, list):
+        raise ValidationError("matrix record entries are not a list of [re, im] pairs")
+    if len(entries) != dim * dim:
+        raise ValidationError(f"matrix record has {len(entries)} entries, expected {dim * dim}")
     try:
-        pairs = np.ascontiguousarray(entries, dtype=np.float64)
+        # complex() rejects strings and other non-numbers given as re or im
+        flat = np.array([complex(re, im) for re, im in entries])
     except (TypeError, ValueError) as exc:
         raise ValidationError("matrix record entries are not [re, im] number pairs") from exc
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValidationError(f"matrix record entries have shape {pairs.shape}, expected [re, im] pairs")
-    if pairs.shape[0] != dim * dim:
-        raise ValidationError(f"matrix record has {pairs.shape[0]} entries, expected {dim * dim}")
-    # a contiguous (dim^2, 2) float array is the complex array's memory layout
-    return pairs.view(np.complex128).reshape(dim, dim)
+    return flat.reshape(dim, dim)
 
 
 def save_matrix(path, M: np.ndarray) -> None:

@@ -70,15 +70,19 @@ class Dataset:
         """
         M = np.ascontiguousarray(self.matrices, dtype=complex)
         rows = M.reshape(M.shape[0], math.prod(M.shape[1:]))
-        keys: dict[bytes, int] = {}
-        index = np.fromiter(
-            (keys.setdefault(row.tobytes(), len(keys)) for row in rows),
+        # maps each distinct row to its first record, in order of first appearance
+        firsts: dict[bytes, int] = {}
+        owner = np.fromiter(
+            (firsts.setdefault(row.tobytes(), n) for n, row in enumerate(rows)),
             dtype=np.int64, count=rows.shape[0],
         )
-        # elements are numbered in order of first appearance
-        first = np.unique(index, return_index=True)[1]
+        first = np.fromiter(firsts.values(), dtype=np.int64, count=len(firsts))
+        # first is increasing, so an element's number is the rank of its first record
+        index = np.searchsorted(first, owner)
+        # with no repeats the stack already is the element list; share it
+        elements = M if len(first) == len(M) else M[first]
         return DistinctRecords(
-            elements=M[first], counts=np.bincount(index), first=first, index=index
+            elements=elements, counts=np.bincount(index), first=first, index=index
         )
 
 

@@ -115,6 +115,15 @@ class TestDatasetContainer:
         with pytest.raises(ValidationError, match=f"missing '{key}'"):
             dataset_from_record(rec)
 
+    @pytest.mark.parametrize("pair", [["1.5", "0"], ["nan", "0"], [1.5, "0"], [None, 0.0]])
+    def test_entries_must_be_numbers(self, tmp_path, pair):
+        rec = dataset_to_record(Dataset(matrices=np.broadcast_to(np.eye(2), (2, 2, 2))))
+        rec["matrices"][1][0] = pair
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(rec))
+        with pytest.raises(ValidationError, match="record 1: .*not \\[re, im\\] number pairs"):
+            load_dataset(path)
+
     def test_missing_matrix_entries(self):
         with pytest.raises(ValidationError, match="missing 'entries'"):
             matrix_from_record({"kind": "matrix", "dim": 2})

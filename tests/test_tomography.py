@@ -77,6 +77,13 @@ class TestDistinctRecords:
         assert list(view.index) == [0, 1, 0, 0, 1]
         assert data.distinct is view
 
+    def test_a_stack_without_repeats_is_its_own_element_list(self):
+        matrices = np.stack([random_psd(make_rng(s), 3, rank=1) for s in range(5)])
+        view = Dataset(matrices=matrices).distinct
+        assert view.elements is matrices
+        assert list(view.counts) == [1] * 5
+        assert list(view.first) == list(view.index) == list(range(5))
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(repeated_datasets())
     def test_frequency_form_matches_the_per_record_sums(self, case):
