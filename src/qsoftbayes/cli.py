@@ -345,7 +345,12 @@ def _ml_seed(config: ExperimentConfig, seed: int, out_dir: str,
     out = Path(out_dir)
     write_ml_report(out / f"ml_seed{seed}.csv", result, f_star)
     save_matrix(out / f"rho_bar_seed{seed}.json", result.rho_bar)
-    summary = {"seed": seed, "eta": result.eta}
+    summary = {
+        "seed": seed,
+        "eta": result.eta,
+        "final_true_trace": result.final_state.true_trace,
+        "final_min_eig": result.final_state.rho_min_eig,
+    }
     if len(result.objective_values):
         summary["final_objective"] = result.final_objective
         summary["final_gap"] = result.final_objective - f_star

@@ -50,8 +50,17 @@ def hermitianize(M: np.ndarray) -> np.ndarray:
 
 def spectral(H: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of the Hermitian part of H, eigenvalues ascending."""
+    return hermitian_eigh(hermitianize(np.asarray(H)))
+
+
+def hermitian_eigh(H: np.ndarray) -> SpectralDecomposition:
+    """Eigendecomposition of an exactly Hermitian H, eigenvalues ascending.
+
+    H is decomposed as given, so it must already equal its conjugate
+    transpose bit for bit (a `hermitianize` result, or a sum of them).
+    """
     try:
-        w, V = npl.eigh(hermitianize(np.asarray(H)))
+        w, V = npl.eigh(H)
     except npl.LinAlgError as exc:
         raise DomainError(f"eigendecomposition failed: {exc}") from exc
     return SpectralDecomposition(w, V)

@@ -24,15 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    DEFAULT_TOLS,
     DomainError,
+    SpectralDecomposition,
     ValidationError,
-    herm_log,
+    hermitian_eigh,
     hermitianize,
     hs_inner,
     spectral,
     validate_observation,
 )
-from .portfolio import learning_rate
+from .portfolio import learning_rate, ops_regret_bound
 
 
 @dataclass(frozen=True)
@@ -94,20 +96,34 @@ def qsb_init(dim: int) -> QsbState:
 
 def qsb_step(state: QsbState, A: np.ndarray, eta: float) -> QsbState:
     """One update of the weights by (1 - eta) I + eta A / tr(A rho)."""
-    if not 0.0 < eta < 1.0:
-        raise DomainError(f"eta must be in (0, 1), got {eta!r}")
-    A = np.asarray(A)
+    A = np.asarray(A, dtype=complex)
     if not np.any(A):
         raise ValidationError("observation matrix is exactly zero")
+    return _qsb_update(state, A, spectral(A), eta)
+
+
+def _qsb_update(
+    state: QsbState, A: np.ndarray, spectrum: SpectralDecomposition, eta: float
+) -> QsbState:
+    """qsb_step for a complex observation A whose `spectral(A)` is given.
+
+    G = (1 - eta) I + (eta / c) A has A's eigenvectors, so log G is built
+    from A's spectrum (mu, U) as U diag(log((1 - eta) + (eta / c) mu)) U^dagger
+    and the step decomposes only the new accumulator. A caller that sees one
+    observation many times can decompose it once and pass the spectrum.
+    """
+    if not 0.0 < eta < 1.0:
+        raise DomainError(f"eta must be in (0, 1), got {eta!r}")
     overlap = float(np.vdot(A, state.rho).real)
     if overlap <= 0.0:
         raise DomainError(f"tr(A rho) = {overlap!r} is not positive")
-
-    dim = state.dim
-    G = (1.0 - eta) * np.eye(dim) + (eta / overlap) * A
-    log_G = herm_log(G)
-    L = hermitianize(state.log_weights + log_G)
-    lam, V = spectral(L)
+    mu, U = spectrum
+    g = (1.0 - eta) + (eta / overlap) * mu
+    if g[0] <= DEFAULT_TOLS.eval_floor:
+        raise DomainError(f"eigenvalue {g[0]!r} of G is outside the domain of log")
+    # both terms are exactly Hermitian, so their sum is too
+    L = state.log_weights + hermitianize((U * np.log(g)) @ U.conj().T)
+    lam, V = hermitian_eigh(L)
 
     # fold the top eigenvalue into the scalar shift so exp stays in range
     top = float(lam[-1])
@@ -115,8 +131,9 @@ def qsb_step(state: QsbState, A: np.ndarray, eta: float) -> QsbState:
     total = float(p.sum())
     rho = hermitianize((V * (p / total)) @ V.conj().T)
     shift = state.shift + top
+    L.flat[:: state.dim + 1] -= top
     return QsbState(
-        log_weights=L - top * np.eye(dim),
+        log_weights=L,
         shift=shift,
         rho=rho,
         round=state.round + 1,
@@ -125,14 +142,8 @@ def qsb_step(state: QsbState, A: np.ndarray, eta: float) -> QsbState:
     )
 
 
-def qsb_regret_bound(dim: int, rounds: float) -> float:
-    """Regret guarantee 2 sqrt(T D log D) + log D, the same form as the
-    classical game's bound."""
-    if dim < 2:
-        raise DomainError(f"dim must be at least 2, got {dim}")
-    if rounds < 1:
-        raise DomainError(f"rounds must be at least 1, got {rounds}")
-    return 2.0 * math.sqrt(rounds * dim * math.log(dim)) + math.log(dim)
+# The quantum game has the classical game's regret guarantee, in one definition.
+qsb_regret_bound = ops_regret_bound
 
 
 def run_qst_game(stream: np.ndarray, eta: float | None = None) -> QstTranscript:

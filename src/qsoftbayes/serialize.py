@@ -117,8 +117,16 @@ def load_return_stream(path) -> np.ndarray:
     rec = _load(path)
     if rec.get("kind") != "return-stream":
         raise ValidationError(f"{path}: expected a return-stream file, got kind {rec.get('kind')!r}")
-    rows = np.array(rec["rows"], dtype=float)
-    if rows.shape != (int(rec["rounds"]), int(rec["dim"])):
+    shape = (_int_field(rec, "rounds"), _dim_field(rec))
+    try:
+        rows = np.array(_field(rec, "rows"))
+    except ValueError as exc:  # ragged rows
+        raise ValidationError(f"{path}: rows are not a rectangular table") from exc
+    # JSON numbers only: a string such as "0.5", null or a boolean is rejected
+    if rows.dtype.kind not in "iuf":
+        raise ValidationError(f"{path}: rows hold an entry that is not a number")
+    rows = rows.astype(float)
+    if rows.shape != shape:
         raise ValidationError(f"{path}: rows shape {rows.shape} contradicts the header")
     return rows
 
@@ -160,7 +168,7 @@ def _dump(path, obj: dict) -> None:
 def _load(path) -> dict:
     try:
         rec = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: not a valid container file: {exc}") from exc
     if not isinstance(rec, dict):
         raise ValidationError(f"{path}: not a container file: the top level is not an object")

@@ -28,7 +28,7 @@ from .linalg import (
     validate_observation,
 )
 from .portfolio import SolverError, learning_rate
-from .qsb import qsb_init, qsb_step
+from .qsb import QsbState, _qsb_update, qsb_init
 
 
 class DistinctRecords(NamedTuple):
@@ -96,6 +96,7 @@ class MlResult:
     eta: float
     seed: int
     rounds: int
+    final_state: QsbState         # the learner's state after the last round
 
     @property
     def final_objective(self) -> float:
@@ -287,7 +288,11 @@ def stochastic_qsb(
 
     Each round draws one record index uniformly (exactly one generator call,
     so runs can be randomness-coupled with the classical learner), feeds it
-    to the online update, and accumulates the announced state. The returned
+    to the online update, and accumulates the announced state. The update
+    gets the record's distinct element, equal to it bit for bit, with that
+    element's eigendecomposition, computed on its first draw and reused, so
+    the run equals a loop of `qsb_step` over the drawn records while
+    decomposing each distinct record at most once. The returned
     estimate is the average of all announced states; the objective of the
     running average is evaluated at the requested checkpoints (default: a
     geometric schedule plus the final round).
@@ -301,6 +306,11 @@ def stochastic_qsb(
         eta = learning_rate(dim, rounds)
     cps = _normalize_checkpoints(checkpoints, rounds)
 
+    view = data.distinct
+    element_of = view.index.tolist()
+    # (element, spectral(element)) per distinct record, filled on first draw
+    decomposed: list = [None] * len(view.counts)
+
     rng = make_rng(seed)
     state = qsb_init(dim)
     rho_sum = np.zeros((dim, dim), dtype=complex)
@@ -311,8 +321,12 @@ def stochastic_qsb(
         if cp_pos < len(cps) and t == cps[cp_pos]:
             values[cp_pos] = ml_objective(hermitianize(rho_sum / t), data)
             cp_pos += 1
-        idx = int(rng.integers(n_records))
-        state = qsb_step(state, data.matrices[idx], eta)
+        k = element_of[int(rng.integers(n_records))]
+        if decomposed[k] is None:
+            E = view.elements[k]
+            decomposed[k] = (E, spectral(E))
+        E, spectrum = decomposed[k]
+        state = _qsb_update(state, E, spectrum, eta)
     return MlResult(
         rho_bar=hermitianize(rho_sum / rounds),
         checkpoints=cps,
@@ -320,6 +334,7 @@ def stochastic_qsb(
         eta=eta,
         seed=seed,
         rounds=rounds,
+        final_state=state,
     )
 
 

@@ -260,6 +260,9 @@ class TestMlRunMode:
 
         gaps = [s["final_gap"] for s in manifest["seed_summaries"]]
         assert manifest["mean_final_gap"] == pytest.approx(np.mean(gaps), abs=1e-15)
+        for summary in manifest["seed_summaries"]:
+            assert 0.0 < summary["final_true_trace"] <= 1.0
+            assert 0.0 < summary["final_min_eig"] <= 0.5
         assert manifest["records"] == 200
         assert manifest["distinct_records"] == len(data.distinct.counts) <= 6
         assert manifest["oracle_cert_gap"] <= 1e-7
@@ -352,16 +355,25 @@ class TestValidateMode:
         assert main(["validate"]) == 2
         assert "input file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["validate"],
-        ["ml-run", "--dim", "2", "--povm", "from-file", "--input"],
-    ])
-    def test_missing_file_is_a_one_line_error(self, tmp_path, capsys, argv):
-        missing = tmp_path / "missing.json"
-        assert main(argv + [str(missing), "--out", str(tmp_path / "run")]) == 1
+    @pytest.mark.parametrize("argv, content", [
+        (["validate"], None),
+        (["ml-run", "--dim", "2", "--povm", "from-file", "--input"], None),
+        (["validate"], b'{"kind": "return-stream", "dim": 2, "rows": [[0.5, 0.5]]}'),
+        (["validate"], b'{"kind": "return-stream", "rounds": 1, "rows": [[0.5, 0.5]]}'),
+        (["validate"], b'{"kind": "return-stream", "rounds": 2, "dim": 2, "rows": [[0.5, 0.5], [0.5]]}'),
+        (["validate"], b'{"kind": "return-stream", "rounds": 1, "dim": 2, "rows": [["0.5", 0.5]]}'),
+        (["validate"], b'\xff\xfe{"kind": "matrix"}'),
+    ], ids=["argv0", "argv1", "no-rounds", "no-dim", "ragged-rows", "string-entry", "not-utf8"])
+    def test_missing_file_is_a_one_line_error(self, tmp_path, capsys, argv, content):
+        """A missing or malformed input file ends in one error line, exit 1."""
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(argv + [str(path), "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "missing.json" in err
+        if content is None:
+            assert "input.json" in err
 
 
 class TestExitCodes:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsoftbayes import tomography
 from qsoftbayes.ensembles import make_rng, random_density, random_psd, uniform_returns
-from qsoftbayes.linalg import DomainError, ValidationError, hs_inner
-from qsoftbayes.portfolio import SolverError, kelly_online_to_batch
-from qsoftbayes.qsb import qsb_regret_bound
+from qsoftbayes.linalg import DomainError, ValidationError, hermitianize, hs_inner
+from qsoftbayes.portfolio import SolverError, kelly_online_to_batch, learning_rate
+from qsoftbayes.qsb import qsb_init, qsb_regret_bound, qsb_step
 from qsoftbayes.tomography import (
     Dataset,
     batch_ml_solve,
@@ -338,6 +339,53 @@ class TestStochasticQsb:
         assert np.max(np.abs(np.diag(quantum.rho_bar).real - classical)) <= 1e-10
         off_diag = quantum.rho_bar - np.diag(np.diag(quantum.rho_bar))
         assert np.max(np.abs(off_diag)) <= 1e-12
+
+    def test_equals_a_loop_of_qsb_step_over_the_drawn_records(self):
+        """Memoized element spectra change no bit: the estimator must equal
+        qsb_step applied to each drawn record, with the same draws."""
+        rng = make_rng(12)
+        data = generate_dataset(random_density(rng, 4), pauli_basis_povms(2), 600, rng)
+        rounds, seed = 2000, 9
+        result = stochastic_qsb(data, rounds=rounds, seed=seed)
+
+        eta = learning_rate(4, rounds)
+        draws = make_rng(seed)
+        state = qsb_init(4)
+        rho_sum = np.zeros((4, 4), dtype=complex)
+        values = []
+        for t in range(1, rounds + 1):
+            rho_sum += state.rho
+            if t in result.checkpoints:
+                values.append(ml_objective(hermitianize(rho_sum / t), data))
+            state = qsb_step(state, data.matrices[int(draws.integers(len(data)))], eta)
+        assert np.array_equal(result.rho_bar, hermitianize(rho_sum / rounds))
+        assert np.array_equal(result.objective_values, values)
+        assert np.array_equal(result.final_state.rho, state.rho)
+        assert result.final_state.true_trace == state.true_trace
+
+    def test_decomposes_each_drawn_element_once(self, monkeypatch):
+        decomposed = []
+        spectral = tomography.spectral
+
+        def counted(E):
+            decomposed.append(E.copy())
+            return spectral(E)
+
+        monkeypatch.setattr(tomography, "spectral", counted)
+        rng = make_rng(14)
+        data = generate_dataset(random_density(rng, 4), pauli_basis_povms(2), 900, rng)
+        view = data.distinct
+        assert len(view.counts) == 36  # 12 rounds can draw at most 12 of them
+        for rounds in (12, 3000):
+            decomposed.clear()
+            stochastic_qsb(data, rounds=rounds, seed=2, checkpoints=())
+            draws = make_rng(2)
+            drawn = {int(view.index[draws.integers(len(data))]) for _ in range(rounds)}
+            # the elements are distinct, so each decomposed matrix names one
+            ks = [next(k for k, F in enumerate(view.elements) if np.array_equal(E, F))
+                  for E in decomposed]
+            assert len(ks) == len(set(ks))  # each element at most once
+            assert set(ks) == drawn         # only, and all, the drawn ones
 
     def test_final_objective_beats_the_mixed_state_plus_regret(self):
         rho = random_density(make_rng(11), 2)
