@@ -32,7 +32,6 @@ from .linalg import (
     hermitianize,
     hs_inner,
     matrix_fn,
-    quantum_relative_entropy,
     spectral,
     validate_density,
     validate_observation,
@@ -80,7 +79,7 @@ __all__ = [
     "random_unitary", "rank1_observation_stream", "uniform_returns",
     "DEFAULT_TOLS", "DomainError", "Tolerances", "ValidationError",
     "golden_thompson_gap", "herm_exp", "herm_log", "hermitianize", "hs_inner",
-    "matrix_fn", "quantum_relative_entropy", "spectral", "validate_density",
+    "matrix_fn", "spectral", "validate_density",
     "validate_observation",
     "ComparatorResult", "OpsTranscript", "SolverError", "best_fixed_portfolio",
     "kelly_online_to_batch", "learning_rate", "ops_regret_bound",

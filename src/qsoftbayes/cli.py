@@ -62,7 +62,6 @@ from .tomography import (
     pauli_basis_povms,
     stationarity_operator,
     stochastic_qsb,
-    validate_dataset,
 )
 
 MODES = ("ops-game", "qst-game", "ml-run", "scaling-bench", "validate")
@@ -174,7 +173,10 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     if m.get("dim") and m.get("qubits"):
         raise ConfigError("give either dim or qubits, not both")
     if m.get("qubits"):
-        dims: tuple[int, ...] = (2 ** int(m["qubits"]),)
+        try:
+            dims: tuple[int, ...] = (2 ** int(m["qubits"]),)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse qubits from {m['qubits']!r}") from exc
     elif m.get("dim"):
         dims = _parse_int_list(m["dim"], "dim")
     else:
@@ -215,7 +217,10 @@ def parse_config_file(path) -> dict:
             rec = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON config: {exc}") from exc
-        return {str(k): str(v) for k, v in rec.get("config", rec).items()}
+        config = rec.get("config", rec)
+        if not isinstance(config, dict):
+            raise ConfigError(f"{path}: a JSON config must be an object of key-value pairs")
+        return {str(k): str(v) for k, v in config.items()}
     mapping = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -359,7 +364,7 @@ def _ml_seed(config: ExperimentConfig, seed: int, out_dir: str,
 
 def _ml_dataset(config: ExperimentConfig) -> Dataset:
     if config.povm == "from-file":
-        return validate_dataset(load_dataset(config.input_path))
+        return load_dataset(config.input_path)
     dim = config.dims[0]
     rng = make_rng(config.data_seed)
     truth = random_density(rng, dim)
@@ -431,7 +436,7 @@ def _run_validate(config: ExperimentConfig) -> list[str]:
         except ValidationError:
             lines.append(f"trace: {trace:.12g} (not a density)")
     elif kind == "dataset":
-        data = validate_dataset(load_dataset(config.input_path))
+        data = load_dataset(config.input_path)
         lines.append(f"dim: {data.dim}")
         lines.append(f"records: {len(data)}")
         lines.append(f"provenance: {'yes' if data.has_provenance else 'no'}")

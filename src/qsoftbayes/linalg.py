@@ -15,8 +15,8 @@ class Tolerances:
     """Numerical tolerances used by validators and invariant checks.
 
     sym_tol and recon_tol are relative to the matrix scale; the rest are
-    absolute. eval_floor is the threshold below which an eigenvalue is
-    treated as an exact zero inside entropy computations.
+    absolute. eval_floor is the threshold at or below which an eigenvalue
+    is outside the domain of the matrix logarithm.
     """
 
     sym_tol: float = 1e-12
@@ -107,39 +107,6 @@ def hs_inner(A: np.ndarray, B: np.ndarray) -> float:
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValidationError(f"shape mismatch: {A.shape} vs {B.shape}")
     return float(np.vdot(A, B).real)
-
-
-def quantum_relative_entropy(
-    rho: np.ndarray, sigma: np.ndarray, tol: Tolerances = DEFAULT_TOLS
-) -> float:
-    """Relative entropy tr(rho log rho) - tr(rho log sigma) of density matrices.
-
-    Eigenvalues at or below tol.eval_floor count as exact zeros: they are
-    excluded from x log x terms (0 log 0 := 0), and a zero eigendirection of
-    sigma is only tolerated where rho carries no weight. If rho puts more
-    than tol.psd_tol of weight on the null space of sigma the entropy is
-    +infinity mathematically and a DomainError here.
-    """
-    rho = np.asarray(rho)
-    sigma = np.asarray(sigma)
-    if rho.shape != sigma.shape:
-        raise ValidationError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
-    lam, _ = spectral(rho)
-    live = lam > tol.eval_floor
-    term1 = float(np.sum(lam[live] * np.log(lam[live])))
-
-    mu, V = spectral(sigma)
-    # weight of rho along each eigendirection of sigma
-    w = np.einsum("ji,jk,ki->i", V.conj(), rho, V).real
-    null = mu <= tol.eval_floor
-    if np.any(w[null] > tol.psd_tol):
-        k = int(np.argmax(np.where(null, w, -np.inf)))
-        raise DomainError(
-            f"support violation: weight {w[k]:.3e} on a null eigendirection of sigma"
-        )
-    keep = ~null
-    term2 = float(np.sum(w[keep] * np.log(mu[keep])))
-    return term1 - term2
 
 
 def _hermitian_psd(M: np.ndarray, tol: Tolerances, symbol: str) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -67,7 +68,7 @@ class QstTranscript:
     losses: np.ndarray         # (T,)
     true_traces: np.ndarray    # (T,), trace of the announced state's weights
     min_eigs: np.ndarray       # (T,), smallest eigenvalue of announced rho
-    step_times_ns: np.ndarray  # (T,), update cost on a monotonic clock
+    step_times_ns: np.ndarray  # (T,), decomposing A_t plus the update, monotonic clock
     average_state: np.ndarray  # mean of the announced density matrices
     final_state: QsbState
 
@@ -99,14 +100,15 @@ def qsb_step(state: QsbState, A: np.ndarray, eta: float) -> QsbState:
     A = np.asarray(A, dtype=complex)
     if not np.any(A):
         raise ValidationError("observation matrix is exactly zero")
-    return _qsb_update(state, A, spectral(A), eta)
+    return _qsb_update(state, A, spectral(A), eta)[0]
 
 
 def _qsb_update(
     state: QsbState, A: np.ndarray, spectrum: SpectralDecomposition, eta: float
-) -> QsbState:
+) -> tuple[QsbState, float]:
     """qsb_step for a complex observation A whose `spectral(A)` is given.
 
+    Also returns c = tr(A rho), whose negative log is the round's loss.
     G = (1 - eta) I + (eta / c) A has A's eigenvectors, so log G is built
     from A's spectrum (mu, U) as U diag(log((1 - eta) + (eta / c) mu)) U^dagger
     and the step decomposes only the new accumulator. A caller that sees one
@@ -139,51 +141,49 @@ def _qsb_update(
         round=state.round + 1,
         true_trace=math.exp(shift + math.log(total)),
         rho_min_eig=float(p[0]) / total,
-    )
+    ), overlap
 
 
 # The quantum game has the classical game's regret guarantee, in one definition.
 qsb_regret_bound = ops_regret_bound
 
 
-def run_qst_game(stream: np.ndarray, eta: float | None = None) -> QstTranscript:
-    """Play the tomography game against a (T, D, D) stream of observations.
+def _play(
+    dim: int,
+    rounds: int,
+    eta: float,
+    observe: Callable[[int], tuple[np.ndarray, SpectralDecomposition]],
+    checkpoints: frozenset[int] = frozenset(),
+) -> tuple[QstTranscript, list[np.ndarray]]:
+    """The learner loop shared by the online game and the stochastic estimator.
 
-    Validation happens up front; the recorded per-step times cover only the
-    state update.
+    Round t (from 0) announces the state, takes a complex observation and its
+    `spectral` decomposition from `observe(t)`, pays -log tr(A_t rho_t) and
+    updates; its step time covers `observe` and the update. Also returns
+    the average announced state after each round numbered in `checkpoints`.
     """
-    stream = np.asarray(stream, dtype=complex)
-    if stream.ndim != 3 or stream.shape[0] < 1:
-        raise ValidationError(f"expected a nonempty (T, D, D) stream, got shape {stream.shape}")
-    rounds, dim = stream.shape[0], stream.shape[1]
-    validated = np.empty_like(stream)
-    for t in range(rounds):
-        try:
-            validated[t] = validate_observation(stream[t])
-        except ValidationError as exc:
-            raise ValidationError(f"round {t + 1}: {exc}") from exc
-    if eta is None:
-        eta = learning_rate(dim, rounds)
-
     state = qsb_init(dim)
     losses = np.empty(rounds)
     true_traces = np.empty(rounds)
     min_eigs = np.empty(rounds)
     step_times = np.empty(rounds, dtype=np.int64)
     rho_sum = np.zeros((dim, dim), dtype=complex)
+    averages = []
     for t in range(rounds):
-        A = validated[t]
-        value = float(np.vdot(A, state.rho).real)
-        if value <= 0.0:
-            raise DomainError(f"round {t + 1}: tr(A rho) = {value!r} is not positive")
-        losses[t] = -math.log(value)
         true_traces[t] = state.true_trace
         min_eigs[t] = state.rho_min_eig
         rho_sum += state.rho
+        if t + 1 in checkpoints:
+            averages.append(hermitianize(rho_sum / (t + 1)))
         t0 = time.perf_counter_ns()
-        state = qsb_step(state, A, eta)
+        A, spectrum = observe(t)
+        try:
+            state, overlap = _qsb_update(state, A, spectrum, eta)
+        except DomainError as exc:
+            raise DomainError(f"round {t + 1}: {exc}") from exc
         step_times[t] = time.perf_counter_ns() - t0
-    return QstTranscript(
+        losses[t] = -math.log(overlap)
+    transcript = QstTranscript(
         eta=eta,
         losses=losses,
         true_traces=true_traces,
@@ -192,6 +192,32 @@ def run_qst_game(stream: np.ndarray, eta: float | None = None) -> QstTranscript:
         average_state=hermitianize(rho_sum / rounds),
         final_state=state,
     )
+    return transcript, averages
+
+
+def run_qst_game(stream: np.ndarray, eta: float | None = None) -> QstTranscript:
+    """Play the tomography game against a (T, D, D) stream of observations.
+
+    Validation happens up front; a recorded step time covers decomposing
+    the round's observation and updating the state.
+    """
+    stream = np.asarray(stream, dtype=complex)
+    if stream.ndim != 3 or stream.shape[0] < 1:
+        raise ValidationError(f"expected a nonempty (T, D, D) stream, got shape {stream.shape}")
+    rounds, dim = stream.shape[0], stream.shape[1]
+    for t in range(rounds):
+        try:
+            validate_observation(stream[t])
+        except ValidationError as exc:
+            raise ValidationError(f"round {t + 1}: {exc}") from exc
+    if eta is None:
+        eta = learning_rate(dim, rounds)
+
+    def observe(t: int) -> tuple[np.ndarray, SpectralDecomposition]:
+        A = hermitianize(stream[t])  # the Hermitian part that was validated
+        return A, spectral(A)
+
+    return _play(dim, rounds, eta, observe)[0]
 
 
 def eta_bar(eta: float) -> float:

@@ -55,17 +55,19 @@ def load_matrix(path) -> np.ndarray:
 
 
 def dataset_to_record(data: Dataset) -> dict:
-    M = np.asarray(data.matrices, dtype=complex)
+    M = np.ascontiguousarray(data.matrices, dtype=complex)
+    n, dim = M.shape[0], M.shape[1]
     rec = {
         "kind": "dataset",
-        "dim": int(M.shape[1]),
-        "n": int(M.shape[0]),
-        "has_provenance": bool(data.has_provenance),
-        "matrices": [matrix_to_record(M[i])["entries"] for i in range(M.shape[0])],
+        "dim": dim,
+        "n": n,
+        "has_provenance": data.has_provenance,
+        # each record as row-major [re, im] pairs, like a matrix record's entries
+        "matrices": M.view(np.float64).reshape(n, dim * dim, 2).tolist(),
     }
     if data.has_provenance:
-        rec["povm_indices"] = [int(i) for i in data.povm_indices]
-        rec["outcome_indices"] = [int(i) for i in data.outcome_indices]
+        rec["povm_indices"] = np.asarray(data.povm_indices, dtype=np.int64).tolist()
+        rec["outcome_indices"] = np.asarray(data.outcome_indices, dtype=np.int64).tolist()
     return rec
 
 

@@ -20,6 +20,7 @@ from .ensembles import make_rng
 from .linalg import (
     DEFAULT_TOLS,
     DomainError,
+    SpectralDecomposition,
     Tolerances,
     ValidationError,
     hermitianize,
@@ -28,7 +29,7 @@ from .linalg import (
     validate_observation,
 )
 from .portfolio import SolverError, learning_rate
-from .qsb import QsbState, _qsb_update, qsb_init
+from .qsb import QsbState, _play
 
 
 class DistinctRecords(NamedTuple):
@@ -42,11 +43,19 @@ class DistinctRecords(NamedTuple):
 
 @dataclass(frozen=True)
 class Dataset:
-    """A stack of measurement-outcome matrices, optionally with provenance."""
+    """A stack of measurement-outcome matrices, optionally with provenance.
+
+    Building one runs `validate_dataset`, so every instance holds valid
+    records and its consumers need not check them again. The check and the
+    distinct view describe `matrices` as built: do not modify it in place.
+    """
 
     matrices: np.ndarray                 # (N, D, D)
     povm_indices: np.ndarray | None = None
     outcome_indices: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        validate_dataset(self)
 
     def __len__(self) -> int:
         return self.matrices.shape[0]
@@ -61,12 +70,12 @@ class Dataset:
 
     @cached_property
     def distinct(self) -> DistinctRecords:
-        """The distinct records with their counts, computed on first use.
+        """The distinct records with their counts, computed when validated.
 
         Two records are one element when their entries, cast to complex, are
         equal bit for bit, so a count-weighted sum over the elements adds
         exactly the values a sum over the records would. The view is kept
-        for the life of the instance: do not modify `matrices` after using it.
+        for the life of the instance.
         """
         M = np.ascontiguousarray(self.matrices, dtype=complex)
         rows = M.reshape(M.shape[0], math.prod(M.shape[1:]))
@@ -125,7 +134,7 @@ def validate_dataset(data: Dataset, tol: Tolerances = DEFAULT_TOLS) -> Dataset:
     """Check every record is a valid observation; return the dataset.
 
     Each distinct record is checked once; a failure names the first record
-    holding the failing element.
+    holding the failing element. Every `Dataset` runs this when it is built.
     """
     M = np.asarray(data.matrices)
     if M.ndim != 3 or M.shape[1] != M.shape[2] or M.shape[0] < 1:
@@ -297,7 +306,6 @@ def stochastic_qsb(
     running average is evaluated at the requested checkpoints (default: a
     geometric schedule plus the final round).
     """
-    validate_dataset(data)
     if rounds < 1:
         raise ValidationError(f"rounds must be at least 1, got {rounds}")
     dim = data.dim
@@ -310,31 +318,23 @@ def stochastic_qsb(
     element_of = view.index.tolist()
     # (element, spectral(element)) per distinct record, filled on first draw
     decomposed: list = [None] * len(view.counts)
-
     rng = make_rng(seed)
-    state = qsb_init(dim)
-    rho_sum = np.zeros((dim, dim), dtype=complex)
-    values = np.empty(len(cps))
-    cp_pos = 0
-    for t in range(1, rounds + 1):
-        rho_sum += state.rho
-        if cp_pos < len(cps) and t == cps[cp_pos]:
-            values[cp_pos] = ml_objective(hermitianize(rho_sum / t), data)
-            cp_pos += 1
+
+    def observe(t: int) -> tuple[np.ndarray, SpectralDecomposition]:
         k = element_of[int(rng.integers(n_records))]
         if decomposed[k] is None:
-            E = view.elements[k]
-            decomposed[k] = (E, spectral(E))
-        E, spectrum = decomposed[k]
-        state = _qsb_update(state, E, spectrum, eta)
+            decomposed[k] = (view.elements[k], spectral(view.elements[k]))
+        return decomposed[k]
+
+    game, averages = _play(dim, rounds, eta, observe, frozenset(cps.tolist()))
     return MlResult(
-        rho_bar=hermitianize(rho_sum / rounds),
+        rho_bar=game.average_state,
         checkpoints=cps,
-        objective_values=values,
+        objective_values=np.array([ml_objective(avg, data) for avg in averages], dtype=float),
         eta=eta,
         seed=seed,
         rounds=rounds,
-        final_state=state,
+        final_state=game.final_state,
     )
 
 
@@ -362,7 +362,6 @@ def batch_ml_solve(
     rho within tol of stationarity regardless of the path taken. Every sum
     runs over the distinct records, weighted by their counts.
     """
-    validate_dataset(data)
     view = data.distinct
     E = view.elements
     dim = data.dim

@@ -60,6 +60,11 @@ class TestConfigMapping:
         config = config_from_mapping({"mode": "scaling-bench", "dim": "8,16,32"})
         assert config.dims == (8, 16, 32)
 
+    @pytest.mark.parametrize("qubits", ["abc", "2.5"])
+    def test_unparsable_qubits_are_a_config_error(self, qubits):
+        with pytest.raises(ConfigError, match="qubits"):
+            config_from_mapping({"mode": "ml-run", "qubits": qubits})
+
     def test_dim_and_qubits_conflict(self):
         with pytest.raises(ConfigError, match="not both"):
             config_from_mapping({"mode": "ops-game", "dim": "2", "qubits": "1"})
@@ -139,6 +144,23 @@ class TestParseConfigFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config_file(tmp_path / "nope.cfg")
+
+    @pytest.mark.parametrize("text", ['{"config": [1]}', '{"config": "mode=ops-game"}'],
+                             ids=["list", "string"])
+    def test_json_config_that_is_not_an_object(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="object"):
+            parse_config_file(path)
+
+    @pytest.mark.parametrize("text", ["mode=ml-run\nqubits=abc\n", '{"config": [1]}'],
+                             ids=["key-value", "json"])
+    def test_bad_config_file_exits_2_with_one_line(self, tmp_path, capsys, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert main(["ml-run", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
 
 class TestOpsGameMode:

@@ -14,7 +14,6 @@ from qsoftbayes.linalg import (
     hermitianize,
     hs_inner,
     matrix_fn,
-    quantum_relative_entropy,
     spectral,
     validate_density,
     validate_observation,
@@ -107,45 +106,6 @@ class TestHsInner:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             hs_inner(np.eye(2), np.eye(3))
-
-
-class TestRelativeEntropy:
-
-    def test_self_entropy_is_zero(self):
-        rng = make_rng(7)
-        for dim in (2, 4):
-            rho = random_density(rng, dim)
-            assert abs(quantum_relative_entropy(rho, rho)) <= DEFAULT_TOLS.ent_tol
-
-    def test_pure_state_versus_mixed(self):
-        val = quantum_relative_entropy(np.diag([1.0, 0.0]), np.eye(2) / 2)
-        assert val == pytest.approx(math.log(2), abs=1e-12)
-
-    def test_bounded_by_log_dim_against_uniform(self):
-        """Relative entropy to the maximally mixed state is at most log D."""
-        rng = make_rng(8)
-        for dim in (2, 4, 8):
-            for _ in range(100):
-                rho = random_density(rng, dim)
-                val = quantum_relative_entropy(rho, np.eye(dim) / dim)
-                assert -DEFAULT_TOLS.ent_tol <= val <= math.log(dim) + DEFAULT_TOLS.ent_tol
-
-    def test_nonnegative_on_random_pairs(self):
-        rng = make_rng(9)
-        for _ in range(50):
-            rho = random_density(rng, 4)
-            sigma = random_density(rng, 4)
-            assert quantum_relative_entropy(rho, sigma) >= -DEFAULT_TOLS.ent_tol
-
-    def test_support_violation_raises(self):
-        with pytest.raises(DomainError) as err:
-            quantum_relative_entropy(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        assert "support" in str(err.value)
-
-    def test_rank_deficient_first_argument_is_fine(self):
-        # 0 log 0 treated as zero on the rho side
-        val = quantum_relative_entropy(np.diag([0.0, 1.0]), np.eye(2) / 2)
-        assert val == pytest.approx(math.log(2), abs=1e-12)
 
 
 class TestValidators:

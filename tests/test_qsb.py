@@ -18,6 +18,7 @@ from qsoftbayes.linalg import (
     herm_exp,
     herm_log,
     hermitianize,
+    validate_observation,
 )
 from qsoftbayes.portfolio import learning_rate, run_ops_game
 from qsoftbayes.qsb import (
@@ -209,6 +210,34 @@ class TestRunQstGame:
         assert np.all(traces <= 1.0 + 1e-9)
         assert np.all(np.diff(traces) <= 1e-12)
         assert np.all(transcript.min_eigs > 0.0)
+
+    def test_equals_a_loop_of_qsb_step(self):
+        """The shared learner loop changes no bit: the game must equal qsb_step
+        applied to each round's validated observation."""
+        rng = make_rng(17)
+        stream = psd_observation_stream(rng, 40, 3)
+        # off-Hermitian within tolerance, so the validated copy differs from the input
+        stream = stream + 1e-14 * (rng.random((40, 3, 3)) + 1j * rng.random((40, 3, 3)))
+        transcript = run_qst_game(stream)
+
+        eta = learning_rate(3, 40)
+        state = qsb_init(3)
+        rho_sum = np.zeros((3, 3), dtype=complex)
+        losses, true_traces, min_eigs = [], [], []
+        for A in stream:
+            A = validate_observation(A)
+            losses.append(-math.log(float(np.vdot(A, state.rho).real)))
+            true_traces.append(state.true_trace)
+            min_eigs.append(state.rho_min_eig)
+            rho_sum += state.rho
+            state = qsb_step(state, A, eta)
+        assert np.array_equal(transcript.losses, losses)
+        assert np.array_equal(transcript.true_traces, true_traces)
+        assert np.array_equal(transcript.min_eigs, min_eigs)
+        assert np.array_equal(transcript.average_state, hermitianize(rho_sum / 40))
+        assert np.array_equal(transcript.final_state.rho, state.rho)
+        assert np.array_equal(transcript.final_state.log_weights, state.log_weights)
+        assert transcript.final_state.shift == state.shift
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsoftbayes import tomography
+from qsoftbayes import cli, tomography
 from qsoftbayes.ensembles import make_rng, random_density, random_psd, uniform_returns
 from qsoftbayes.linalg import DomainError, ValidationError, hermitianize, hs_inner
 from qsoftbayes.portfolio import SolverError, kelly_online_to_batch, learning_rate
@@ -107,30 +107,36 @@ class TestDistinctRecords:
 class TestDataset:
 
     def test_shape_accessors(self):
-        data = Dataset(matrices=np.zeros((4, 3, 3), dtype=complex))
+        data = Dataset(matrices=np.broadcast_to(np.eye(3), (4, 3, 3)))
         assert len(data) == 4
         assert data.dim == 3
         assert not data.has_provenance
 
-    def test_validate_rejects_bad_records(self):
-        bad = np.stack([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]).astype(complex)
-        with pytest.raises(ValidationError, match="record 1"):
-            validate_dataset(Dataset(matrices=bad))
+    @pytest.mark.parametrize("fields, match", [
+        ({"matrices": np.stack([np.eye(2), SIGMA_X])}, "record 1:"),
+        ({"matrices": np.stack([np.eye(2), np.eye(2), SIGMA_X.real, np.eye(2),
+                                SIGMA_X.real, SIGMA_X.real])}, "record 2:"),
+        ({"matrices": np.broadcast_to(np.eye(2), (3, 2, 2)),
+          "povm_indices": np.zeros(2, dtype=np.int64),
+          "outcome_indices": np.zeros(3, dtype=np.int64)}, "povm_indices"),
+    ], ids=["indefinite-record", "first-record-of-a-bad-element", "index-length-mismatch"])
+    def test_construction_rejects(self, fields, match):
+        with pytest.raises(ValidationError, match=match):
+            Dataset(**fields)
 
-    def test_validate_names_the_first_record_of_a_bad_element(self):
-        good, bad = np.eye(2), SIGMA_X.real
-        data = Dataset(matrices=np.stack([good, good, bad, good, bad, bad]))
-        with pytest.raises(ValidationError, match="record 2:"):
-            validate_dataset(data)
+    def test_validated_once_per_ml_run(self, tmp_path, monkeypatch):
+        """The dataset is checked when built, not again by the oracle or per seed."""
+        calls = []
+        check = tomography.validate_dataset
 
-    def test_validate_rejects_index_length_mismatch(self):
-        data = Dataset(
-            matrices=np.broadcast_to(np.eye(2), (3, 2, 2)),
-            povm_indices=np.zeros(2, dtype=np.int64),
-            outcome_indices=np.zeros(3, dtype=np.int64),
-        )
-        with pytest.raises(ValidationError, match="povm_indices"):
-            validate_dataset(data)
+        def counted(data, *args, **kwargs):
+            calls.append(len(data))
+            return check(data, *args, **kwargs)
+
+        monkeypatch.setattr(tomography, "validate_dataset", counted)
+        assert cli.main(["ml-run", "--qubits", "1", "--shots", "50", "--rounds", "16",
+                         "--seeds", "0,1", "--out", str(tmp_path / "run")]) == 0
+        assert calls == [50]
 
 
 class TestValidatePovm:
