@@ -68,6 +68,7 @@ from .tomography import (
     sample_outcome,
     stationarity_operator,
     stochastic_qsb,
+    stochastic_qsb_seeds,
     validate_dataset,
     validate_povm,
 )
@@ -88,5 +89,6 @@ __all__ = [
     "qsb_step", "reverse_jensen_gap", "run_qst_game",
     "Dataset", "DistinctRecords", "MlResult", "batch_ml_solve",
     "generate_dataset", "ml_objective", "pauli_basis_povms", "sample_outcome",
-    "stationarity_operator", "stochastic_qsb", "validate_dataset", "validate_povm",
+    "stationarity_operator", "stochastic_qsb", "stochastic_qsb_seeds",
+    "validate_dataset", "validate_povm",
 ]

@@ -19,10 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,7 +59,7 @@ from .tomography import (
     generate_dataset,
     pauli_basis_povms,
     stationarity_operator,
-    stochastic_qsb,
+    stochastic_qsb_seeds,
 )
 
 MODES = ("ops-game", "qst-game", "ml-run", "scaling-bench", "validate")
@@ -70,6 +68,11 @@ POVM_KINDS = ("pauli-basis", "random-rank1", "from-file")
 OPS_COLUMNS = ["round", "loss", "cum_loss", "comparator_loss", "regret", "bound"]
 QST_COLUMNS = ["round", "loss", "cum_loss", "true_trace", "min_eig_rho"]
 ML_COLUMNS = ["checkpoint", "t", "f_rho_bar", "bound", "gap_to_oracle"]
+
+# Largest accepted dimension D (and qubit count, D = 2^q): far above any
+# workload, so a request beyond it is refused before anything is allocated.
+MAX_DIM = 2 ** 12
+MAX_QUBITS = MAX_DIM.bit_length() - 1
 
 
 class ConfigError(ValueError):
@@ -102,6 +105,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("a dimension is required (--dim or --qubits)")
     if any(d < 2 for d in config.dims):
         raise ConfigError(f"dimensions must be at least 2, got {config.dims}")
+    if any(d > MAX_DIM for d in config.dims):
+        raise ConfigError(f"dimensions must be at most {MAX_DIM}, got {config.dims}")
     if config.mode != "scaling-bench" and len(config.dims) != 1:
         raise ConfigError(f"mode {config.mode} takes exactly one dimension, got {config.dims}")
     if config.rounds < 1:
@@ -174,9 +179,12 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         raise ConfigError("give either dim or qubits, not both")
     if m.get("qubits"):
         try:
-            dims: tuple[int, ...] = (2 ** int(m["qubits"]),)
+            qubits = int(m["qubits"])
         except ValueError as exc:
             raise ConfigError(f"cannot parse qubits from {m['qubits']!r}") from exc
+        if not 1 <= qubits <= MAX_QUBITS:
+            raise ConfigError(f"qubits must be in [1, {MAX_QUBITS}], got {qubits}")
+        dims: tuple[int, ...] = (2 ** qubits,)
     elif m.get("dim"):
         dims = _parse_int_list(m["dim"], "dim")
     else:
@@ -342,16 +350,12 @@ def _qst_seed(config: ExperimentConfig, seed: int, out_dir: str) -> dict:
     }
 
 
-def _ml_seed(config: ExperimentConfig, seed: int, out_dir: str,
-             data: Dataset, f_star: float) -> dict:
-    checkpoints = list(config.checkpoints) if config.checkpoints is not None else None
-    result = stochastic_qsb(data, config.rounds, eta=config.eta, seed=seed,
-                            checkpoints=checkpoints)
-    out = Path(out_dir)
-    write_ml_report(out / f"ml_seed{seed}.csv", result, f_star)
-    save_matrix(out / f"rho_bar_seed{seed}.json", result.rho_bar)
+def _ml_seed(result: MlResult, out_dir: Path, f_star: float) -> dict:
+    """Write one seed's ml-run artifacts; returns its manifest summary."""
+    write_ml_report(out_dir / f"ml_seed{result.seed}.csv", result, f_star)
+    save_matrix(out_dir / f"rho_bar_seed{result.seed}.json", result.rho_bar)
     summary = {
-        "seed": seed,
+        "seed": result.seed,
         "eta": result.eta,
         "final_true_trace": result.final_state.true_trace,
         "final_min_eig": result.final_state.rho_min_eig,
@@ -374,23 +378,48 @@ def _ml_dataset(config: ExperimentConfig) -> Dataset:
 
 # --- mode drivers ---------------------------------------------------------
 
-def _max_workers(n_seeds: int) -> int:
-    try:
-        threads = int(os.environ.get("QSB_THREADS", "1"))
-    except ValueError:
-        raise ConfigError("QSB_THREADS must be an integer")
-    return max(1, min(threads, n_seeds))
+def _run_ml(config: ExperimentConfig, out_dir: Path) -> dict:
+    """Dataset, oracle, all seeds' learners in one lockstep call, artifacts.
 
+    Returns the manifest fields, with the seconds spent in each phase.
+    """
+    phases: dict[str, float] = {}
+    mark = time.perf_counter()
 
-def _run_per_seed(worker, config: ExperimentConfig, out_dir: str, *extra) -> list[dict]:
-    """Run one pipeline per seed, optionally in parallel; results in seed order."""
-    workers = _max_workers(len(config.seeds))
-    if workers == 1:
-        return [worker(config, seed, out_dir, *extra) for seed in config.seeds]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, config, seed, out_dir, *extra)
-                   for seed in config.seeds]
-        return [f.result() for f in futures]
+    def lap(phase: str) -> None:
+        nonlocal mark
+        now = time.perf_counter()
+        phases[phase] = now - mark
+        mark = now
+
+    data = _ml_dataset(config)
+    lap("dataset")
+    save_dataset(out_dir / "dataset.json", data)
+    lap("save_dataset")
+    rho_hat, f_star = batch_ml_solve(data, tol=1e-7)
+    cert_gap = float(np.linalg.eigvalsh(stationarity_operator(rho_hat, data))[-1]) - 1.0
+    lap("oracle")
+    checkpoints = list(config.checkpoints) if config.checkpoints is not None else None
+    results = stochastic_qsb_seeds(data, config.rounds, config.seeds, eta=config.eta,
+                                   checkpoints=checkpoints)
+    lap("learners")
+    save_matrix(out_dir / "rho_hat_oracle.json", rho_hat)
+    summaries = [_ml_seed(result, out_dir, f_star) for result in results]
+    lap("write")
+
+    extra: dict = {
+        "oracle_objective": f_star,
+        "oracle_cert_gap": cert_gap,
+        "records": len(data),
+        "distinct_records": len(data.distinct.counts),
+        "seed_summaries": summaries,
+    }
+    gaps = [s["final_gap"] for s in summaries if "final_gap" in s]
+    if gaps:
+        extra["mean_final_gap"] = float(np.mean(gaps))
+        extra["error_bound"] = ml_error_bound(data.dim, config.rounds)
+    extra["phase_seconds"] = phases
+    return extra
 
 
 def _run_scaling(config: ExperimentConfig, out_dir: str) -> dict:
@@ -477,26 +506,13 @@ def run_experiment(config: ExperimentConfig) -> int:
         extra: dict = {"mode": config.mode}
 
         if config.mode == "ops-game":
-            extra["seed_summaries"] = _run_per_seed(_ops_seed, config, str(out_dir))
+            extra["seed_summaries"] = [_ops_seed(config, seed, str(out_dir))
+                                       for seed in config.seeds]
         elif config.mode == "qst-game":
-            extra["seed_summaries"] = _run_per_seed(_qst_seed, config, str(out_dir))
+            extra["seed_summaries"] = [_qst_seed(config, seed, str(out_dir))
+                                       for seed in config.seeds]
         elif config.mode == "ml-run":
-            data = _ml_dataset(config)
-            save_dataset(out_dir / "dataset.json", data)
-            rho_hat, f_star = batch_ml_solve(data, tol=1e-7)
-            save_matrix(out_dir / "rho_hat_oracle.json", rho_hat)
-            extra["oracle_objective"] = f_star
-            extra["oracle_cert_gap"] = (
-                float(np.linalg.eigvalsh(stationarity_operator(rho_hat, data))[-1]) - 1.0
-            )
-            extra["records"] = len(data)
-            extra["distinct_records"] = len(data.distinct.counts)
-            summaries = _run_per_seed(_ml_seed, config, str(out_dir), data, f_star)
-            extra["seed_summaries"] = summaries
-            gaps = [s["final_gap"] for s in summaries if "final_gap" in s]
-            if gaps:
-                extra["mean_final_gap"] = float(np.mean(gaps))
-                extra["error_bound"] = ml_error_bound(data.dim, config.rounds)
+            extra.update(_run_ml(config, out_dir))
         else:
             extra["scaling"] = _run_scaling(config, str(out_dir))
 
@@ -513,6 +529,10 @@ def run_experiment(config: ExperimentConfig) -> int:
         return 1
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -44,8 +44,8 @@ class SpectralDecomposition(NamedTuple):
 
 
 def hermitianize(M: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (M + M^dagger) / 2."""
-    return (M + M.conj().T) / 2
+    """Return the Hermitian part (M + M^dagger) / 2 of a matrix or of a stack's matrices."""
+    return (M + M.conj().swapaxes(-1, -2)) / 2
 
 
 def spectral(H: np.ndarray) -> SpectralDecomposition:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,52 +100,98 @@ def qsb_step(state: QsbState, A: np.ndarray, eta: float) -> QsbState:
     A = np.asarray(A, dtype=complex)
     if not np.any(A):
         raise ValidationError("observation matrix is exactly zero")
-    return _qsb_update(state, A, spectral(A), eta)[0]
+    learners, _ = _qsb_update(
+        state.log_weights[None], np.array([state.shift]), state.rho[None],
+        A[None], spectral(A[None]), eta,
+    )
+    return learners.state(0, state.round + 1)
+
+
+class _Learners(NamedTuple):
+    """S learners' states as stacks: row s belongs to learner s.
+
+    The true weight trace of learner s is exp(shift[s]) * total[s], where
+    total is the trace of exp(log_weights) before normalizing it to rho.
+    """
+
+    log_weights: np.ndarray  # (S, D, D)
+    shift: np.ndarray        # (S,)
+    rho: np.ndarray          # (S, D, D)
+    total: np.ndarray        # (S,)
+    min_eig: np.ndarray      # (S,), smallest eigenvalue of rho
+
+    def true_trace(self, s: int) -> float:
+        return math.exp(self.shift[s] + math.log(self.total[s]))
+
+    def state(self, s: int, round: int) -> QsbState:
+        return QsbState(
+            log_weights=self.log_weights[s],
+            shift=float(self.shift[s]),
+            rho=self.rho[s],
+            round=round,
+            true_trace=self.true_trace(s),
+            rho_min_eig=float(self.min_eig[s]),
+        )
 
 
 def _qsb_update(
-    state: QsbState, A: np.ndarray, spectrum: SpectralDecomposition, eta: float
-) -> tuple[QsbState, float]:
-    """qsb_step for a complex observation A whose `spectral(A)` is given.
+    log_weights: np.ndarray,
+    shift: np.ndarray,
+    rho: np.ndarray,
+    A: np.ndarray,
+    spectrum: SpectralDecomposition,
+    eta: float,
+    labels: Sequence[str] = ("",),
+) -> tuple[_Learners, list[float]]:
+    """qsb_step for S learners at once, learner s observing A[s].
 
-    Also returns c = tr(A rho), whose negative log is the round's loss.
-    G = (1 - eta) I + (eta / c) A has A's eigenvectors, so log G is built
-    from A's spectrum (mu, U) as U diag(log((1 - eta) + (eta / c) mu)) U^dagger
-    and the step decomposes only the new accumulator. A caller that sees one
+    A is an (S, D, D) complex stack and `spectrum` its stacked `spectral`
+    decomposition. Also returns each learner's c = tr(A rho), whose negative
+    log is the round's loss. G = (1 - eta) I + (eta / c) A has A's
+    eigenvectors, so log G is built from A's spectrum (mu, U) as
+    U diag(log((1 - eta) + (eta / c) mu)) U^dagger and the step decomposes
+    only the new accumulators, as one stack. A caller that sees one
     observation many times can decompose it once and pass the spectrum.
+    Each learner's overlap is its own `vdot`; a failed check names the
+    first failing learner by its label.
     """
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta must be in (0, 1), got {eta!r}")
-    overlap = float(np.vdot(A, state.rho).real)
-    if overlap <= 0.0:
-        raise DomainError(f"tr(A rho) = {overlap!r} is not positive")
+    overlaps = [float(np.vdot(A[s], rho[s]).real) for s in range(len(A))]
+    for s, c in enumerate(overlaps):
+        if c <= 0.0:
+            raise DomainError(f"{labels[s]}tr(A rho) = {c!r} is not positive")
     mu, U = spectrum
-    g = (1.0 - eta) + (eta / overlap) * mu
-    if g[0] <= DEFAULT_TOLS.eval_floor:
-        raise DomainError(f"eigenvalue {g[0]!r} of G is outside the domain of log")
-    # both terms are exactly Hermitian, so their sum is too
-    L = state.log_weights + hermitianize((U * np.log(g)) @ U.conj().T)
+    g = (1.0 - eta) + np.array([eta / c for c in overlaps])[:, None] * mu
+    for s, low in enumerate(g[:, 0].tolist()):
+        if low <= DEFAULT_TOLS.eval_floor:
+            raise DomainError(f"{labels[s]}eigenvalue {low!r} of G is outside the domain of log")
+    # both terms are exactly Hermitian, so their sum is too; C order, for the
+    # diagonal view below
+    log_G = hermitianize((U * np.log(g)[:, None, :]) @ U.conj().swapaxes(-1, -2))
+    L = np.add(log_weights, log_G, order="C")
     lam, V = hermitian_eigh(L)
 
-    # fold the top eigenvalue into the scalar shift so exp stays in range
-    top = float(lam[-1])
-    p = np.exp(lam - top)
-    total = float(p.sum())
-    rho = hermitianize((V * (p / total)) @ V.conj().T)
-    shift = state.shift + top
-    L.flat[:: state.dim + 1] -= top
-    return QsbState(
-        log_weights=L,
-        shift=shift,
-        rho=rho,
-        round=state.round + 1,
-        true_trace=math.exp(shift + math.log(total)),
-        rho_min_eig=float(p[0]) / total,
-    ), overlap
+    # fold the top eigenvalues into the scalar shifts so exp stays in range
+    top = lam[:, -1]
+    p = np.exp(lam - top[:, None])
+    total = p.sum(axis=1)
+    rho = hermitianize((V * (p / total[:, None])[:, None, :]) @ V.conj().swapaxes(-1, -2))
+    L.reshape(len(L), -1)[:, :: L.shape[-1] + 1] -= top[:, None]
+    return _Learners(L, shift + top, rho, total, p[:, 0] / total), overlaps
 
 
 # The quantum game has the classical game's regret guarantee, in one definition.
 qsb_regret_bound = ops_regret_bound
+
+
+class _Played(NamedTuple):
+    """What `_play` returns for S learners run in lockstep."""
+
+    final_states: list[QsbState]
+    average_states: np.ndarray              # (S, D, D), mean announced state
+    checkpoint_averages: list[np.ndarray]   # (S, D, D) per checkpoint, in order
+    per_round: tuple[np.ndarray, ...] | None  # see `_play`
 
 
 def _play(
@@ -153,46 +199,61 @@ def _play(
     rounds: int,
     eta: float,
     observe: Callable[[int], tuple[np.ndarray, SpectralDecomposition]],
+    labels: Sequence[str] = ("",),
     checkpoints: frozenset[int] = frozenset(),
-) -> tuple[QstTranscript, list[np.ndarray]]:
+    transcript: bool = False,
+) -> _Played:
     """The learner loop shared by the online game and the stochastic estimator.
 
-    Round t (from 0) announces the state, takes a complex observation and its
-    `spectral` decomposition from `observe(t)`, pays -log tr(A_t rho_t) and
-    updates; its step time covers `observe` and the update. Also returns
-    the average announced state after each round numbered in `checkpoints`.
+    Runs one learner per label in lockstep. Round t (from 0) announces the
+    states, takes from `observe(t)` the (S, D, D) complex stack of the
+    learners' observations and its `spectral` decomposition, and updates all
+    learners with one `_qsb_update`. Also returns the average announced
+    states after each round numbered in `checkpoints`. With `transcript`,
+    `per_round` holds the losses -log tr(A_t rho_t), the announced states'
+    true traces and min eigenvalues, each (S, T), and the step times (T,)
+    in ns, which cover `observe` and the update; without it, none of these
+    is kept.
     """
-    state = qsb_init(dim)
-    losses = np.empty(rounds)
-    true_traces = np.empty(rounds)
-    min_eigs = np.empty(rounds)
-    step_times = np.empty(rounds, dtype=np.int64)
-    rho_sum = np.zeros((dim, dim), dtype=complex)
+    count = len(labels)
+    start = qsb_init(dim)
+    learners = _Learners(
+        log_weights=np.stack([start.log_weights] * count),
+        shift=np.zeros(count),
+        rho=np.stack([start.rho] * count),
+        total=np.ones(count),
+        min_eig=np.full(count, start.rho_min_eig),
+    )
+    if transcript:
+        losses = np.empty((count, rounds))
+        true_traces = np.empty((count, rounds))
+        min_eigs = np.empty((count, rounds))
+        step_times = np.empty(rounds, dtype=np.int64)
+    rho_sum = np.zeros((count, dim, dim), dtype=complex)
     averages = []
     for t in range(rounds):
-        true_traces[t] = state.true_trace
-        min_eigs[t] = state.rho_min_eig
-        rho_sum += state.rho
+        rho_sum += learners.rho
         if t + 1 in checkpoints:
             averages.append(hermitianize(rho_sum / (t + 1)))
-        t0 = time.perf_counter_ns()
-        A, spectrum = observe(t)
+        if transcript:
+            true_traces[:, t] = [learners.true_trace(s) for s in range(count)]
+            min_eigs[:, t] = learners.min_eig
+            t0 = time.perf_counter_ns()
         try:
-            state, overlap = _qsb_update(state, A, spectrum, eta)
+            learners, overlaps = _qsb_update(
+                learners.log_weights, learners.shift, learners.rho, *observe(t), eta, labels
+            )
         except DomainError as exc:
             raise DomainError(f"round {t + 1}: {exc}") from exc
-        step_times[t] = time.perf_counter_ns() - t0
-        losses[t] = -math.log(overlap)
-    transcript = QstTranscript(
-        eta=eta,
-        losses=losses,
-        true_traces=true_traces,
-        min_eigs=min_eigs,
-        step_times_ns=step_times,
-        average_state=hermitianize(rho_sum / rounds),
-        final_state=state,
+        if transcript:
+            step_times[t] = time.perf_counter_ns() - t0
+            losses[:, t] = [-math.log(c) for c in overlaps]
+    return _Played(
+        final_states=[learners.state(s, rounds + 1) for s in range(count)],
+        average_states=hermitianize(rho_sum / rounds),
+        checkpoint_averages=averages,
+        per_round=(losses, true_traces, min_eigs, step_times) if transcript else None,
     )
-    return transcript, averages
 
 
 def run_qst_game(stream: np.ndarray, eta: float | None = None) -> QstTranscript:
@@ -214,10 +275,20 @@ def run_qst_game(stream: np.ndarray, eta: float | None = None) -> QstTranscript:
         eta = learning_rate(dim, rounds)
 
     def observe(t: int) -> tuple[np.ndarray, SpectralDecomposition]:
-        A = hermitianize(stream[t])  # the Hermitian part that was validated
+        A = hermitianize(stream[t : t + 1])  # the Hermitian part that was validated
         return A, spectral(A)
 
-    return _play(dim, rounds, eta, observe)[0]
+    played = _play(dim, rounds, eta, observe, transcript=True)
+    losses, true_traces, min_eigs, step_times = played.per_round
+    return QstTranscript(
+        eta=eta,
+        losses=losses[0],
+        true_traces=true_traces[0],
+        min_eigs=min_eigs[0],
+        step_times_ns=step_times,
+        average_state=played.average_states[0],
+        final_state=played.final_states[0],
+    )
 
 
 def eta_bar(eta: float) -> float:

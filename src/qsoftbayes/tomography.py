@@ -185,6 +185,18 @@ def ml_objective(rho: np.ndarray, data: Dataset) -> float:
     return _neg_log_likelihood(view, _positive_overlaps(view, rho))
 
 
+def _outcome_cdf(rho: np.ndarray, M: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The CDF that `sample_outcome` inverts: tr(M_j rho), checked and clipped."""
+    p = _overlaps(M, rho)
+    if p.min() < -tol.trace_tol or p.max() > 1.0 + tol.trace_tol or abs(p.sum() - 1.0) > tol.trace_tol:
+        raise DomainError(
+            f"outcome probabilities deviate from the simplex beyond {tol.trace_tol:.1e}: "
+            f"min {p.min():.3e}, max {p.max():.3e}, sum {p.sum():.12f}"
+        )
+    p = np.clip(p, 0.0, 1.0)
+    return np.cumsum(p / p.sum())
+
+
 def sample_outcome(
     rho: np.ndarray,
     povm: np.ndarray,
@@ -200,15 +212,8 @@ def sample_outcome(
     generator state.
     """
     M = np.asarray(povm, dtype=complex)
-    p = _overlaps(M, np.asarray(rho))
-    if p.min() < -tol.trace_tol or p.max() > 1.0 + tol.trace_tol or abs(p.sum() - 1.0) > tol.trace_tol:
-        raise DomainError(
-            f"outcome probabilities deviate from the simplex beyond {tol.trace_tol:.1e}: "
-            f"min {p.min():.3e}, max {p.max():.3e}, sum {p.sum():.12f}"
-        )
-    p = np.clip(p, 0.0, 1.0)
-    cdf = np.cumsum(p / p.sum())
-    j = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(p) - 1)
+    cdf = _outcome_cdf(np.asarray(rho), M, tol)
+    j = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(cdf) - 1)
     return j, M[j]
 
 
@@ -221,7 +226,10 @@ def generate_dataset(
     """Simulate `shots` measurements of rho_true, cycling through the POVMs.
 
     Shot n uses POVM n mod len(povms), so multi-POVM experiments are balanced
-    and the record order is deterministic given the generator.
+    and the record order is deterministic given the generator. Each shot is
+    one uniform draw inverted through its POVM's CDF, which is computed once
+    per POVM: the records equal a loop of `sample_outcome` on the same
+    generator, bit for bit.
     """
     if shots < 1:
         raise ValidationError(f"shots must be positive, got {shots}")
@@ -229,16 +237,18 @@ def generate_dataset(
         raise ValidationError("at least one POVM is required")
     rho_true = validate_density(rho_true)
     stacks = [validate_povm(p) for p in povms]
+    cdfs = [_outcome_cdf(rho_true, M, DEFAULT_TOLS) for M in stacks]
     dim = rho_true.shape[0]
-    matrices = np.empty((shots, dim, dim), dtype=complex)
-    povm_idx = np.empty(shots, dtype=np.int64)
+    # one double per shot, in shot order: the same draws as rng.random() per shot
+    uniforms = rng.random(shots)
+    povm_idx = np.arange(shots, dtype=np.int64) % len(stacks)
     out_idx = np.empty(shots, dtype=np.int64)
-    for n in range(shots):
-        k = n % len(stacks)
-        j, M = sample_outcome(rho_true, stacks[k], rng)
-        matrices[n] = M
-        povm_idx[n] = k
-        out_idx[n] = j
+    matrices = np.empty((shots, dim, dim), dtype=complex)
+    for k, (M, cdf) in enumerate(zip(stacks, cdfs)):
+        own = slice(k, None, len(stacks))  # the shots that use POVM k
+        j = np.searchsorted(cdf, uniforms[own], side="right")
+        out_idx[own] = np.minimum(j, len(cdf) - 1)
+        matrices[own] = M[out_idx[own]]
     return Dataset(matrices=matrices, povm_indices=povm_idx, outcome_indices=out_idx)
 
 
@@ -286,6 +296,10 @@ def _normalize_checkpoints(checkpoints, rounds: int) -> np.ndarray:
     return cps
 
 
+# rounds of record draws taken from each generator at a time
+_DRAW_BLOCK = 4096
+
+
 def stochastic_qsb(
     data: Dataset,
     rounds: int,
@@ -295,19 +309,43 @@ def stochastic_qsb(
 ) -> MlResult:
     """Estimate the ML state by running the learner on resampled records.
 
-    Each round draws one record index uniformly (exactly one generator call,
-    so runs can be randomness-coupled with the classical learner), feeds it
-    to the online update, and accumulates the announced state. The update
+    Each round draws one record index uniformly (the draw of one
+    `integers(N)` call on the seed's generator, so runs can be
+    randomness-coupled with the classical learner), feeds it to the online
+    update, and accumulates the announced state. The update
     gets the record's distinct element, equal to it bit for bit, with that
     element's eigendecomposition, computed on its first draw and reused, so
     the run equals a loop of `qsb_step` over the drawn records while
     decomposing each distinct record at most once. The returned
     estimate is the average of all announced states; the objective of the
     running average is evaluated at the requested checkpoints (default: a
-    geometric schedule plus the final round).
+    geometric schedule plus the final round). One seed of
+    `stochastic_qsb_seeds`.
+    """
+    return stochastic_qsb_seeds(data, rounds, (seed,), eta, checkpoints)[0]
+
+
+def stochastic_qsb_seeds(
+    data: Dataset,
+    rounds: int,
+    seeds,
+    eta: float | None = None,
+    checkpoints=None,
+) -> list[MlResult]:
+    """`stochastic_qsb` for every seed, the learners stepped in lockstep.
+
+    Each learner draws from its own seed's generator, so result s equals
+    `stochastic_qsb(data, rounds, eta, seeds[s], checkpoints)` bit for bit;
+    the D x D algebra of a round runs once over the (S, D, D) stack of all
+    learners, and the element spectra are shared, so a call decomposes each
+    distinct record at most once whatever the number of seeds. A domain
+    error names the seed and the round.
     """
     if rounds < 1:
         raise ValidationError(f"rounds must be at least 1, got {rounds}")
+    seeds = [int(seed) for seed in seeds]
+    if not seeds:
+        raise ValidationError("at least one seed is required")
     dim = data.dim
     n_records = len(data)
     if eta is None:
@@ -315,27 +353,47 @@ def stochastic_qsb(
     cps = _normalize_checkpoints(checkpoints, rounds)
 
     view = data.distinct
-    element_of = view.index.tolist()
-    # (element, spectral(element)) per distinct record, filled on first draw
-    decomposed: list = [None] * len(view.counts)
-    rng = make_rng(seed)
+    # spectral(element) per distinct record, written before the element's
+    # first round; the rows of elements never drawn are never written
+    decomposed = [False] * len(view.counts)
+    eigenvalues = np.empty(view.elements.shape[:2])
+    eigenvectors = np.empty(view.elements.shape, dtype=complex)
+    rngs = [make_rng(seed) for seed in seeds]
+    drawn = np.empty((0, len(seeds)), dtype=np.int64)  # (rounds of a block, S) elements
 
     def observe(t: int) -> tuple[np.ndarray, SpectralDecomposition]:
-        k = element_of[int(rng.integers(n_records))]
-        if decomposed[k] is None:
-            decomposed[k] = (view.elements[k], spectral(view.elements[k]))
-        return decomposed[k]
+        nonlocal drawn
+        if t % _DRAW_BLOCK == 0:
+            # integers(N, size=b) yields the draws of b integers(N) calls, in
+            # order (pinned by the tests that replay the draws one at a time)
+            size = min(_DRAW_BLOCK, rounds - t)
+            records = np.stack([rng.integers(n_records, size=size) for rng in rngs], axis=1)
+            drawn = view.index[records]
+            for k in np.unique(drawn).tolist():
+                if not decomposed[k]:
+                    eigenvalues[k], eigenvectors[k] = spectral(view.elements[k])
+                    decomposed[k] = True
+        ks = drawn[t % _DRAW_BLOCK]
+        return view.elements.take(ks, axis=0), SpectralDecomposition(
+            eigenvalues.take(ks, axis=0), eigenvectors.take(ks, axis=0)
+        )
 
-    game, averages = _play(dim, rounds, eta, observe, frozenset(cps.tolist()))
-    return MlResult(
-        rho_bar=game.average_state,
-        checkpoints=cps,
-        objective_values=np.array([ml_objective(avg, data) for avg in averages], dtype=float),
-        eta=eta,
-        seed=seed,
-        rounds=rounds,
-        final_state=game.final_state,
-    )
+    played = _play(dim, rounds, eta, observe, [f"seed {seed}: " for seed in seeds],
+                   frozenset(cps.tolist()))
+    return [
+        MlResult(
+            rho_bar=played.average_states[s],
+            checkpoints=cps,
+            objective_values=np.array(
+                [ml_objective(avg[s], data) for avg in played.checkpoint_averages], dtype=float
+            ),
+            eta=eta,
+            seed=seed,
+            rounds=rounds,
+            final_state=played.final_states[s],
+        )
+        for s, seed in enumerate(seeds)
+    ]
 
 
 def stationarity_operator(rho: np.ndarray, data: Dataset) -> np.ndarray:

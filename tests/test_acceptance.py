@@ -43,7 +43,7 @@ from qsoftbayes.tomography import (
     generate_dataset,
     pauli_basis_povms,
     stationarity_operator,
-    stochastic_qsb,
+    stochastic_qsb_seeds,
 )
 
 
@@ -148,11 +148,8 @@ def test_online_to_batch_convergence():
     _, f_star = batch_ml_solve(data, tol=1e-7)
 
     rounds = 100_000
-    curves = []
-    for seed in range(20):
-        result = stochastic_qsb(data, rounds, seed=seed)
-        curves.append(result.objective_values - f_star)
-    curves = np.array(curves)
+    results = stochastic_qsb_seeds(data, rounds, range(20))
+    curves = np.array([result.objective_values - f_star for result in results])
     mean_final = float(curves[:, -1].mean())
     bound = ml_error_bound(4, rounds)
 

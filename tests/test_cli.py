@@ -4,9 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qsoftbayes import cli
 from qsoftbayes.cli import (
     ConfigError,
     ExperimentConfig,
+    MAX_DIM,
+    MAX_QUBITS,
     ML_COLUMNS,
     OPS_COLUMNS,
     QST_COLUMNS,
@@ -65,6 +68,16 @@ class TestConfigMapping:
         with pytest.raises(ConfigError, match="qubits"):
             config_from_mapping({"mode": "ml-run", "qubits": qubits})
 
+    @pytest.mark.parametrize("qubits", ["0", "-3", str(MAX_QUBITS + 1), "64"])
+    def test_qubits_out_of_range_are_a_config_error(self, qubits):
+        with pytest.raises(ConfigError, match="qubits must be in"):
+            config_from_mapping({"mode": "ops-game", "qubits": qubits})
+
+    def test_largest_dimension_is_accepted(self):
+        assert config_from_mapping({"mode": "ops-game", "qubits": str(MAX_QUBITS)}).dims == (MAX_DIM,)
+        config = ExperimentConfig(mode="ops-game", dims=(MAX_DIM,))
+        assert validate_config(config) is config
+
     def test_dim_and_qubits_conflict(self):
         with pytest.raises(ConfigError, match="not both"):
             config_from_mapping({"mode": "ops-game", "dim": "2", "qubits": "1"})
@@ -106,6 +119,9 @@ class TestValidateConfig:
             self.cfg(dims=()),
             self.cfg(dims=(1,)),
             self.cfg(dims=(2, 4)),  # one dim per run outside scaling-bench
+            self.cfg(dims=(MAX_DIM + 1,)),
+            self.cfg(dims=(2 ** 64,)),
+            self.cfg(mode="scaling-bench", dims=(4, MAX_DIM + 1)),
             self.cfg(rounds=0),
             self.cfg(shots=0),
             self.cfg(seeds=()),
@@ -288,6 +304,9 @@ class TestMlRunMode:
         assert manifest["records"] == 200
         assert manifest["distinct_records"] == len(data.distinct.counts) <= 6
         assert manifest["oracle_cert_gap"] <= 1e-7
+        phases = manifest["phase_seconds"]
+        assert set(phases) == {"dataset", "save_dataset", "oracle", "learners", "write"}
+        assert all(seconds >= 0.0 for seconds in phases.values())
 
     def test_empty_checkpoints_skip_evaluation(self, tmp_path, run_cli):
         out = tmp_path / "run"
@@ -412,22 +431,19 @@ class TestExitCodes:
         assert main(["ops-game", "--dim", "2", "--qubits", "1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags", [["--qubits", "64"], ["--dim", str(MAX_DIM + 1)]])
+    def test_huge_dimension_is_a_one_line_config_error(self, tmp_path, capsys, flags):
+        assert main(["ops-game", *flags, "--rounds", "1", "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
 
-class TestParallelSeeds:
+    def test_out_of_memory_is_a_one_line_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 EiB for an array")
 
-    def test_worker_pool_matches_sequential_bytes(self, tmp_path, monkeypatch, run_cli):
-        args = ["ops-game", "--dim", "2", "--rounds", "15", "--seeds", "0,1,2"]
-        monkeypatch.delenv("QSB_THREADS", raising=False)
-        assert run_cli(args + ["--out", str(tmp_path / "seq")]) == 0
-        monkeypatch.setenv("QSB_THREADS", "2")
-        assert run_cli(args + ["--out", str(tmp_path / "par")]) == 0
-        for seed in (0, 1, 2):
-            seq = (tmp_path / "seq" / f"ops_seed{seed}.csv").read_bytes()
-            par = (tmp_path / "par" / f"ops_seed{seed}.csv").read_bytes()
-            assert seq == par
-
-    def test_thread_misconfiguration(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("QSB_THREADS", "many")
+        monkeypatch.setattr(cli, "uniform_returns", exhausted)
         assert main(["ops-game", "--dim", "2", "--rounds", "5",
-                     "--out", str(tmp_path / "run")]) == 2
-        assert "QSB_THREADS" in capsys.readouterr().err
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 8.00 EiB for an array\n"

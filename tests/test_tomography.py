@@ -16,6 +16,7 @@ from qsoftbayes.tomography import (
     sample_outcome,
     stationarity_operator,
     stochastic_qsb,
+    stochastic_qsb_seeds,
     validate_dataset,
     validate_povm,
 )
@@ -236,6 +237,20 @@ class TestGenerateDataset:
         assert np.array_equal(a.matrices, b.matrices)
         assert np.array_equal(a.outcome_indices, b.outcome_indices)
 
+    def test_equals_one_sample_outcome_per_shot(self):
+        """The per-POVM CDFs change no record: same outcomes, bit for bit, and
+        the generator ends where a per-shot loop of sample_outcome leaves it."""
+        for qubits, shots in ((1, 7), (2, 500), (3, 130)):
+            truth = random_density(make_rng(qubits), 2 ** qubits)
+            povms = pauli_basis_povms(qubits)
+            rng, ref = make_rng(30 + qubits), make_rng(30 + qubits)
+            data = generate_dataset(truth, povms, shots, rng)
+            draws = [sample_outcome(truth, povms[n % len(povms)], ref) for n in range(shots)]
+            assert np.array_equal(data.outcome_indices, [j for j, _ in draws])
+            assert np.array_equal(data.povm_indices, np.arange(shots) % len(povms))
+            assert np.array_equal(data.matrices, np.array([M for _, M in draws]))
+            assert rng.random() == ref.random()
+
     def test_outcome_frequencies_track_the_state(self):
         rho = np.diag([0.75, 0.25]).astype(complex)
         data = generate_dataset(rho, [pauli_basis_povms(1)[2]], 4000, make_rng(7))
@@ -369,6 +384,23 @@ class TestStochasticQsb:
         assert np.array_equal(result.final_state.rho, state.rho)
         assert result.final_state.true_trace == state.true_trace
 
+    def test_draws_past_a_block_of_draws_replay_one_call_per_round(self):
+        """Draws are taken from each generator in blocks; across the block
+        boundary they must still be the draws of one integers(N) per round."""
+        rng = make_rng(13)
+        data = generate_dataset(random_density(rng, 2), pauli_basis_povms(1), 50, rng)
+        rounds = tomography._DRAW_BLOCK + 300
+        eta = learning_rate(2, rounds)
+        for seed, result in zip((3, 8), stochastic_qsb_seeds(data, rounds, (3, 8), checkpoints=())):
+            draws = make_rng(seed)
+            state = qsb_init(2)
+            rho_sum = np.zeros((2, 2), dtype=complex)
+            for _ in range(rounds):
+                rho_sum += state.rho
+                state = qsb_step(state, data.matrices[int(draws.integers(len(data)))], eta)
+            assert np.array_equal(result.rho_bar, hermitianize(rho_sum / rounds))
+            assert np.array_equal(result.final_state.rho, state.rho)
+
     def test_decomposes_each_drawn_element_once(self, monkeypatch):
         decomposed = []
         spectral = tomography.spectral
@@ -383,15 +415,56 @@ class TestStochasticQsb:
         view = data.distinct
         assert len(view.counts) == 36  # 12 rounds can draw at most 12 of them
         for rounds in (12, 3000):
-            decomposed.clear()
-            stochastic_qsb(data, rounds=rounds, seed=2, checkpoints=())
-            draws = make_rng(2)
-            drawn = {int(view.index[draws.integers(len(data))]) for _ in range(rounds)}
-            # the elements are distinct, so each decomposed matrix names one
-            ks = [next(k for k, F in enumerate(view.elements) if np.array_equal(E, F))
-                  for E in decomposed]
-            assert len(ks) == len(set(ks))  # each element at most once
-            assert set(ks) == drawn         # only, and all, the drawn ones
+            for seeds in ((2,), (2, 5)):
+                decomposed.clear()
+                stochastic_qsb_seeds(data, rounds, seeds, checkpoints=())
+                drawn = set()
+                for seed in seeds:
+                    draws = make_rng(seed)
+                    drawn |= {int(view.index[draws.integers(len(data))]) for _ in range(rounds)}
+                # the elements are distinct, so each decomposed matrix names one
+                ks = [next(k for k, F in enumerate(view.elements) if np.array_equal(E, F))
+                      for E in decomposed]
+                assert len(ks) == len(set(ks))  # each element at most once per call
+                assert set(ks) == drawn         # only, and all, the drawn ones
+
+    @pytest.mark.parametrize("seeds", [(5,), (2, 3), (4, 4, 7)])
+    def test_lockstep_seeds_equal_one_run_per_seed(self, seeds):
+        rng = make_rng(15)
+        data = generate_dataset(random_density(rng, 4), pauli_basis_povms(2), 600, rng)
+        many = stochastic_qsb_seeds(data, 1500, seeds)
+        assert [r.seed for r in many] == list(seeds)
+        for lockstep, seed in zip(many, seeds):
+            alone = stochastic_qsb(data, 1500, seed=seed)
+            assert np.array_equal(lockstep.rho_bar, alone.rho_bar)
+            assert np.array_equal(lockstep.checkpoints, alone.checkpoints)
+            assert np.array_equal(lockstep.objective_values, alone.objective_values)
+            a, b = lockstep.final_state, alone.final_state
+            assert np.array_equal(a.log_weights, b.log_weights)
+            assert np.array_equal(a.rho, b.rho)
+            assert (a.shift, a.true_trace, a.rho_min_eig, a.round) == \
+                (b.shift, b.true_trace, b.rho_min_eig, b.round)
+
+    def test_lockstep_domain_error_names_the_seed_and_the_round(self):
+        # record 3 passes validation (min eigenvalue -5e-11), but at eta near 1
+        # its G = (1 - eta) I + (eta / c) A has a negative eigenvalue
+        bad = np.diag([-5e-11, 1.0]).astype(complex)
+        data = Dataset(matrices=np.array([np.eye(2)] * 3 + [bad], dtype=complex))
+        seeds = (1, 7, 0)
+        first_bad = []
+        for seed in seeds:
+            draws = make_rng(seed)
+            first_bad.append(next(t for t in range(1, 100) if draws.integers(4) == 3))
+        t = min(first_bad)
+        seed = seeds[first_bad.index(t)]
+        assert (seed, t) == (7, 3)  # seed 0 also fails at round 3, later in the stack
+        with pytest.raises(DomainError, match=f"^round {t}: seed {seed}: .*domain of log"):
+            stochastic_qsb_seeds(data, 20, seeds, eta=1.0 - 1e-12)
+
+    def test_seeds_are_required(self):
+        data = Dataset(matrices=np.broadcast_to(np.eye(2), (2, 2, 2)))
+        with pytest.raises(ValidationError, match="seed"):
+            stochastic_qsb_seeds(data, 10, ())
 
     def test_final_objective_beats_the_mixed_state_plus_regret(self):
         rho = random_density(make_rng(11), 2)
