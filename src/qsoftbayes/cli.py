@@ -43,6 +43,8 @@ from .portfolio import (
 )
 from .qsb import QstTranscript, run_qst_game
 from .serialize import (
+    dataset_form,
+    dataset_from_record,
     load_dataset,
     load_payload,
     load_return_stream,
@@ -465,9 +467,11 @@ def _run_validate(config: ExperimentConfig) -> list[str]:
         except ValidationError:
             lines.append(f"trace: {trace:.12g} (not a density)")
     elif kind == "dataset":
-        data = load_dataset(config.input_path)
+        data = dataset_from_record(rec)
+        lines.append(f"form: {dataset_form(rec)}")
         lines.append(f"dim: {data.dim}")
         lines.append(f"records: {len(data)}")
+        lines.append(f"distinct: {len(data.distinct.counts)}")
         lines.append(f"provenance: {'yes' if data.has_provenance else 'no'}")
         lines.append("records hermitian, psd, nonzero: ok")
     elif kind == "return-stream":

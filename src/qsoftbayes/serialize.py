@@ -31,16 +31,8 @@ def matrix_to_record(M: np.ndarray) -> dict:
 def matrix_from_record(rec: dict) -> np.ndarray:
     dim = _dim_field(rec)
     entries = _field(rec, "entries")
-    if not isinstance(entries, list):
-        raise ValidationError("matrix record entries are not a list of [re, im] pairs")
-    if len(entries) != dim * dim:
-        raise ValidationError(f"matrix record has {len(entries)} entries, expected {dim * dim}")
-    try:
-        # complex() rejects strings and other non-numbers given as re or im
-        flat = np.array([complex(re, im) for re, im in entries])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("matrix record entries are not [re, im] number pairs") from exc
-    return flat.reshape(dim, dim)
+    _check_entries(entries, dim)
+    return _parse_entries(entries).reshape(dim, dim)
 
 
 def save_matrix(path, M: np.ndarray) -> None:
@@ -55,15 +47,18 @@ def load_matrix(path) -> np.ndarray:
 
 
 def dataset_to_record(data: Dataset) -> dict:
-    M = np.ascontiguousarray(data.matrices, dtype=complex)
-    n, dim = M.shape[0], M.shape[1]
+    """The elements+index form: each distinct record once, and each record's element."""
+    view = data.distinct
+    E = view.elements  # (K, D, D) complex, C-contiguous
+    k, dim = E.shape[0], E.shape[1]
     rec = {
         "kind": "dataset",
         "dim": dim,
-        "n": n,
+        "n": len(data),
         "has_provenance": data.has_provenance,
-        # each record as row-major [re, im] pairs, like a matrix record's entries
-        "matrices": M.view(np.float64).reshape(n, dim * dim, 2).tolist(),
+        # each element as row-major [re, im] pairs, like a matrix record's entries
+        "elements": E.view(np.float64).reshape(k, dim * dim, 2).tolist(),
+        "index": view.index.tolist(),
     }
     if data.has_provenance:
         rec["povm_indices"] = np.asarray(data.povm_indices, dtype=np.int64).tolist()
@@ -71,24 +66,51 @@ def dataset_to_record(data: Dataset) -> dict:
     return rec
 
 
+def dataset_form(rec: dict) -> str:
+    """Which layout a dataset record uses: 'per-record' or 'elements+index'.
+
+    The per-record form (`matrices`, one block per record) is what earlier
+    versions wrote; `dataset_to_record` writes the elements+index form.
+    """
+    has_matrices, has_elements = "matrices" in rec, "elements" in rec
+    if has_matrices and has_elements:
+        raise ValidationError("dataset record holds both 'matrices' and 'elements'")
+    if not (has_matrices or has_elements):
+        raise ValidationError("container record is missing 'matrices' or 'elements'")
+    return "per-record" if has_matrices else "elements+index"
+
+
 def dataset_from_record(rec: dict) -> Dataset:
+    """Read either dataset form; both give the same `Dataset`, bit for bit.
+
+    Every block's entry count is checked before any stack is allocated.
+    """
     dim = _dim_field(rec)
     n = _int_field(rec, "n")
-    records = _field(rec, "matrices")
-    if not isinstance(records, list):
-        raise ValidationError("dataset 'matrices' is not a list of records")
-    if len(records) != n:
-        raise ValidationError(f"dataset header says n={n} but {len(records)} records are stored")
-    matrices = np.empty((n, dim, dim), dtype=complex)
-    for i, entries in enumerate(records):
-        try:
-            matrices[i] = matrix_from_record({"dim": dim, "entries": entries})
-        except ValidationError as exc:
-            raise ValidationError(f"record {i}: {exc}") from exc
+    if n < 1:
+        raise ValidationError("dataset header says n=0; a dataset holds at least one record")
+    if dataset_form(rec) == "per-record":
+        records = rec["matrices"]
+        if not isinstance(records, list):
+            raise ValidationError("dataset 'matrices' is not a list of records")
+        if len(records) != n:
+            raise ValidationError(f"dataset header says n={n} but {len(records)} records are stored")
+        matrices = _matrix_stack(records, dim, "record")
+    else:
+        blocks = rec["elements"]
+        if not isinstance(blocks, list):
+            raise ValidationError("dataset 'elements' is not a list of matrices")
+        # the index comes first: it fails on an empty element list, which
+        # would otherwise allocate a (0, dim, dim) stack for any header dim
+        index = _index_list(rec, "index", n, len(blocks))
+        unused = np.flatnonzero(np.bincount(index, minlength=len(blocks)) == 0)
+        if len(unused):
+            raise ValidationError(f"element {unused[0]} is referenced by no record")
+        matrices = _matrix_stack(blocks, dim, "element")[index]
     povm_idx = out_idx = None
     if rec.get("has_provenance"):
-        povm_idx = np.array(_field(rec, "povm_indices"), dtype=np.int64)
-        out_idx = np.array(_field(rec, "outcome_indices"), dtype=np.int64)
+        povm_idx = _index_list(rec, "povm_indices", n, _INT64_END)
+        out_idx = _index_list(rec, "outcome_indices", n, _INT64_END)
     return Dataset(matrices=matrices, povm_indices=povm_idx, outcome_indices=out_idx)
 
 
@@ -147,12 +169,67 @@ def _field(rec: dict, key: str):
 def _int_field(rec: dict, key: str) -> int:
     value = _field(rec, key)
     try:
-        number = operator.index(value)
+        # a JSON true or false is a Python bool, which operator.index accepts
+        number = -1 if isinstance(value, bool) else operator.index(value)
     except TypeError:
         number = -1
     if number < 0:
         raise ValidationError(f"{key!r} must be a nonnegative integer, got {value!r}")
     return number
+
+
+_INT64_END = 2**63
+
+
+def _index_list(rec: dict, key: str, n: int, end: int) -> np.ndarray:
+    """A list of n JSON integers in [0, end), as an int64 array."""
+    values = _field(rec, key)
+    if not isinstance(values, list) or len(values) != n:
+        raise ValidationError(f"{key!r} must be a list of n={n} integers")
+    # type(), not isinstance(): JSON true and false load as bools, which are ints
+    bad = next((v for v in values if type(v) is not int), None)
+    if bad is not None:
+        raise ValidationError(f"{key!r} holds {bad!r}, which is not an integer")
+    low, high = min(values), max(values)
+    if low < 0 or high >= end:
+        raise ValidationError(f"{key!r} holds {low if low < 0 else high}, outside [0, {end})")
+    return np.array(values, dtype=np.int64)
+
+
+def _check_entries(entries, dim: int) -> None:
+    if not isinstance(entries, list):
+        raise ValidationError("matrix record entries are not a list of [re, im] pairs")
+    if len(entries) != dim * dim:
+        raise ValidationError(f"matrix record has {len(entries)} entries, expected {dim * dim}")
+
+
+def _parse_entries(entries: list) -> np.ndarray:
+    try:
+        # complex() rejects strings and other non-numbers given as re or im
+        return np.array([complex(re, im) for re, im in entries])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError("matrix record entries are not [re, im] number pairs") from exc
+
+
+def _matrix_stack(blocks: list, dim: int, label: str) -> np.ndarray:
+    """Parse blocks of dim² [re, im] pairs into a (len(blocks), dim, dim) stack.
+
+    Every block's entry count is checked first, so a header `dim` that no
+    block matches fails before the stack is allocated. A failure names the
+    block (`record 3: ...`, `element 0: ...`).
+    """
+    for i, entries in enumerate(blocks):
+        try:
+            _check_entries(entries, dim)
+        except ValidationError as exc:
+            raise ValidationError(f"{label} {i}: {exc}") from exc
+    stack = np.empty((len(blocks), dim, dim), dtype=complex)
+    for i, entries in enumerate(blocks):
+        try:
+            stack[i] = _parse_entries(entries).reshape(dim, dim)
+        except ValidationError as exc:
+            raise ValidationError(f"{label} {i}: {exc}") from exc
+    return stack
 
 
 def _dim_field(rec: dict) -> int:
@@ -170,7 +247,9 @@ def _dump(path, obj: dict) -> None:
 def _load(path) -> dict:
     try:
         rec = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+    # literal over Python's digit limit; RecursionError, nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: not a valid container file: {exc}") from exc
     if not isinstance(rec, dict):
         raise ValidationError(f"{path}: not a container file: the top level is not an object")

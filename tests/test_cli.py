@@ -355,6 +355,11 @@ class TestScalingBenchMode:
         assert list(out.glob("*.csv")) == []
 
 
+# a per-record dataset file with two 1 x 1 records: dim, n, povm_indices
+DATASET = (b'{"kind": "dataset", "dim": %s, "n": %s, "has_provenance": true,'
+           b' "matrices": [[[1.0, 0.0]], [[1.0, 0.0]]], "povm_indices": %s, "outcome_indices": [0, 0]}')
+
+
 class TestValidateMode:
 
     def test_matrix_report(self, tmp_path, capsys):
@@ -369,11 +374,22 @@ class TestValidateMode:
     def test_dataset_report(self, tmp_path, capsys):
         rho = random_density(make_rng(4), 2)
         path = tmp_path / "d.json"
-        save_dataset(path, generate_dataset(rho, pauli_basis_povms(1), 9, make_rng(4)))
+        data = generate_dataset(rho, pauli_basis_povms(1), 9, make_rng(4))
+        save_dataset(path, data)
         assert main(["validate", str(path)]) == 0
         report = capsys.readouterr().out
+        assert "form: elements+index" in report
         assert "records: 9" in report
+        assert f"distinct: {len(data.distinct.counts)}" in report
         assert "all checks passed" in report
+
+    def test_per_record_dataset_report(self, tmp_path, capsys):
+        path = tmp_path / "d.json"
+        path.write_bytes(DATASET % (b'1', b'2', b'[0, 3]'))
+        assert main(["validate", str(path)]) == 0
+        report = capsys.readouterr().out.splitlines()
+        assert report[1:6] == ["kind: dataset", "form: per-record", "dim: 1", "records: 2",
+                               "distinct: 1"]
 
     def test_return_stream_report(self, tmp_path, capsys):
         path = tmp_path / "r.json"
@@ -404,7 +420,20 @@ class TestValidateMode:
         (["validate"], b'{"kind": "return-stream", "rounds": 2, "dim": 2, "rows": [[0.5, 0.5], [0.5]]}'),
         (["validate"], b'{"kind": "return-stream", "rounds": 1, "dim": 2, "rows": [["0.5", 0.5]]}'),
         (["validate"], b'\xff\xfe{"kind": "matrix"}'),
-    ], ids=["argv0", "argv1", "no-rounds", "no-dim", "ragged-rows", "string-entry", "not-utf8"])
+        (["validate"], DATASET % (b'1', b'2', b'["x", "y"]')),
+        (["validate"], DATASET % (b'1', b'2', b'[[1, 2]]')),
+        (["validate"], DATASET % (b'1', b'2', b'[1.5, 0]')),
+        (["validate"], DATASET % (b'true', b'2', b'[0, 0]')),
+        (["validate"], DATASET % (b'1', b'true', b'[0, 0]')),
+        (["validate"], DATASET % (b'10000000', b'2', b'[0, 0]')),
+        (["validate"], b'{"kind": "dataset", "dim": 1, "n": 1, "elements": [[[1, 0]]], "index": [1]}'),
+        (["validate"], b'{"kind": "dataset", "dim": 1, "n": 1, "elements": [[[1, 0]]], "index": [0],'
+                       b' "matrices": [[[1, 0]]]}'),
+        (["validate"], b'{"kind": "dataset", "dim": 1, "n": 1, "matrices": [[[1' + b'0' * 5000 + b', 0]]]}'),
+        (["validate"], b'[' * 100000),
+    ], ids=["argv0", "argv1", "no-rounds", "no-dim", "ragged-rows", "string-entry", "not-utf8",
+            "provenance-strings", "provenance-2d", "provenance-float", "dim-bool", "n-bool",
+            "dim-huge", "index-past-the-end", "both-forms", "int-over-digit-limit", "nested-too-deep"])
     def test_missing_file_is_a_one_line_error(self, tmp_path, capsys, argv, content):
         """A missing or malformed input file ends in one error line, exit 1."""
         path = tmp_path / "input.json"
