@@ -59,7 +59,6 @@ from .qsb import (
 )
 from .tomography import (
     Dataset,
-    DistinctRecords,
     MlResult,
     batch_ml_solve,
     generate_dataset,
@@ -87,7 +86,7 @@ __all__ = [
     "run_ops_game", "soft_bayes_step",
     "QsbState", "QstTranscript", "eta_bar", "qsb_init", "qsb_regret_bound",
     "qsb_step", "reverse_jensen_gap", "run_qst_game",
-    "Dataset", "DistinctRecords", "MlResult", "batch_ml_solve",
+    "Dataset", "MlResult", "batch_ml_solve",
     "generate_dataset", "ml_objective", "pauli_basis_povms", "sample_outcome",
     "stationarity_operator", "stochastic_qsb", "stochastic_qsb_seeds",
     "validate_dataset", "validate_povm",

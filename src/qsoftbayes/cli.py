@@ -319,12 +319,12 @@ def _qst_stream(config: ExperimentConfig, seed: int) -> np.ndarray:
         data = generate_dataset(truth, pauli_basis_povms(dim.bit_length() - 1),
                                 config.rounds, rng)
         return data.matrices
-    stream = load_dataset(config.input_path).matrices
-    if stream.shape[0] < config.rounds:
+    data = load_dataset(config.input_path)
+    if len(data) < config.rounds:
         raise ConfigError(
-            f"{config.input_path} provides {stream.shape[0]} observations, need {config.rounds}"
+            f"{config.input_path} provides {len(data)} observations, need {config.rounds}"
         )
-    return stream[: config.rounds]
+    return data.elements[data.index[: config.rounds]]
 
 
 def _qst_seed(config: ExperimentConfig, seed: int, out_dir: str) -> dict:
@@ -413,7 +413,7 @@ def _run_ml(config: ExperimentConfig, out_dir: Path) -> dict:
         "oracle_objective": f_star,
         "oracle_cert_gap": cert_gap,
         "records": len(data),
-        "distinct_records": len(data.distinct.counts),
+        "distinct_records": len(data.elements),
         "seed_summaries": summaries,
     }
     gaps = [s["final_gap"] for s in summaries if "final_gap" in s]
@@ -471,7 +471,7 @@ def _run_validate(config: ExperimentConfig) -> list[str]:
         lines.append(f"form: {dataset_form(rec)}")
         lines.append(f"dim: {data.dim}")
         lines.append(f"records: {len(data)}")
-        lines.append(f"distinct: {len(data.distinct.counts)}")
+        lines.append(f"distinct: {len(data.elements)}")
         lines.append(f"provenance: {'yes' if data.has_provenance else 'no'}")
         lines.append("records hermitian, psd, nonzero: ok")
     elif kind == "return-stream":

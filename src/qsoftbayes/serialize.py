@@ -48,8 +48,7 @@ def load_matrix(path) -> np.ndarray:
 
 def dataset_to_record(data: Dataset) -> dict:
     """The elements+index form: each distinct record once, and each record's element."""
-    view = data.distinct
-    E = view.elements  # (K, D, D) complex, C-contiguous
+    E = data.elements  # (K, D, D) complex, C-contiguous
     k, dim = E.shape[0], E.shape[1]
     rec = {
         "kind": "dataset",
@@ -58,7 +57,7 @@ def dataset_to_record(data: Dataset) -> dict:
         "has_provenance": data.has_provenance,
         # each element as row-major [re, im] pairs, like a matrix record's entries
         "elements": E.view(np.float64).reshape(k, dim * dim, 2).tolist(),
-        "index": view.index.tolist(),
+        "index": data.index.tolist(),
     }
     if data.has_provenance:
         rec["povm_indices"] = np.asarray(data.povm_indices, dtype=np.int64).tolist()
@@ -83,7 +82,8 @@ def dataset_form(rec: dict) -> str:
 def dataset_from_record(rec: dict) -> Dataset:
     """Read either dataset form; both give the same `Dataset`, bit for bit.
 
-    Every block's entry count is checked before any stack is allocated.
+    Every block's entry count is checked before any stack is allocated, and
+    the elements+index form is never expanded to one block per record.
     """
     dim = _dim_field(rec)
     n = _int_field(rec, "n")
@@ -95,7 +95,7 @@ def dataset_from_record(rec: dict) -> Dataset:
             raise ValidationError("dataset 'matrices' is not a list of records")
         if len(records) != n:
             raise ValidationError(f"dataset header says n={n} but {len(records)} records are stored")
-        matrices = _matrix_stack(records, dim, "record")
+        elements, index = _matrix_stack(records, dim, "record"), np.arange(n)
     else:
         blocks = rec["elements"]
         if not isinstance(blocks, list):
@@ -106,12 +106,12 @@ def dataset_from_record(rec: dict) -> Dataset:
         unused = np.flatnonzero(np.bincount(index, minlength=len(blocks)) == 0)
         if len(unused):
             raise ValidationError(f"element {unused[0]} is referenced by no record")
-        matrices = _matrix_stack(blocks, dim, "element")[index]
+        elements = _matrix_stack(blocks, dim, "element")
     povm_idx = out_idx = None
     if rec.get("has_provenance"):
         povm_idx = _index_list(rec, "povm_indices", n, _INT64_END)
         out_idx = _index_list(rec, "outcome_indices", n, _INT64_END)
-    return Dataset(matrices=matrices, povm_indices=povm_idx, outcome_indices=out_idx)
+    return Dataset(elements=elements, index=index, povm_indices=povm_idx, outcome_indices=out_idx)
 
 
 def save_dataset(path, data: Dataset) -> None:
@@ -205,7 +205,10 @@ def _check_entries(entries, dim: int) -> None:
 
 def _parse_entries(entries: list) -> np.ndarray:
     try:
-        # complex() rejects strings and other non-numbers given as re or im
+        # complex() rejects strings and other non-numbers given as re or im,
+        # but reads a JSON true or false (a Python bool) as 1 or 0
+        if any(type(re) is bool or type(im) is bool for re, im in entries):
+            raise TypeError("a boolean is not a number")
         return np.array([complex(re, im) for re, im in entries])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("matrix record entries are not [re, im] number pairs") from exc

@@ -11,8 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,67 +30,74 @@ from .portfolio import SolverError, learning_rate
 from .qsb import QsbState, _play
 
 
-class DistinctRecords(NamedTuple):
-    """The distinct records of a dataset, each stored once with its count."""
-
-    elements: np.ndarray  # (K, D, D) complex, in order of first appearance
-    counts: np.ndarray    # (K,) number of records equal to each element
-    first: np.ndarray     # (K,) index of the first record equal to each element
-    index: np.ndarray     # (N,) element of each record
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """A stack of measurement-outcome matrices, optionally with provenance.
+    """Measurement records as their distinct elements plus a record index.
+
+    Record n is `elements[index[n]]`. The (K, D, D) complex `elements` are
+    distinct bit for bit and in order of first appearance; `counts` holds
+    each one's number of records. Build from a record stack, `matrices=M`,
+    or from candidates and each record's candidate, `elements=C, index=i`.
 
     Building one runs `validate_dataset`, so every instance holds valid
-    records and its consumers need not check them again. The check and the
-    distinct view describe `matrices` as built: do not modify it in place.
+    records and its consumers need not check them again. `elements` may share
+    memory with the stack it was built from: do not modify either in place.
     """
 
-    matrices: np.ndarray                 # (N, D, D)
-    povm_indices: np.ndarray | None = None
-    outcome_indices: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
+    def __init__(self, matrices=None, povm_indices=None, outcome_indices=None, *,
+                 elements=None, index=None) -> None:
+        if (matrices is None) == (elements is None) or (elements is None) != (index is None):
+            raise ValidationError("a dataset takes either matrices, or elements and an index")
+        stack = np.asarray(elements if matrices is None else matrices)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[0] < 1:
+            raise ValidationError(f"expected a nonempty stack of D x D matrices, got shape {stack.shape}")
+        index = np.arange(len(stack)) if index is None else np.asarray(index)
+        if index.ndim != 1 or len(index) < 1 or index.dtype.kind not in "iu":
+            raise ValidationError(f"index must be a nonempty list of integers, got {index!r}")
+        if index.min() < 0 or index.max() >= len(stack):
+            raise ValidationError(f"index holds values outside [0, {len(stack)})")
+        self.elements, self.index = _canonical(stack, index.astype(np.int64, copy=False))
+        self.counts = np.bincount(self.index)
+        self.povm_indices, self.outcome_indices = povm_indices, outcome_indices
         validate_dataset(self)
 
     def __len__(self) -> int:
-        return self.matrices.shape[0]
+        return self.index.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.matrices.shape[1]
+        return self.elements.shape[1]
 
     @property
     def has_provenance(self) -> bool:
         return self.povm_indices is not None and self.outcome_indices is not None
 
-    @cached_property
-    def distinct(self) -> DistinctRecords:
-        """The distinct records with their counts, computed when validated.
+    @property
+    def matrices(self) -> np.ndarray:
+        """The (N, D, D) record stack, built anew on every access."""
+        return self.elements[self.index]
 
-        Two records are one element when their entries, cast to complex, are
-        equal bit for bit, so a count-weighted sum over the elements adds
-        exactly the values a sum over the records would. The view is kept
-        for the life of the instance.
-        """
-        M = np.ascontiguousarray(self.matrices, dtype=complex)
-        rows = M.reshape(M.shape[0], math.prod(M.shape[1:]))
-        # maps each distinct row to its first record, in order of first appearance
-        firsts: dict[bytes, int] = {}
-        owner = np.fromiter(
-            (firsts.setdefault(row.tobytes(), n) for n, row in enumerate(rows)),
-            dtype=np.int64, count=rows.shape[0],
-        )
-        first = np.fromiter(firsts.values(), dtype=np.int64, count=len(firsts))
-        # first is increasing, so an element's number is the rank of its first record
-        index = np.searchsorted(first, owner)
-        # with no repeats the stack already is the element list; share it
-        elements = M if len(first) == len(M) else M[first]
-        return DistinctRecords(
-            elements=elements, counts=np.bincount(index), first=first, index=index
-        )
+
+def _canonical(candidates: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge bit-equal candidates, drop unused ones, number the rest by first use.
+
+    Returns `(elements, index)`; `elements[index]` equals `candidates[index]`
+    cast to complex bit for bit, so count-weighted sums over the elements add
+    exactly the values sums over the records would. Input already in that
+    form comes back as given: a complex stack without repeats is not copied.
+    """
+    C = np.ascontiguousarray(candidates, dtype=complex)
+    # maps each distinct candidate's bytes to the first candidate holding them
+    firsts: dict[bytes, int] = {}
+    owner = np.fromiter(
+        (firsts.setdefault(row.tobytes(), k) for k, row in enumerate(C.reshape(len(C), -1))),
+        dtype=np.int64, count=len(C),
+    )
+    used, first, inverse = np.unique(owner[index], return_index=True, return_inverse=True)
+    order = np.argsort(first)  # positions in used, by first appearance
+    if np.array_equal(used[order], np.arange(len(C))):
+        return C, index
+    # argsort(order) is the inverse permutation: each used candidate's number
+    return C[used[order]], np.argsort(order)[inverse]
 
 
 @dataclass(frozen=True)
@@ -133,21 +138,17 @@ def validate_povm(elements: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.nd
 def validate_dataset(data: Dataset, tol: Tolerances = DEFAULT_TOLS) -> Dataset:
     """Check every record is a valid observation; return the dataset.
 
-    Each distinct record is checked once; a failure names the first record
+    Each distinct element is checked once; a failure names the first record
     holding the failing element. Every `Dataset` runs this when it is built.
     """
-    M = np.asarray(data.matrices)
-    if M.ndim != 3 or M.shape[1] != M.shape[2] or M.shape[0] < 1:
-        raise ValidationError(f"expected a nonempty (N, D, D) stack, got shape {M.shape}")
-    view = data.distinct
-    for k, A in enumerate(view.elements):
+    for k, A in enumerate(data.elements):
         try:
             validate_observation(A, tol)
         except ValidationError as exc:
-            raise ValidationError(f"record {view.first[k]}: {exc}") from exc
+            raise ValidationError(f"record {np.argmax(data.index == k)}: {exc}") from exc
     for name, idx in (("povm_indices", data.povm_indices), ("outcome_indices", data.outcome_indices)):
-        if idx is not None and len(idx) != M.shape[0]:
-            raise ValidationError(f"{name} has length {len(idx)}, expected {M.shape[0]}")
+        if idx is not None and len(idx) != len(data):
+            raise ValidationError(f"{name} has length {len(idx)}, expected {len(data)}")
     return data
 
 
@@ -156,23 +157,23 @@ def _overlaps(matrices: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.einsum("nij,ji->n", matrices, rho).real
 
 
-def _positive_overlaps(view: DistinctRecords, rho: np.ndarray) -> np.ndarray:
+def _positive_overlaps(data: Dataset, rho: np.ndarray) -> np.ndarray:
     """tr(E_k rho) for every element; a nonpositive one names its first record."""
-    p = _overlaps(view.elements, np.asarray(rho))
+    p = _overlaps(data.elements, np.asarray(rho))
     if p.min() <= 0.0:
         k = int(np.argmin(p))
-        raise DomainError(f"tr(A_n rho) = {p[k]!r} is not positive at record n={view.first[k]}")
+        raise DomainError(f"tr(A_n rho) = {p[k]!r} is not positive at record n={np.argmax(data.index == k)}")
     return p
 
 
-def _neg_log_likelihood(view: DistinctRecords, p: np.ndarray) -> float:
+def _neg_log_likelihood(data: Dataset, p: np.ndarray) -> float:
     """-(1/N) sum_k c_k log p_k, the record mean in frequency form."""
-    return float(-(view.counts @ np.log(p)) / len(view.index))
+    return float(-(data.counts @ np.log(p)) / len(data))
 
 
-def _stationarity(view: DistinctRecords, p: np.ndarray) -> np.ndarray:
+def _stationarity(data: Dataset, p: np.ndarray) -> np.ndarray:
     """(1/N) sum_k (c_k / p_k) E_k, the record mean in frequency form."""
-    R = np.einsum("k,kij->ij", view.counts / p, view.elements) / len(view.index)
+    R = np.einsum("k,kij->ij", data.counts / p, data.elements) / len(data)
     return hermitianize(R)
 
 
@@ -181,8 +182,7 @@ def ml_objective(rho: np.ndarray, data: Dataset) -> float:
 
     Evaluated over the distinct records as -(1/N) sum_k c_k log tr(E_k rho).
     """
-    view = data.distinct
-    return _neg_log_likelihood(view, _positive_overlaps(view, rho))
+    return _neg_log_likelihood(data, _positive_overlaps(data, rho))
 
 
 def _outcome_cdf(rho: np.ndarray, M: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -238,18 +238,18 @@ def generate_dataset(
     rho_true = validate_density(rho_true)
     stacks = [validate_povm(p) for p in povms]
     cdfs = [_outcome_cdf(rho_true, M, DEFAULT_TOLS) for M in stacks]
-    dim = rho_true.shape[0]
     # one double per shot, in shot order: the same draws as rng.random() per shot
     uniforms = rng.random(shots)
     povm_idx = np.arange(shots, dtype=np.int64) % len(stacks)
     out_idx = np.empty(shots, dtype=np.int64)
-    matrices = np.empty((shots, dim, dim), dtype=complex)
-    for k, (M, cdf) in enumerate(zip(stacks, cdfs)):
+    for k, cdf in enumerate(cdfs):
         own = slice(k, None, len(stacks))  # the shots that use POVM k
         j = np.searchsorted(cdf, uniforms[own], side="right")
         out_idx[own] = np.minimum(j, len(cdf) - 1)
-        matrices[own] = M[out_idx[own]]
-    return Dataset(matrices=matrices, povm_indices=povm_idx, outcome_indices=out_idx)
+    # shot n is outcome j of POVM k: candidate offsets[k] + j of all POVMs' elements
+    offsets = np.cumsum([0] + [len(M) for M in stacks[:-1]])
+    return Dataset(elements=np.concatenate(stacks), index=offsets[povm_idx] + out_idx,
+                   povm_indices=povm_idx, outcome_indices=out_idx)
 
 
 _QUBIT_BASES = {
@@ -352,12 +352,11 @@ def stochastic_qsb_seeds(
         eta = learning_rate(dim, rounds)
     cps = _normalize_checkpoints(checkpoints, rounds)
 
-    view = data.distinct
     # spectral(element) per distinct record, written before the element's
     # first round; the rows of elements never drawn are never written
-    decomposed = [False] * len(view.counts)
-    eigenvalues = np.empty(view.elements.shape[:2])
-    eigenvectors = np.empty(view.elements.shape, dtype=complex)
+    decomposed = [False] * len(data.elements)
+    eigenvalues = np.empty(data.elements.shape[:2])
+    eigenvectors = np.empty(data.elements.shape, dtype=complex)
     rngs = [make_rng(seed) for seed in seeds]
     drawn = np.empty((0, len(seeds)), dtype=np.int64)  # (rounds of a block, S) elements
 
@@ -368,13 +367,13 @@ def stochastic_qsb_seeds(
             # order (pinned by the tests that replay the draws one at a time)
             size = min(_DRAW_BLOCK, rounds - t)
             records = np.stack([rng.integers(n_records, size=size) for rng in rngs], axis=1)
-            drawn = view.index[records]
+            drawn = data.index[records]
             for k in np.unique(drawn).tolist():
                 if not decomposed[k]:
-                    eigenvalues[k], eigenvectors[k] = spectral(view.elements[k])
+                    eigenvalues[k], eigenvectors[k] = spectral(data.elements[k])
                     decomposed[k] = True
         ks = drawn[t % _DRAW_BLOCK]
-        return view.elements.take(ks, axis=0), SpectralDecomposition(
+        return data.elements.take(ks, axis=0), SpectralDecomposition(
             eigenvalues.take(ks, axis=0), eigenvectors.take(ks, axis=0)
         )
 
@@ -404,8 +403,7 @@ def stationarity_operator(rho: np.ndarray, data: Dataset) -> np.ndarray:
     is identically one. Evaluated over the distinct records as
     (1/N) sum_k (c_k / tr(E_k rho)) E_k.
     """
-    view = data.distinct
-    return _stationarity(view, _positive_overlaps(view, rho))
+    return _stationarity(data, _positive_overlaps(data, rho))
 
 
 def batch_ml_solve(
@@ -420,18 +418,17 @@ def batch_ml_solve(
     rho within tol of stationarity regardless of the path taken. Every sum
     runs over the distinct records, weighted by their counts.
     """
-    view = data.distinct
-    E = view.elements
+    E = data.elements
     dim = data.dim
     rho = np.eye(dim, dtype=complex) / dim
     p = _overlaps(E, rho)
     if p.min() <= 0.0:
         raise DomainError("ML objective is infinite at the maximally mixed state")
-    f = _neg_log_likelihood(view, p)
+    f = _neg_log_likelihood(data, p)
     best_gap = math.inf
 
     for _ in range(max_iters):
-        R = _stationarity(view, p)
+        R = _stationarity(data, p)
         lam, V = spectral(R)
         gap = float(lam[-1]) - 1.0
         best_gap = min(best_gap, gap)
@@ -443,7 +440,7 @@ def batch_ml_solve(
         cand = hermitianize(cand / np.trace(cand).real)
         p_cand = _overlaps(E, cand)
         if p_cand.min() > 0.0:
-            f_cand = _neg_log_likelihood(view, p_cand)
+            f_cand = _neg_log_likelihood(data, p_cand)
             if f_cand < f:
                 rho, p, f = cand, p_cand, f_cand
                 continue
@@ -451,10 +448,10 @@ def batch_ml_solve(
         # line-searched move toward the top eigenvector of R
         v = V[:, -1]
         q = np.einsum("i,kij,j->k", v.conj(), E, v).real
-        step = _line_search(p, q, view.counts)
+        step = _line_search(p, q, data.counts)
         rho = hermitianize((1.0 - step) * rho + step * np.outer(v, v.conj()))
         p = (1.0 - step) * p + step * q
-        f = _neg_log_likelihood(view, p)
+        f = _neg_log_likelihood(data, p)
 
     raise SolverError(
         f"ML solver gap {best_gap:.3e} above tolerance {tol:.1e} after {max_iters} iterations",

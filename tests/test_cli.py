@@ -302,7 +302,7 @@ class TestMlRunMode:
             assert 0.0 < summary["final_true_trace"] <= 1.0
             assert 0.0 < summary["final_min_eig"] <= 0.5
         assert manifest["records"] == 200
-        assert manifest["distinct_records"] == len(data.distinct.counts) <= 6
+        assert manifest["distinct_records"] == len(data.elements) <= 6
         assert manifest["oracle_cert_gap"] <= 1e-7
         phases = manifest["phase_seconds"]
         assert set(phases) == {"dataset", "save_dataset", "oracle", "learners", "write"}
@@ -380,7 +380,7 @@ class TestValidateMode:
         report = capsys.readouterr().out
         assert "form: elements+index" in report
         assert "records: 9" in report
-        assert f"distinct: {len(data.distinct.counts)}" in report
+        assert f"distinct: {len(data.elements)}" in report
         assert "all checks passed" in report
 
     def test_per_record_dataset_report(self, tmp_path, capsys):
@@ -431,9 +431,13 @@ class TestValidateMode:
                        b' "matrices": [[[1, 0]]]}'),
         (["validate"], b'{"kind": "dataset", "dim": 1, "n": 1, "matrices": [[[1' + b'0' * 5000 + b', 0]]]}'),
         (["validate"], b'[' * 100000),
+        (["validate"], b'{"kind": "matrix", "dim": 1, "entries": [[true, false]]}'),
+        (["validate"], b'{"kind": "dataset", "dim": 1, "n": 1, "matrices": [[[true, false]]]}'),
+        (["validate"], b'{"kind": "dataset", "dim": 1, "n": 1, "elements": [[[true, false]]], "index": [0]}'),
     ], ids=["argv0", "argv1", "no-rounds", "no-dim", "ragged-rows", "string-entry", "not-utf8",
             "provenance-strings", "provenance-2d", "provenance-float", "dim-bool", "n-bool",
-            "dim-huge", "index-past-the-end", "both-forms", "int-over-digit-limit", "nested-too-deep"])
+            "dim-huge", "index-past-the-end", "both-forms", "int-over-digit-limit", "nested-too-deep",
+            "matrix-bool-entry", "record-bool-entry", "element-bool-entry"])
     def test_missing_file_is_a_one_line_error(self, tmp_path, capsys, argv, content):
         """A missing or malformed input file ends in one error line, exit 1."""
         path = tmp_path / "input.json"

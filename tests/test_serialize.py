@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,8 +108,8 @@ def assert_same_dataset(a: Dataset, b: Dataset) -> None:
     if a.has_provenance:
         assert np.array_equal(a.povm_indices, b.povm_indices)
         assert np.array_equal(a.outcome_indices, b.outcome_indices)
-    for field in ("elements", "index", "counts", "first"):
-        x, y = getattr(a.distinct, field), getattr(b.distinct, field)
+    for field in ("elements", "index", "counts"):
+        x, y = getattr(a, field), getattr(b, field)
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
@@ -145,8 +146,8 @@ class TestDatasetContainer:
         rec = dataset_to_record(data)
         assert "matrices" not in rec
         assert dataset_form(rec) == "elements+index"
-        assert len(rec["elements"]) == len(data.distinct.counts) <= 6
-        assert rec["index"] == data.distinct.index.tolist()
+        assert len(rec["elements"]) == len(data.elements) <= 6
+        assert rec["index"] == data.index.tolist()
         assert rec["n"] == len(rec["index"]) == 40
 
     def test_a_per_record_file_and_its_rewrite_load_equal(self, tmp_path):
@@ -203,7 +204,7 @@ class TestDatasetContainer:
             dataset_from_record(rec)
 
     @pytest.mark.parametrize("pair", [["1.5", "0"], ["nan", "0"], [1.5, "0"], [None, 0.0],
-                                      [10**400, 0.0]])
+                                      [10**400, 0.0], [True, 0.0], [1.0, False]])
     def test_entries_must_be_numbers(self, tmp_path, pair):
         rec = per_record(Dataset(matrices=np.broadcast_to(np.eye(2), (2, 2, 2))))
         rec["matrices"][1][0] = pair
@@ -271,6 +272,23 @@ class TestDatasetContainer:
         rec[key] = value
         with pytest.raises(ValidationError, match=match):
             dataset_from_record(rec)
+
+    def test_an_elements_index_file_loads_without_expanding_its_records(self, tmp_path):
+        """One 16 x 16 element held by 20,000 records: loading keeps the one
+        element and the index, never a 20,000 x 16 x 16 record stack (82 MB)."""
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({
+            "kind": "dataset", "dim": 16, "n": 20_000, "has_provenance": False,
+            "elements": [matrix_to_record(np.eye(16))["entries"]], "index": [0] * 20_000,
+        }))
+        tracemalloc.start()
+        try:
+            data = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert len(data.elements) == 1 and len(data) == 20_000
 
     def test_an_empty_element_list_with_a_huge_dim_fails_on_the_index(self):
         rec = {"kind": "dataset", "dim": 10**10, "n": 1, "elements": [], "index": [0]}

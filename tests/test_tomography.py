@@ -47,9 +47,10 @@ def per_record_stationarity(rho: np.ndarray, matrices: np.ndarray) -> np.ndarray
 
 
 @st.composite
-def repeated_datasets(draw):
-    """Datasets of 1-4 random PSD elements repeated over up to 40 records,
-    stored as a complex stack, a real stack, or a read-only broadcast view."""
+def repeated_records(draw):
+    """Stacks of 1-4 random PSD elements repeated over up to 40 records,
+    stored as a complex stack, a real stack, or a read-only broadcast view,
+    with the candidates and each record's candidate they were stacked from."""
     dim = draw(st.integers(2, 3))
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
     elements = [random_psd(rng, dim, rank=draw(st.integers(1, dim)))
@@ -58,50 +59,76 @@ def repeated_datasets(draw):
     if layout == "real":
         elements = [E.real for E in elements]
     if layout == "broadcast":
-        matrices = np.broadcast_to(elements[0], (draw(st.integers(2, 40)), dim, dim))
+        order = [0] * draw(st.integers(2, 40))
+        matrices = np.broadcast_to(elements[0], (len(order), dim, dim))
     else:
         order = draw(st.lists(st.integers(0, len(elements) - 1),
                               min_size=len(elements) + 1, max_size=40))
         matrices = np.stack([elements[k] for k in order])
-    return Dataset(matrices=matrices), random_density(rng, dim)
+    return matrices, np.stack(elements), order, random_density(rng, dim)
 
 
-class TestDistinctRecords:
+class TestDistinctElements:
 
     def test_counts_records_in_order_of_first_appearance(self):
         a, b = np.eye(2), np.diag([1.0, 0.0])
         data = Dataset(matrices=np.stack([b, a, b, b, a]))
-        view = data.distinct
-        assert view.elements.dtype == complex
-        assert np.array_equal(view.elements, np.stack([b, a]))
-        assert list(view.counts) == [3, 2]
-        assert list(view.first) == [0, 1]
-        assert list(view.index) == [0, 1, 0, 0, 1]
-        assert data.distinct is view
+        assert data.elements.dtype == complex
+        assert np.array_equal(data.elements, np.stack([b, a]))
+        assert list(data.counts) == [3, 2]
+        assert list(data.index) == [0, 1, 0, 0, 1]
+        assert data.index.dtype == np.int64
 
     def test_a_stack_without_repeats_is_its_own_element_list(self):
         matrices = np.stack([random_psd(make_rng(s), 3, rank=1) for s in range(5)])
-        view = Dataset(matrices=matrices).distinct
-        assert view.elements is matrices
-        assert list(view.counts) == [1] * 5
-        assert list(view.first) == list(view.index) == list(range(5))
+        data = Dataset(matrices=matrices)
+        assert data.elements is matrices
+        assert list(data.counts) == [1] * 5
+        assert list(data.index) == list(range(5))
+
+    def test_canonical_elements_and_index_are_kept_as_given(self):
+        elements = np.stack([random_psd(make_rng(s), 3, rank=1) for s in range(3)])
+        index = np.array([0, 1, 0, 2, 1])
+        data = Dataset(elements=elements, index=index)
+        assert data.elements is elements and data.index is index
+
+    def test_candidates_are_merged_dropped_and_renumbered(self):
+        a, b, c = np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        # candidate 1 is never used and candidate 3 equals candidate 0 bit for bit
+        data = Dataset(elements=np.stack([a, c, b, a.copy()]), index=[2, 3, 0, 2])
+        assert np.array_equal(data.elements, np.stack([b, a]))
+        assert list(data.index) == [0, 1, 1, 0]
+        assert list(data.counts) == [2, 2]
+
+    def test_a_generated_dataset_equals_its_record_stack(self):
+        rng = make_rng(9)
+        data = generate_dataset(random_density(rng, 4), pauli_basis_povms(2), 500, rng)
+        stacked = Dataset(matrices=data.matrices)
+        for field in ("elements", "index", "counts"):
+            x, y = getattr(data, field), getattr(stacked, field)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(repeated_datasets())
+    @given(repeated_records())
     def test_frequency_form_matches_the_per_record_sums(self, case):
-        data, rho = case
-        view = data.distinct
-        assert np.array_equal(view.elements[view.index], data.matrices.astype(complex))
-        assert np.array_equal(view.first, [list(view.index).index(k) for k in range(len(view.counts))])
+        matrices, candidates, order, rho = case
+        data = Dataset(matrices=matrices)
+        assert data.matrices.tobytes() == matrices.astype(complex).tobytes()
+        # every element is held by a record, numbered in order of first appearance
+        firsts = [list(data.index).index(k) for k in range(len(data.elements))]
+        assert firsts == sorted(firsts)
+        indexed = Dataset(elements=candidates, index=order)
+        for field in ("elements", "index", "counts"):
+            assert getattr(indexed, field).tobytes() == getattr(data, field).tobytes()
 
-        f_ref = per_record_objective(rho, data.matrices)
+        f_ref = per_record_objective(rho, matrices)
         assert ml_objective(rho, data) == pytest.approx(f_ref, rel=1e-12, abs=1e-14)
-        R_ref = per_record_stationarity(rho, data.matrices)
+        R_ref = per_record_stationarity(rho, matrices)
         R = stationarity_operator(rho, data)
         assert np.abs(R - R_ref).max() <= 1e-12 * np.abs(R_ref).max()
 
         rho_hat, f_star = batch_ml_solve(data)
-        f_hat_ref = per_record_objective(rho_hat, data.matrices)
+        f_hat_ref = per_record_objective(rho_hat, matrices)
         assert f_star == pytest.approx(f_hat_ref, rel=1e-12, abs=1e-14)
 
 
@@ -120,7 +147,20 @@ class TestDataset:
         ({"matrices": np.broadcast_to(np.eye(2), (3, 2, 2)),
           "povm_indices": np.zeros(2, dtype=np.int64),
           "outcome_indices": np.zeros(3, dtype=np.int64)}, "povm_indices"),
-    ], ids=["indefinite-record", "first-record-of-a-bad-element", "index-length-mismatch"])
+        ({"elements": np.stack([SIGMA_X, np.eye(2)]), "index": np.array([1, 1, 0])}, "record 2:"),
+        ({"elements": np.stack([np.eye(2)]), "index": np.array([0, 1])}, r"outside \[0, 1\)"),
+        ({"elements": np.stack([np.eye(2)]), "index": np.array([-1])}, r"outside \[0, 1\)"),
+        ({"elements": np.stack([np.eye(2)]), "index": np.array([], dtype=np.int64)}, "nonempty"),
+        ({"elements": np.stack([np.eye(2)]), "index": np.array([0.0])}, "integers"),
+        ({"elements": np.stack([np.eye(2)]), "index": np.array([False])}, "integers"),
+        ({"elements": np.stack([np.eye(2)])}, "either matrices, or elements and an index"),
+        ({"matrices": np.stack([np.eye(2)]), "elements": np.stack([np.eye(2)]),
+          "index": np.array([0])}, "either matrices, or elements and an index"),
+        ({"matrices": np.eye(2)}, "stack of D x D matrices"),
+    ], ids=["indefinite-record", "first-record-of-a-bad-element", "index-length-mismatch",
+            "first-record-of-a-bad-candidate", "index-past-the-end", "index-negative",
+            "index-empty", "index-float", "index-bool", "elements-without-index",
+            "matrices-and-elements", "not-a-stack"])
     def test_construction_rejects(self, fields, match):
         with pytest.raises(ValidationError, match=match):
             Dataset(**fields)
@@ -412,8 +452,7 @@ class TestStochasticQsb:
         monkeypatch.setattr(tomography, "spectral", counted)
         rng = make_rng(14)
         data = generate_dataset(random_density(rng, 4), pauli_basis_povms(2), 900, rng)
-        view = data.distinct
-        assert len(view.counts) == 36  # 12 rounds can draw at most 12 of them
+        assert len(data.elements) == 36  # 12 rounds can draw at most 12 of them
         for rounds in (12, 3000):
             for seeds in ((2,), (2, 5)):
                 decomposed.clear()
@@ -421,9 +460,9 @@ class TestStochasticQsb:
                 drawn = set()
                 for seed in seeds:
                     draws = make_rng(seed)
-                    drawn |= {int(view.index[draws.integers(len(data))]) for _ in range(rounds)}
+                    drawn |= {int(data.index[draws.integers(len(data))]) for _ in range(rounds)}
                 # the elements are distinct, so each decomposed matrix names one
-                ks = [next(k for k, F in enumerate(view.elements) if np.array_equal(E, F))
+                ks = [next(k for k, F in enumerate(data.elements) if np.array_equal(E, F))
                       for E in decomposed]
                 assert len(ks) == len(set(ks))  # each element at most once per call
                 assert set(ks) == drawn         # only, and all, the drawn ones
