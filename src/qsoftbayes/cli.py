@@ -40,6 +40,7 @@ from .portfolio import (
     best_fixed_portfolio,
     ops_regret_bound,
     run_ops_game,
+    validate_return_stream,
 )
 from .qsb import QstTranscript, run_qst_game
 from .serialize import (
@@ -475,15 +476,10 @@ def _run_validate(config: ExperimentConfig) -> list[str]:
         lines.append(f"provenance: {'yes' if data.has_provenance else 'no'}")
         lines.append("records hermitian, psd, nonzero: ok")
     elif kind == "return-stream":
-        rows = load_return_stream(config.input_path)
-        if np.any(rows < 0):
-            raise ValidationError(f"stream has a negative entry {rows.min():.3e}")
-        if np.any(~rows.any(axis=1)):
-            t = int(np.flatnonzero(~rows.any(axis=1))[0])
-            raise ValidationError(f"round {t + 1}: return vector is identically zero")
+        rows = validate_return_stream(load_return_stream(config.input_path))
         lines.append(f"dim: {rows.shape[1]}")
         lines.append(f"rounds: {rows.shape[0]}")
-        lines.append("rows nonnegative and nonzero: ok")
+        lines.append("rows finite, nonnegative and nonzero: ok")
     else:
         raise ValidationError(f"unrecognized container kind {kind!r}")
     lines.append("all checks passed")

@@ -71,15 +71,36 @@ def validate_portfolio(w: np.ndarray, trace_tol: float = 1e-9) -> np.ndarray:
 
 
 def validate_returns(a: np.ndarray) -> np.ndarray:
-    """Check a return vector: nonnegative entries, not identically zero."""
+    """Check a return vector: finite, nonnegative entries, not identically zero."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 1:
         raise ValidationError(f"return must be a vector, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("return has a non-finite entry")
     if np.any(a < 0):
         raise ValidationError(f"return has negative entry {a.min():.3e}")
     if not np.any(a > 0):
         raise ValidationError("return vector is identically zero")
     return a
+
+
+def validate_return_stream(returns: np.ndarray) -> np.ndarray:
+    """Check a (T, D) stream of return vectors; return it as float64.
+
+    Every row gets `validate_returns`' checks in one stacked pass; an error
+    names the first failing round.
+    """
+    returns = np.asarray(returns, dtype=float)
+    if returns.ndim != 2 or returns.shape[0] < 1:
+        raise ValidationError(f"expected a nonempty (T, D) stream, got shape {returns.shape}")
+    bad = ~np.isfinite(returns).all(axis=1) | (returns < 0).any(axis=1) | ~(returns > 0).any(axis=1)
+    if bad.any():
+        t = int(np.argmax(bad))
+        try:
+            validate_returns(returns[t])
+        except ValidationError as exc:
+            raise ValidationError(f"round {t + 1}: {exc}") from exc
+    return returns
 
 
 def soft_bayes_step(w: np.ndarray, a: np.ndarray, eta: float) -> np.ndarray:
@@ -121,15 +142,8 @@ def ops_regret_bound(dim: int, rounds: float) -> float:
 
 def run_ops_game(returns: np.ndarray, eta: float | None = None) -> OpsTranscript:
     """Play Soft-Bayes against a (T, D) stream of return vectors."""
-    returns = np.asarray(returns, dtype=float)
-    if returns.ndim != 2 or returns.shape[0] < 1:
-        raise ValidationError(f"expected a nonempty (T, D) stream, got shape {returns.shape}")
+    returns = validate_return_stream(returns)
     rounds, dim = returns.shape
-    for t in range(rounds):
-        try:
-            validate_returns(returns[t])
-        except ValidationError as exc:
-            raise ValidationError(f"round {t + 1}: {exc}") from exc
     if eta is None:
         eta = learning_rate(dim, rounds)
 
@@ -155,15 +169,8 @@ def best_fixed_portfolio(
     Columns that never pay out lose all weight after one step, so streams
     whose optimum sits on a simplex face need no special casing.
     """
-    returns = np.asarray(returns, dtype=float)
-    if returns.ndim != 2 or returns.shape[0] < 1:
-        raise ValidationError(f"expected a nonempty (T, D) stream, got shape {returns.shape}")
+    returns = validate_return_stream(returns)
     rounds, dim = returns.shape
-    if np.any(returns < 0):
-        raise ValidationError("returns must be nonnegative")
-    if np.any(~returns.any(axis=1)):
-        t = int(np.flatnonzero(~returns.any(axis=1))[0])
-        raise ValidationError(f"round {t + 1}: return vector is identically zero")
 
     w = np.full(dim, 1.0 / dim)
     gap = math.inf

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +400,21 @@ class TestValidateMode:
         assert main(["validate", str(path)]) == 0
         assert "rounds: 4" in capsys.readouterr().out
 
+    def test_return_stream_names_its_first_failing_round(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        rows = np.full((4, 2), 0.5)
+        rows[2] = [0.5, -0.5]
+        rows[3] = 0.0
+        save_return_stream(path, rows)
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == "error: round 3: return has negative entry -5.000e-01\n"
+
+    def test_return_stream_with_a_json_nan_fails(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text('{"kind": "return-stream", "rounds": 2, "dim": 2, "rows": [[0.5, 0.5], [NaN, 1]]}')
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == "error: round 2: return has a non-finite entry\n"
+
     def test_corrupt_file_fails(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{{{{")
@@ -480,3 +498,26 @@ class TestExitCodes:
                      "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert err == "error: out of memory: Unable to allocate 8.00 EiB for an array\n"
+
+
+def stable_artifacts(run_dir: Path) -> dict[str, bytes]:
+    """Every artifact but the manifest and the wall-clock sidecars."""
+    return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())
+            if p.name != "manifest.json" and not p.name.endswith("_times.json")}
+
+
+def test_ml_run_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The oracle's and the likelihood's BLAS reductions give the same bits
+    on one BLAS thread and on two, so every CSV and matrix artifact does."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "qsoftbayes.cli", "ml-run", "--qubits", "3",
+                        "--shots", "4000", "--rounds", "300", "--seeds", "0", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        runs[threads] = stable_artifacts(out)
+    assert {"ml_seed0.csv", "rho_hat_oracle.json", "rho_bar_seed0.json"} <= runs["1"].keys()
+    assert runs["1"] == runs["2"]

@@ -14,6 +14,7 @@ from qsoftbayes.portfolio import (
     run_ops_game,
     soft_bayes_step,
     validate_portfolio,
+    validate_return_stream,
     validate_returns,
 )
 
@@ -158,6 +159,45 @@ class TestValidateHelpers:
             validate_returns(np.array([0.0, 0.0]))
         with pytest.raises(ValidationError):
             validate_returns(np.array([-1.0, 2.0]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="non-finite"):
+                validate_returns(np.array([bad, 2.0]))
+
+
+def per_row_validation(returns: np.ndarray) -> str | None:
+    """Reference: `validate_returns` on each row in turn; the first error."""
+    for t, row in enumerate(returns):
+        try:
+            validate_returns(row)
+        except ValidationError as exc:
+            return f"round {t + 1}: {exc}"
+    return None
+
+
+class TestValidateReturnStream:
+
+    @pytest.mark.parametrize("bad_rows", [
+        {}, {7: [0.0, 0.0, 0.0]}, {3: [0.5, -1e-300, 0.5], 9: [0.0, 0.0, 0.0]},
+        {5: [np.nan, 1.0, 1.0]}, {2: [0.0, 0.0, 0.0], 4: [np.inf, 1.0, 1.0]},
+        {0: [-0.0, 0.0, 0.0]},
+    ], ids=["valid", "zero", "negative-first", "nan", "zero-before-inf", "negative-zeros"])
+    def test_names_the_first_failing_round_as_the_per_row_check_does(self, bad_rows):
+        returns = uniform_returns(make_rng(5), 12, 3)
+        for t, row in bad_rows.items():
+            returns[t] = row
+        expected = per_row_validation(returns)
+        if expected is None:
+            assert validate_return_stream(returns) is not None
+            return
+        for consumer in (validate_return_stream, run_ops_game, best_fixed_portfolio):
+            with pytest.raises(ValidationError) as err:
+                consumer(returns)
+            assert str(err.value) == expected
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3,), (2, 2, 2)])
+    def test_rejects_a_stream_that_is_not_a_nonempty_table(self, shape):
+        with pytest.raises(ValidationError, match="nonempty"):
+            validate_return_stream(np.ones(shape))
 
 
 class TestBestFixedPortfolio:

@@ -568,3 +568,65 @@ class TestBatchMlSolve:
             batch_ml_solve(data, tol=1e-12, max_iters=1)
         assert excinfo.value.iterations == 1
         assert excinfo.value.gap == pytest.approx(0.4, abs=1e-12)
+
+    def test_tolerance_far_below_the_default_is_reached(self):
+        """The step tests compare overlaps, not values of f, so a gap far
+        below the rounding of f itself is still certified."""
+        rho_true = random_density(make_rng(40), 4)
+        data = generate_dataset(rho_true, pauli_basis_povms(2), 6000, make_rng(40))
+        rho, f = batch_ml_solve(data, tol=1e-12, max_iters=500)
+        assert np.linalg.eigvalsh(stationarity_operator(rho, data))[-1] - 1.0 <= 1e-12
+
+
+class TestThreeQubitOracle:
+    """The oracle on a 3-qubit Pauli set of 4000 shots (216 distinct elements)."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = make_rng(0)
+        truth = random_density(rng, 8)
+        return generate_dataset(truth, pauli_basis_povms(3), 4000, rng)
+
+    @pytest.fixture(scope="class")
+    def solved(self, data):
+        return batch_ml_solve(data, tol=1e-7, max_iters=200)
+
+    def test_certified_within_200_iterations_on_the_returned_matrix(self, data, solved):
+        rho, _ = solved
+        assert np.linalg.eigvalsh(stationarity_operator(rho, data))[-1] - 1.0 <= 1e-7
+
+    def test_value_is_the_objective_of_the_returned_matrix(self, data, solved):
+        rho, f = solved
+        assert f == pytest.approx(ml_objective(rho, data), abs=1e-12)
+
+    def test_contractions_match_per_element_traces(self, data):
+        rho = random_density(make_rng(1), 8)
+        p = tomography._overlaps(data.elements, rho)
+        p_ref = np.array([np.trace(E @ rho).real for E in data.elements])
+        assert np.abs(p - p_ref).max() <= 1e-14
+        R_ref = sum(c / pk * E for c, pk, E in zip(data.counts, p_ref, data.elements)) / len(data)
+        assert np.abs(tomography._stationarity(data, p) - hermitianize(R_ref)).max() <= 1e-14
+
+
+class TestDensityProjection:
+
+    @pytest.mark.parametrize("eigenvalues, expected", [
+        ([2.0, 0.0, -1.0], [1.0, 0.0, 0.0]),
+        ([0.7, 0.5, 0.4], [0.5, 0.3, 0.2]),
+        ([0.25, 0.25, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25]),
+    ])
+    def test_projects_the_spectrum_onto_the_simplex(self, eigenvalues, expected):
+        U = np.linalg.qr(make_rng(3).standard_normal((len(expected),) * 2))[0]
+        H = hermitianize((U * eigenvalues) @ U.T).astype(complex)
+        rho = tomography._density_projection(H)
+        assert np.allclose(rho, (U * expected) @ U.T, atol=1e-14)
+        assert np.array_equal(rho, rho.conj().T)
+
+    def test_is_nearest_among_random_density_matrices(self):
+        rng = make_rng(4)
+        H = hermitianize(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        rho = tomography._density_projection(H)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-15
+        nearest = np.linalg.norm(H - rho)
+        assert all(nearest <= np.linalg.norm(H - random_density(rng, 4)) for _ in range(200))
