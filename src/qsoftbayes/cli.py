@@ -249,14 +249,12 @@ def parse_config_file(path) -> dict:
 def write_ops_report(path, transcript: OpsTranscript, returns: np.ndarray,
                      comparator_weights: np.ndarray) -> None:
     """Per-round CSV for the classical game against the hindsight comparator."""
-    dim = returns.shape[1]
+    rounds, dim = returns.shape
     cum = transcript.cumulative_losses
     comp_cum = np.cumsum(-np.log(returns @ comparator_weights))
-    rows = [
-        (t + 1, transcript.losses[t], cum[t], comp_cum[t],
-         cum[t] - comp_cum[t], ops_regret_bound(dim, t + 1))
-        for t in range(len(transcript.losses))
-    ]
+    rows = zip(range(1, rounds + 1), transcript.losses.tolist(), cum.tolist(),
+               comp_cum.tolist(), (cum - comp_cum).tolist(),
+               [ops_regret_bound(dim, t) for t in range(1, rounds + 1)])
     write_csv(path, OPS_COLUMNS, rows)
 
 

@@ -3,13 +3,16 @@
 The learner plays a point on the probability simplex each round, observes a
 nonnegative return vector a_t, and pays -log<a_t, w_t>. The update mixes the
 multiplicative-weights direction with the current iterate, which keeps the
-iterate on the simplex with no renormalization step.
+iterate on the simplex with no renormalization step. The batch comparator
+runs the accelerated projected-gradient loop that the quantum ML oracle in
+`tomography` also runs; the loop lives here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -109,11 +112,25 @@ def soft_bayes_step(w: np.ndarray, a: np.ndarray, eta: float) -> np.ndarray:
     Both terms are convex combinations of simplex points, so w' is on the
     simplex without renormalization.
     """
+    _check_eta(eta)
+    return _soft_bayes_update(w, a, eta, _payoff(a, w))
+
+
+def _check_eta(eta: float) -> None:
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta must be in (0, 1), got {eta!r}")
+
+
+def _payoff(a: np.ndarray, w: np.ndarray) -> float:
+    """<a, w>, which must be positive for the loss and the update to exist."""
     dot = float(np.dot(a, w))
     if dot <= 0.0:
         raise DomainError(f"degenerate return: <a, w> = {dot!r}")
+    return dot
+
+
+def _soft_bayes_update(w: np.ndarray, a: np.ndarray, eta: float, dot: float) -> np.ndarray:
+    """`soft_bayes_step` given a checked eta and the positive payoff dot = <a, w>."""
     return (1.0 - eta) * w + eta * (a * w) / dot
 
 
@@ -146,6 +163,7 @@ def run_ops_game(returns: np.ndarray, eta: float | None = None) -> OpsTranscript
     rounds, dim = returns.shape
     if eta is None:
         eta = learning_rate(dim, rounds)
+    _check_eta(eta)
 
     w = np.full(dim, 1.0 / dim)
     portfolios = np.empty_like(returns)
@@ -153,8 +171,9 @@ def run_ops_game(returns: np.ndarray, eta: float | None = None) -> OpsTranscript
     for t in range(rounds):
         a = returns[t]
         portfolios[t] = w
-        losses[t] = -math.log(float(np.dot(a, w)))
-        w = soft_bayes_step(w, a, eta)
+        dot = _payoff(a, w)
+        losses[t] = -math.log(dot)
+        w = _soft_bayes_update(w, a, eta, dot)
     return OpsTranscript(eta=eta, portfolios=portfolios, losses=losses)
 
 
@@ -163,33 +182,145 @@ def best_fixed_portfolio(
 ) -> ComparatorResult:
     """Best fixed portfolio in hindsight, certified by a duality gap.
 
-    Runs the multiplicative fixed-point iteration w <- w * G / T with
-    G_j = sum_t a_tj / <a_t, w>, which is monotone in the cumulative loss,
-    and stops once the first-order gap max_j G_j - T is at most `tol`.
-    Columns that never pay out lose all weight after one step, so streams
-    whose optimum sits on a simplex face need no special casing.
+    Minimizes the cumulative loss -sum_t log<a_t, w> over the simplex with
+    the batch oracle's accelerated projected gradient, from the uniform
+    portfolio. Minus its gradient is G_j = sum_t a_tj / <a_t, w>, and the
+    solver stops once the first-order gap max_j G_j - T is at most `tol`.
+    The projection onto the simplex zeroes coordinates exactly, so optima on
+    a face or a vertex of the simplex need no special casing. The loss and
+    the gap are those of the returned weights.
     """
     returns = validate_return_stream(returns)
     rounds, dim = returns.shape
 
     w = np.full(dim, 1.0 / dim)
-    gap = math.inf
-    for it in range(1, max_iters + 1):
-        payoff = returns @ w
-        if payoff.min() <= 0.0:
-            raise DomainError("comparator objective is infinite at the current iterate")
-        G = returns.T @ (1.0 / payoff)
-        gap = float(G.max()) - rounds
+    payoff = returns @ w
+    if payoff.min() <= 0.0:
+        raise DomainError("comparator objective is infinite at the uniform portfolio")
+    w, payoff, gap, steps = _accelerated_ml(
+        w, payoff,
+        overlaps=lambda v: returns @ v,
+        gradient=lambda p: returns.T @ (1.0 / p),
+        project=_simplex_projection,
+        certificate=lambda G: float(G.max()) - rounds,
+        counts=np.ones(rounds), total=1,
+        tol=tol, max_iters=max_iters, what="comparator",
+    )
+    loss = -float(np.log(payoff).sum())
+    return ComparatorResult(weights=w, loss=loss, gap=gap, iterations=steps)
+
+
+def _accelerated_ml(
+    x: np.ndarray,
+    p: np.ndarray,
+    overlaps: Callable[[np.ndarray], np.ndarray],
+    gradient: Callable[[np.ndarray], np.ndarray],
+    project: Callable[[np.ndarray], np.ndarray],
+    certificate: Callable[[np.ndarray], float],
+    counts: np.ndarray,
+    total: int,
+    tol: float,
+    max_iters: int,
+    what: str,
+) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Minimize f = -(1/total) sum_k counts_k log p_k(x) over a convex set.
+
+    Accelerated projected gradient with restarts (Shang, Zhang and Ng, PRA
+    95, 062336, 2017), the one solver loop of both the quantum ML oracle and
+    the classical comparator. Each p_k is linear in x and positive where f
+    is finite. The caller supplies its problem's pieces:
+    `overlaps(x)`, the vector p at a point x; `gradient(p)`, minus the
+    gradient of f at a point with overlaps p; `project(v)`, the feasible
+    point nearest to v; and `certificate(g)`, the duality gap at a point
+    where minus the gradient is g. `x` is the feasible start and `p` its
+    overlaps, all positive.
+
+    Each step moves along minus the gradient from a FISTA extrapolation of
+    the last two iterates and projects back. The step halves until it keeps
+    every overlap positive and passes a sufficient-decrease test, and grows
+    by a fifth after each accepted step; the momentum restarts whenever f
+    would rise. Both tests compare overlaps, not values of f, so they stay
+    exact to the last bits near the optimum.
+
+    Returns `(x, p, gap, steps)` once `certificate <= tol` at x, the
+    certificate taken on exactly the returned point; raises `SolverError`
+    with the best gap seen after `max_iters` steps.
+    """
+    prev, p_prev = x, p  # the previous iterate and its overlaps
+    # theta is Nesterov's t_k from t_0 = 0: the first two steps, like the two
+    # after a restart (which sets t = 1), carry no momentum
+    theta, step = 0.0, 1.0
+    best_gap = math.inf
+
+    for steps in range(max_iters):
+        grad_x = gradient(p)
+        gap = certificate(grad_x)
+        best_gap = min(best_gap, gap)
         if gap <= tol:
-            loss = -float(np.log(payoff).sum())
-            return ComparatorResult(weights=w, loss=loss, gap=gap, iterations=it - 1)
-        w = w * G / rounds
-        w = w / w.sum()  # absorb rounding drift; mathematically already 1
+            return x, p, gap, steps
+
+        theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
+        y, p_y, grad = x, p, grad_x
+        if theta > 1.0:
+            beta = (theta - 1.0) / theta_next
+            p_y = p + beta * (p - p_prev)  # overlaps are linear in the point
+            if p_y.min() > 0.0:
+                y = x + beta * (x - prev)
+                grad = gradient(p_y)
+            else:
+                p_y, theta_next = p, 1.0
+        while True:
+            cand = project(y + step * grad)
+            q = overlaps(cand)
+            d = cand - y
+            if q.min() <= 0.0 or _bregman(counts, total, p_y, q) > np.vdot(d, d).real / (2.0 * step):
+                step /= 2.0
+                # from x a short enough step always passes; from an
+                # extrapolated y, whose projection may zero an overlap, it
+                # need not
+                if q.min() > 0.0 or y is x:
+                    continue
+            elif y is x or _objective_change(counts, total, p, q) <= 0.0:
+                break
+            # restart the momentum: step from x itself
+            y, p_y, grad, theta_next = x, p, grad_x, 1.0
+        prev, p_prev = x, p
+        x, p, theta = cand, q, theta_next
+        step *= 1.2
+
     raise SolverError(
-        f"comparator gap {gap:.3e} above tolerance {tol:.1e} after {max_iters} iterations",
-        gap=gap,
+        f"{what} gap {best_gap:.3e} above tolerance {tol:.1e} after {max_iters} iterations",
+        gap=best_gap,
         iterations=max_iters,
     )
+
+
+def _simplex_projection(v: np.ndarray) -> np.ndarray:
+    """The point of the probability simplex nearest in Euclidean norm to v.
+
+    Shifts v by the tau with sum(max(v - tau, 0)) = 1 and clips at zero, so
+    every coordinate at or below tau is exactly 0.
+    """
+    top = np.sort(v)[::-1]
+    tau = (np.cumsum(top) - 1.0) / np.arange(1, len(v) + 1)
+    tau = tau[np.flatnonzero(top > tau)[-1]]
+    return np.maximum(v - tau, 0.0)
+
+
+def _objective_change(counts: np.ndarray, total: int, p: np.ndarray, q: np.ndarray) -> float:
+    """f at overlaps q minus f at overlaps p, taken from their ratios."""
+    return float(-(counts @ np.log1p((q - p) / p)) / total)
+
+
+def _bregman(counts: np.ndarray, total: int, p: np.ndarray, q: np.ndarray) -> float:
+    """f(q) - f(p) - <grad f(p), q - p> in overlaps, without subtracting values of f.
+
+    Equals (1/total) sum_k c_k (u_k - log(1 + u_k)) with u = q / p - 1, a
+    sum of nonnegative terms that, unlike a difference of two values of f,
+    stays accurate when q is close to p.
+    """
+    u = (q - p) / p
+    return float(counts @ (u - np.log1p(u)) / total)
 
 
 def kelly_online_to_batch(sampler, rounds: int, seed: int, eta: float | None = None) -> np.ndarray:

@@ -27,7 +27,7 @@ from .linalg import (
     validate_density,
     validate_observation,
 )
-from .portfolio import SolverError, learning_rate
+from .portfolio import _accelerated_ml, _simplex_projection, learning_rate
 from .qsb import QsbState, _play
 
 
@@ -420,14 +420,10 @@ def batch_ml_solve(
 ) -> tuple[np.ndarray, float]:
     """Minimize the ML objective over density matrices; certified by duality gap.
 
-    Accelerated projected gradient with restarts (Shang, Zhang and Ng, PRA
-    95, 062336, 2017). The gradient of f is -R(rho); each step moves along R
-    from a FISTA extrapolation of the last two iterates and projects back
-    onto the density matrices. The step halves until it keeps every overlap
-    positive and passes a sufficient-decrease test, and grows by a fifth
-    after each accepted step; the momentum restarts whenever f would rise.
-    Both tests compare overlaps, not values of f, so they stay exact to the
-    last bits near the optimum.
+    Runs the accelerated projected-gradient loop shared with the classical
+    comparator (Shang, Zhang and Ng, PRA 95, 062336, 2017) from the maximally
+    mixed state. Minus the gradient of f is R(rho), and each step projects
+    back onto the density matrices with one eigendecomposition.
 
     Terminates when lambda_max(R(rho)) - 1 <= tol, which certifies rho
     within tol of stationarity regardless of the path taken. The certificate
@@ -435,59 +431,20 @@ def batch_ml_solve(
     `stationarity_operator`; f is its `ml_objective`. Every sum runs over
     the distinct records, weighted by their counts.
     """
-    E = data.elements
-    dim = data.dim
-    rho = np.eye(dim, dtype=complex) / dim
-    p = _overlaps(E, rho)
+    rho = np.eye(data.dim, dtype=complex) / data.dim
+    p = _overlaps(data.elements, rho)
     if p.min() <= 0.0:
         raise DomainError("ML objective is infinite at the maximally mixed state")
-    prev, p_prev = rho, p  # the previous iterate and its overlaps
-    # theta is Nesterov's t_k from t_0 = 0: the first two steps, like the two
-    # after a restart (which sets t = 1), carry no momentum
-    theta, step = 0.0, 1.0
-    best_gap = math.inf
-
-    for _ in range(max_iters):
-        R = _stationarity(data, p)
-        gap = float(np.linalg.eigvalsh(R)[-1]) - 1.0
-        best_gap = min(best_gap, gap)
-        if gap <= tol:
-            return rho, _neg_log_likelihood(data, p)
-
-        theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
-        y, p_y, grad = rho, p, R
-        if theta > 1.0:
-            beta = (theta - 1.0) / theta_next
-            p_y = p + beta * (p - p_prev)  # overlaps are linear in the state
-            if p_y.min() > 0.0:
-                y = rho + beta * (rho - prev)
-                grad = _stationarity(data, p_y)
-            else:
-                p_y, theta_next = p, 1.0
-        while True:
-            cand = _density_projection(y + step * grad)
-            q = _overlaps(E, cand)
-            d = cand - y
-            if q.min() <= 0.0 or _bregman(data, p_y, q) > np.vdot(d, d).real / (2.0 * step):
-                step /= 2.0
-                # from rho a short enough step always passes; from an
-                # extrapolated y, whose projection may be orthogonal to an
-                # element, it need not
-                if q.min() > 0.0 or y is rho:
-                    continue
-            elif y is rho or _objective_change(data, p, q) <= 0.0:
-                break
-            # restart the momentum: step from rho itself
-            y, p_y, grad, theta_next = rho, p, R, 1.0
-        prev, p_prev = rho, p
-        rho, p, theta = cand, q, theta_next
-        step *= 1.2
-
-    raise SolverError(
-        f"ML solver gap {best_gap:.3e} above tolerance {tol:.1e} after {max_iters} iterations",
-        gap=best_gap,
-        iterations=max_iters,
+    rho, p, _, _ = _accelerated_ml(
+        rho, p,
+        overlaps=lambda x: _overlaps(data.elements, x),
+        gradient=lambda q: _stationarity(data, q),
+        project=_density_projection,
+        certificate=lambda R: float(np.linalg.eigvalsh(R)[-1]) - 1.0,
+        counts=data.counts, total=len(data),
+        tol=tol, max_iters=max_iters, what="ML solver",
     )
+    return rho, _neg_log_likelihood(data, p)
 
 
 def _density_projection(H: np.ndarray) -> np.ndarray:
@@ -496,26 +453,7 @@ def _density_projection(H: np.ndarray) -> np.ndarray:
     Keeps H's eigenvectors and projects its eigenvalues onto the simplex.
     """
     w, V = hermitian_eigh(H)
-    # w is ascending; tau is the shift with sum(max(w - tau, 0)) = 1
-    top = w[::-1]
-    tau = (np.cumsum(top) - 1.0) / np.arange(1, len(w) + 1)
-    tau = tau[np.flatnonzero(top > tau)[-1]]
-    keep = w > tau
+    w = _simplex_projection(w)
+    keep = w > 0.0
     V = V[:, keep]
-    return hermitianize((V * (w[keep] - tau)) @ V.conj().T)
-
-
-def _objective_change(data: Dataset, p: np.ndarray, q: np.ndarray) -> float:
-    """f at overlaps q minus f at overlaps p, taken from their ratios."""
-    return float(-(data.counts @ np.log1p((q - p) / p)) / len(data))
-
-
-def _bregman(data: Dataset, p: np.ndarray, q: np.ndarray) -> float:
-    """f(q) - f(p) - <grad f(p), q - p> in overlaps, without subtracting values of f.
-
-    Equals (1/N) sum_k c_k (u_k - log(1 + u_k)) with u = q / p - 1, a sum of
-    nonnegative terms that, unlike a difference of two values of f, stays
-    accurate when q is close to p.
-    """
-    u = (q - p) / p
-    return float(data.counts @ (u - np.log1p(u)) / len(data))
+    return hermitianize((V * w[keep]) @ V.conj().T)

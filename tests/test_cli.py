@@ -22,10 +22,11 @@ from qsoftbayes.cli import (
     ml_error_bound,
     parse_config_file,
     validate_config,
+    write_ops_report,
 )
-from qsoftbayes.ensembles import make_rng, random_density
+from qsoftbayes.ensembles import make_rng, random_density, uniform_returns
 from qsoftbayes.linalg import validate_density
-from qsoftbayes.portfolio import ops_regret_bound
+from qsoftbayes.portfolio import best_fixed_portfolio, ops_regret_bound, run_ops_game
 from qsoftbayes.serialize import (
     load_dataset,
     load_matrix,
@@ -33,6 +34,7 @@ from qsoftbayes.serialize import (
     save_dataset,
     save_matrix,
     save_return_stream,
+    write_csv,
 )
 from qsoftbayes.tomography import generate_dataset, pauli_basis_povms
 
@@ -203,6 +205,20 @@ class TestOpsGameMode:
         summary = manifest["seed_summaries"][0]
         assert summary["comparator_gap"] <= 1e-8
         assert summary["regret"] <= summary["regret_bound"]
+
+    def test_report_equals_the_row_by_row_reference(self, tmp_path):
+        returns = uniform_returns(make_rng(3), 500, 4)
+        transcript = run_ops_game(returns)
+        weights = best_fixed_portfolio(returns).weights
+        write_ops_report(tmp_path / "ops.csv", transcript, returns, weights)
+        cum = transcript.cumulative_losses
+        comp_cum = np.cumsum(-np.log(returns @ weights))
+        write_csv(tmp_path / "reference.csv", OPS_COLUMNS, [
+            (t + 1, transcript.losses[t], cum[t], comp_cum[t],
+             cum[t] - comp_cum[t], ops_regret_bound(4, t + 1))
+            for t in range(500)
+        ])
+        assert (tmp_path / "ops.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_same_config_same_bytes(self, tmp_path, run_cli):
         args = ["ops-game", "--dim", "2", "--rounds", "25", "--seeds", "7"]
@@ -507,17 +523,24 @@ def stable_artifacts(run_dir: Path) -> dict[str, bytes]:
 
 
 def test_ml_run_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """The oracle's and the likelihood's BLAS reductions give the same bits
-    on one BLAS thread and on two, so every CSV and matrix artifact does."""
+    """The oracle's, the comparator's and the likelihood's BLAS reductions give
+    the same bits on one BLAS thread and on two, so every CSV and matrix
+    artifact of ml-run and ops-game does."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    runs = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-m", "qsoftbayes.cli", "ml-run", "--qubits", "3",
-                        "--shots", "4000", "--rounds", "300", "--seeds", "0", "--out", str(out)],
-                       env=env, check=True, capture_output=True, timeout=300)
-        runs[threads] = stable_artifacts(out)
-    assert {"ml_seed0.csv", "rho_hat_oracle.json", "rho_bar_seed0.json"} <= runs["1"].keys()
-    assert runs["1"] == runs["2"]
+    cases = {
+        "ml-run": (["--qubits", "3", "--shots", "4000", "--rounds", "300", "--seeds", "0"],
+                   {"ml_seed0.csv", "rho_hat_oracle.json", "rho_bar_seed0.json"}),
+        "ops-game": (["--dim", "16", "--rounds", "5000", "--seeds", "0"], {"ops_seed0.csv"}),
+    }
+    for command, (args, expected) in cases.items():
+        runs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"{command}-threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "qsoftbayes.cli", command, *args,
+                            "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            runs[threads] = stable_artifacts(out)
+        assert expected <= runs["1"].keys(), command
+        assert runs["1"] == runs["2"], command

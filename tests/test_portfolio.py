@@ -116,6 +116,20 @@ class TestRunOpsGame:
         assert transcript.losses[1] == pytest.approx(-0.4054651081081644, rel=1e-14)
         assert np.allclose(transcript.average_portfolio, [0.625, 0.375], atol=1e-15)
 
+    def test_transcript_equals_a_loop_of_the_step(self):
+        returns = uniform_returns(make_rng(26), 300, 5)
+        transcript = run_ops_game(returns)
+        w = np.full(5, 0.2)
+        for t, a in enumerate(returns):
+            assert np.array_equal(transcript.portfolios[t], w)
+            assert transcript.losses[t] == -math.log(float(np.dot(a, w)))
+            w = soft_bayes_step(w, a, transcript.eta)
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0, -0.1, 1.5])
+    def test_eta_out_of_range(self, eta):
+        with pytest.raises(DomainError, match="eta"):
+            run_ops_game(np.ones((4, 2)), eta=eta)
+
     def test_default_eta_is_the_tuned_rate(self):
         transcript = run_ops_game(np.ones((7, 4)))
         assert transcript.eta == learning_rate(4, 7)
@@ -248,6 +262,39 @@ class TestBestFixedPortfolio:
         with pytest.raises(ValidationError) as err:
             best_fixed_portfolio(returns)
         assert "round 3" in str(err.value)
+
+    @pytest.mark.parametrize("tol, max_iters", [(1e-8, 50), (1e-10, 100)])
+    def test_twenty_thousand_rounds_are_certified_in_few_steps(self, tol, max_iters):
+        returns = uniform_returns(make_rng(0), 20000, 16)
+        result = best_fixed_portfolio(returns, tol=tol, max_iters=max_iters)
+        G = returns.T @ (1.0 / (returns @ result.weights))
+        assert result.gap == float(G.max()) - 20000 <= tol
+        assert result.loss == -float(np.log(returns @ result.weights).sum())
+        validate_portfolio(result.weights)
+
+    def test_column_that_never_pays_gets_exactly_zero_weight(self):
+        returns = uniform_returns(make_rng(24), 500, 5)
+        returns[:, 2] = 0.0
+        result = best_fixed_portfolio(returns)
+        assert result.weights[2] == 0.0
+        assert np.all(np.delete(result.weights, 2) > 0.0)
+        assert result.gap <= 1e-8
+
+    def test_dominating_column_gives_a_vertex_with_zero_gap(self):
+        returns = uniform_returns(make_rng(25), 300, 4)
+        returns[:, 1] = 1.5 * returns.max(axis=1)
+        result = best_fixed_portfolio(returns)
+        assert np.array_equal(result.weights, [0.0, 1.0, 0.0, 0.0])
+        assert result.gap == 0.0
+        assert result.loss == -float(np.log(returns[:, 1]).sum())
+
+    def test_single_round_puts_all_weight_on_the_best_columns(self):
+        result = best_fixed_portfolio(np.array([[0.3, 0.9, 0.2]]))
+        assert np.array_equal(result.weights, [0.0, 1.0, 0.0])
+        assert result.gap == 0.0
+        assert result.loss == -math.log(0.9)
+        tie = best_fixed_portfolio(np.array([[0.2, 0.2, 0.1]]))
+        assert tie.weights[2] == 0.0 and tie.gap <= 1e-8
 
 
 class TestKellyOnlineToBatch:

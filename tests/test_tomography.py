@@ -5,7 +5,12 @@ from hypothesis import given, settings, strategies as st
 from qsoftbayes import cli, tomography
 from qsoftbayes.ensembles import make_rng, random_density, random_psd, uniform_returns
 from qsoftbayes.linalg import DomainError, ValidationError, hermitianize, hs_inner
-from qsoftbayes.portfolio import SolverError, kelly_online_to_batch, learning_rate
+from qsoftbayes.portfolio import (
+    SolverError,
+    best_fixed_portfolio,
+    kelly_online_to_batch,
+    learning_rate,
+)
 from qsoftbayes.qsb import qsb_init, qsb_regret_bound, qsb_step
 from qsoftbayes.tomography import (
     Dataset,
@@ -576,6 +581,17 @@ class TestBatchMlSolve:
         data = generate_dataset(rho_true, pauli_basis_povms(2), 6000, make_rng(40))
         rho, f = batch_ml_solve(data, tol=1e-12, max_iters=500)
         assert np.linalg.eigvalsh(stationarity_operator(rho, data))[-1] - 1.0 <= 1e-12
+
+    @pytest.mark.parametrize("seed, rounds, dim", [(0, 200, 3), (1, 500, 4), (2, 1000, 8)])
+    def test_diagonal_records_reduce_to_the_classical_comparator(self, seed, rounds, dim):
+        """On the elements diag(a_t) the oracle is the best fixed portfolio:
+        the two certificates bound their values' distance by T tol + tol."""
+        returns = uniform_returns(make_rng(seed), rounds, dim)
+        data = Dataset(matrices=np.stack([np.diag(a) for a in returns]).astype(complex))
+        rho, f_star = batch_ml_solve(data, tol=1e-7)
+        comparator = best_fixed_portfolio(returns, tol=1e-8)
+        assert abs(rounds * f_star - comparator.loss) <= rounds * 1e-7 + 1e-8
+        assert np.array_equal(rho, np.diag(np.diag(rho)))
 
 
 class TestThreeQubitOracle:
