@@ -193,12 +193,8 @@ def best_fixed_portfolio(
     returns = validate_return_stream(returns)
     rounds, dim = returns.shape
 
-    w = np.full(dim, 1.0 / dim)
-    payoff = returns @ w
-    if payoff.min() <= 0.0:
-        raise DomainError("comparator objective is infinite at the uniform portfolio")
     w, payoff, gap, steps = _accelerated_ml(
-        w, payoff,
+        np.full(dim, 1.0 / dim),
         overlaps=lambda v: returns @ v,
         gradient=lambda p: returns.T @ (1.0 / p),
         project=_simplex_projection,
@@ -212,7 +208,6 @@ def best_fixed_portfolio(
 
 def _accelerated_ml(
     x: np.ndarray,
-    p: np.ndarray,
     overlaps: Callable[[np.ndarray], np.ndarray],
     gradient: Callable[[np.ndarray], np.ndarray],
     project: Callable[[np.ndarray], np.ndarray],
@@ -232,8 +227,8 @@ def _accelerated_ml(
     `overlaps(x)`, the vector p at a point x; `gradient(p)`, minus the
     gradient of f at a point with overlaps p; `project(v)`, the feasible
     point nearest to v; and `certificate(g)`, the duality gap at a point
-    where minus the gradient is g. `x` is the feasible start and `p` its
-    overlaps, all positive.
+    where minus the gradient is g. `x` is the feasible start; a
+    `DomainError` is raised unless its overlaps are all positive.
 
     Each step moves along minus the gradient from a FISTA extrapolation of
     the last two iterates and projects back. The step halves until it keeps
@@ -246,6 +241,9 @@ def _accelerated_ml(
     certificate taken on exactly the returned point; raises `SolverError`
     with the best gap seen after `max_iters` steps.
     """
+    p = overlaps(x)
+    if p.min() <= 0.0:
+        raise DomainError(f"{what} objective is infinite at the start")
     prev, p_prev = x, p  # the previous iterate and its overlaps
     # theta is Nesterov's t_k from t_0 = 0: the first two steps, like the two
     # after a restart (which sets t = 1), carry no momentum

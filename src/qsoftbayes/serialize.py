@@ -261,11 +261,9 @@ def _load(path) -> dict:
 
 def format_cell(value) -> str:
     """One CSV cell: ints verbatim, floats at 17 significant digits."""
-    if type(value) is float:
-        return "%.17g" % value  # the text of format(value, ".17g"), sooner
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format(float(value), ".17g")
+    return "%.17g" % float(value)
 
 
 def write_csv(path, columns: list[str], rows) -> None:

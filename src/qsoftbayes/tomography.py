@@ -431,12 +431,8 @@ def batch_ml_solve(
     `stationarity_operator`; f is its `ml_objective`. Every sum runs over
     the distinct records, weighted by their counts.
     """
-    rho = np.eye(data.dim, dtype=complex) / data.dim
-    p = _overlaps(data.elements, rho)
-    if p.min() <= 0.0:
-        raise DomainError("ML objective is infinite at the maximally mixed state")
     rho, p, _, _ = _accelerated_ml(
-        rho, p,
+        np.eye(data.dim, dtype=complex) / data.dim,
         overlaps=lambda x: _overlaps(data.elements, x),
         gradient=lambda q: _stationarity(data, q),
         project=_density_projection,
