@@ -22,9 +22,7 @@ from .ensembles import (
     uniform_returns,
 )
 from .linalg import (
-    DEFAULT_TOLS,
     DomainError,
-    Tolerances,
     ValidationError,
     golden_thompson_gap,
     herm_exp,
@@ -77,7 +75,7 @@ __all__ = [
     "make_rng", "psd_observation_stream", "random_density", "random_hermitian",
     "random_psd", "random_rank1_observation", "random_unit_vector",
     "random_unitary", "rank1_observation_stream", "uniform_returns",
-    "DEFAULT_TOLS", "DomainError", "Tolerances", "ValidationError",
+    "DomainError", "ValidationError",
     "golden_thompson_gap", "herm_exp", "herm_log", "hermitianize", "hs_inner",
     "matrix_fn", "spectral", "validate_density",
     "validate_observation",

@@ -65,8 +65,35 @@ from .tomography import (
     stochastic_qsb_seeds,
 )
 
-MODES = ("ops-game", "qst-game", "ml-run", "scaling-bench", "validate")
 POVM_KINDS = ("pauli-basis", "random-rank1", "from-file")
+
+# Help for the flags whose name does not say it all; flag --<key> sets key.
+KEY_HELP = {
+    "dim": "dimension D, or a comma list for scaling-bench",
+    "qubits": "number of qubits q (D = 2^q)",
+    "eta": "learning rate in (0, 1); defaults to the horizon-tuned rate",
+    "seeds": "comma-separated seed list",
+    "input": "input container file, with --povm from-file",
+    "checkpoints": "comma list, 'auto', or '' for none",
+    "shots": "size of the generated dataset",
+    "data-seed": "seed of the generated truth state and dataset",
+}
+
+# The keys each mode takes, and the measurement models of the modes that
+# take one. The subparsers, the --config reader and the manifest echo all
+# read these tables.
+_GAME_KEYS = ("dim", "qubits", "rounds", "eta", "seeds", "out")
+MODE_KEYS = {
+    "ops-game": _GAME_KEYS,
+    "qst-game": _GAME_KEYS + ("povm", "input"),
+    "ml-run": _GAME_KEYS + ("povm", "checkpoints", "input", "shots", "data-seed"),
+    "scaling-bench": _GAME_KEYS,
+    "validate": ("input",),
+}
+MODE_POVMS = {"qst-game": POVM_KINDS, "ml-run": ("pauli-basis", "from-file")}
+# Under a mode with a povm, these keys apply only with povm=from-file (True)
+# or only to a generated stream (False).
+_FROM_FILE = {"input": True, "shots": False, "data-seed": False}
 
 OPS_COLUMNS = ["round", "loss", "cum_loss", "comparator_loss", "regret", "bound"]
 QST_COLUMNS = ["round", "loss", "cum_loss", "true_trace", "min_eig_rho"]
@@ -84,6 +111,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run. The CLI leaves a field its mode does not take at its default."""
+
     mode: str
     dims: tuple[int, ...] = ()
     povm: str = "pauli-basis"
@@ -97,9 +126,18 @@ class ExperimentConfig:
     data_seed: int = 0
 
 
+def _mode_keys(mode: str, povm: str) -> tuple[str, ...]:
+    """The config keys `mode` takes, with `povm` as its measurement model."""
+    if mode not in MODE_KEYS:
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(MODE_KEYS)}")
+    if mode not in MODE_POVMS:
+        return MODE_KEYS[mode]
+    from_file = povm == "from-file"
+    return tuple(k for k in MODE_KEYS[mode] if _FROM_FILE.get(k, from_file) == from_file)
+
+
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
-    if config.mode not in MODES:
-        raise ConfigError(f"unknown mode {config.mode!r}; expected one of {', '.join(MODES)}")
+    _mode_keys(config.mode, config.povm)  # refuses an unknown mode
     if config.mode == "validate":
         if not config.input_path:
             raise ConfigError("validate mode requires an input file")
@@ -118,17 +156,21 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"shots must be at least 1, got {config.shots}")
     if not config.seeds:
         raise ConfigError("at least one seed is required")
+    if min(config.seeds) < 0 or len(set(config.seeds)) != len(config.seeds):
+        raise ConfigError(f"seeds must be distinct and nonnegative, got {config.seeds}")
+    if config.mode == "scaling-bench" and len(config.seeds) != 1:
+        raise ConfigError(f"mode scaling-bench takes exactly one seed, got {config.seeds}")
+    if config.data_seed < 0:
+        raise ConfigError(f"data-seed must be nonnegative, got {config.data_seed}")
     if config.eta is not None and not 0.0 < config.eta < 1.0:
         raise ConfigError(f"eta must be in (0, 1), got {config.eta}")
-    if config.povm not in POVM_KINDS:
-        raise ConfigError(f"unknown povm {config.povm!r}; expected one of {', '.join(POVM_KINDS)}")
+    povms = MODE_POVMS.get(config.mode, POVM_KINDS)
+    if config.povm not in povms:
+        raise ConfigError(f"povm must be one of {', '.join(povms)} in {config.mode}, got {config.povm!r}")
     if config.povm == "from-file" and not config.input_path:
         raise ConfigError("povm=from-file requires --input")
-    if config.mode == "ml-run":
-        if config.povm == "random-rank1":
-            raise ConfigError("ml-run needs a measurement model: povm must be pauli-basis or from-file")
-        if config.povm == "pauli-basis" and config.dims[0] & (config.dims[0] - 1):
-            raise ConfigError(f"pauli-basis requires a power-of-two dimension, got {config.dims[0]}")
+    if config.mode in MODE_POVMS and config.povm == "pauli-basis" and config.dims[0] & (config.dims[0] - 1):
+        raise ConfigError(f"pauli-basis requires a power-of-two dimension, got {config.dims[0]}")
     if config.checkpoints is not None:
         bad = [c for c in config.checkpoints if not 1 <= c <= config.rounds]
         if bad:
@@ -138,83 +180,68 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
 
 # --- config serialization -------------------------------------------------
 
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(",") if part.strip() != "")
+
+
+def _csv(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+# Each key's ExperimentConfig field, how the key's text is read, and how the
+# manifest echo writes the field back. "qubits" is read as "dim".
+_FIELDS = {
+    "dim": ("dims", _ints, _csv),
+    "rounds": ("rounds", int, str),
+    "eta": ("eta", lambda text: float(text) if text else None,
+            lambda eta: "" if eta is None else format(eta, ".17g")),
+    "seeds": ("seeds", _ints, _csv),
+    "out": ("out", str, str),
+    "povm": ("povm", str, str),
+    "input": ("input_path", str, str),
+    "checkpoints": ("checkpoints", lambda text: None if text == "auto" else _ints(text),
+                    lambda cps: "auto" if cps is None else _csv(cps)),
+    "shots": ("shots", int, str),
+    "data-seed": ("data_seed", int, str),
+}
+
+
 def config_to_mapping(config: ExperimentConfig) -> dict:
-    """Flat string mapping echoed into manifests and accepted back as a config."""
-    if config.checkpoints is None:
-        checkpoints = "auto"
-    else:
-        checkpoints = ",".join(str(c) for c in config.checkpoints)
-    return {
-        "mode": config.mode,
-        "dim": ",".join(str(d) for d in config.dims),
-        "povm": config.povm,
-        "shots": str(config.shots),
-        "rounds": str(config.rounds),
-        "eta": "" if config.eta is None else format(config.eta, ".17g"),
-        "seeds": ",".join(str(s) for s in config.seeds),
-        "checkpoints": checkpoints,
-        "out": config.out,
-        "input": config.input_path,
-        "data-seed": str(config.data_seed),
-    }
+    """The keys the config's mode takes, as strings: the manifest echo, which
+    is accepted back as a config."""
+    keys = [k for k in _mode_keys(config.mode, config.povm) if k in _FIELDS]
+    return {"mode": config.mode,
+            **{k: _FIELDS[k][2](getattr(config, _FIELDS[k][0])) for k in keys}}
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
+def _read(key: str, text: str, reader):
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
+        return reader(text)
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {what} from {text!r}") from exc
+        raise ConfigError(f"cannot parse {key} from {text!r}") from exc
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
-    known = {
-        "mode", "dim", "qubits", "povm", "shots", "rounds", "eta",
-        "seeds", "checkpoints", "out", "input", "data-seed",
-    }
-    unknown = set(mapping) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    m = {k: str(v) for k, v in mapping.items()}
+    m = {str(k): str(v) for k, v in mapping.items()}
     if "mode" not in m:
         raise ConfigError("config is missing a mode")
+    mode = m.pop("mode")
+    povm = m.get("povm", ExperimentConfig.povm)
+    unknown = sorted(set(m) - set(_mode_keys(mode, povm)))
+    if unknown:
+        under = f" with povm={povm}" if mode in MODE_POVMS else ""
+        raise ConfigError(f"unknown config keys for {mode}{under}: {', '.join(unknown)}")
 
-    if m.get("dim") and m.get("qubits"):
-        raise ConfigError("give either dim or qubits, not both")
-    if m.get("qubits"):
-        try:
-            qubits = int(m["qubits"])
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse qubits from {m['qubits']!r}") from exc
-        if not 1 <= qubits <= MAX_QUBITS:
-            raise ConfigError(f"qubits must be in [1, {MAX_QUBITS}], got {qubits}")
-        dims: tuple[int, ...] = (2 ** qubits,)
-    elif m.get("dim"):
-        dims = _parse_int_list(m["dim"], "dim")
-    else:
-        dims = ()
-
-    checkpoints_text = m.get("checkpoints", "auto")
-    if checkpoints_text == "auto":
-        checkpoints = None
-    else:
-        checkpoints = _parse_int_list(checkpoints_text, "checkpoints")
-
-    try:
-        return ExperimentConfig(
-            mode=m["mode"],
-            dims=dims,
-            povm=m.get("povm", "pauli-basis"),
-            shots=int(m.get("shots", "1000")),
-            rounds=int(m.get("rounds", "1000")),
-            eta=float(m["eta"]) if m.get("eta") else None,
-            seeds=_parse_int_list(m.get("seeds", "0"), "seeds") or (0,),
-            checkpoints=checkpoints,
-            out=m.get("out", "runs"),
-            input_path=m.get("input", ""),
-            data_seed=int(m.get("data-seed", "0")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    qubits = m.pop("qubits", "")
+    if qubits:
+        if m.get("dim"):
+            raise ConfigError("give either dim or qubits, not both")
+        q = _read("qubits", qubits, int)
+        if not 1 <= q <= MAX_QUBITS:
+            raise ConfigError(f"qubits must be in [1, {MAX_QUBITS}], got {q}")
+        m["dim"] = str(2 ** q)
+    fields = {_FIELDS[k][0]: _read(k, text, _FIELDS[k][1]) for k, text in m.items()}
+    return ExperimentConfig(mode=mode, **fields)
 
 
 def parse_config_file(path) -> dict:
@@ -312,8 +339,6 @@ def _qst_stream(config: ExperimentConfig, seed: int) -> np.ndarray:
     if config.povm == "random-rank1":
         return rank1_observation_stream(rng, config.rounds, dim)
     if config.povm == "pauli-basis":
-        if dim & (dim - 1):
-            raise ConfigError(f"pauli-basis requires a power-of-two dimension, got {dim}")
         truth = random_density(rng, dim)
         data = generate_dataset(truth, pauli_basis_povms(dim.bit_length() - 1),
                                 config.rounds, rng)
@@ -423,20 +448,22 @@ def _run_ml(config: ExperimentConfig, out_dir: Path) -> dict:
     return extra
 
 
+def _scaling_row(config: ExperimentConfig, seed: int, dim: int) -> dict:
+    """Step times at one dimension; its stream is freed when this returns."""
+    stream = psd_observation_stream(make_rng(seed), config.rounds, dim)
+    times = run_qst_game(stream, config.eta).step_times_ns
+    return {
+        "dim": dim,
+        "rounds": config.rounds,
+        "step_ns_median": float(np.median(times)),
+        "step_ns_mean": float(np.mean(times)),
+        "step_ns_p90": float(np.percentile(times, 90)),
+    }
+
+
 def _run_scaling(config: ExperimentConfig, out_dir: str) -> dict:
     seed = config.seeds[0]
-    table = []
-    for dim in config.dims:
-        stream = psd_observation_stream(make_rng(seed), config.rounds, dim)
-        transcript = run_qst_game(stream, config.eta)
-        times = transcript.step_times_ns
-        table.append({
-            "dim": dim,
-            "rounds": config.rounds,
-            "step_ns_median": float(np.median(times)),
-            "step_ns_mean": float(np.mean(times)),
-            "step_ns_p90": float(np.percentile(times, 90)),
-        })
+    table = [_scaling_row(config, seed, dim) for dim in config.dims]
     ratios = [
         {"from_dim": a["dim"], "to_dim": b["dim"],
          "median_ratio": b["step_ns_median"] / a["step_ns_median"]}
@@ -542,57 +569,36 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Online learners for quantum state tomography and portfolio selection.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
+    for mode, keys in MODE_KEYS.items():
         p = sub.add_parser(mode)
         if mode == "validate":
-            p.add_argument("file", nargs="?", default=None, help="container file to check")
-        p.add_argument("--dim", help="dimension D, or a comma list for scaling-bench")
-        p.add_argument("--qubits", type=int, help="number of qubits q (D = 2^q)")
-        p.add_argument("--povm", choices=POVM_KINDS)
-        p.add_argument("--shots", type=int)
-        p.add_argument("--rounds", type=int)
-        p.add_argument("--eta", type=float)
-        p.add_argument("--seeds", help="comma-separated seed list")
-        p.add_argument("--checkpoints", help="comma list, 'auto', or '' for none")
-        p.add_argument("--out", help="output directory")
+            p.add_argument("input", nargs="?", metavar="file", help="container file to check")
+            continue
+        for key in keys:
+            metavar = "{" + ",".join(MODE_POVMS[mode]) + "}" if key == "povm" else None
+            p.add_argument(f"--{key}", dest=key, metavar=metavar, help=KEY_HELP.get(key))
         p.add_argument("--config", help="key=value file or a manifest JSON")
-        p.add_argument("--input", help="input container file")
-        p.add_argument("--data-seed", type=int, dest="data_seed",
-                       help="seed for dataset/truth generation in ml-run")
     return parser
 
 
 def _mapping_from_args(args: argparse.Namespace) -> dict:
-    if args.dim is not None and args.qubits is not None:
-        raise ConfigError("give either --dim or --qubits, not both")
-    mapping: dict = {}
-    if args.config:
-        mapping.update(parse_config_file(args.config))
-    flags = {
-        "dim": args.dim,
-        "qubits": args.qubits,
-        "povm": args.povm,
-        "shots": args.shots,
-        "rounds": args.rounds,
-        "eta": args.eta,
-        "seeds": args.seeds,
-        "checkpoints": args.checkpoints,
-        "out": args.out,
-        "input": getattr(args, "file", None) or args.input,
-        "data-seed": args.data_seed,
-    }
-    for key, value in flags.items():
-        if value is not None:
-            mapping[key] = str(value)
-    if args.qubits is not None:
-        mapping.pop("dim", None)  # an explicit --qubits overrides a file's dim
-    mapping["mode"] = args.mode
+    """The --config file's mapping, overridden by the flags that were given."""
+    flags = {k: v for k, v in vars(args).items() if v is not None and k not in ("mode", "config")}
+    mapping = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    if mapping.setdefault("mode", args.mode) != args.mode:
+        raise ConfigError(f"{args.config} configures mode {mapping['mode']}, not {args.mode}")
+    if "dim" in flags or "qubits" in flags:
+        mapping.pop("dim", None)  # a dimension flag replaces the file's dimension
+        mapping.pop("qubits", None)
+    mapping.update(flags)
     return mapping
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extras = _build_parser().parse_known_args(argv)
     try:
+        if extras:
+            raise ConfigError(f"unknown arguments for {args.mode}: {' '.join(extras)}")
         config = config_from_mapping(_mapping_from_args(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

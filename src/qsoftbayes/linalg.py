@@ -3,31 +3,19 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 import numpy.linalg as npl
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances used by validators and invariant checks.
-
-    sym_tol and recon_tol are relative to the matrix scale; the rest are
-    absolute. eval_floor is the threshold at or below which an eigenvalue
-    is outside the domain of the matrix logarithm.
-    """
-
-    sym_tol: float = 1e-12
-    psd_tol: float = 1e-10
-    trace_tol: float = 1e-9
-    recon_tol: float = 1e-10
-    ent_tol: float = 1e-9
-    eval_floor: float = 1e-300
-
-
-DEFAULT_TOLS = Tolerances()
+# Validator tolerances: SYM_TOL is relative to the matrix scale, the others
+# are absolute. An eigenvalue at or below EVAL_FLOOR is outside the domain of
+# the matrix logarithm.
+SYM_TOL = 1e-12
+PSD_TOL = 1e-10
+TRACE_TOL = 1e-9
+EVAL_FLOOR = 1e-300
 
 
 class ValidationError(ValueError):
@@ -82,15 +70,15 @@ def herm_exp(H: np.ndarray) -> np.ndarray:
     return matrix_fn(H, np.exp)
 
 
-def herm_log(H: np.ndarray, floor: float = DEFAULT_TOLS.eval_floor) -> np.ndarray:
+def herm_log(H: np.ndarray) -> np.ndarray:
     """log(H) for Hermitian positive-definite H.
 
-    Eigenvalues at or below `floor` are rejected rather than clipped: the
+    Eigenvalues at or below EVAL_FLOOR are rejected rather than clipped: the
     learners only ever take logs of matrices that are provably bounded away
     from singular, so hitting the floor means something upstream went wrong.
     """
     w, V = spectral(H)
-    if w[0] <= floor:
+    if w[0] <= EVAL_FLOOR:
         raise DomainError(f"eigenvalue {w[0]!r} is outside the domain of log")
     return hermitianize((V * np.log(w)) @ V.conj().T)
 
@@ -109,7 +97,7 @@ def hs_inner(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.vdot(A, B).real)
 
 
-def _hermitian_psd(M: np.ndarray, tol: Tolerances, symbol: str) -> np.ndarray:
+def _hermitian_psd(M: np.ndarray, symbol: str) -> np.ndarray:
     """Checks shared by the validators: a square, finite, Hermitian, PSD matrix.
 
     Returns the hermitianized copy. `symbol` names the matrix in messages.
@@ -122,36 +110,36 @@ def _hermitian_psd(M: np.ndarray, tol: Tolerances, symbol: str) -> np.ndarray:
         raise ValidationError(f"matrix norm is {norm!r}: an entry is non-finite or too large")
     scale = max(1.0, norm)
     dev = float(npl.norm(M - M.conj().T))
-    if dev > tol.sym_tol * scale:
+    if dev > SYM_TOL * scale:
         raise ValidationError(
-            f"not Hermitian: ||{symbol} - {symbol}^dagger|| = {dev:.3e} exceeds {tol.sym_tol:.1e} relative"
+            f"not Hermitian: ||{symbol} - {symbol}^dagger|| = {dev:.3e} exceeds {SYM_TOL:.1e} relative"
         )
     H = hermitianize(M)
     w = npl.eigvalsh(H)
-    if w[0] < -tol.psd_tol:
+    if w[0] < -PSD_TOL:
         raise ValidationError(
-            f"not positive semidefinite: min eigenvalue {w[0]:.3e} below -{tol.psd_tol:.1e}"
+            f"not positive semidefinite: min eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}"
         )
     return H
 
 
-def validate_density(M: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def validate_density(M: np.ndarray) -> np.ndarray:
     """Check that M is a density matrix; return its hermitianized copy.
 
     Raises ValidationError naming the violated invariant and by how much.
     """
-    H = _hermitian_psd(M, tol, "M")
+    H = _hermitian_psd(M, "M")
     tr_dev = abs(float(np.trace(H).real) - 1.0)
-    if tr_dev > tol.trace_tol:
+    if tr_dev > TRACE_TOL:
         raise ValidationError(
-            f"trace deviates from 1 by {tr_dev:.3e}, tolerance {tol.trace_tol:.1e}"
+            f"trace deviates from 1 by {tr_dev:.3e}, tolerance {TRACE_TOL:.1e}"
         )
     return H
 
 
-def validate_observation(A: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def validate_observation(A: np.ndarray) -> np.ndarray:
     """Check that A is a nonzero PSD Hermitian matrix; return it hermitianized."""
-    H = _hermitian_psd(A, tol, "A")
+    H = _hermitian_psd(A, "A")
     if not np.any(A):
         raise ValidationError("observation matrix is exactly zero")
     return H

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .ensembles import make_rng
-from .linalg import DomainError, ValidationError
+from .linalg import TRACE_TOL, DomainError, ValidationError
 
 
 class SolverError(RuntimeError):
@@ -60,7 +60,7 @@ class ComparatorResult:
     iterations: int
 
 
-def validate_portfolio(w: np.ndarray, trace_tol: float = 1e-9) -> np.ndarray:
+def validate_portfolio(w: np.ndarray) -> np.ndarray:
     """Check nonnegativity and unit sum; return the vector as float64."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
@@ -68,7 +68,7 @@ def validate_portfolio(w: np.ndarray, trace_tol: float = 1e-9) -> np.ndarray:
     if np.any(w < 0):
         raise ValidationError(f"portfolio has negative entry {w.min():.3e}")
     dev = abs(float(w.sum()) - 1.0)
-    if dev > trace_tol:
+    if dev > TRACE_TOL:
         raise ValidationError(f"portfolio sum deviates from 1 by {dev:.3e}")
     return w
 

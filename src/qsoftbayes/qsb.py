@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOLS,
+    EVAL_FLOOR,
     DomainError,
     SpectralDecomposition,
     ValidationError,
@@ -164,7 +164,7 @@ def _qsb_update(
     mu, U = spectrum
     g = (1.0 - eta) + np.array([eta / c for c in overlaps])[:, None] * mu
     for s, low in enumerate(g[:, 0].tolist()):
-        if low <= DEFAULT_TOLS.eval_floor:
+        if low <= EVAL_FLOOR:
             raise DomainError(f"{labels[s]}eigenvalue {low!r} of G is outside the domain of log")
     # both terms are exactly Hermitian, so their sum is too; C order, for the
     # diagonal view below

@@ -16,10 +16,9 @@ import numpy as np
 
 from .ensembles import make_rng
 from .linalg import (
-    DEFAULT_TOLS,
+    TRACE_TOL,
     DomainError,
     SpectralDecomposition,
-    Tolerances,
     ValidationError,
     hermitian_eigh,
     hermitianize,
@@ -120,23 +119,23 @@ class MlResult:
         return float(self.objective_values[-1])
 
 
-def validate_povm(elements: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def validate_povm(elements: np.ndarray) -> np.ndarray:
     """Check PSD elements summing to the identity; return a (J, D, D) stack."""
     M = np.asarray(elements, dtype=complex)
     if M.ndim != 3 or M.shape[1] != M.shape[2] or M.shape[0] < 1:
         raise ValidationError(f"expected a (J, D, D) stack of elements, got shape {M.shape}")
     for j in range(M.shape[0]):
         try:
-            validate_observation(M[j], tol)
+            validate_observation(M[j])
         except ValidationError as exc:
             raise ValidationError(f"element {j}: {exc}") from exc
     dev = float(np.abs(M.sum(axis=0) - np.eye(M.shape[1])).max())
-    if dev > tol.trace_tol:
+    if dev > TRACE_TOL:
         raise ValidationError(f"elements sum to identity only within {dev:.3e}")
     return M
 
 
-def validate_dataset(data: Dataset, tol: Tolerances = DEFAULT_TOLS) -> Dataset:
+def validate_dataset(data: Dataset) -> Dataset:
     """Check every record is a valid observation; return the dataset.
 
     Each distinct element is checked once; a failure names the first record
@@ -144,7 +143,7 @@ def validate_dataset(data: Dataset, tol: Tolerances = DEFAULT_TOLS) -> Dataset:
     """
     for k, A in enumerate(data.elements):
         try:
-            validate_observation(A, tol)
+            validate_observation(A)
         except ValidationError as exc:
             raise ValidationError(f"record {np.argmax(data.index == k)}: {exc}") from exc
     for name, idx in (("povm_indices", data.povm_indices), ("outcome_indices", data.outcome_indices)):
@@ -194,12 +193,12 @@ def ml_objective(rho: np.ndarray, data: Dataset) -> float:
     return _neg_log_likelihood(data, _positive_overlaps(data, rho))
 
 
-def _outcome_cdf(rho: np.ndarray, M: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _outcome_cdf(rho: np.ndarray, M: np.ndarray) -> np.ndarray:
     """The CDF that `sample_outcome` inverts: tr(M_j rho), checked and clipped."""
     p = _overlaps(M, rho)
-    if p.min() < -tol.trace_tol or p.max() > 1.0 + tol.trace_tol or abs(p.sum() - 1.0) > tol.trace_tol:
+    if p.min() < -TRACE_TOL or p.max() > 1.0 + TRACE_TOL or abs(p.sum() - 1.0) > TRACE_TOL:
         raise DomainError(
-            f"outcome probabilities deviate from the simplex beyond {tol.trace_tol:.1e}: "
+            f"outcome probabilities deviate from the simplex beyond {TRACE_TOL:.1e}: "
             f"min {p.min():.3e}, max {p.max():.3e}, sum {p.sum():.12f}"
         )
     p = np.clip(p, 0.0, 1.0)
@@ -210,18 +209,17 @@ def sample_outcome(
     rho: np.ndarray,
     povm: np.ndarray,
     rng: np.random.Generator,
-    tol: Tolerances = DEFAULT_TOLS,
 ) -> tuple[int, np.ndarray]:
     """Draw one measurement outcome j with probability tr(M_j rho).
 
     Probabilities are clipped to [0, 1] and renormalized, but only when they
-    deviate from the simplex by at most trace_tol; larger deviations mean the
+    deviate from the simplex by at most TRACE_TOL; larger deviations mean the
     inputs were not a POVM and a density matrix. Sampling inverts the CDF on
     a single uniform draw, so the outcome stream is a pure function of the
     generator state.
     """
     M = np.asarray(povm, dtype=complex)
-    cdf = _outcome_cdf(np.asarray(rho), M, tol)
+    cdf = _outcome_cdf(np.asarray(rho), M)
     j = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(cdf) - 1)
     return j, M[j]
 
@@ -246,7 +244,7 @@ def generate_dataset(
         raise ValidationError("at least one POVM is required")
     rho_true = validate_density(rho_true)
     stacks = [validate_povm(p) for p in povms]
-    cdfs = [_outcome_cdf(rho_true, M, DEFAULT_TOLS) for M in stacks]
+    cdfs = [_outcome_cdf(rho_true, M) for M in stacks]
     # one double per shot, in shot order: the same draws as rng.random() per shot
     uniforms = rng.random(shots)
     povm_idx = np.arange(shots, dtype=np.int64) % len(stacks)

@@ -58,6 +58,70 @@ def run_cli(capsys):
     return run
 
 
+@pytest.fixture()
+def dataset_file(tmp_path):
+    """A 12-record dataset at D = 2, saved as a container file."""
+    path = tmp_path / "data.json"
+    save_dataset(path, generate_dataset(random_density(make_rng(1), 2), pauli_basis_povms(1),
+                                        12, make_rng(1)))
+    return path
+
+
+# A small valid command line per mode, ml-run once with a generated and once
+# with a file dataset; "{input}" stands for a dataset file.
+RUNS = {
+    "ops-game": ["ops-game", "--dim", "2", "--rounds", "4", "--seeds", "0,1"],
+    "qst-game": ["qst-game", "--dim", "2", "--rounds", "4", "--povm", "random-rank1"],
+    "ml-run": ["ml-run", "--qubits", "1", "--shots", "20", "--rounds", "8", "--seeds", "1,0",
+               "--data-seed", "3", "--checkpoints", "2,8", "--eta", "0.25"],
+    "ml-run-from-file": ["ml-run", "--dim", "2", "--povm", "from-file", "--input", "{input}",
+                         "--rounds", "8"],
+    "scaling-bench": ["scaling-bench", "--dim", "2,4", "--rounds", "4", "--seeds", "3"],
+    "validate": ["validate", "{input}"],
+}
+# The flags each of those runs takes, as README's CLI table lists them.
+GAME_FLAGS = {"dim", "qubits", "rounds", "eta", "seeds", "out", "config"}
+TAKES = {
+    "ops-game": GAME_FLAGS,
+    "qst-game": GAME_FLAGS | {"povm"},
+    "ml-run": GAME_FLAGS | {"povm", "checkpoints", "shots", "data-seed"},
+    "ml-run-from-file": GAME_FLAGS | {"povm", "checkpoints", "input"},
+    "scaling-bench": GAME_FLAGS,
+    "validate": set(),
+}
+FLAG_VALUES = {"dim": "2", "qubits": "1", "rounds": "4", "eta": "0.5", "seeds": "0",
+               "out": "{out}", "config": "{config}", "povm": "pauli-basis",
+               "input": "{input}", "checkpoints": "2", "shots": "5", "data-seed": "1"}
+# A config-file key that belongs to another mode (or another povm), per run.
+FOREIGN_FILE_KEYS = {"ops-game": "shots=5", "qst-game": "data-seed=1",
+                     "ml-run": "mode=qst-game", "ml-run-from-file": "shots=5",
+                     "scaling-bench": "povm=pauli-basis"}
+FOREIGN_CASES = [
+    pytest.param(name, [f"--{flag}", FLAG_VALUES[flag]], "", id=f"{name}--{flag}")
+    for name, takes in TAKES.items() for flag in sorted(set(FLAG_VALUES) - takes)
+] + [
+    pytest.param(name, ["--config", "{config}"], text, id=f"{name}-file-{text.split('=')[0]}")
+    for name, text in FOREIGN_FILE_KEYS.items()
+]
+
+
+@pytest.mark.parametrize("name, extra, config_text", FOREIGN_CASES)
+def test_a_flag_or_key_the_mode_does_not_take_is_refused(tmp_path, capsys, dataset_file,
+                                                          name, extra, config_text):
+    """Exit 2, one config error line and no output directory."""
+    config = tmp_path / "run.cfg"
+    config.write_text(config_text or "rounds=4\n")
+    out = tmp_path / "run"
+    paths = {"input": dataset_file, "config": config, "out": out}
+    argv = [arg.format(**paths) for arg in RUNS[name] + extra]
+    if name != "validate" and "--out" not in extra:
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestConfigMapping:
 
     def test_qubits_expand_to_a_power_of_two(self):
@@ -101,13 +165,29 @@ class TestConfigMapping:
         assert config_from_mapping({**base, "checkpoints": ""}).checkpoints == ()
         assert config_from_mapping({**base, "checkpoints": "1,5,9"}).checkpoints == (1, 5, 9)
 
-    def test_mapping_round_trip(self):
+    def test_mapping_round_trip(self, tmp_path, run_cli, dataset_file):
         for eta in (None, 0.125):
             config = ExperimentConfig(
                 mode="ml-run", dims=(4,), shots=77, rounds=321, eta=eta,
                 seeds=(3, 1), checkpoints=(2, 9), out="somewhere", data_seed=5,
             )
             assert config_from_mapping(config_to_mapping(config)) == config
+        validate = ExperimentConfig(mode="validate", input_path=str(dataset_file))
+        assert config_to_mapping(validate) == {"mode": "validate", "input": str(dataset_file)}
+        assert config_from_mapping(config_to_mapping(validate)) == validate
+        # every mode's manifest echo reruns to the same artifacts
+        for name, argv in RUNS.items():
+            if name == "validate":
+                continue
+            first, again = tmp_path / f"{name}-first", tmp_path / f"{name}-again"
+            argv = [arg.format(input=dataset_file) for arg in argv]
+            assert run_cli(argv + ["--out", str(first)]) == 0, name
+            echo = load_payload(first / "manifest.json")["config"]
+            assert set(echo) == {"mode"} | TAKES[name] - {"qubits", "config"}, name
+            assert run_cli([argv[0], "--config", str(first / "manifest.json"),
+                            "--out", str(again)]) == 0, name
+            assert load_payload(again / "manifest.json")["config"] == {**echo, "out": str(again)}
+            assert stable_artifacts(first) == stable_artifacts(again), name
 
 
 class TestValidateConfig:
@@ -130,11 +210,16 @@ class TestValidateConfig:
             self.cfg(rounds=0),
             self.cfg(shots=0),
             self.cfg(seeds=()),
+            self.cfg(seeds=(-1,)),
+            self.cfg(seeds=(1, 1)),
+            self.cfg(data_seed=-5),
+            self.cfg(mode="scaling-bench", seeds=(1, 2)),
             self.cfg(eta=1.5),
             self.cfg(povm="telepathy"),
             self.cfg(povm="from-file"),  # no input path
             self.cfg(mode="ml-run", povm="random-rank1"),
             self.cfg(mode="ml-run", dims=(6,)),  # pauli-basis needs 2^q
+            self.cfg(mode="qst-game", dims=(6,)),
             self.cfg(checkpoints=(0,)),
             self.cfg(checkpoints=(2000,)),
             ExperimentConfig(mode="validate"),  # no input file
@@ -227,15 +312,6 @@ class TestOpsGameMode:
         a = (tmp_path / "a" / "ops_seed7.csv").read_bytes()
         b = (tmp_path / "b" / "ops_seed7.csv").read_bytes()
         assert a == b
-
-    def test_rerun_from_manifest(self, tmp_path, run_cli):
-        out = tmp_path / "first"
-        assert run_cli(["ops-game", "--dim", "2", "--rounds", "20",
-                     "--seeds", "4", "--out", str(out)]) == 0
-        again = tmp_path / "second"
-        assert run_cli(["ops-game", "--config", str(out / "manifest.json"),
-                     "--out", str(again)]) == 0
-        assert (out / "ops_seed4.csv").read_bytes() == (again / "ops_seed4.csv").read_bytes()
 
     def test_flags_override_config_file(self, tmp_path, run_cli):
         path = tmp_path / "run.cfg"
@@ -477,7 +553,8 @@ class TestValidateMode:
         path = tmp_path / "input.json"
         if content is not None:
             path.write_bytes(content)
-        assert main(argv + [str(path), "--out", str(tmp_path / "run")]) == 1
+        out = ["--out", str(tmp_path / "run")] if argv[0] == "ml-run" else []
+        assert main(argv + [str(path)] + out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         if content is None:
@@ -501,6 +578,19 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags", [["--qubits", "64"], ["--dim", str(MAX_DIM + 1)]])
     def test_huge_dimension_is_a_one_line_config_error(self, tmp_path, capsys, flags):
         assert main(["ops-game", *flags, "--rounds", "1", "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["ops-game", "--dim", "2", "--seeds", "-1"],
+        ["ml-run", "--qubits", "1", "--data-seed", "-5"],
+        ["ops-game", "--dim", "2", "--seeds="],
+        ["ml-run", "--qubits", "1", "--seeds", "1,1"],
+        ["scaling-bench", "--dim", "2", "--seeds", "1,2"],
+    ], ids=["negative-seed", "negative-data-seed", "no-seed", "repeated-seed", "scaling-two-seeds"])
+    def test_bad_seeds_are_a_one_line_config_error(self, tmp_path, capsys, argv):
+        assert main(argv + ["--rounds", "2", "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
