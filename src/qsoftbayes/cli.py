@@ -23,6 +23,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -67,21 +68,9 @@ from .tomography import (
 
 POVM_KINDS = ("pauli-basis", "random-rank1", "from-file")
 
-# Help for the flags whose name does not say it all; flag --<key> sets key.
-KEY_HELP = {
-    "dim": "dimension D, or a comma list for scaling-bench",
-    "qubits": "number of qubits q (D = 2^q)",
-    "eta": "learning rate in (0, 1); defaults to the horizon-tuned rate",
-    "seeds": "comma-separated seed list",
-    "input": "input container file, with --povm from-file",
-    "checkpoints": "comma list, 'auto', or '' for none",
-    "shots": "size of the generated dataset",
-    "data-seed": "seed of the generated truth state and dataset",
-}
-
 # The keys each mode takes, and the measurement models of the modes that
 # take one. The subparsers, the --config reader and the manifest echo all
-# read these tables.
+# read these tables and _KEYS.
 _GAME_KEYS = ("dim", "qubits", "rounds", "eta", "seeds", "out")
 MODE_KEYS = {
     "ops-game": _GAME_KEYS,
@@ -91,9 +80,6 @@ MODE_KEYS = {
     "validate": ("input",),
 }
 MODE_POVMS = {"qst-game": POVM_KINDS, "ml-run": ("pauli-basis", "from-file")}
-# Under a mode with a povm, these keys apply only with povm=from-file (True)
-# or only to a generated stream (False).
-_FROM_FILE = {"input": True, "shots": False, "data-seed": False}
 
 OPS_COLUMNS = ["round", "loss", "cum_loss", "comparator_loss", "regret", "bound"]
 QST_COLUMNS = ["round", "loss", "cum_loss", "true_trace", "min_eig_rho"]
@@ -133,7 +119,7 @@ def _mode_keys(mode: str, povm: str) -> tuple[str, ...]:
     if mode not in MODE_POVMS:
         return MODE_KEYS[mode]
     from_file = povm == "from-file"
-    return tuple(k for k in MODE_KEYS[mode] if _FROM_FILE.get(k, from_file) == from_file)
+    return tuple(k for k in MODE_KEYS[mode] if _KEYS[k].from_file in (None, from_file))
 
 
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
@@ -188,35 +174,57 @@ def _csv(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-# Each key's ExperimentConfig field, how the key's text is read, and how the
-# manifest echo writes the field back. "qubits" is read as "dim".
-_FIELDS = {
-    "dim": ("dims", _ints, _csv),
-    "rounds": ("rounds", int, str),
-    "eta": ("eta", lambda text: float(text) if text else None,
-            lambda eta: "" if eta is None else format(eta, ".17g")),
-    "seeds": ("seeds", _ints, _csv),
-    "out": ("out", str, str),
-    "povm": ("povm", str, str),
-    "input": ("input_path", str, str),
-    "checkpoints": ("checkpoints", lambda text: None if text == "auto" else _ints(text),
-                    lambda cps: "auto" if cps is None else _csv(cps)),
-    "shots": ("shots", int, str),
-    "data-seed": ("data_seed", int, str),
+def _qubit_dims(text: str) -> tuple[int, ...]:
+    q = int(text)
+    if not 1 <= q <= MAX_QUBITS:
+        raise ConfigError(f"qubits must be in [1, {MAX_QUBITS}], got {q}")
+    return (2 ** q,)
+
+
+class _Key(NamedTuple):
+    """One config key, which the flag --<key> sets."""
+
+    field: str  # the ExperimentConfig field it sets
+    read: Callable[[str], Any]  # the key's text -> the field's value
+    write: Callable[[Any], str] | None  # the field -> the manifest echo; None: not echoed
+    help: str | None = None
+    # Under a mode with a povm: the key applies only with povm=from-file
+    # (True), only to a generated stream (False), or always (None).
+    from_file: bool | None = None
+
+
+_KEYS = {
+    "dim": _Key("dims", _ints, _csv, "dimension D, or a comma list for scaling-bench"),
+    "qubits": _Key("dims", _qubit_dims, None, "number of qubits q (D = 2^q)"),
+    "rounds": _Key("rounds", int, str),
+    "eta": _Key("eta", lambda text: float(text) if text else None,
+                lambda eta: "" if eta is None else format(eta, ".17g"),
+                "learning rate in (0, 1); defaults to the horizon-tuned rate"),
+    "seeds": _Key("seeds", _ints, _csv, "comma-separated seed list"),
+    "out": _Key("out", str, str),
+    "povm": _Key("povm", str, str),
+    "input": _Key("input_path", str, str, "input container file, with --povm from-file", True),
+    "checkpoints": _Key("checkpoints", lambda text: None if text == "auto" else _ints(text),
+                        lambda cps: "auto" if cps is None else _csv(cps),
+                        "comma list, 'auto', or '' for none"),
+    "shots": _Key("shots", int, str, "size of the generated dataset", False),
+    "data-seed": _Key("data_seed", int, str, "seed of the generated truth state and dataset", False),
 }
 
 
 def config_to_mapping(config: ExperimentConfig) -> dict:
     """The keys the config's mode takes, as strings: the manifest echo, which
     is accepted back as a config."""
-    keys = [k for k in _mode_keys(config.mode, config.povm) if k in _FIELDS]
+    keys = [k for k in _mode_keys(config.mode, config.povm) if _KEYS[k].write]
     return {"mode": config.mode,
-            **{k: _FIELDS[k][2](getattr(config, _FIELDS[k][0])) for k in keys}}
+            **{k: _KEYS[k].write(getattr(config, _KEYS[k].field)) for k in keys}}
 
 
-def _read(key: str, text: str, reader):
+def _read(key: str, text: str):
     try:
-        return reader(text)
+        return _KEYS[key].read(text)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"cannot parse {key} from {text!r}") from exc
 
@@ -232,15 +240,12 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         under = f" with povm={povm}" if mode in MODE_POVMS else ""
         raise ConfigError(f"unknown config keys for {mode}{under}: {', '.join(unknown)}")
 
-    qubits = m.pop("qubits", "")
-    if qubits:
-        if m.get("dim"):
+    if m.get("qubits"):
+        if m.pop("dim", ""):
             raise ConfigError("give either dim or qubits, not both")
-        q = _read("qubits", qubits, int)
-        if not 1 <= q <= MAX_QUBITS:
-            raise ConfigError(f"qubits must be in [1, {MAX_QUBITS}], got {q}")
-        m["dim"] = str(2 ** q)
-    fields = {_FIELDS[k][0]: _read(k, text, _FIELDS[k][1]) for k, text in m.items()}
+    else:
+        m.pop("qubits", None)  # an empty qubits leaves the dimension to dim
+    fields = {_KEYS[k].field: _read(k, text) for k, text in m.items()}
     return ExperimentConfig(mode=mode, **fields)
 
 
@@ -576,7 +581,7 @@ def _build_parser() -> argparse.ArgumentParser:
             continue
         for key in keys:
             metavar = "{" + ",".join(MODE_POVMS[mode]) + "}" if key == "povm" else None
-            p.add_argument(f"--{key}", dest=key, metavar=metavar, help=KEY_HELP.get(key))
+            p.add_argument(f"--{key}", dest=key, metavar=metavar, help=_KEYS[key].help)
         p.add_argument("--config", help="key=value file or a manifest JSON")
     return parser
 

@@ -92,16 +92,17 @@ TAKES = {
 FLAG_VALUES = {"dim": "2", "qubits": "1", "rounds": "4", "eta": "0.5", "seeds": "0",
                "out": "{out}", "config": "{config}", "povm": "pauli-basis",
                "input": "{input}", "checkpoints": "2", "shots": "5", "data-seed": "1"}
-# A config-file key that belongs to another mode (or another povm), per run.
-FOREIGN_FILE_KEYS = {"ops-game": "shots=5", "qst-game": "data-seed=1",
-                     "ml-run": "mode=qst-game", "ml-run-from-file": "shots=5",
-                     "scaling-bench": "povm=pauli-basis"}
+# A config-file key that belongs to another mode (or another povm), per run,
+# and a config file of another mode.
+FOREIGN_FILE_KEYS = [("ops-game", "shots=5"), ("qst-game", "data-seed=1"),
+                     ("ml-run", "input={input}"), ("ml-run-from-file", "shots=5"),
+                     ("scaling-bench", "povm=pauli-basis"), ("ml-run", "mode=qst-game")]
 FOREIGN_CASES = [
     pytest.param(name, [f"--{flag}", FLAG_VALUES[flag]], "", id=f"{name}--{flag}")
     for name, takes in TAKES.items() for flag in sorted(set(FLAG_VALUES) - takes)
 ] + [
     pytest.param(name, ["--config", "{config}"], text, id=f"{name}-file-{text.split('=')[0]}")
-    for name, text in FOREIGN_FILE_KEYS.items()
+    for name, text in FOREIGN_FILE_KEYS
 ]
 
 
@@ -110,7 +111,7 @@ def test_a_flag_or_key_the_mode_does_not_take_is_refused(tmp_path, capsys, datas
                                                           name, extra, config_text):
     """Exit 2, one config error line and no output directory."""
     config = tmp_path / "run.cfg"
-    config.write_text(config_text or "rounds=4\n")
+    config.write_text((config_text or "rounds=4\n").format(input=dataset_file))
     out = tmp_path / "run"
     paths = {"input": dataset_file, "config": config, "out": out}
     argv = [arg.format(**paths) for arg in RUNS[name] + extra]
@@ -312,6 +313,15 @@ class TestOpsGameMode:
         a = (tmp_path / "a" / "ops_seed7.csv").read_bytes()
         b = (tmp_path / "b" / "ops_seed7.csv").read_bytes()
         assert a == b
+
+    def test_rerun_from_manifest(self, tmp_path, run_cli):
+        out = tmp_path / "first"
+        assert run_cli(["ops-game", "--dim", "2", "--rounds", "20",
+                     "--seeds", "4", "--out", str(out)]) == 0
+        again = tmp_path / "second"
+        assert run_cli(["ops-game", "--config", str(out / "manifest.json"),
+                     "--out", str(again)]) == 0
+        assert (out / "ops_seed4.csv").read_bytes() == (again / "ops_seed4.csv").read_bytes()
 
     def test_flags_override_config_file(self, tmp_path, run_cli):
         path = tmp_path / "run.cfg"
