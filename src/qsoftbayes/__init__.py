@@ -17,7 +17,6 @@ from .ensembles import (
     random_psd,
     random_rank1_observation,
     random_unit_vector,
-    random_unitary,
     rank1_observation_stream,
     uniform_returns,
 )
@@ -39,7 +38,6 @@ from .portfolio import (
     OpsTranscript,
     SolverError,
     best_fixed_portfolio,
-    kelly_online_to_batch,
     learning_rate,
     ops_regret_bound,
     run_ops_game,
@@ -74,14 +72,13 @@ __all__ = [
     "__version__",
     "make_rng", "psd_observation_stream", "random_density", "random_hermitian",
     "random_psd", "random_rank1_observation", "random_unit_vector",
-    "random_unitary", "rank1_observation_stream", "uniform_returns",
+    "rank1_observation_stream", "uniform_returns",
     "DomainError", "ValidationError",
     "golden_thompson_gap", "herm_exp", "herm_log", "hermitianize", "hs_inner",
     "matrix_fn", "spectral", "validate_density",
     "validate_observation",
     "ComparatorResult", "OpsTranscript", "SolverError", "best_fixed_portfolio",
-    "kelly_online_to_batch", "learning_rate", "ops_regret_bound",
-    "run_ops_game", "soft_bayes_step",
+    "learning_rate", "ops_regret_bound", "run_ops_game", "soft_bayes_step",
     "QsbState", "QstTranscript", "eta_bar", "qsb_init", "qsb_regret_bound",
     "qsb_step", "reverse_jensen_gap", "run_qst_game",
     "Dataset", "MlResult", "batch_ml_solve",

@@ -43,7 +43,7 @@ from .portfolio import (
     run_ops_game,
     validate_return_stream,
 )
-from .qsb import QstTranscript, run_qst_game
+from .qsb import QstTranscript, _qst_game, run_qst_game
 from .serialize import (
     dataset_form,
     dataset_from_record,
@@ -338,28 +338,28 @@ def _ops_seed(config: ExperimentConfig, seed: int, out_dir: str) -> dict:
     }
 
 
-def _qst_stream(config: ExperimentConfig, seed: int) -> np.ndarray:
+def _qst_dataset(config: ExperimentConfig, seed: int) -> Dataset:
+    """One seed's game stream, as the dataset the oracle fits and the game plays."""
     dim = config.dims[0]
     rng = make_rng(seed)
     if config.povm == "random-rank1":
-        return rank1_observation_stream(rng, config.rounds, dim)
+        return Dataset(matrices=rank1_observation_stream(rng, config.rounds, dim))
     if config.povm == "pauli-basis":
         truth = random_density(rng, dim)
-        data = generate_dataset(truth, pauli_basis_povms(dim.bit_length() - 1),
+        return generate_dataset(truth, pauli_basis_povms(dim.bit_length() - 1),
                                 config.rounds, rng)
-        return data.matrices
     data = load_dataset(config.input_path)
     if len(data) < config.rounds:
         raise ConfigError(
             f"{config.input_path} provides {len(data)} observations, need {config.rounds}"
         )
-    return data.elements[data.index[: config.rounds]]
+    return Dataset(elements=data.elements, index=data.index[: config.rounds])
 
 
 def _qst_seed(config: ExperimentConfig, seed: int, out_dir: str) -> dict:
-    stream = _qst_stream(config, seed)
-    transcript = run_qst_game(stream, config.eta)
-    rho_hat, f_star = batch_ml_solve(Dataset(matrices=stream), tol=1e-7)
+    data = _qst_dataset(config, seed)
+    transcript = _qst_game(data.elements, data.index, config.eta)
+    rho_hat, f_star = batch_ml_solve(data, tol=1e-7)
     comparator_loss = f_star * config.rounds
     out = Path(out_dir)
     write_qst_report(out / f"qst_seed{seed}.csv", transcript)
@@ -568,8 +568,15 @@ def run_experiment(config: ExperimentConfig) -> int:
 
 # --- argument parsing -----------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subparsers too, whose errors are config errors."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsb",
         description="Online learners for quantum state tomography and portfolio selection.",
     )
@@ -600,8 +607,8 @@ def _mapping_from_args(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    args, extras = _build_parser().parse_known_args(argv)
     try:
+        args, extras = _build_parser().parse_known_args(argv)
         if extras:
             raise ConfigError(f"unknown arguments for {args.mode}: {' '.join(extras)}")
         config = config_from_mapping(_mapping_from_args(args))

@@ -48,13 +48,6 @@ def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) 
     return hermitianize(A / np.trace(A).real)
 
 
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-random unitary via the phase-fixed QR of a Ginibre matrix."""
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    Q, R = np.linalg.qr(G)
-    return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
-
-
 def random_rank1_observation(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Rank-one projector onto a Haar-random direction."""
     v = random_unit_vector(rng, dim)

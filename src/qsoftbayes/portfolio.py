@@ -16,8 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensembles import make_rng
-from .linalg import TRACE_TOL, DomainError, ValidationError
+from .linalg import DomainError, ValidationError
 
 
 class SolverError(RuntimeError):
@@ -58,19 +57,6 @@ class ComparatorResult:
     loss: float        # cumulative loss of `weights` on the stream
     gap: float         # duality-gap certificate at termination
     iterations: int
-
-
-def validate_portfolio(w: np.ndarray) -> np.ndarray:
-    """Check nonnegativity and unit sum; return the vector as float64."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1:
-        raise ValidationError(f"portfolio must be a vector, got shape {w.shape}")
-    if np.any(w < 0):
-        raise ValidationError(f"portfolio has negative entry {w.min():.3e}")
-    dev = abs(float(w.sum()) - 1.0)
-    if dev > TRACE_TOL:
-        raise ValidationError(f"portfolio sum deviates from 1 by {dev:.3e}")
-    return w
 
 
 def validate_returns(a: np.ndarray) -> np.ndarray:
@@ -319,28 +305,3 @@ def _bregman(counts: np.ndarray, total: int, p: np.ndarray, q: np.ndarray) -> fl
     """
     u = (q - p) / p
     return float(counts @ (u - np.log1p(u)) / total)
-
-
-def kelly_online_to_batch(sampler, rounds: int, seed: int, eta: float | None = None) -> np.ndarray:
-    """Average of the portfolios announced against a sampled return stream.
-
-    `sampler(rng)` must draw exactly one return vector per call; with a fixed
-    seed the sequence of announced portfolios is deterministic. Drawing one
-    variate per round keeps the stream alignable with other learners run on
-    the same seed.
-    """
-    if rounds < 1:
-        raise ValidationError(f"rounds must be at least 1, got {rounds}")
-    rng = make_rng(seed)
-    a = validate_returns(sampler(rng))
-    dim = a.shape[0]
-    if eta is None:
-        eta = learning_rate(dim, rounds)
-    w = np.full(dim, 1.0 / dim)
-    w_sum = np.zeros(dim)
-    for t in range(rounds):
-        if t > 0:
-            a = validate_returns(sampler(rng))
-        w_sum += w
-        w = soft_bayes_step(w, a, eta)
-    return w_sum / rounds

@@ -29,11 +29,11 @@ from .linalg import (
     DomainError,
     SpectralDecomposition,
     ValidationError,
+    _hermitian_psd,
     hermitian_eigh,
     hermitianize,
     hs_inner,
     spectral,
-    validate_observation,
 )
 from .portfolio import learning_rate, ops_regret_bound
 
@@ -142,7 +142,7 @@ def _qsb_update(
     spectrum: SpectralDecomposition,
     eta: float,
     labels: Sequence[str] = ("",),
-) -> tuple[_Learners, list[float]]:
+) -> tuple[_Learners, np.ndarray]:
     """qsb_step for S learners at once, learner s observing A[s].
 
     A is an (S, D, D) complex stack and `spectrum` its stacked `spectral`
@@ -152,20 +152,21 @@ def _qsb_update(
     U diag(log((1 - eta) + (eta / c) mu)) U^dagger and the step decomposes
     only the new accumulators, as one stack. A caller that sees one
     observation many times can decompose it once and pass the spectrum.
-    Each learner's overlap is its own `vdot`; a failed check names the
-    first failing learner by its label.
+    The overlaps are one stacked `vecdot`, equal bit for bit to each
+    learner's own `vdot`; a failed check names the first failing learner by
+    its label.
     """
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta must be in (0, 1), got {eta!r}")
-    overlaps = [float(np.vdot(A[s], rho[s]).real) for s in range(len(A))]
-    for s, c in enumerate(overlaps):
-        if c <= 0.0:
-            raise DomainError(f"{labels[s]}tr(A rho) = {c!r} is not positive")
+    overlaps = np.vecdot(A.reshape(len(A), -1), rho.reshape(len(rho), -1)).real
+    if (overlaps <= 0.0).any():
+        s = int(np.argmax(overlaps <= 0.0))
+        raise DomainError(f"{labels[s]}tr(A rho) = {float(overlaps[s])!r} is not positive")
     mu, U = spectrum
-    g = (1.0 - eta) + np.array([eta / c for c in overlaps])[:, None] * mu
-    for s, low in enumerate(g[:, 0].tolist()):
-        if low <= EVAL_FLOOR:
-            raise DomainError(f"{labels[s]}eigenvalue {low!r} of G is outside the domain of log")
+    g = (1.0 - eta) + (eta / overlaps)[:, None] * mu
+    if (g[:, 0] <= EVAL_FLOOR).any():
+        s = int(np.argmax(g[:, 0] <= EVAL_FLOOR))
+        raise DomainError(f"{labels[s]}eigenvalue {float(g[s, 0])!r} of G is outside the domain of log")
     # both terms are exactly Hermitian, so their sum is too; C order, for the
     # diagonal view below
     log_G = hermitianize((U * np.log(g)[:, None, :]) @ U.conj().swapaxes(-1, -2))
@@ -247,7 +248,7 @@ def _play(
             raise DomainError(f"round {t + 1}: {exc}") from exc
         if transcript:
             step_times[t] = time.perf_counter_ns() - t0
-            losses[:, t] = [-math.log(c) for c in overlaps]
+            losses[:, t] = [-math.log(c) for c in overlaps.tolist()]
     return _Played(
         final_states=[learners.state(s, rounds + 1) for s in range(count)],
         average_states=hermitianize(rho_sum / rounds),
@@ -259,23 +260,29 @@ def _play(
 def run_qst_game(stream: np.ndarray, eta: float | None = None) -> QstTranscript:
     """Play the tomography game against a (T, D, D) stream of observations.
 
-    Validation happens up front; a recorded step time covers decomposing
+    The whole stream is checked up front, in one stacked pass; a failure
+    names the first failing round. A recorded step time covers decomposing
     the round's observation and updating the state.
     """
     stream = np.asarray(stream, dtype=complex)
-    if stream.ndim != 3 or stream.shape[0] < 1:
+    if stream.ndim != 3 or stream.shape[0] < 1 or stream.shape[1] != stream.shape[2]:
         raise ValidationError(f"expected a nonempty (T, D, D) stream, got shape {stream.shape}")
-    rounds, dim = stream.shape[0], stream.shape[1]
-    for t in range(rounds):
-        try:
-            validate_observation(stream[t])
-        except ValidationError as exc:
-            raise ValidationError(f"round {t + 1}: {exc}") from exc
+    _hermitian_psd(stream, lambda t: f"round {t + 1}: ")
+    return _qst_game(stream, np.arange(len(stream)), eta)
+
+
+def _qst_game(elements: np.ndarray, index: np.ndarray, eta: float | None) -> QstTranscript:
+    """`run_qst_game` on the stream `elements[index]`, whose elements are checked.
+
+    Round t observes the Hermitian part of `elements[index[t]]`; the stream
+    is never stacked.
+    """
+    rounds, dim = len(index), elements.shape[1]
     if eta is None:
         eta = learning_rate(dim, rounds)
 
     def observe(t: int) -> tuple[np.ndarray, SpectralDecomposition]:
-        A = hermitianize(stream[t : t + 1])  # the Hermitian part that was validated
+        A = hermitianize(elements[index[t : t + 1]])  # the Hermitian part that was checked
         return A, spectral(A)
 
     played = _play(dim, rounds, eta, observe, transcript=True)

@@ -20,11 +20,11 @@ from .linalg import (
     DomainError,
     SpectralDecomposition,
     ValidationError,
+    _hermitian_psd,
     hermitian_eigh,
     hermitianize,
     spectral,
     validate_density,
-    validate_observation,
 )
 from .portfolio import _accelerated_ml, _simplex_projection, learning_rate
 from .qsb import QsbState, _play
@@ -120,15 +120,15 @@ class MlResult:
 
 
 def validate_povm(elements: np.ndarray) -> np.ndarray:
-    """Check PSD elements summing to the identity; return a (J, D, D) stack."""
+    """Check PSD elements summing to the identity; return a (J, D, D) stack.
+
+    Every element gets `validate_observation`'s checks in one stacked pass;
+    a failure names the first failing element j.
+    """
     M = np.asarray(elements, dtype=complex)
     if M.ndim != 3 or M.shape[1] != M.shape[2] or M.shape[0] < 1:
         raise ValidationError(f"expected a (J, D, D) stack of elements, got shape {M.shape}")
-    for j in range(M.shape[0]):
-        try:
-            validate_observation(M[j])
-        except ValidationError as exc:
-            raise ValidationError(f"element {j}: {exc}") from exc
+    _hermitian_psd(M, lambda j: f"element {j}: ")
     dev = float(np.abs(M.sum(axis=0) - np.eye(M.shape[1])).max())
     if dev > TRACE_TOL:
         raise ValidationError(f"elements sum to identity only within {dev:.3e}")
@@ -138,14 +138,12 @@ def validate_povm(elements: np.ndarray) -> np.ndarray:
 def validate_dataset(data: Dataset) -> Dataset:
     """Check every record is a valid observation; return the dataset.
 
-    Each distinct element is checked once; a failure names the first record
-    holding the failing element. Every `Dataset` runs this when it is built.
+    The distinct elements get `validate_observation`'s checks in one stacked
+    pass, so each is checked once however many records hold it; a failure
+    names the first record holding the first failing element. Every
+    `Dataset` runs this when it is built.
     """
-    for k, A in enumerate(data.elements):
-        try:
-            validate_observation(A)
-        except ValidationError as exc:
-            raise ValidationError(f"record {np.argmax(data.index == k)}: {exc}") from exc
+    _hermitian_psd(data.elements, lambda k: f"record {np.argmax(data.index == k)}: ")
     for name, idx in (("povm_indices", data.povm_indices), ("outcome_indices", data.outcome_indices)):
         if idx is not None and len(idx) != len(data):
             raise ValidationError(f"{name} has length {len(idx)}, expected {len(data)}")

@@ -123,6 +123,31 @@ def test_a_flag_or_key_the_mode_does_not_take_is_refused(tmp_path, capsys, datas
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["ops-game", "--dim", "2", "--seeds", "-1,2"],  # argparse reads -1,2 as a flag
+    ["ops-game", "--dim", "2", "--rounds"],
+    ["frobnicate"],
+    [],
+], ids=["value-like-a-flag", "flag-without-value", "unknown-mode", "no-mode"])
+def test_an_argument_argparse_refuses_is_a_one_line_config_error(tmp_path, capsys,
+                                                                 monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["ml-run", "-h"], ["validate", "--help"]])
+def test_help_is_printed_and_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qsb")
+
+
 class TestConfigMapping:
 
     def test_qubits_expand_to_a_power_of_two(self):

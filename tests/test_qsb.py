@@ -8,7 +8,6 @@ from qsoftbayes.ensembles import (
     psd_observation_stream,
     random_density,
     random_psd,
-    random_unitary,
     uniform_returns,
 )
 from qsoftbayes.linalg import (
@@ -29,6 +28,13 @@ from qsoftbayes.qsb import (
     reverse_jensen_gap,
     run_qst_game,
 )
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-random unitary via the phase-fixed QR of a Ginibre matrix."""
+    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    Q, R = np.linalg.qr(G)
+    return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
 
 
 class TestQsbInit:
@@ -52,6 +58,18 @@ class TestQsbInit:
 
 
 class TestQsbStep:
+
+    @pytest.mark.parametrize("dim, pairs", [(2, 2000), (4, 2000), (8, 2000), (16, 2000), (64, 300)])
+    def test_stacked_overlaps_equal_each_learners_vdot(self, dim, pairs):
+        """The update takes every learner's tr(A rho) from one stacked vecdot.
+        It must equal each learner's own vdot bit for bit, or the losses, and
+        with them every artifact, move."""
+        rng = make_rng(40 + dim)
+        G = rng.standard_normal((2, pairs, dim, dim)) + 1j * rng.standard_normal((2, pairs, dim, dim))
+        A, W = G @ G.conj().swapaxes(-1, -2)  # Wishart PSD pairs
+        rho = W / np.trace(W, axis1=1, axis2=2).real[:, None, None]
+        stacked = np.vecdot(A.reshape(pairs, -1), rho.reshape(pairs, -1)).real
+        assert np.array_equal(stacked, [np.vdot(a, r).real for a, r in zip(A, rho)])
 
     def test_identity_observation_is_a_fixed_point(self):
         """tr(I rho) = 1, the multiplier collapses to I, nothing moves."""

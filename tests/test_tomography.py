@@ -2,16 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsoftbayes import cli, tomography
+from qsoftbayes import cli, linalg, qsb, tomography
 from qsoftbayes.ensembles import make_rng, random_density, random_psd, uniform_returns
-from qsoftbayes.linalg import DomainError, ValidationError, hermitianize, hs_inner
+from qsoftbayes.linalg import (
+    DomainError,
+    ValidationError,
+    hermitianize,
+    hs_inner,
+    validate_observation,
+)
 from qsoftbayes.portfolio import (
     SolverError,
     best_fixed_portfolio,
-    kelly_online_to_batch,
     learning_rate,
+    soft_bayes_step,
 )
-from qsoftbayes.qsb import qsb_init, qsb_regret_bound, qsb_step
+from qsoftbayes.qsb import qsb_init, qsb_regret_bound, qsb_step, run_qst_game
 from qsoftbayes.tomography import (
     Dataset,
     batch_ml_solve,
@@ -201,6 +207,86 @@ class TestValidatePovm:
         stack = np.stack([np.eye(2) - SIGMA_X.real, SIGMA_X.real]).astype(complex)
         with pytest.raises(ValidationError, match="element 1"):
             validate_povm(stack)
+
+
+def random_povm(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """`count` PSD elements S^(-1/2) P_j S^(-1/2) of random P_j, S = sum_j P_j."""
+    P = np.stack([random_psd(rng, dim) for _ in range(count)])
+    w, V = np.linalg.eigh(P.sum(axis=0))
+    root = (V / np.sqrt(w)) @ V.conj().T
+    return hermitianize(root @ P @ root)
+
+
+def per_matrix_validation(stack: np.ndarray, name) -> str | None:
+    """Reference: `validate_observation` on each matrix in turn; the first error."""
+    for i, A in enumerate(stack):
+        try:
+            validate_observation(A)
+        except ValidationError as exc:
+            return f"{name(i)}{exc}"
+    return None
+
+
+BAD_MATRICES = {
+    "non-hermitian": lambda A: A + np.triu(np.full_like(A, 1e-3), 1),
+    "indefinite": lambda A: A - 2.0 * np.eye(len(A)) * np.linalg.eigvalsh(A)[-1],
+    "zero": np.zeros_like,
+    "nan": lambda A: np.where(np.eye(len(A)) == 1, np.nan, A),
+    "inf": lambda A: np.where(np.eye(len(A)) == 1, np.inf, A),
+}
+
+
+class TestStackedCheck:
+    """Each consumer checks its whole stack in one pass and raises exactly the
+    per-matrix check's message for the first failing matrix."""
+
+    @pytest.mark.parametrize("bad_rows", [
+        {}, {5: "non-hermitian"}, {5: "indefinite"}, {5: "zero"}, {5: "nan"}, {5: "inf"},
+        {2: "indefinite", 9: "nan"}, {4: "inf", 7: "zero"}, {0: "zero", 11: "non-hermitian"},
+    ], ids=["valid", "non-hermitian", "indefinite", "zero", "nan", "inf",
+            "indefinite-before-nan", "inf-before-zero", "first-and-last"])
+    @pytest.mark.parametrize("block", [linalg._CHECK_BLOCK, 18], ids=["one-block", "two-per-block"])
+    def test_names_the_first_failing_matrix_as_the_per_matrix_check_does(
+            self, bad_rows, block, monkeypatch):
+        monkeypatch.setattr(linalg, "_CHECK_BLOCK", block)
+        stack = random_povm(make_rng(31), 12, 3)
+        for i, kind in bad_rows.items():
+            stack[i] = BAD_MATRICES[kind](stack[i])
+        # records hold the elements in reverse, twice each
+        index = np.repeat(np.arange(12)[::-1], 2)
+        consumers = [
+            (lambda: Dataset(elements=stack, index=index), stack[index], lambda n: f"record {n}: "),
+            (lambda: validate_povm(stack), stack, lambda j: f"element {j}: "),
+            (lambda: run_qst_game(stack), stack, lambda t: f"round {t + 1}: "),
+        ]
+        for consume, records, name in consumers:
+            expected = per_matrix_validation(records, name)
+            if expected is None:
+                consume()
+                continue
+            with pytest.raises(ValidationError) as err:
+                consume()
+            assert str(err.value) == expected
+
+    @pytest.mark.parametrize("povm, checked", [("random-rank1", [1000]),
+                                               ("pauli-basis", [4] * 9 + [36])])
+    def test_a_game_checks_each_observation_once(self, tmp_path, monkeypatch, povm, checked):
+        """One 1000-round qst-game seed at D = 4: the random-rank1 stream is
+        checked once, in its dataset; a Pauli game checks the 4 elements of
+        each of its 9 POVMs, then the 36 distinct elements its records hold."""
+        counts = []
+        check = linalg._hermitian_psd
+
+        def counted(M, label, symbol="A", nonzero=True):
+            if nonzero:  # observations, not the truth state's density check
+                counts.append(len(M))
+            return check(M, label, symbol, nonzero)
+
+        for module in (linalg, tomography, qsb):
+            monkeypatch.setattr(module, "_hermitian_psd", counted)
+        assert cli.main(["qst-game", "--dim", "4", "--rounds", "1000", "--povm", povm,
+                         "--out", str(tmp_path / "run")]) == 0
+        assert counts == checked
 
 
 class TestMlObjective:
@@ -396,12 +482,15 @@ class TestStochasticQsb:
             np.fill_diagonal(records[n], returns[n])
         data = Dataset(matrices=records)
 
-        def sampler(gen):
-            return returns[int(gen.integers(len(returns)))]
-
         rounds, seed = 200, 17
         quantum = stochastic_qsb(data, rounds=rounds, seed=seed, checkpoints=())
-        classical = kelly_online_to_batch(sampler, rounds=rounds, seed=seed)
+        # the classical learner's average portfolio, one integers(N) draw per round
+        eta, draws = learning_rate(3, rounds), make_rng(seed)
+        w, w_sum = np.full(3, 1.0 / 3), np.zeros(3)
+        for _ in range(rounds):
+            w_sum += w
+            w = soft_bayes_step(w, returns[int(draws.integers(len(returns)))], eta)
+        classical = w_sum / rounds
         assert np.max(np.abs(np.diag(quantum.rho_bar).real - classical)) <= 1e-10
         off_diag = quantum.rho_bar - np.diag(np.diag(quantum.rho_bar))
         assert np.max(np.abs(off_diag)) <= 1e-12
