@@ -97,9 +97,11 @@ def hs_inner(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.vdot(A, B).real)
 
 
-# Matrix entries checked at a time by `_hermitian_psd`, so each temporary of
-# a block is at most 128 kB at any D. Blocks of 1 MB left their freed
-# temporaries resident and raised scaling-bench's peak RSS by 0.6 MB.
+# Matrix entries checked at a time by `_hermitian_psd`. A block holds at least
+# one matrix, so each temporary of a block stays at or under 128 kB only while
+# D^2 <= 2^13 (D <= 90); a larger D checks one matrix per block. Blocks of
+# 1 MB left their freed temporaries resident and raised scaling-bench's peak
+# RSS by 0.6 MB.
 _CHECK_BLOCK = 2 ** 13
 
 
@@ -116,13 +118,17 @@ def _hermitian_psd(M: np.ndarray, label: Callable[[int], str], symbol: str = "A"
     dim = M.shape[-1]
     if dim < 1:
         raise ValidationError(f"{label(0)}expected a nonempty matrix, got shape {M.shape[1:]}")
+    if not np.issubdtype(M.dtype, np.inexact):
+        M = M.astype(float)  # integer squares in the norms could wrap
     step = max(1, _CHECK_BLOCK // (dim * dim))
     for start in range(0, len(M), step):
         X = M[start : start + step]
         flat = X.reshape(len(X), -1)
+        # row norms by vecdot, which makes no temporary the size of the block
         with np.errstate(all="ignore"):  # non-finite entries are reported below
-            norm = npl.norm(flat, axis=1)
-            dev = npl.norm((X - X.conj().swapaxes(-1, -2)).reshape(len(X), -1), axis=1)
+            diff = (X - X.conj().swapaxes(-1, -2)).reshape(len(X), -1)
+            norm = np.sqrt(np.vecdot(flat, flat).real)
+            dev = np.sqrt(np.vecdot(diff, diff).real)
         sound = np.isfinite(norm) & (dev <= SYM_TOL * np.maximum(1.0, norm))
         upto = len(X) if sound.all() else int(np.argmin(sound))
         low = npl.eigvalsh(hermitianize(X[:upto]))[:, 0]

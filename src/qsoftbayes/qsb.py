@@ -282,7 +282,7 @@ def _qst_game(elements: np.ndarray, index: np.ndarray, eta: float | None) -> Qst
         eta = learning_rate(dim, rounds)
 
     def observe(t: int) -> tuple[np.ndarray, SpectralDecomposition]:
-        A = hermitianize(elements[index[t : t + 1]])  # the Hermitian part that was checked
+        A = hermitianize(elements[index[t]][None])  # the Hermitian part that was checked
         return A, spectral(A)
 
     played = _play(dim, rounds, eta, observe, transcript=True)

@@ -147,6 +147,7 @@ class TestValidators:
         rng = make_rng(12)
         validate_observation(1e6 * random_psd(rng, 3))
         validate_observation(1e-6 * random_psd(rng, 3))
+        validate_observation(np.diag([2**32 - 1, 1]))  # its square wraps in int64
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     @pytest.mark.parametrize("validator", [validate_observation, validate_density])
