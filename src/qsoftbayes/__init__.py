@@ -15,8 +15,6 @@ from .ensembles import (
     random_density,
     random_hermitian,
     random_psd,
-    random_rank1_observation,
-    random_unit_vector,
     rank1_observation_stream,
     uniform_returns,
 )
@@ -28,7 +26,6 @@ from .linalg import (
     herm_log,
     hermitianize,
     hs_inner,
-    matrix_fn,
     spectral,
     validate_density,
     validate_observation,
@@ -63,7 +60,6 @@ from .tomography import (
     sample_outcome,
     stationarity_operator,
     stochastic_qsb,
-    stochastic_qsb_seeds,
     validate_dataset,
     validate_povm,
 )
@@ -71,18 +67,16 @@ from .tomography import (
 __all__ = [
     "__version__",
     "make_rng", "psd_observation_stream", "random_density", "random_hermitian",
-    "random_psd", "random_rank1_observation", "random_unit_vector",
-    "rank1_observation_stream", "uniform_returns",
+    "random_psd", "rank1_observation_stream", "uniform_returns",
     "DomainError", "ValidationError",
     "golden_thompson_gap", "herm_exp", "herm_log", "hermitianize", "hs_inner",
-    "matrix_fn", "spectral", "validate_density",
-    "validate_observation",
+    "spectral", "validate_density", "validate_observation",
     "ComparatorResult", "OpsTranscript", "SolverError", "best_fixed_portfolio",
     "learning_rate", "ops_regret_bound", "run_ops_game", "soft_bayes_step",
     "QsbState", "QstTranscript", "eta_bar", "qsb_init", "qsb_regret_bound",
     "qsb_step", "reverse_jensen_gap", "run_qst_game",
     "Dataset", "MlResult", "batch_ml_solve",
     "generate_dataset", "ml_objective", "pauli_basis_povms", "sample_outcome",
-    "stationarity_operator", "stochastic_qsb", "stochastic_qsb_seeds",
-    "validate_dataset", "validate_povm",
+    "stationarity_operator", "stochastic_qsb", "validate_dataset",
+    "validate_povm",
 ]

@@ -63,7 +63,7 @@ from .tomography import (
     generate_dataset,
     pauli_basis_povms,
     stationarity_operator,
-    stochastic_qsb_seeds,
+    stochastic_qsb,
 )
 
 POVM_KINDS = ("pauli-basis", "random-rank1", "from-file")
@@ -292,12 +292,9 @@ def write_ops_report(path, transcript: OpsTranscript, returns: np.ndarray,
 
 def write_qst_report(path, transcript: QstTranscript) -> None:
     """Per-round CSV for the quantum game; timing is reported elsewhere."""
-    cum = transcript.cumulative_losses
-    rows = [
-        (t + 1, transcript.losses[t], cum[t],
-         transcript.true_traces[t], transcript.min_eigs[t])
-        for t in range(len(transcript.losses))
-    ]
+    rows = zip(range(1, len(transcript.losses) + 1), transcript.losses.tolist(),
+               transcript.cumulative_losses.tolist(), transcript.true_traces.tolist(),
+               transcript.min_eigs.tolist())
     write_csv(path, QST_COLUMNS, rows)
 
 
@@ -338,6 +335,14 @@ def _ops_seed(config: ExperimentConfig, seed: int, out_dir: str) -> dict:
     }
 
 
+def _input_dataset(config: ExperimentConfig) -> Dataset:
+    """The --input dataset, which must have the configured dimension."""
+    data = load_dataset(config.input_path)
+    if data.dim != config.dims[0]:
+        raise ConfigError(f"{config.input_path} has dimension {data.dim}, need {config.dims[0]}")
+    return data
+
+
 def _qst_dataset(config: ExperimentConfig, seed: int) -> Dataset:
     """One seed's game stream, as the dataset the oracle fits and the game plays."""
     dim = config.dims[0]
@@ -348,7 +353,7 @@ def _qst_dataset(config: ExperimentConfig, seed: int) -> Dataset:
         truth = random_density(rng, dim)
         return generate_dataset(truth, pauli_basis_povms(dim.bit_length() - 1),
                                 config.rounds, rng)
-    data = load_dataset(config.input_path)
+    data = _input_dataset(config)
     if len(data) < config.rounds:
         raise ConfigError(
             f"{config.input_path} provides {len(data)} observations, need {config.rounds}"
@@ -375,6 +380,13 @@ def _qst_seed(config: ExperimentConfig, seed: int, out_dir: str) -> dict:
         "comparator_loss": comparator_loss,
         "regret": transcript.total_loss - comparator_loss,
         "final_true_trace": transcript.final_state.true_trace,
+        **_step_summary(times),
+    }
+
+
+def _step_summary(times: np.ndarray) -> dict:
+    """The manifest's summary of a game's step times, in ns."""
+    return {
         "step_ns_median": float(np.median(times)),
         "step_ns_mean": float(np.mean(times)),
         "step_ns_p90": float(np.percentile(times, 90)),
@@ -399,7 +411,7 @@ def _ml_seed(result: MlResult, out_dir: Path, f_star: float) -> dict:
 
 def _ml_dataset(config: ExperimentConfig) -> Dataset:
     if config.povm == "from-file":
-        return load_dataset(config.input_path)
+        return _input_dataset(config)
     dim = config.dims[0]
     rng = make_rng(config.data_seed)
     truth = random_density(rng, dim)
@@ -431,8 +443,8 @@ def _run_ml(config: ExperimentConfig, out_dir: Path) -> dict:
     cert_gap = float(np.linalg.eigvalsh(stationarity_operator(rho_hat, data))[-1]) - 1.0
     lap("oracle")
     checkpoints = list(config.checkpoints) if config.checkpoints is not None else None
-    results = stochastic_qsb_seeds(data, config.rounds, config.seeds, eta=config.eta,
-                                   checkpoints=checkpoints)
+    results = stochastic_qsb(data, config.rounds, config.seeds, eta=config.eta,
+                             checkpoints=checkpoints)
     lap("learners")
     save_matrix(out_dir / "rho_hat_oracle.json", rho_hat)
     summaries = [_ml_seed(result, out_dir, f_star) for result in results]
@@ -457,13 +469,7 @@ def _scaling_row(config: ExperimentConfig, seed: int, dim: int) -> dict:
     """Step times at one dimension; its stream is freed when this returns."""
     stream = psd_observation_stream(make_rng(seed), config.rounds, dim)
     times = run_qst_game(stream, config.eta).step_times_ns
-    return {
-        "dim": dim,
-        "rounds": config.rounds,
-        "step_ns_median": float(np.median(times)),
-        "step_ns_mean": float(np.mean(times)),
-        "step_ns_p90": float(np.percentile(times, 90)),
-    }
+    return {"dim": dim, "rounds": config.rounds, **_step_summary(times)}
 
 
 def _run_scaling(config: ExperimentConfig, out_dir: str) -> dict:

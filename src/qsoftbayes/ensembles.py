@@ -20,12 +20,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-random complex unit vector."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     """GUE-style random Hermitian matrix with entries of order `scale`."""
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -48,12 +42,6 @@ def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) 
     return hermitianize(A / np.trace(A).real)
 
 
-def random_rank1_observation(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Rank-one projector onto a Haar-random direction."""
-    v = random_unit_vector(rng, dim)
-    return np.outer(v, v.conj())
-
-
 def uniform_returns(rng: np.random.Generator, rounds: int, dim: int) -> np.ndarray:
     """(rounds, dim) array of i.i.d. Uniform(0, 1) return vectors.
 
@@ -64,8 +52,17 @@ def uniform_returns(rng: np.random.Generator, rounds: int, dim: int) -> np.ndarr
 
 
 def rank1_observation_stream(rng: np.random.Generator, rounds: int, dim: int) -> np.ndarray:
-    """(rounds, dim, dim) stream of random rank-one observations."""
-    return np.stack([random_rank1_observation(rng, dim) for _ in range(rounds)])
+    """(rounds, dim, dim) stream of projectors onto Haar-random directions.
+
+    Each round draws the real then the imaginary parts of one Gaussian
+    vector and normalizes it on its own.
+    """
+    stream = np.empty((rounds, dim, dim), dtype=complex)
+    for t in range(rounds):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v /= np.linalg.norm(v)
+        stream[t] = np.outer(v, v.conj())
+    return stream
 
 
 def psd_observation_stream(rng: np.random.Generator, rounds: int, dim: int) -> np.ndarray:

@@ -54,20 +54,19 @@ def hermitian_eigh(H: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(w, V)
 
 
-def matrix_fn(H: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its eigenvalues."""
-    w, V = spectral(H)
-    with np.errstate(all="ignore"):
-        fw = f(w)
-    if not np.all(np.isfinite(fw)):
-        bad = w[~np.isfinite(fw)][0]
-        raise DomainError(f"eigenvalue {bad!r} is outside the domain of {f}")
-    return hermitianize((V * fw) @ V.conj().T)
+def _from_spectrum(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """V diag(w) V^dagger, hermitianized, for a matrix or a stack of them."""
+    return hermitianize((V * w[..., None, :]) @ V.conj().swapaxes(-1, -2))
 
 
 def herm_exp(H: np.ndarray) -> np.ndarray:
     """exp(H) for Hermitian H. No internal shift; the caller owns the scale."""
-    return matrix_fn(H, np.exp)
+    w, V = spectral(H)
+    with np.errstate(over="ignore"):
+        ew = np.exp(w)
+    if not math.isfinite(ew[-1]):
+        raise DomainError(f"eigenvalue {float(w[-1])!r} is outside the domain of exp")
+    return _from_spectrum(ew, V)
 
 
 def herm_log(H: np.ndarray) -> np.ndarray:
@@ -80,7 +79,7 @@ def herm_log(H: np.ndarray) -> np.ndarray:
     w, V = spectral(H)
     if w[0] <= EVAL_FLOOR:
         raise DomainError(f"eigenvalue {w[0]!r} is outside the domain of log")
-    return hermitianize((V * np.log(w)) @ V.conj().T)
+    return _from_spectrum(np.log(w), V)
 
 
 def hs_inner(A: np.ndarray, B: np.ndarray) -> float:

@@ -120,26 +120,27 @@ def _soft_bayes_update(w: np.ndarray, a: np.ndarray, eta: float, dot: float) -> 
     return (1.0 - eta) * w + eta * (a * w) / dot
 
 
+def _check_horizon(dim: int, rounds: float) -> None:
+    if dim < 2:
+        raise DomainError(f"dim must be at least 2, got {dim}")
+    if rounds < 1:
+        raise DomainError(f"rounds must be at least 1, got {rounds}")
+
+
 def learning_rate(dim: int, rounds: float) -> float:
     """Horizon-tuned rate sqrt(log D) / (sqrt(T D) + sqrt(log D)).
 
     Equivalently eta / (1 - eta) = sqrt(log D / (T D)). `rounds` may be any
     real >= 1 so the identity is checkable at non-integer horizons.
     """
-    if dim < 2:
-        raise DomainError(f"dim must be at least 2, got {dim}")
-    if rounds < 1:
-        raise DomainError(f"rounds must be at least 1, got {rounds}")
+    _check_horizon(dim, rounds)
     root_log = math.sqrt(math.log(dim))
     return root_log / (math.sqrt(rounds * dim) + root_log)
 
 
 def ops_regret_bound(dim: int, rounds: float) -> float:
     """Worst-case regret guarantee 2 sqrt(T D log D) + log D for the tuned rate."""
-    if dim < 2:
-        raise DomainError(f"dim must be at least 2, got {dim}")
-    if rounds < 1:
-        raise DomainError(f"rounds must be at least 1, got {rounds}")
+    _check_horizon(dim, rounds)
     return 2.0 * math.sqrt(rounds * dim * math.log(dim)) + math.log(dim)
 
 

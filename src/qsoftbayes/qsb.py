@@ -29,13 +29,14 @@ from .linalg import (
     DomainError,
     SpectralDecomposition,
     ValidationError,
+    _from_spectrum,
     _hermitian_psd,
     hermitian_eigh,
     hermitianize,
     hs_inner,
     spectral,
 )
-from .portfolio import learning_rate, ops_regret_bound
+from .portfolio import _check_eta, learning_rate, ops_regret_bound
 
 
 @dataclass(frozen=True)
@@ -156,8 +157,7 @@ def _qsb_update(
     learner's own `vdot`; a failed check names the first failing learner by
     its label.
     """
-    if not 0.0 < eta < 1.0:
-        raise DomainError(f"eta must be in (0, 1), got {eta!r}")
+    _check_eta(eta)
     overlaps = np.vecdot(A.reshape(len(A), -1), rho.reshape(len(rho), -1)).real
     if (overlaps <= 0.0).any():
         s = int(np.argmax(overlaps <= 0.0))
@@ -169,15 +169,14 @@ def _qsb_update(
         raise DomainError(f"{labels[s]}eigenvalue {float(g[s, 0])!r} of G is outside the domain of log")
     # both terms are exactly Hermitian, so their sum is too; C order, for the
     # diagonal view below
-    log_G = hermitianize((U * np.log(g)[:, None, :]) @ U.conj().swapaxes(-1, -2))
-    L = np.add(log_weights, log_G, order="C")
+    L = np.add(log_weights, _from_spectrum(np.log(g), U), order="C")
     lam, V = hermitian_eigh(L)
 
     # fold the top eigenvalues into the scalar shifts so exp stays in range
     top = lam[:, -1]
     p = np.exp(lam - top[:, None])
     total = p.sum(axis=1)
-    rho = hermitianize((V * (p / total[:, None])[:, None, :]) @ V.conj().swapaxes(-1, -2))
+    rho = _from_spectrum(p / total[:, None], V)
     L.reshape(len(L), -1)[:, :: L.shape[-1] + 1] -= top[:, None]
     return _Learners(L, shift + top, rho, total, p[:, 0] / total), overlaps
 
@@ -283,7 +282,7 @@ def _qst_game(elements: np.ndarray, index: np.ndarray, eta: float | None) -> Qst
 
     def observe(t: int) -> tuple[np.ndarray, SpectralDecomposition]:
         A = hermitianize(elements[index[t]][None])  # the Hermitian part that was checked
-        return A, spectral(A)
+        return A, hermitian_eigh(A)
 
     played = _play(dim, rounds, eta, observe, transcript=True)
     losses, true_traces, min_eigs, step_times = played.per_round
@@ -300,8 +299,7 @@ def _qst_game(elements: np.ndarray, index: np.ndarray, eta: float | None) -> Qst
 
 def eta_bar(eta: float) -> float:
     """The rate eta / (1 - eta) that the regret analysis is written in."""
-    if not 0.0 < eta < 1.0:
-        raise DomainError(f"eta must be in (0, 1), got {eta!r}")
+    _check_eta(eta)
     return eta / (1.0 - eta)
 
 
@@ -311,8 +309,7 @@ def reverse_jensen_gap(X: np.ndarray, rho: np.ndarray, eta: float) -> float:
     Returns (1/eta) <log((1-eta) I + eta X), rho> + tr log(I + eta/(1-eta) X)
     minus log <X, rho>, which is nonnegative for PSD X and density rho.
     """
-    if not 0.0 < eta < 1.0:
-        raise DomainError(f"eta must be in (0, 1), got {eta!r}")
+    _check_eta(eta)
     X = np.asarray(X)
     rho = np.asarray(rho)
     overlap = hs_inner(X, rho)
@@ -321,7 +318,7 @@ def reverse_jensen_gap(X: np.ndarray, rho: np.ndarray, eta: float) -> float:
     mu, V = spectral(X)
     if (1.0 - eta) + eta * mu[0] <= 0.0:
         raise DomainError(f"X eigenvalue {mu[0]!r} makes the mixed matrix singular")
-    log_mix = hermitianize((V * np.log((1.0 - eta) + eta * mu)) @ V.conj().T)
+    log_mix = _from_spectrum(np.log((1.0 - eta) + eta * mu), V)
     term1 = hs_inner(log_mix, rho) / eta
     term2 = float(np.sum(np.log1p(eta_bar(eta) * mu)))
     return term1 + term2 - math.log(overlap)

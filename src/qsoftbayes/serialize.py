@@ -20,12 +20,17 @@ from .linalg import ValidationError
 from .tomography import Dataset
 
 
+def _pairs(M: np.ndarray) -> list:
+    """The row-major [re, im] pairs of a matrix, or of each matrix of a stack."""
+    M = np.ascontiguousarray(M, dtype=complex)
+    return M.view(np.float64).reshape(*M.shape[:-2], -1, 2).tolist()
+
+
 def matrix_to_record(M: np.ndarray) -> dict:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {M.shape}")
-    entries = [[float(z.real), float(z.imag)] for z in M.reshape(-1)]
-    return {"kind": "matrix", "dim": M.shape[0], "entries": entries}
+    return {"kind": "matrix", "dim": M.shape[0], "entries": _pairs(M)}
 
 
 def matrix_from_record(rec: dict) -> np.ndarray:
@@ -40,7 +45,7 @@ def save_matrix(path, M: np.ndarray) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    rec = _load(path)
+    rec = load_payload(path)
     if rec.get("kind") != "matrix":
         raise ValidationError(f"{path}: expected a matrix file, got kind {rec.get('kind')!r}")
     return matrix_from_record(rec)
@@ -48,15 +53,12 @@ def load_matrix(path) -> np.ndarray:
 
 def dataset_to_record(data: Dataset) -> dict:
     """The elements+index form: each distinct record once, and each record's element."""
-    E = data.elements  # (K, D, D) complex, C-contiguous
-    k, dim = E.shape[0], E.shape[1]
     rec = {
         "kind": "dataset",
-        "dim": dim,
+        "dim": data.dim,
         "n": len(data),
         "has_provenance": data.has_provenance,
-        # each element as row-major [re, im] pairs, like a matrix record's entries
-        "elements": E.view(np.float64).reshape(k, dim * dim, 2).tolist(),
+        "elements": _pairs(data.elements),
         "index": data.index.tolist(),
     }
     if data.has_provenance:
@@ -119,7 +121,7 @@ def save_dataset(path, data: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    rec = _load(path)
+    rec = load_payload(path)
     if rec.get("kind") != "dataset":
         raise ValidationError(f"{path}: expected a dataset file, got kind {rec.get('kind')!r}")
     return dataset_from_record(rec)
@@ -138,7 +140,7 @@ def save_return_stream(path, returns: np.ndarray) -> None:
 
 
 def load_return_stream(path) -> np.ndarray:
-    rec = _load(path)
+    rec = load_payload(path)
     if rec.get("kind") != "return-stream":
         raise ValidationError(f"{path}: expected a return-stream file, got kind {rec.get('kind')!r}")
     shape = (_int_field(rec, "rounds"), _dim_field(rec))
@@ -153,11 +155,6 @@ def load_return_stream(path) -> np.ndarray:
     if rows.shape != shape:
         raise ValidationError(f"{path}: rows shape {rows.shape} contradicts the header")
     return rows
-
-
-def load_payload(path) -> dict:
-    """Load any container and return the parsed record with its kind."""
-    return _load(path)
 
 
 def _field(rec: dict, key: str):
@@ -247,7 +244,8 @@ def _dump(path, obj: dict) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _load(path) -> dict:
+def load_payload(path) -> dict:
+    """Load any container and return the parsed record with its kind."""
     try:
         rec = json.loads(Path(path).read_text(encoding="utf-8"))
     # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer

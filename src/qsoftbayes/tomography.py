@@ -20,6 +20,7 @@ from .linalg import (
     DomainError,
     SpectralDecomposition,
     ValidationError,
+    _from_spectrum,
     _hermitian_psd,
     hermitian_eigh,
     hermitianize,
@@ -308,43 +309,25 @@ _DRAW_BLOCK = 4096
 def stochastic_qsb(
     data: Dataset,
     rounds: int,
-    eta: float | None = None,
-    seed: int = 0,
-    checkpoints=None,
-) -> MlResult:
-    """Estimate the ML state by running the learner on resampled records.
-
-    Each round draws one record index uniformly (the draw of one
-    `integers(N)` call on the seed's generator, so runs can be
-    randomness-coupled with the classical learner), feeds it to the online
-    update, and accumulates the announced state. The update
-    gets the record's distinct element, equal to it bit for bit, with that
-    element's eigendecomposition, computed on its first draw and reused, so
-    the run equals a loop of `qsb_step` over the drawn records while
-    decomposing each distinct record at most once. The returned
-    estimate is the average of all announced states; the objective of the
-    running average is evaluated at the requested checkpoints (default: a
-    geometric schedule plus the final round). One seed of
-    `stochastic_qsb_seeds`.
-    """
-    return stochastic_qsb_seeds(data, rounds, (seed,), eta, checkpoints)[0]
-
-
-def stochastic_qsb_seeds(
-    data: Dataset,
-    rounds: int,
     seeds,
     eta: float | None = None,
     checkpoints=None,
 ) -> list[MlResult]:
-    """`stochastic_qsb` for every seed, the learners stepped in lockstep.
+    """Estimate the ML state by running one learner per seed on resampled records.
 
-    Each learner draws from its own seed's generator, so result s equals
-    `stochastic_qsb(data, rounds, eta, seeds[s], checkpoints)` bit for bit;
-    the D x D algebra of a round runs once over the (S, D, D) stack of all
-    learners, and the element spectra are shared, so a call decomposes each
-    distinct record at most once whatever the number of seeds. A domain
-    error names the seed and the round.
+    Each round every learner draws one record index uniformly (the draw of
+    one `integers(N)` call on its seed's generator, so runs can be
+    randomness-coupled with the classical learner), feeds that record's
+    distinct element, equal to it bit for bit, to the online update, and
+    accumulates the announced state. The learners run in lockstep: the D x D
+    algebra of a round runs once over the (S, D, D) stack of all learners,
+    and every element is decomposed once, in one stacked call before the
+    first round. So result s equals a loop of `qsb_step` over seed s's drawn
+    records, bit for bit, whatever the other seeds. Each estimate is the
+    average of all announced states; the objective of the running average
+    is evaluated at the requested checkpoints (default: a geometric
+    schedule plus the final round). A domain error names the seed and the
+    round.
     """
     if rounds < 1:
         raise ValidationError(f"rounds must be at least 1, got {rounds}")
@@ -357,11 +340,7 @@ def stochastic_qsb_seeds(
         eta = learning_rate(dim, rounds)
     cps = _normalize_checkpoints(checkpoints, rounds)
 
-    # spectral(element) per distinct record, written before the element's
-    # first round; the rows of elements never drawn are never written
-    decomposed = [False] * len(data.elements)
-    eigenvalues = np.empty(data.elements.shape[:2])
-    eigenvectors = np.empty(data.elements.shape, dtype=complex)
+    eigenvalues, eigenvectors = spectral(data.elements)
     rngs = [make_rng(seed) for seed in seeds]
     drawn = np.empty((0, len(seeds)), dtype=np.int64)  # (rounds of a block, S) elements
 
@@ -373,10 +352,6 @@ def stochastic_qsb_seeds(
             size = min(_DRAW_BLOCK, rounds - t)
             records = np.stack([rng.integers(n_records, size=size) for rng in rngs], axis=1)
             drawn = data.index[records]
-            for k in np.unique(drawn).tolist():
-                if not decomposed[k]:
-                    eigenvalues[k], eigenvectors[k] = spectral(data.elements[k])
-                    decomposed[k] = True
         ks = drawn[t % _DRAW_BLOCK]
         return data.elements.take(ks, axis=0), SpectralDecomposition(
             eigenvalues.take(ks, axis=0), eigenvectors.take(ks, axis=0)
@@ -447,5 +422,4 @@ def _density_projection(H: np.ndarray) -> np.ndarray:
     w, V = hermitian_eigh(H)
     w = _simplex_projection(w)
     keep = w > 0.0
-    V = V[:, keep]
-    return hermitianize((V * w[keep]) @ V.conj().T)
+    return _from_spectrum(w[keep], V[:, keep])

@@ -402,6 +402,15 @@ class TestQstGameMode:
         assert code == 2
         assert "need 10" in capsys.readouterr().err
 
+    def test_from_file_stream_of_another_dimension(self, tmp_path, capsys, dataset_file):
+        out = tmp_path / "run"
+        code = main(["qst-game", "--dim", "4", "--rounds", "10", "--povm", "from-file",
+                     "--input", str(dataset_file), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"config error: {dataset_file} has dimension 2, need 4\n"
+        assert not list(out.iterdir())
+
 
 class TestMlRunMode:
 
@@ -468,6 +477,15 @@ class TestMlRunMode:
                      "--rounds", "16", "--seeds", "0", "--out", str(out)]) == 0
         stored = load_dataset(out / "dataset.json")
         assert np.array_equal(stored.matrices, data.matrices)
+
+    def test_from_file_dataset_of_another_dimension(self, tmp_path, capsys, dataset_file):
+        out = tmp_path / "run"
+        code = main(["ml-run", "--qubits", "3", "--povm", "from-file", "--input",
+                     str(dataset_file), "--rounds", "8", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"config error: {dataset_file} has dimension 2, need 8\n"
+        assert not list(out.iterdir())
 
 
 class TestScalingBenchMode:

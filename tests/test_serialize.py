@@ -45,6 +45,24 @@ class TestMatrixContainer:
         assert rec["dim"] == 2
         assert rec["entries"] == [[1.0, 0.0], [2.0, -3.0], [2.0, 3.0], [4.0, 0.0]]
 
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "negative-zero"])
+    def test_entries_equal_a_per_entry_reference(self, layout):
+        """The stacked [re, im] encoder writes the JSON of one float() per part."""
+        M = random_density(make_rng(2), 3)
+        if layout == "transposed":
+            M = M.T
+        elif layout == "negative-zero":
+            M = np.array([[complex(1.0, -0.0), complex(-0.0, -0.0)],
+                          [complex(-0.0, 0.0), complex(2.0, -0.0)]])
+
+        def reference(X):
+            return [[float(z.real), float(z.imag)] for z in np.asarray(X, complex).reshape(-1)]
+
+        assert json.dumps(matrix_to_record(M)["entries"]) == json.dumps(reference(M))
+        data = Dataset(matrices=np.stack([M, 2 * M]))
+        assert json.dumps(dataset_to_record(data)["elements"]) == json.dumps(
+            [reference(E) for E in data.elements])
+
     def test_rejects_non_square_input(self):
         with pytest.raises(ValidationError):
             matrix_to_record(np.zeros((2, 3)))

@@ -27,7 +27,6 @@ from qsoftbayes.tomography import (
     sample_outcome,
     stationarity_operator,
     stochastic_qsb,
-    stochastic_qsb_seeds,
     validate_dataset,
     validate_povm,
 )
@@ -437,29 +436,29 @@ class TestStochasticQsb:
 
     def test_identity_dataset_stays_maximally_mixed(self):
         data = Dataset(matrices=np.broadcast_to(np.eye(2), (5, 2, 2)))
-        result = stochastic_qsb(data, rounds=50, seed=0)
+        result = stochastic_qsb(data, rounds=50, seeds=(0,))[0]
         assert np.allclose(result.rho_bar, np.eye(2) / 2, atol=1e-12)
         assert np.allclose(result.objective_values, 0.0, atol=1e-12)
 
     def test_default_checkpoints_are_geometric(self):
         data = Dataset(matrices=np.broadcast_to(np.eye(2), (2, 2, 2)))
-        result = stochastic_qsb(data, rounds=10, seed=0)
+        result = stochastic_qsb(data, rounds=10, seeds=(0,))[0]
         assert list(result.checkpoints) == [1, 2, 4, 8, 10]
-        result = stochastic_qsb(data, rounds=8, seed=0)
+        result = stochastic_qsb(data, rounds=8, seeds=(0,))[0]
         assert list(result.checkpoints) == [1, 2, 4, 8]
 
     def test_explicit_checkpoints_are_sorted_and_deduplicated(self):
         data = Dataset(matrices=np.broadcast_to(np.eye(2), (2, 2, 2)))
-        result = stochastic_qsb(data, rounds=10, seed=0, checkpoints=(5, 2, 2, 9))
+        result = stochastic_qsb(data, rounds=10, seeds=(0,), checkpoints=(5, 2, 2, 9))[0]
         assert list(result.checkpoints) == [2, 5, 9]
         with pytest.raises(ValidationError):
-            stochastic_qsb(data, rounds=10, seed=0, checkpoints=(0, 3))
+            stochastic_qsb(data, rounds=10, seeds=(0,), checkpoints=(0, 3))
         with pytest.raises(ValidationError):
-            stochastic_qsb(data, rounds=10, seed=0, checkpoints=(3, 11))
+            stochastic_qsb(data, rounds=10, seeds=(0,), checkpoints=(3, 11))
 
     def test_no_checkpoints_defers_evaluation(self):
         data = Dataset(matrices=np.broadcast_to(np.eye(2), (2, 2, 2)))
-        result = stochastic_qsb(data, rounds=10, seed=0, checkpoints=())
+        result = stochastic_qsb(data, rounds=10, seeds=(0,), checkpoints=())[0]
         assert len(result.objective_values) == 0
         with pytest.raises(ValueError):
             result.final_objective
@@ -467,8 +466,8 @@ class TestStochasticQsb:
     def test_same_seed_reproduces_bitwise(self):
         rho = random_density(make_rng(10), 2)
         data = generate_dataset(rho, pauli_basis_povms(1), 60, make_rng(10))
-        a = stochastic_qsb(data, rounds=40, seed=3)
-        b = stochastic_qsb(data, rounds=40, seed=3)
+        a = stochastic_qsb(data, rounds=40, seeds=(3,))[0]
+        b = stochastic_qsb(data, rounds=40, seeds=(3,))[0]
         assert np.array_equal(a.rho_bar, b.rho_bar)
         assert np.array_equal(a.objective_values, b.objective_values)
 
@@ -483,7 +482,7 @@ class TestStochasticQsb:
         data = Dataset(matrices=records)
 
         rounds, seed = 200, 17
-        quantum = stochastic_qsb(data, rounds=rounds, seed=seed, checkpoints=())
+        quantum = stochastic_qsb(data, rounds=rounds, seeds=(seed,), checkpoints=())[0]
         # the classical learner's average portfolio, one integers(N) draw per round
         eta, draws = learning_rate(3, rounds), make_rng(seed)
         w, w_sum = np.full(3, 1.0 / 3), np.zeros(3)
@@ -496,12 +495,13 @@ class TestStochasticQsb:
         assert np.max(np.abs(off_diag)) <= 1e-12
 
     def test_equals_a_loop_of_qsb_step_over_the_drawn_records(self):
-        """Memoized element spectra change no bit: the estimator must equal
-        qsb_step applied to each drawn record, with the same draws."""
+        """Element spectra from one stacked decomposition change no bit: the
+        estimator must equal qsb_step applied to each drawn record, with the
+        same draws."""
         rng = make_rng(12)
         data = generate_dataset(random_density(rng, 4), pauli_basis_povms(2), 600, rng)
         rounds, seed = 2000, 9
-        result = stochastic_qsb(data, rounds=rounds, seed=seed)
+        result = stochastic_qsb(data, rounds=rounds, seeds=(seed,))[0]
 
         eta = learning_rate(4, rounds)
         draws = make_rng(seed)
@@ -525,7 +525,7 @@ class TestStochasticQsb:
         data = generate_dataset(random_density(rng, 2), pauli_basis_povms(1), 50, rng)
         rounds = tomography._DRAW_BLOCK + 300
         eta = learning_rate(2, rounds)
-        for seed, result in zip((3, 8), stochastic_qsb_seeds(data, rounds, (3, 8), checkpoints=())):
+        for seed, result in zip((3, 8), stochastic_qsb(data, rounds, (3, 8), checkpoints=())):
             draws = make_rng(seed)
             state = qsb_init(2)
             rho_sum = np.zeros((2, 2), dtype=complex)
@@ -535,7 +535,7 @@ class TestStochasticQsb:
             assert np.array_equal(result.rho_bar, hermitianize(rho_sum / rounds))
             assert np.array_equal(result.final_state.rho, state.rho)
 
-    def test_decomposes_each_drawn_element_once(self, monkeypatch):
+    def test_decomposes_the_element_stack_once_per_call(self, monkeypatch):
         decomposed = []
         spectral = tomography.spectral
 
@@ -546,29 +546,22 @@ class TestStochasticQsb:
         monkeypatch.setattr(tomography, "spectral", counted)
         rng = make_rng(14)
         data = generate_dataset(random_density(rng, 4), pauli_basis_povms(2), 900, rng)
-        assert len(data.elements) == 36  # 12 rounds can draw at most 12 of them
+        assert len(data.elements) == 36  # more than 12 rounds can draw
         for rounds in (12, 3000):
             for seeds in ((2,), (2, 5)):
                 decomposed.clear()
-                stochastic_qsb_seeds(data, rounds, seeds, checkpoints=())
-                drawn = set()
-                for seed in seeds:
-                    draws = make_rng(seed)
-                    drawn |= {int(data.index[draws.integers(len(data))]) for _ in range(rounds)}
-                # the elements are distinct, so each decomposed matrix names one
-                ks = [next(k for k, F in enumerate(data.elements) if np.array_equal(E, F))
-                      for E in decomposed]
-                assert len(ks) == len(set(ks))  # each element at most once per call
-                assert set(ks) == drawn         # only, and all, the drawn ones
+                stochastic_qsb(data, rounds, seeds, checkpoints=())
+                assert len(decomposed) == 1  # one call, whatever the rounds and seeds
+                assert np.array_equal(decomposed[0], data.elements)  # on the whole stack
 
     @pytest.mark.parametrize("seeds", [(5,), (2, 3), (4, 4, 7)])
     def test_lockstep_seeds_equal_one_run_per_seed(self, seeds):
         rng = make_rng(15)
         data = generate_dataset(random_density(rng, 4), pauli_basis_povms(2), 600, rng)
-        many = stochastic_qsb_seeds(data, 1500, seeds)
+        many = stochastic_qsb(data, 1500, seeds)
         assert [r.seed for r in many] == list(seeds)
         for lockstep, seed in zip(many, seeds):
-            alone = stochastic_qsb(data, 1500, seed=seed)
+            alone = stochastic_qsb(data, 1500, seeds=(seed,))[0]
             assert np.array_equal(lockstep.rho_bar, alone.rho_bar)
             assert np.array_equal(lockstep.checkpoints, alone.checkpoints)
             assert np.array_equal(lockstep.objective_values, alone.objective_values)
@@ -592,18 +585,18 @@ class TestStochasticQsb:
         seed = seeds[first_bad.index(t)]
         assert (seed, t) == (7, 3)  # seed 0 also fails at round 3, later in the stack
         with pytest.raises(DomainError, match=f"^round {t}: seed {seed}: .*domain of log"):
-            stochastic_qsb_seeds(data, 20, seeds, eta=1.0 - 1e-12)
+            stochastic_qsb(data, 20, seeds, eta=1.0 - 1e-12)
 
     def test_seeds_are_required(self):
         data = Dataset(matrices=np.broadcast_to(np.eye(2), (2, 2, 2)))
         with pytest.raises(ValidationError, match="seed"):
-            stochastic_qsb_seeds(data, 10, ())
+            stochastic_qsb(data, 10, ())
 
     def test_final_objective_beats_the_mixed_state_plus_regret(self):
         rho = random_density(make_rng(11), 2)
         data = generate_dataset(rho, pauli_basis_povms(1), 90, make_rng(11))
         rounds = 300
-        result = stochastic_qsb(data, rounds=rounds, seed=4)
+        result = stochastic_qsb(data, rounds=rounds, seeds=(4,))[0]
         budget = ml_objective(np.eye(2) / 2, data) + qsb_regret_bound(2, rounds) / rounds
         assert result.final_objective <= budget
 
