@@ -23,7 +23,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,8 @@ from .serialize import (
     dataset_from_record,
     load_dataset,
     load_payload,
-    load_return_stream,
     matrix_from_record,
+    return_stream_from_record,
     save_dataset,
     save_matrix,
     write_csv,
@@ -89,6 +89,9 @@ ML_COLUMNS = ["checkpoint", "t", "f_rho_bar", "bound", "gap_to_oracle"]
 # workload, so a request beyond it is refused before anything is allocated.
 MAX_DIM = 2 ** 12
 MAX_QUBITS = MAX_DIM.bit_length() - 1
+# Largest qubit count of a pauli-basis run: its 3^q POVMs take 24^q x 16
+# bytes, 127 MB at q = 5 and 3.06 GB at q = 6.
+MAX_PAULI_QUBITS = 5
 
 
 class ConfigError(ValueError):
@@ -155,8 +158,13 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"povm must be one of {', '.join(povms)} in {config.mode}, got {config.povm!r}")
     if config.povm == "from-file" and not config.input_path:
         raise ConfigError("povm=from-file requires --input")
-    if config.mode in MODE_POVMS and config.povm == "pauli-basis" and config.dims[0] & (config.dims[0] - 1):
-        raise ConfigError(f"pauli-basis requires a power-of-two dimension, got {config.dims[0]}")
+    if config.mode in MODE_POVMS and config.povm == "pauli-basis":
+        dim = config.dims[0]
+        if dim & (dim - 1):
+            raise ConfigError(f"pauli-basis requires a power-of-two dimension, got {dim}")
+        if dim > 2 ** MAX_PAULI_QUBITS:
+            raise ConfigError(f"pauli-basis takes at most {MAX_PAULI_QUBITS} qubits "
+                              f"(D = {2 ** MAX_PAULI_QUBITS}), got D = {dim}")
     if config.checkpoints is not None:
         bad = [c for c in config.checkpoints if not 1 <= c <= config.rounds]
         if bad:
@@ -343,26 +351,31 @@ def _input_dataset(config: ExperimentConfig) -> Dataset:
     return data
 
 
-def _qst_dataset(config: ExperimentConfig, seed: int) -> Dataset:
-    """One seed's game stream, as the dataset the oracle fits and the game plays."""
+def _qst_datasets(config: ExperimentConfig) -> Iterator[Dataset]:
+    """Each seed's game stream, as the dataset the oracle fits and the game plays;
+    a from-file input is loaded and checked once, and every seed plays its first --rounds records."""
     dim = config.dims[0]
-    rng = make_rng(seed)
-    if config.povm == "random-rank1":
-        return Dataset(matrices=rank1_observation_stream(rng, config.rounds, dim))
-    if config.povm == "pauli-basis":
-        truth = random_density(rng, dim)
-        return generate_dataset(truth, pauli_basis_povms(dim.bit_length() - 1),
-                                config.rounds, rng)
-    data = _input_dataset(config)
-    if len(data) < config.rounds:
-        raise ConfigError(
-            f"{config.input_path} provides {len(data)} observations, need {config.rounds}"
-        )
-    return Dataset(elements=data.elements, index=data.index[: config.rounds])
+    if config.povm == "from-file":
+        data = _input_dataset(config)
+        if len(data) < config.rounds:
+            raise ConfigError(
+                f"{config.input_path} provides {len(data)} observations, need {config.rounds}"
+            )
+        if len(data) > config.rounds:
+            data = Dataset(elements=data.elements, index=data.index[: config.rounds])
+    for seed in config.seeds:
+        rng = make_rng(seed)
+        if config.povm == "random-rank1":
+            yield Dataset(matrices=rank1_observation_stream(rng, config.rounds, dim))
+        elif config.povm == "pauli-basis":
+            truth = random_density(rng, dim)
+            yield generate_dataset(truth, pauli_basis_povms(dim.bit_length() - 1),
+                                   config.rounds, rng)
+        else:
+            yield data
 
 
-def _qst_seed(config: ExperimentConfig, seed: int, out_dir: str) -> dict:
-    data = _qst_dataset(config, seed)
+def _qst_seed(config: ExperimentConfig, seed: int, data: Dataset, out_dir: str) -> dict:
     transcript = _qst_game(data.elements, data.index, config.eta)
     rho_hat, f_star = batch_ml_solve(data, tol=1e-7)
     comparator_loss = f_star * config.rounds
@@ -512,7 +525,7 @@ def _run_validate(config: ExperimentConfig) -> list[str]:
         lines.append(f"provenance: {'yes' if data.has_provenance else 'no'}")
         lines.append("records hermitian, psd, nonzero: ok")
     elif kind == "return-stream":
-        rows = validate_return_stream(load_return_stream(config.input_path))
+        rows = validate_return_stream(return_stream_from_record(rec))
         lines.append(f"dim: {rows.shape[1]}")
         lines.append(f"rounds: {rows.shape[0]}")
         lines.append("rows finite, nonnegative and nonzero: ok")
@@ -523,21 +536,23 @@ def _run_validate(config: ExperimentConfig) -> list[str]:
 
 
 def run_experiment(config: ExperimentConfig) -> int:
-    """Execute one configured run; returns a process exit code."""
+    """Execute one configured run; returns a process exit code.
+
+    A run that fails before writing an artifact removes the directories it
+    made for its output; a directory that existed before is kept.
+    """
+    made: list[Path] = []
     try:
         validate_config(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    started = time.monotonic()
-    try:
         if config.mode == "validate":
             for line in _run_validate(config):
                 print(line)
             return 0
 
+        started = time.monotonic()
         out_dir = Path(config.out)
+        # the directories mkdir is about to make, innermost first
+        made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
         extra: dict = {"mode": config.mode}
 
@@ -545,8 +560,8 @@ def run_experiment(config: ExperimentConfig) -> int:
             extra["seed_summaries"] = [_ops_seed(config, seed, str(out_dir))
                                        for seed in config.seeds]
         elif config.mode == "qst-game":
-            extra["seed_summaries"] = [_qst_seed(config, seed, str(out_dir))
-                                       for seed in config.seeds]
+            extra["seed_summaries"] = [_qst_seed(config, seed, data, str(out_dir)) for seed, data
+                                       in zip(config.seeds, _qst_datasets(config))]
         elif config.mode == "ml-run":
             extra.update(_run_ml(config, out_dir))
         else:
@@ -558,18 +573,23 @@ def run_experiment(config: ExperimentConfig) -> int:
         print(f"wrote artifacts to {out_dir}")
         return 0
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"config error: {exc}", 2
     except (ValidationError, DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message, code = f"error: {exc}", 1
     except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 1
+        message, code = f"solver error: {exc}", 1
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
-        print(f"error: out of memory{detail}", file=sys.stderr)
-        return 1
+        message, code = f"error: out of memory{detail}", 1
+    print(message, file=sys.stderr)
+    for path in made:
+        try:
+            path.rmdir()  # refused once the directory holds an artifact
+        except FileNotFoundError:
+            continue
+        except OSError:
+            break
+    return code
 
 
 # --- argument parsing -----------------------------------------------------

@@ -67,4 +67,7 @@ def rank1_observation_stream(rng: np.random.Generator, rounds: int, dim: int) ->
 
 def psd_observation_stream(rng: np.random.Generator, rounds: int, dim: int) -> np.ndarray:
     """(rounds, dim, dim) stream of full-rank random PSD observations."""
-    return np.stack([random_psd(rng, dim) for _ in range(rounds)])
+    stream = np.empty((rounds, dim, dim), dtype=complex)
+    for t in range(rounds):
+        stream[t] = random_psd(rng, dim)
+    return stream

@@ -78,7 +78,7 @@ def herm_log(H: np.ndarray) -> np.ndarray:
     """
     w, V = spectral(H)
     if w[0] <= EVAL_FLOOR:
-        raise DomainError(f"eigenvalue {w[0]!r} is outside the domain of log")
+        raise DomainError(f"eigenvalue {float(w[0])!r} is outside the domain of log")
     return _from_spectrum(np.log(w), V)
 
 

@@ -317,7 +317,7 @@ def reverse_jensen_gap(X: np.ndarray, rho: np.ndarray, eta: float) -> float:
         raise DomainError(f"tr(X rho) = {overlap!r} is not positive")
     mu, V = spectral(X)
     if (1.0 - eta) + eta * mu[0] <= 0.0:
-        raise DomainError(f"X eigenvalue {mu[0]!r} makes the mixed matrix singular")
+        raise DomainError(f"X eigenvalue {float(mu[0])!r} makes the mixed matrix singular")
     log_mix = _from_spectrum(np.log((1.0 - eta) + eta * mu), V)
     term1 = hs_inner(log_mix, rho) / eta
     term2 = float(np.sum(np.log1p(eta_bar(eta) * mu)))

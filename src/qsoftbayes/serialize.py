@@ -139,21 +139,19 @@ def save_return_stream(path, returns: np.ndarray) -> None:
     })
 
 
-def load_return_stream(path) -> np.ndarray:
-    rec = load_payload(path)
-    if rec.get("kind") != "return-stream":
-        raise ValidationError(f"{path}: expected a return-stream file, got kind {rec.get('kind')!r}")
+def return_stream_from_record(rec: dict) -> np.ndarray:
+    """The (rounds, dim) rows of a return-stream record, checked against its header."""
     shape = (_int_field(rec, "rounds"), _dim_field(rec))
     try:
         rows = np.array(_field(rec, "rows"))
     except ValueError as exc:  # ragged rows
-        raise ValidationError(f"{path}: rows are not a rectangular table") from exc
+        raise ValidationError("rows are not a rectangular table") from exc
     # JSON numbers only: a string such as "0.5", null or a boolean is rejected
     if rows.dtype.kind not in "iuf":
-        raise ValidationError(f"{path}: rows hold an entry that is not a number")
+        raise ValidationError("rows hold an entry that is not a number")
     rows = rows.astype(float)
     if rows.shape != shape:
-        raise ValidationError(f"{path}: rows shape {rows.shape} contradicts the header")
+        raise ValidationError(f"rows shape {rows.shape} contradicts the header")
     return rows
 
 

@@ -165,7 +165,9 @@ def _positive_overlaps(data: Dataset, rho: np.ndarray) -> np.ndarray:
     p = _overlaps(data.elements, np.asarray(rho))
     if p.min() <= 0.0:
         k = int(np.argmin(p))
-        raise DomainError(f"tr(A_n rho) = {p[k]!r} is not positive at record n={np.argmax(data.index == k)}")
+        raise DomainError(
+            f"tr(A_n rho) = {float(p[k])!r} is not positive at record n={np.argmax(data.index == k)}"
+        )
     return p
 
 
@@ -270,20 +272,18 @@ def pauli_basis_povms(qubits: int) -> list[np.ndarray]:
 
     Returns 3^q stacks of 2^q projectors; outcome j of a POVM projects onto
     the tensor product of single-qubit eigenvectors selected by the bits of
-    j, with bit 0 addressing the first qubit.
+    j, with bit 0 addressing the first qubit: column j of the Kronecker
+    product of the single-qubit bases.
     """
     if qubits < 1:
         raise ValidationError(f"qubits must be positive, got {qubits}")
-    dim = 2 ** qubits
     povms = []
     for string in itertools.product("XYZ", repeat=qubits):
-        elements = np.empty((dim, dim, dim), dtype=complex)
-        for j, bits in enumerate(itertools.product((0, 1), repeat=qubits)):
-            v = np.ones(1, dtype=complex)
-            for s, b in zip(string, bits):
-                v = np.kron(v, _QUBIT_BASES[s][:, b])
-            elements[j] = np.outer(v, v.conj())
-        povms.append(elements)
+        U = np.ones((1, 1), dtype=complex)  # not the first basis: that flips signed zeros
+        for s in string:
+            U = np.kron(U, _QUBIT_BASES[s])
+        C = np.ascontiguousarray(U.T)  # row j: outcome j's vector
+        povms.append(C[:, :, None] * C.conj()[:, None, :])
     return povms
 
 

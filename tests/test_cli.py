@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsoftbayes import cli
+from qsoftbayes import cli, serialize
 from qsoftbayes.cli import (
     ConfigError,
     ExperimentConfig,
@@ -25,7 +25,7 @@ from qsoftbayes.cli import (
     write_ops_report,
 )
 from qsoftbayes.ensembles import make_rng, random_density, uniform_returns
-from qsoftbayes.linalg import validate_density
+from qsoftbayes.linalg import DomainError, validate_density
 from qsoftbayes.portfolio import best_fixed_portfolio, ops_regret_bound, run_ops_game
 from qsoftbayes.serialize import (
     load_dataset,
@@ -401,6 +401,7 @@ class TestQstGameMode:
                      "--input", str(src), "--out", str(tmp_path / "run")])
         assert code == 2
         assert "need 10" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_from_file_stream_of_another_dimension(self, tmp_path, capsys, dataset_file):
         out = tmp_path / "run"
@@ -409,7 +410,7 @@ class TestQstGameMode:
         assert code == 2
         assert capsys.readouterr().err == \
             f"config error: {dataset_file} has dimension 2, need 4\n"
-        assert not list(out.iterdir())
+        assert not out.exists()
 
 
 class TestMlRunMode:
@@ -485,7 +486,7 @@ class TestMlRunMode:
         assert code == 2
         assert capsys.readouterr().err == \
             f"config error: {dataset_file} has dimension 2, need 8\n"
-        assert not list(out.iterdir())
+        assert not out.exists()
 
 
 class TestScalingBenchMode:
@@ -539,11 +540,17 @@ class TestValidateMode:
         assert report[1:6] == ["kind: dataset", "form: per-record", "dim: 1", "records: 2",
                                "distinct: 1"]
 
-    def test_return_stream_report(self, tmp_path, capsys):
+    def test_return_stream_report(self, tmp_path, capsys, monkeypatch):
+        """The file is read and parsed once."""
         path = tmp_path / "r.json"
         save_return_stream(path, np.full((4, 2), 0.5))
+        reads = []
+        load = serialize.load_payload
+        for module in (cli, serialize):
+            monkeypatch.setattr(module, "load_payload", lambda p: reads.append(p) or load(p))
         assert main(["validate", str(path)]) == 0
         assert "rounds: 4" in capsys.readouterr().out
+        assert reads == [str(path)]
 
     def test_return_stream_names_its_first_failing_round(self, tmp_path, capsys):
         path = tmp_path / "r.json"
@@ -647,6 +654,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("mode", ["qst-game", "ml-run"])
+    def test_pauli_basis_above_the_qubit_cap_is_a_one_line_config_error(self, tmp_path, capsys,
+                                                                        monkeypatch, mode):
+        monkeypatch.setattr(cli, "MAX_PAULI_QUBITS", 1)
+        out = tmp_path / "run"
+        assert main([mode, "--qubits", "2", "--rounds", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "config error: pauli-basis takes at most 1 qubits (D = 2), got D = 4\n"
+        assert not out.exists()
+        validate_config(ExperimentConfig(mode=mode, dims=(2,)))
+        if mode == "qst-game":  # the cap is on the Pauli POVMs, not on the dimension
+            validate_config(ExperimentConfig(mode=mode, dims=(4,), povm="random-rank1"))
+
+    @pytest.mark.parametrize("mode", ["qst-game", "ml-run"])
+    @pytest.mark.parametrize("content", [b"{{{{", b'{"kind": "matrix", "dim": 1, "entries": [[1, 0]]}'],
+                             ids=["not-json", "not-a-dataset"])
+    def test_a_bad_input_file_leaves_no_directory_the_run_made(self, tmp_path, capsys, mode,
+                                                              content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        out = tmp_path / "runs" / "run"
+        assert main([mode, "--dim", "2", "--rounds", "2", "--povm", "from-file",
+                     "--input", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "runs").exists()
+
+    def test_a_failed_run_keeps_a_directory_that_existed(self, tmp_path, capsys, dataset_file):
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main(["qst-game", "--dim", "4", "--rounds", "2", "--povm", "from-file",
+                     "--input", str(dataset_file), "--out", str(out)]) == 2
+        capsys.readouterr()
+        assert out.is_dir()
+
+    def test_a_run_that_fails_after_an_artifact_keeps_it(self, tmp_path, capsys, monkeypatch):
+        def diverged(*args, **kwargs):
+            raise DomainError("round 1: seed 0: diverged")
+
+        monkeypatch.setattr(cli, "stochastic_qsb", diverged)
+        out = tmp_path / "run"
+        assert main(["ml-run", "--qubits", "1", "--shots", "10", "--rounds", "2",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: round 1: seed 0: diverged\n"
+        assert [p.name for p in out.iterdir()] == ["dataset.json"]
 
     def test_out_of_memory_is_a_one_line_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

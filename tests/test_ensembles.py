@@ -1,7 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qsoftbayes.ensembles import make_rng, rank1_observation_stream
+from qsoftbayes.ensembles import (
+    make_rng,
+    psd_observation_stream,
+    random_psd,
+    rank1_observation_stream,
+)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -16,3 +23,24 @@ def test_rank1_stream_equals_one_normalized_draw_per_round(seed, dim):
         v = v / np.linalg.norm(v)
         reference.append(np.outer(v, v.conj()))
     assert np.array_equal(rank1_observation_stream(make_rng(seed), 20, dim), np.stack(reference))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("dim", [2, 16, 64])
+def test_psd_stream_equals_one_random_psd_draw_per_round(seed, dim):
+    rng = make_rng(seed)
+    reference = np.stack([random_psd(rng, dim) for _ in range(12)])
+    stream = psd_observation_stream(make_rng(seed), 12, dim)
+    assert stream.tobytes() == reference.tobytes()
+
+
+def test_psd_stream_holds_one_copy_of_its_rounds():
+    """The draws go into the returned stack as they are made: no list of
+    the rounds beside it, which would double the peak."""
+    tracemalloc.start()
+    try:
+        stream = psd_observation_stream(make_rng(0), 200, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * stream.nbytes

@@ -66,9 +66,8 @@ class TestHermExpLog:
             assert w[0] > 0
 
     def test_log_rejects_singular_input(self):
-        with pytest.raises(DomainError) as err:
+        with pytest.raises(DomainError, match=r"^eigenvalue 0\.0 is outside the domain of log$"):
             herm_log(np.diag([1.0, 0.0]))
-        assert "eigenvalue" in str(err.value)
 
     def test_exp_rejects_an_overflowing_eigenvalue(self):
         with pytest.raises(DomainError, match=r"^eigenvalue 800\.0 is outside the domain of exp$"):

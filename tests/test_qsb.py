@@ -308,6 +308,11 @@ class TestReverseJensenGap:
         with pytest.raises(DomainError):
             reverse_jensen_gap(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), eta=0.5)
 
+    def test_a_singular_mix_names_the_eigenvalue(self):
+        with pytest.raises(DomainError,
+                           match=r"^X eigenvalue -20\.0 makes the mixed matrix singular$"):
+            reverse_jensen_gap(np.diag([1.0, -20.0]), np.diag([1.0, 0.0]), eta=0.5)
+
     def test_eta_domain(self):
         with pytest.raises(DomainError):
             reverse_jensen_gap(np.eye(2), np.eye(2) / 2, eta=0.0)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from qsoftbayes.portfolio import (
     soft_bayes_step,
 )
 from qsoftbayes.qsb import qsb_init, qsb_regret_bound, qsb_step, run_qst_game
+from qsoftbayes.serialize import save_dataset
 from qsoftbayes.tomography import (
     Dataset,
     batch_ml_solve,
@@ -54,6 +57,23 @@ def per_record_stationarity(rho: np.ndarray, matrices: np.ndarray) -> np.ndarray
     """Reference: (1/N) sum_n A_n / tr(A_n rho), one record at a time."""
     R = sum(A / np.trace(A @ rho).real for A in matrices) / len(matrices)
     return (R + R.conj().T) / 2
+
+
+def per_outcome_pauli_povms(qubits: int) -> list[np.ndarray]:
+    """Reference: outcome j's vector as a chain of single-qubit `kron`s, one
+    chain per outcome, and its projector as an `outer` product."""
+    bases = tomography._QUBIT_BASES
+    dim = 2 ** qubits
+    povms = []
+    for string in itertools.product("XYZ", repeat=qubits):
+        elements = np.empty((dim, dim, dim), dtype=complex)
+        for j, bits in enumerate(itertools.product((0, 1), repeat=qubits)):
+            v = np.ones(1, dtype=complex)
+            for s, b in zip(string, bits):
+                v = np.kron(v, bases[s][:, b])
+            elements[j] = np.outer(v, v.conj())
+        povms.append(elements)
+    return povms
 
 
 @st.composite
@@ -267,12 +287,32 @@ class TestStackedCheck:
                 consume()
             assert str(err.value) == expected
 
-    @pytest.mark.parametrize("povm, checked", [("random-rank1", [1000]),
-                                               ("pauli-basis", [4] * 9 + [36])])
-    def test_a_game_checks_each_observation_once(self, tmp_path, monkeypatch, povm, checked):
-        """One 1000-round qst-game seed at D = 4: the random-rank1 stream is
-        checked once, in its dataset; a Pauli game checks the 4 elements of
-        each of its 9 POVMs, then the 36 distinct elements its records hold."""
+    @pytest.mark.parametrize("povm, records", [("random-rank1", None), ("pauli-basis", None),
+                                               ("from-file", 1000), ("from-file", 3000)],
+                             ids=["random-rank1", "pauli-basis", "from-file", "from-file-longer"])
+    def test_a_game_checks_each_observation_once(self, tmp_path, monkeypatch, povm, records):
+        """Three 1000-round qst-game seeds at D = 4. Each seed's generated
+        stream is checked once, in its dataset: the random-rank1 stream's
+        1000 records; a Pauli game's 4 elements of each of its 9 POVMs, then
+        the 36 distinct elements its records hold. A from-file input is
+        loaded and checked once per run; a file longer than the rounds has
+        its 1000-record prefix built (and checked) once, for all seeds."""
+        argv = ["qst-game", "--dim", "4", "--rounds", "1000", "--povm", povm,
+                "--seeds", "0,1,2", "--out", str(tmp_path / "run")]
+        if povm == "random-rank1":
+            checked = [1000] * 3
+        elif povm == "pauli-basis":
+            checked = ([4] * 9 + [36]) * 3
+        else:
+            rng = make_rng(5)
+            data = generate_dataset(random_density(rng, 4), pauli_basis_povms(2), records, rng)
+            save_dataset(tmp_path / "in.json", data)
+            argv += ["--input", str(tmp_path / "in.json")]
+            prefix = Dataset(elements=data.elements, index=data.index[:1000])
+            checked = [len(data.elements)] + ([len(prefix.elements)] if records > 1000 else [])
+        loads = []
+        load = cli.load_dataset
+        monkeypatch.setattr(cli, "load_dataset", lambda path: loads.append(path) or load(path))
         counts = []
         check = linalg._hermitian_psd
 
@@ -283,9 +323,9 @@ class TestStackedCheck:
 
         for module in (linalg, tomography, qsb):
             monkeypatch.setattr(module, "_hermitian_psd", counted)
-        assert cli.main(["qst-game", "--dim", "4", "--rounds", "1000", "--povm", povm,
-                         "--out", str(tmp_path / "run")]) == 0
+        assert cli.main(argv) == 0
         assert counts == checked
+        assert len(loads) == (povm == "from-file")
 
 
 class TestMlObjective:
@@ -308,7 +348,7 @@ class TestMlObjective:
 
     def test_zero_overlap_names_the_record(self):
         data = Dataset(matrices=np.stack([np.eye(2), np.diag([0.0, 1.0])]).astype(complex))
-        with pytest.raises(DomainError, match="n=1"):
+        with pytest.raises(DomainError, match=r"^tr\(A_n rho\) = 0\.0 is not positive at record n=1$"):
             ml_objective(np.diag([1.0, 0.0]), data)
 
 
@@ -430,6 +470,12 @@ class TestPauliBasisPovms:
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValidationError):
             pauli_basis_povms(0)
+
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+    def test_bytes_equal_one_kron_chain_per_outcome(self, qubits):
+        """Signed zeros included, so generated datasets keep their bytes."""
+        assert [M.tobytes() for M in pauli_basis_povms(qubits)] == \
+            [M.tobytes() for M in per_outcome_pauli_povms(qubits)]
 
 
 class TestStochasticQsb:
