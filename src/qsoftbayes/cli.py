@@ -34,13 +34,12 @@ from .ensembles import (
     rank1_observation_stream,
     uniform_returns,
 )
-from .linalg import DomainError, ValidationError, validate_density, validate_observation
+from .linalg import DomainError, ValidationError, _check_unit_trace, validate_observation
 from .portfolio import (
-    OpsTranscript,
     SolverError,
-    best_fixed_portfolio,
+    _best_fixed_portfolio,
+    _soft_bayes_lockstep,
     ops_regret_bound,
-    run_ops_game,
     validate_return_stream,
 )
 from .qsb import QstTranscript, _qst_game, run_qst_game
@@ -286,15 +285,15 @@ def parse_config_file(path) -> dict:
 
 # --- report writers -------------------------------------------------------
 
-def write_ops_report(path, transcript: OpsTranscript, returns: np.ndarray,
+def write_ops_report(path, losses: np.ndarray, returns: np.ndarray,
                      comparator_weights: np.ndarray) -> None:
-    """Per-round CSV for the classical game against the hindsight comparator."""
+    """Per-round CSV for the classical game's (T,) losses against the hindsight comparator."""
     rounds, dim = returns.shape
-    cum = transcript.cumulative_losses
+    cum = np.cumsum(losses)
     comp_cum = np.cumsum(-np.log(returns @ comparator_weights))
-    rows = zip(range(1, rounds + 1), transcript.losses.tolist(), cum.tolist(),
+    rows = zip(range(1, rounds + 1), losses.tolist(), cum.tolist(),
                comp_cum.tolist(), (cum - comp_cum).tolist(),
-               [ops_regret_bound(dim, t) for t in range(1, rounds + 1)])
+               ops_regret_bound(dim, np.arange(1, rounds + 1)).tolist())
     write_csv(path, OPS_COLUMNS, rows)
 
 
@@ -323,25 +322,6 @@ def write_ml_report(path, result: MlResult, f_star: float) -> None:
 
 
 # --- per-seed pipelines ---------------------------------------------------
-
-def _ops_seed(config: ExperimentConfig, seed: int, out_dir: str) -> dict:
-    dim = config.dims[0]
-    returns = uniform_returns(make_rng(seed), config.rounds, dim)
-    transcript = run_ops_game(returns, config.eta)
-    comparator = best_fixed_portfolio(returns)
-    write_ops_report(Path(out_dir) / f"ops_seed{seed}.csv", transcript, returns,
-                     comparator.weights)
-    return {
-        "seed": seed,
-        "eta": transcript.eta,
-        "total_loss": transcript.total_loss,
-        "comparator_loss": comparator.loss,
-        "regret": transcript.total_loss - comparator.loss,
-        "regret_bound": ops_regret_bound(dim, config.rounds),
-        "comparator_gap": comparator.gap,
-        "comparator_iterations": comparator.iterations,
-    }
-
 
 def _input_dataset(config: ExperimentConfig) -> Dataset:
     """The --input dataset, which must have the configured dimension."""
@@ -375,11 +355,10 @@ def _qst_datasets(config: ExperimentConfig) -> Iterator[Dataset]:
             yield data
 
 
-def _qst_seed(config: ExperimentConfig, seed: int, data: Dataset, out_dir: str) -> dict:
-    transcript = _qst_game(data.elements, data.index, config.eta)
-    rho_hat, f_star = batch_ml_solve(data, tol=1e-7)
+def _qst_seed(config: ExperimentConfig, seed: int, transcript: QstTranscript, f_star: float,
+              out: Path) -> dict:
+    """Write one seed's qst-game artifacts; returns its manifest summary."""
     comparator_loss = f_star * config.rounds
-    out = Path(out_dir)
     write_qst_report(out / f"qst_seed{seed}.csv", transcript)
     save_matrix(out / f"rho_bar_seed{seed}.json", transcript.average_state)
     times = transcript.step_times_ns
@@ -434,34 +413,94 @@ def _ml_dataset(config: ExperimentConfig) -> Dataset:
 
 # --- mode drivers ---------------------------------------------------------
 
+class _Phases:
+    """Wall-clock seconds of a run's phases, for its manifest's `phase_seconds`."""
+
+    def __init__(self) -> None:
+        self.seconds: dict[str, float] = {}
+        self._mark = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        """Close `phase`, which ran since the previous lap (or since construction)."""
+        now = time.perf_counter()
+        self.seconds[phase] = now - self._mark
+        self._mark = now
+
+
+def _run_ops(config: ExperimentConfig, out_dir: Path) -> dict:
+    """Every seed's return stream, one lockstep game for all seeds, each
+    seed's comparator, then each seed's CSV.
+
+    The streams are drawn into one seed-major (S, T, D) stack and checked
+    once each; every later phase reads a seed's stream as a view of it.
+    Returns the manifest fields, with the seconds spent in each phase.
+    """
+    phases = _Phases()
+    dim, rounds = config.dims[0], config.rounds
+    returns = np.empty((len(config.seeds), rounds, dim))
+    for seed, stream in zip(config.seeds, returns):
+        uniform_returns(make_rng(seed), rounds, dim, out=stream)
+        validate_return_stream(stream)
+    phases.lap("returns")
+    eta, losses, _ = _soft_bayes_lockstep(returns, config.eta, seeds=config.seeds)
+    phases.lap("game")
+    comparators = [_best_fixed_portfolio(stream) for stream in returns]
+    phases.lap("comparator")
+    summaries = []
+    for seed, stream, loss, comparator in zip(config.seeds, returns, losses, comparators):
+        write_ops_report(out_dir / f"ops_seed{seed}.csv", loss, stream, comparator.weights)
+        total_loss = float(np.sum(loss))
+        summaries.append({
+            "seed": seed,
+            "eta": eta,
+            "total_loss": total_loss,
+            "comparator_loss": comparator.loss,
+            "regret": total_loss - comparator.loss,
+            "regret_bound": ops_regret_bound(dim, rounds),
+            "comparator_gap": comparator.gap,
+            "comparator_iterations": comparator.iterations,
+        })
+    phases.lap("write")
+    return {"seed_summaries": summaries, "phase_seconds": phases.seconds}
+
+
+def _run_qst(config: ExperimentConfig, out_dir: Path) -> list[dict]:
+    """Each seed's game and oracle, then its artifacts; returns the seed summaries.
+
+    A from-file input is the same stream for every seed, so its game is
+    played and its oracle solved once, and every seed's files are written
+    from that one result.
+    """
+    summaries, played = [], None
+    for seed, data in zip(config.seeds, _qst_datasets(config)):
+        if data is not played:
+            played = data
+            transcript = _qst_game(data.elements, data.index, config.eta)
+            _, f_star = batch_ml_solve(data, tol=1e-7)
+        summaries.append(_qst_seed(config, seed, transcript, f_star, out_dir))
+    return summaries
+
+
 def _run_ml(config: ExperimentConfig, out_dir: Path) -> dict:
     """Dataset, oracle, all seeds' learners in one lockstep call, artifacts.
 
     Returns the manifest fields, with the seconds spent in each phase.
     """
-    phases: dict[str, float] = {}
-    mark = time.perf_counter()
-
-    def lap(phase: str) -> None:
-        nonlocal mark
-        now = time.perf_counter()
-        phases[phase] = now - mark
-        mark = now
-
+    phases = _Phases()
     data = _ml_dataset(config)
-    lap("dataset")
+    phases.lap("dataset")
     save_dataset(out_dir / "dataset.json", data)
-    lap("save_dataset")
+    phases.lap("save_dataset")
     rho_hat, f_star = batch_ml_solve(data, tol=1e-7)
     cert_gap = float(np.linalg.eigvalsh(stationarity_operator(rho_hat, data))[-1]) - 1.0
-    lap("oracle")
+    phases.lap("oracle")
     checkpoints = list(config.checkpoints) if config.checkpoints is not None else None
     results = stochastic_qsb(data, config.rounds, config.seeds, eta=config.eta,
                              checkpoints=checkpoints)
-    lap("learners")
+    phases.lap("learners")
     save_matrix(out_dir / "rho_hat_oracle.json", rho_hat)
     summaries = [_ml_seed(result, out_dir, f_star) for result in results]
-    lap("write")
+    phases.lap("write")
 
     extra: dict = {
         "oracle_objective": f_star,
@@ -474,7 +513,7 @@ def _run_ml(config: ExperimentConfig, out_dir: Path) -> dict:
     if gaps:
         extra["mean_final_gap"] = float(np.mean(gaps))
         extra["error_bound"] = ml_error_bound(data.dim, config.rounds)
-    extra["phase_seconds"] = phases
+    extra["phase_seconds"] = phases.seconds
     return extra
 
 
@@ -506,13 +545,13 @@ def _run_validate(config: ExperimentConfig) -> list[str]:
     lines = [f"file: {config.input_path}", f"kind: {kind}"]
     if kind == "matrix":
         M = matrix_from_record(rec)
-        validate_observation(M)
+        H = validate_observation(M)
         lines.append(f"dim: {M.shape[0]}")
         lines.append("hermitian: ok")
         lines.append("psd: ok")
         trace = float(np.trace(M).real)
         try:
-            validate_density(M)
+            _check_unit_trace(H)  # the one density test validate_observation did not make
             lines.append(f"trace: {trace:.12g} (valid density)")
         except ValidationError:
             lines.append(f"trace: {trace:.12g} (not a density)")
@@ -557,11 +596,9 @@ def run_experiment(config: ExperimentConfig) -> int:
         extra: dict = {"mode": config.mode}
 
         if config.mode == "ops-game":
-            extra["seed_summaries"] = [_ops_seed(config, seed, str(out_dir))
-                                       for seed in config.seeds]
+            extra.update(_run_ops(config, out_dir))
         elif config.mode == "qst-game":
-            extra["seed_summaries"] = [_qst_seed(config, seed, data, str(out_dir)) for seed, data
-                                       in zip(config.seeds, _qst_datasets(config))]
+            extra["seed_summaries"] = _run_qst(config, out_dir)
         elif config.mode == "ml-run":
             extra.update(_run_ml(config, out_dir))
         else:

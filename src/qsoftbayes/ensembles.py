@@ -42,13 +42,15 @@ def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) 
     return hermitianize(A / np.trace(A).real)
 
 
-def uniform_returns(rng: np.random.Generator, rounds: int, dim: int) -> np.ndarray:
+def uniform_returns(rng: np.random.Generator, rounds: int, dim: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """(rounds, dim) array of i.i.d. Uniform(0, 1) return vectors.
 
     Entries are almost surely positive, so every prefix of the stream keeps
-    the best-fixed-portfolio objective finite.
+    the best-fixed-portfolio objective finite. With `out`, a C-contiguous
+    (rounds, dim) float64 array, the same draws are written into it.
     """
-    return rng.random((rounds, dim))
+    return rng.random((rounds, dim), out=out)
 
 
 def rank1_observation_stream(rng: np.random.Generator, rounds: int, dim: int) -> np.ndarray:

@@ -164,12 +164,17 @@ def validate_density(M: np.ndarray) -> np.ndarray:
     Raises ValidationError naming the violated invariant and by how much.
     """
     H = _check_one(M, "M", nonzero=False)
+    _check_unit_trace(H)
+    return H
+
+
+def _check_unit_trace(H: np.ndarray) -> None:
+    """`validate_density`'s last test, on a matrix its other tests have passed."""
     tr_dev = abs(float(np.trace(H).real) - 1.0)
     if tr_dev > TRACE_TOL:
         raise ValidationError(
             f"trace deviates from 1 by {tr_dev:.3e}, tolerance {TRACE_TOL:.1e}"
         )
-    return H
 
 
 def validate_observation(A: np.ndarray) -> np.ndarray:

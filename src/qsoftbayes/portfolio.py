@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -99,25 +99,15 @@ def soft_bayes_step(w: np.ndarray, a: np.ndarray, eta: float) -> np.ndarray:
     simplex without renormalization.
     """
     _check_eta(eta)
-    return _soft_bayes_update(w, a, eta, _payoff(a, w))
+    dot = float(np.dot(a, w))  # must be positive for the loss and the update to exist
+    if dot <= 0.0:
+        raise DomainError(f"degenerate return: <a, w> = {dot!r}")
+    return (1.0 - eta) * w + eta * (a * w) / dot
 
 
 def _check_eta(eta: float) -> None:
     if not 0.0 < eta < 1.0:
         raise DomainError(f"eta must be in (0, 1), got {eta!r}")
-
-
-def _payoff(a: np.ndarray, w: np.ndarray) -> float:
-    """<a, w>, which must be positive for the loss and the update to exist."""
-    dot = float(np.dot(a, w))
-    if dot <= 0.0:
-        raise DomainError(f"degenerate return: <a, w> = {dot!r}")
-    return dot
-
-
-def _soft_bayes_update(w: np.ndarray, a: np.ndarray, eta: float, dot: float) -> np.ndarray:
-    """`soft_bayes_step` given a checked eta and the positive payoff dot = <a, w>."""
-    return (1.0 - eta) * w + eta * (a * w) / dot
 
 
 def _check_horizon(dim: int, rounds: float) -> None:
@@ -138,30 +128,75 @@ def learning_rate(dim: int, rounds: float) -> float:
     return root_log / (math.sqrt(rounds * dim) + root_log)
 
 
-def ops_regret_bound(dim: int, rounds: float) -> float:
-    """Worst-case regret guarantee 2 sqrt(T D log D) + log D for the tuned rate."""
-    _check_horizon(dim, rounds)
+def ops_regret_bound(dim: int, rounds: float | np.ndarray) -> float | np.ndarray:
+    """Worst-case regret guarantee 2 sqrt(T D log D) + log D for the tuned rate.
+
+    `rounds` may be an array of horizons; each entry of the result is then
+    the scalar call's float at that horizon, bit for bit.
+    """
+    horizons = np.asarray(rounds)
+    _check_horizon(dim, horizons.min() if horizons.ndim else rounds)
+    if horizons.ndim:
+        return 2.0 * np.sqrt(horizons * dim * math.log(dim)) + math.log(dim)
     return 2.0 * math.sqrt(rounds * dim * math.log(dim)) + math.log(dim)
 
 
 def run_ops_game(returns: np.ndarray, eta: float | None = None) -> OpsTranscript:
     """Play Soft-Bayes against a (T, D) stream of return vectors."""
     returns = validate_return_stream(returns)
-    rounds, dim = returns.shape
+    eta, losses, portfolios = _soft_bayes_lockstep(returns[None], eta, keep_portfolios=True)
+    return OpsTranscript(eta=eta, portfolios=portfolios[0], losses=losses[0])
+
+
+def _soft_bayes_lockstep(
+    returns: np.ndarray,
+    eta: float | None,
+    keep_portfolios: bool = False,
+    seeds: Sequence[int] | None = None,
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """Play Soft-Bayes on each (T, D) stream of a checked (S, T, D) stack, in lockstep.
+
+    Returns `(eta, losses, portfolios)`: the rate played (the horizon-tuned
+    one when `eta` is None), the (S, T) losses, and the (S, T, D) portfolios
+    announced each round, or None unless `keep_portfolios`. Each round takes
+    the S payoffs <a, w> from one `vecdot`, which equals `np.dot` bit for
+    bit, and updates all S portfolios by `soft_bayes_step`'s expression in
+    preallocated buffers, so every stream's losses and portfolios are
+    those of a game played alone. A nonpositive payoff raises `DomainError`;
+    given the streams' `seeds`, the message names the seed and the round.
+    """
+    streams, rounds, dim = returns.shape
     if eta is None:
         eta = learning_rate(dim, rounds)
     _check_eta(eta)
 
-    w = np.full(dim, 1.0 / dim)
-    portfolios = np.empty_like(returns)
-    losses = np.empty(rounds)
-    for t in range(rounds):
-        a = returns[t]
-        portfolios[t] = w
-        dot = _payoff(a, w)
-        losses[t] = -math.log(dot)
-        w = _soft_bayes_update(w, a, eta, dot)
-    return OpsTranscript(eta=eta, portfolios=portfolios, losses=losses)
+    w = np.full((streams, dim), 1.0 / dim)
+    kept = np.empty_like(w)  # the round's (1 - eta) w
+    gain = np.empty_like(w)  # the round's eta (a * w) / <a, w>
+    payoffs = np.empty((rounds, streams))
+    portfolios = np.empty_like(returns) if keep_portfolios else None
+    # ufunc outputs are passed by position, which is cheaper per call than out=
+    rows = zip(returns.swapaxes(0, 1), payoffs, payoffs[:, :, None])
+    # after a zero payoff the updates divide by it; that round raises below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t, (a, dot, dot_column) in enumerate(rows):
+            if portfolios is not None:
+                portfolios[:, t] = w
+            np.vecdot(a, w, dot)
+            np.multiply(a, w, gain)
+            np.multiply(eta, gain, gain)
+            np.divide(gain, dot_column, gain)
+            np.multiply(1.0 - eta, w, kept)
+            np.add(kept, gain, w)
+
+    bad = payoffs <= 0.0
+    if bad.any():
+        t, s = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        where = "" if seeds is None else f"seed {seeds[s]}, round {t + 1}: "
+        raise DomainError(f"{where}degenerate return: <a, w> = {float(payoffs[t, s])!r}")
+    by_stream = payoffs.T.ravel().tolist()
+    losses = -np.fromiter(map(math.log, by_stream), float, len(by_stream))
+    return eta, losses.reshape(streams, rounds), portfolios
 
 
 def best_fixed_portfolio(
@@ -177,9 +212,13 @@ def best_fixed_portfolio(
     a face or a vertex of the simplex need no special casing. The loss and
     the gap are those of the returned weights.
     """
-    returns = validate_return_stream(returns)
-    rounds, dim = returns.shape
+    return _best_fixed_portfolio(validate_return_stream(returns), tol, max_iters)
 
+
+def _best_fixed_portfolio(returns: np.ndarray, tol: float = 1e-8,
+                          max_iters: int = 100_000) -> ComparatorResult:
+    """`best_fixed_portfolio` on a checked (T, D) float64 stream."""
+    rounds, dim = returns.shape
     w, payoff, gap, steps = _accelerated_ml(
         np.full(dim, 1.0 / dim),
         overlaps=lambda v: returns @ v,

@@ -262,14 +262,59 @@ def format_cell(value) -> str:
     return "%.17g" % float(value)
 
 
+# Lines formatted before `write_csv` writes them out: the lines of a long
+# file and their joined text are never held whole at the same time.
+_CSV_BLOCK = 2 ** 12
+
+
+def _row_format(types: tuple[type, ...]) -> str | None:
+    """One `%` format giving `format_cell` of every cell of a row of these
+    types, or None when a type has no such format."""
+    codes = []
+    for kind in types:
+        if issubclass(kind, (int, np.integer)):
+            codes.append("%d")
+        elif issubclass(kind, (float, np.floating)):
+            codes.append("%.17g")
+        else:
+            return None
+    return ",".join(codes)
+
+
 def write_csv(path, columns: list[str], rows) -> None:
-    """Fixed column order, '\\n' newlines, round-trip-exact floats."""
-    lines = [",".join(columns)]
-    for row in rows:
-        if len(row) != len(columns):
-            raise ValidationError(f"row has {len(row)} cells, expected {len(columns)}")
-        lines.append(",".join(format_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Fixed column order, '\\n' newlines, round-trip-exact floats.
+
+    Each row is the text of `format_cell` on each of its cells. A row whose
+    cell types are the first row's is formatted by one `%` with the format
+    those types give; any other row, cell by cell. The file is written
+    under a temporary name and renamed into place, so a row of the wrong
+    length raises `ValidationError` and leaves `path` as it was.
+    """
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    types = fmt = None
+    try:
+        with part.open("w", encoding="utf-8", newline="") as f:
+            block = [",".join(columns)]
+            for row in rows:
+                if len(row) != len(columns):
+                    raise ValidationError(f"row has {len(row)} cells, expected {len(columns)}")
+                row_types = tuple(map(type, row))
+                if types is None:
+                    types, fmt = row_types, _row_format(row_types)
+                if fmt is not None and row_types == types:
+                    block.append(fmt % tuple(row))
+                else:
+                    block.append(",".join(map(format_cell, row)))
+                if len(block) == _CSV_BLOCK:
+                    f.write("\n".join(block) + "\n")
+                    block.clear()
+            if block:
+                f.write("\n".join(block) + "\n")
+        part.replace(path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def config_hash(config: dict) -> str:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsoftbayes import cli, serialize
+from qsoftbayes import cli, linalg, portfolio, serialize
 from qsoftbayes.cli import (
     ConfigError,
     ExperimentConfig,
@@ -28,13 +28,13 @@ from qsoftbayes.ensembles import make_rng, random_density, uniform_returns
 from qsoftbayes.linalg import DomainError, validate_density
 from qsoftbayes.portfolio import best_fixed_portfolio, ops_regret_bound, run_ops_game
 from qsoftbayes.serialize import (
+    format_cell,
     load_dataset,
     load_matrix,
     load_payload,
     save_dataset,
     save_matrix,
     save_return_stream,
-    write_csv,
 )
 from qsoftbayes.tomography import generate_dataset, pauli_basis_povms
 
@@ -318,18 +318,74 @@ class TestOpsGameMode:
         assert summary["regret"] <= summary["regret_bound"]
 
     def test_report_equals_the_row_by_row_reference(self, tmp_path):
+        """The report is `format_cell` of each round's values, the bound taken
+        by one scalar `ops_regret_bound` call per round."""
         returns = uniform_returns(make_rng(3), 500, 4)
         transcript = run_ops_game(returns)
         weights = best_fixed_portfolio(returns).weights
-        write_ops_report(tmp_path / "ops.csv", transcript, returns, weights)
+        write_ops_report(tmp_path / "ops.csv", transcript.losses, returns, weights)
         cum = transcript.cumulative_losses
         comp_cum = np.cumsum(-np.log(returns @ weights))
-        write_csv(tmp_path / "reference.csv", OPS_COLUMNS, [
-            (t + 1, transcript.losses[t], cum[t], comp_cum[t],
-             cum[t] - comp_cum[t], ops_regret_bound(4, t + 1))
+        lines = [",".join(OPS_COLUMNS)] + [
+            ",".join(format_cell(v) for v in (t + 1, transcript.losses[t], cum[t], comp_cum[t],
+                                              cum[t] - comp_cum[t], ops_regret_bound(4, t + 1)))
             for t in range(500)
-        ])
-        assert (tmp_path / "ops.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        ]
+        assert (tmp_path / "ops.csv").read_text() == "\n".join(lines) + "\n"
+
+    def test_each_seed_writes_what_it_writes_alone(self, tmp_path, run_cli):
+        """Seeds stepped in lockstep, each stream a view of one seed-major
+        stack at an offset of T * D floats (odd here), give the bytes of
+        single-seed runs."""
+        args = ["ops-game", "--dim", "3", "--rounds", "301"]
+        assert run_cli(args + ["--seeds", "0,1,2", "--out", str(tmp_path / "all")]) == 0
+        for seed in (0, 1, 2):
+            alone = tmp_path / f"seed{seed}"
+            assert run_cli(args + ["--seeds", str(seed), "--out", str(alone)]) == 0
+            name = f"ops_seed{seed}.csv"
+            assert (tmp_path / "all" / name).read_bytes() == (alone / name).read_bytes()
+            summaries = [load_payload(d / "manifest.json")["seed_summaries"]
+                         for d in (tmp_path / "all", alone)]
+            assert summaries[0][seed] == summaries[1][0]
+
+    def test_each_stream_is_checked_once(self, tmp_path, run_cli, monkeypatch):
+        checked = []
+        check = portfolio.validate_return_stream
+        for module in (cli, portfolio):
+            monkeypatch.setattr(module, "validate_return_stream",
+                                lambda r: checked.append(r.shape) or check(r))
+        assert run_cli(["ops-game", "--dim", "2", "--rounds", "7", "--seeds", "3,1",
+                        "--out", str(tmp_path / "run")]) == 0
+        assert checked == [(7, 2), (7, 2)]
+
+    def test_manifest_records_phase_seconds(self, tmp_path, run_cli):
+        out = tmp_path / "run"
+        assert run_cli(["ops-game", "--dim", "2", "--rounds", "9", "--seeds", "0,1",
+                        "--out", str(out)]) == 0
+        phases = load_payload(out / "manifest.json")["phase_seconds"]
+        assert set(phases) == {"returns", "game", "comparator", "write"}
+        assert all(seconds >= 0.0 for seconds in phases.values())
+        header, _ = read_csv(out / "ops_seed0.csv")
+        assert header == OPS_COLUMNS
+
+    def test_degenerate_payoff_names_the_seed_and_the_round(self, tmp_path, capsys, monkeypatch):
+        """Seed 5's stream pays only on the first asset for 60 rounds, which
+        drives the second asset's weight to 0 at eta = 0.999999, and then
+        only on the second."""
+        def returns(rng, rounds, dim, out):
+            out[:] = 0.5
+            if rng.bit_generator.seed_seq.entropy == 5:
+                out[:, 1] = 0.0
+                out[60:] = [0.0, 1.0]
+            return out
+
+        monkeypatch.setattr(cli, "uniform_returns", returns)
+        out = tmp_path / "run"
+        assert main(["ops-game", "--dim", "2", "--rounds", "80", "--seeds", "4,5",
+                     "--eta", "0.999999", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: seed 5, round 61: degenerate return: <a, w> = 0.0\n"
+        assert not out.exists()
 
     def test_same_config_same_bytes(self, tmp_path, run_cli):
         args = ["ops-game", "--dim", "2", "--rounds", "25", "--seeds", "7"]
@@ -391,6 +447,25 @@ class TestQstGameMode:
                      "--input", str(src), "--out", str(out)]) == 0
         _, rows = read_csv(out / "qst_seed0.csv")
         assert len(rows) == 25
+
+    def test_from_file_plays_one_game_for_every_seed(self, tmp_path, run_cli, monkeypatch,
+                                                     dataset_file):
+        calls = {"_qst_game": 0, "batch_ml_solve": 0}
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(cli, name), **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        out = tmp_path / "run"
+        assert run_cli(["qst-game", "--dim", "2", "--rounds", "12", "--seeds", "0,1,2",
+                        "--povm", "from-file", "--input", str(dataset_file),
+                        "--out", str(out)]) == 0
+        assert calls == {"_qst_game": 1, "batch_ml_solve": 1}
+        for name in ("qst_seed{}.csv", "rho_bar_seed{}.json"):
+            assert len({(out / name.format(seed)).read_bytes() for seed in (0, 1, 2)}) == 1
+        summaries = load_payload(out / "manifest.json")["seed_summaries"]
+        assert [s["seed"] for s in summaries] == [0, 1, 2]
+        assert len({s["regret"] for s in summaries}) == 1
 
     def test_from_file_stream_too_short(self, tmp_path, capsys):
         rho = random_density(make_rng(1), 2)
@@ -519,6 +594,22 @@ class TestValidateMode:
         assert "kind: matrix" in report
         assert "valid density" in report
         assert "all checks passed" in report
+
+    @pytest.mark.parametrize("diagonal, verdict", [((0.25, 0.75), "1 (valid density)"),
+                                                    ((0.5, 0.75), "1.25 (not a density)")])
+    def test_matrix_is_checked_in_one_stacked_pass(self, tmp_path, capsys, monkeypatch,
+                                                   diagonal, verdict):
+        checked = []
+        check = linalg._hermitian_psd
+        monkeypatch.setattr(linalg, "_hermitian_psd",
+                            lambda M, *args: checked.append(M.shape) or check(M, *args))
+        path = tmp_path / "m.json"
+        save_matrix(path, np.diag(diagonal))
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"file: {path}", "kind: matrix", "dim: 2", "hermitian: ok", "psd: ok",
+            f"trace: {verdict}", "all checks passed"]
+        assert checked == [(1, 2, 2)]
 
     def test_dataset_report(self, tmp_path, capsys):
         rho = random_density(make_rng(4), 2)

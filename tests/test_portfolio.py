@@ -7,6 +7,7 @@ from qsoftbayes.ensembles import make_rng, uniform_returns
 from qsoftbayes.linalg import DomainError, ValidationError
 from qsoftbayes.portfolio import (
     SolverError,
+    _soft_bayes_lockstep,
     best_fixed_portfolio,
     learning_rate,
     ops_regret_bound,
@@ -98,6 +99,16 @@ class TestRegretBound:
         values = [ops_regret_bound(2, T) for T in (1, 2, 4, 8)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("dim", [2, 3, 16])
+    def test_a_vector_of_horizons_gives_the_scalar_values(self, dim):
+        horizons = np.arange(1, 5001)
+        assert ops_regret_bound(dim, horizons).tolist() == \
+            [ops_regret_bound(dim, t) for t in range(1, 5001)]
+
+    def test_a_vector_with_a_horizon_below_one_is_refused(self):
+        with pytest.raises(DomainError, match="rounds must be at least 1, got 0"):
+            ops_regret_bound(2, np.arange(0, 4))
+
 
 class TestRunOpsGame:
 
@@ -122,6 +133,34 @@ class TestRunOpsGame:
             assert np.array_equal(transcript.portfolios[t], w)
             assert transcript.losses[t] == -math.log(float(np.dot(a, w)))
             w = soft_bayes_step(w, a, transcript.eta)
+
+    @pytest.mark.parametrize("streams, eta", [(1, None), (3, None), (3, 0.3)])
+    def test_lockstep_streams_equal_games_played_alone(self, streams, eta):
+        stack = np.stack([uniform_returns(make_rng(seed), 257, 7) for seed in range(streams)])
+        played, losses, portfolios = _soft_bayes_lockstep(stack, eta, keep_portfolios=True)
+        assert _soft_bayes_lockstep(stack, eta)[2] is None
+        for s in range(streams):
+            alone = run_ops_game(stack[s], eta)
+            assert played == alone.eta
+            assert losses[s].tobytes() == alone.losses.tobytes()
+            assert portfolios[s].tobytes() == alone.portfolios.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 7, 16, 33])
+    def test_vecdot_payoffs_equal_dot(self, dim):
+        """The lockstep loop's stacked payoffs are `np.dot`'s, bit for bit."""
+        rng = make_rng(dim)
+        a, w = rng.random((4, 50, dim)), rng.random((4, dim))
+        for t in range(50):
+            stacked = np.vecdot(a[:, t], w)
+            assert stacked.tolist() == [float(np.dot(a[s, t], w[s])) for s in range(4)]
+
+    def test_zero_payoff_keeps_its_message(self):
+        """eta = 0.999999 drives the second weight to 0 within 60 rounds of
+        no return on it; the next round pays only on it."""
+        stream = np.array([[0.5, 0.0]] * 60 + [[0.0, 1.0]])
+        with pytest.raises(DomainError) as err:
+            run_ops_game(stream, eta=0.999999)
+        assert str(err.value) == "degenerate return: <a, w> = 0.0"
 
     @pytest.mark.parametrize("eta", [0.0, 1.0, -0.1, 1.5])
     def test_eta_out_of_range(self, eta):

@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsoftbayes import serialize
 from qsoftbayes.cli import main
 from qsoftbayes.ensembles import make_rng, random_density, uniform_returns
 from qsoftbayes.linalg import ValidationError
@@ -458,8 +460,45 @@ class TestCsv:
         assert path.read_text() == "x\n"
 
     def test_rejects_ragged_rows(self, tmp_path):
-        with pytest.raises(ValidationError, match="cells"):
-            write_csv(tmp_path / "t.csv", ["a", "b"], [[1]])
+        """A short row, even after blocks of rows were written, leaves no file."""
+        for good_rows in (0, 3 * serialize._CSV_BLOCK):
+            rows = [(t, 0.5) for t in range(good_rows)] + [(1,)]
+            with pytest.raises(ValidationError, match="row has 1 cells, expected 2"):
+                write_csv(tmp_path / "t.csv", ["a", "b"], iter(rows))
+            assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_write_leaves_an_earlier_file_as_it_was(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a"], [[1]])
+        with pytest.raises(ValidationError):
+            write_csv(path, ["a"], [[2], [3, 4]])
+        assert path.read_text() == "a\n1\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_rows_equal_the_per_cell_reference(self, tmp_path):
+        """Every row is `format_cell` of each cell, whether its cell types match
+        the first row's (one `%` per row) or not (cell by cell): Python and
+        numpy ints and bools, float64 and float32, nan, infinities, -0.0,
+        subnormals, and a column whose type changes mid-file."""
+        specials = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-320,
+                    2.2250738585072014e-308, 1.0 / 3.0, 1e38, -7.25]
+        rows = []
+        for i, x in enumerate(specials * 3):
+            rows.append((i, np.int64(-i), True, x, np.float64(x), np.float32(x),
+                         i if i < 15 else float(i) / 7.0))
+        rows += [(np.uint8(7), False, np.bool_(True), np.float16(0.1), 3, 2.5, np.int32(-1)),
+                 (1, 2, 3, 4, 5, 6, 7)]
+        rows += rows[:2] * (serialize._CSV_BLOCK // 2)  # past one block of lines
+        columns = ["i", "neg", "flag", "x", "x64", "x32", "mixed"]
+        path = tmp_path / "t.csv"
+        write_csv(path, columns, rows)
+        reference = [",".join(columns)] + [",".join(format_cell(v) for v in row) for row in rows]
+        assert path.read_text() == "\n".join(reference) + "\n"
+
+    def test_cells_without_a_row_format_go_through_format_cell(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b"], [("2.5", 1), ("0.25", np.bool_(False))])
+        assert path.read_text() == "a,b\n2.5,1\n0.25,0\n"
 
 
 class TestManifest:
