@@ -57,7 +57,6 @@ from .tomography import (
     generate_dataset,
     ml_objective,
     pauli_basis_povms,
-    sample_outcome,
     stationarity_operator,
     stochastic_qsb,
     validate_dataset,
@@ -76,7 +75,7 @@ __all__ = [
     "QsbState", "QstTranscript", "eta_bar", "qsb_init", "qsb_regret_bound",
     "qsb_step", "reverse_jensen_gap", "run_qst_game",
     "Dataset", "MlResult", "batch_ml_solve",
-    "generate_dataset", "ml_objective", "pauli_basis_povms", "sample_outcome",
+    "generate_dataset", "ml_objective", "pauli_basis_povms",
     "stationarity_operator", "stochastic_qsb", "validate_dataset",
     "validate_povm",
 ]

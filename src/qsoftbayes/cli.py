@@ -34,7 +34,13 @@ from .ensembles import (
     rank1_observation_stream,
     uniform_returns,
 )
-from .linalg import DomainError, ValidationError, _check_unit_trace, validate_observation
+from .linalg import (
+    DomainError,
+    ValidationError,
+    _block_len,
+    _check_unit_trace,
+    validate_observation,
+)
 from .portfolio import (
     SolverError,
     _best_fixed_portfolio,
@@ -42,7 +48,7 @@ from .portfolio import (
     ops_regret_bound,
     validate_return_stream,
 )
-from .qsb import QstTranscript, _qst_game, run_qst_game
+from .qsb import QstTranscript, _qst_game
 from .serialize import (
     dataset_form,
     dataset_from_record,
@@ -474,8 +480,10 @@ def _run_qst(config: ExperimentConfig, out_dir: Path) -> list[dict]:
     summaries, played = [], None
     for seed, data in zip(config.seeds, _qst_datasets(config)):
         if data is not played:
-            played = data
-            transcript = _qst_game(data.elements, data.index, config.eta)
+            played, step = data, _block_len(data.dim)
+            blocks = (data.elements[data.index[start : start + step]]
+                      for start in range(0, len(data), step))
+            transcript = _qst_game(blocks, len(data), data.dim, config.eta, checked=True)
             _, f_star = batch_ml_solve(data, tol=1e-7)
         summaries.append(_qst_seed(config, seed, transcript, f_star, out_dir))
     return summaries
@@ -518,25 +526,37 @@ def _run_ml(config: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def _scaling_row(config: ExperimentConfig, seed: int, dim: int) -> dict:
-    """Step times at one dimension; its stream is freed when this returns."""
-    stream = psd_observation_stream(make_rng(seed), config.rounds, dim)
-    times = run_qst_game(stream, config.eta).step_times_ns
+    """Step times at one dimension. The stream is drawn, checked and played a
+    block at a time, so no more than one block of it is held at once."""
+    rng, step = make_rng(seed), _block_len(dim)
+    blocks = (psd_observation_stream(rng, min(step, config.rounds - start), dim)
+              for start in range(0, config.rounds, step))
+    times = _qst_game(blocks, config.rounds, dim, config.eta).step_times_ns
     return {"dim": dim, "rounds": config.rounds, **_step_summary(times)}
 
 
-def _run_scaling(config: ExperimentConfig, out_dir: str) -> dict:
+def _run_scaling(config: ExperimentConfig, out_dir: Path) -> dict:
+    """Each dimension's row, then the report file.
+
+    Returns the manifest fields, with the seconds spent drawing, checking and
+    playing each dimension, keyed like `d64`.
+    """
+    phases = _Phases()
     seed = config.seeds[0]
-    table = [_scaling_row(config, seed, dim) for dim in config.dims]
+    table = []
+    for dim in config.dims:
+        table.append(_scaling_row(config, seed, dim))
+        phases.lap(f"d{dim}")
     ratios = [
         {"from_dim": a["dim"], "to_dim": b["dim"],
          "median_ratio": b["step_ns_median"] / a["step_ns_median"]}
         for a, b in zip(table, table[1:])
     ]
     report = {"kind": "scaling-times", "seed": seed, "table": table, "ratios": ratios}
-    (Path(out_dir) / "scaling_times.json").write_text(
+    (out_dir / "scaling_times.json").write_text(
         json.dumps(report, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return report
+    return {"scaling": report, "phase_seconds": phases.seconds}
 
 
 def _run_validate(config: ExperimentConfig) -> list[str]:
@@ -602,7 +622,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         elif config.mode == "ml-run":
             extra.update(_run_ml(config, out_dir))
         else:
-            extra["scaling"] = _run_scaling(config, str(out_dir))
+            extra.update(_run_scaling(config, out_dir))
 
         extra["elapsed_seconds"] = time.monotonic() - started
         extra["wallclock_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())

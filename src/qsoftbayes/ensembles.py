@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import hermitianize
+from .linalg import _block_len, hermitianize
 
 RNG_NAME = "philox"
 
@@ -68,8 +68,24 @@ def rank1_observation_stream(rng: np.random.Generator, rounds: int, dim: int) ->
 
 
 def psd_observation_stream(rng: np.random.Generator, rounds: int, dim: int) -> np.ndarray:
-    """(rounds, dim, dim) stream of full-rank random PSD observations."""
+    """(rounds, dim, dim) stream of full-rank random PSD observations.
+
+    Round t is the `random_psd(rng, dim)` draw that a loop of them would make,
+    bit for bit, and consecutive calls on one generator draw what one call
+    would. The rounds are drawn a block at a time (see `linalg._block_len`),
+    each block by one draw, one stacked product and one stacked `eigvalsh`,
+    and written into the returned stack, so no temporary grows with the
+    rounds.
+    """
     stream = np.empty((rounds, dim, dim), dtype=complex)
-    for t in range(rounds):
-        stream[t] = random_psd(rng, dim)
+    step = _block_len(dim)
+    for start in range(0, rounds, step):
+        out = stream[start : start + step]
+        # the draws, then G, then G G^dagger: rebinding one name frees each
+        # temporary as the next is made
+        A = rng.standard_normal((len(out), 2, dim, dim))
+        A = A[:, 0] + 1j * A[:, 1]
+        A = A @ A.conj().swapaxes(-1, -2)
+        A /= np.linalg.eigvalsh(A)[:, -1, None, None]
+        out[...] = hermitianize(A)
     return stream

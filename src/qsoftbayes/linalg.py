@@ -96,16 +96,22 @@ def hs_inner(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.vdot(A, B).real)
 
 
-# Matrix entries checked at a time by `_hermitian_psd`. A block holds at least
-# one matrix, so each temporary of a block stays at or under 128 kB only while
-# D^2 <= 2^13 (D <= 90); a larger D checks one matrix per block. Blocks of
-# 1 MB left their freed temporaries resident and raised scaling-bench's peak
-# RSS by 0.6 MB.
+# Matrix entries checked at a time by `_hermitian_psd`, and played at a time
+# by the tomography game. A block holds at least one matrix, so each
+# temporary of a block stays at or under 128 kB only while D^2 <= 2^13
+# (D <= 90); a larger D takes one matrix per block. Blocks of 1 MB left their
+# freed temporaries resident and raised scaling-bench's peak RSS by 0.6 MB.
 _CHECK_BLOCK = 2 ** 13
 
 
+def _block_len(dim: int) -> int:
+    """The number of D x D matrices in one block of `_CHECK_BLOCK` entries."""
+    return max(1, _CHECK_BLOCK // (dim * dim))
+
+
 def _hermitian_psd(M: np.ndarray, label: Callable[[int], str], symbol: str = "A",
-                   nonzero: bool = True) -> None:
+                   nonzero: bool = True, vectors: bool = False
+                   ) -> tuple[np.ndarray, SpectralDecomposition] | None:
     """The validators' checks on every matrix of an (N, D, D) stack, in one pass.
 
     Each matrix must be finite, Hermitian and PSD and, with `nonzero`, not
@@ -113,13 +119,17 @@ def _hermitian_psd(M: np.ndarray, label: Callable[[int], str], symbol: str = "A"
     a block of the stack at a time. The first failing matrix i raises the
     message of its first failed check, prefixed by `label(i)`; `symbol`
     names the matrix in messages.
+
+    With `vectors`, the stack is checked as one block, whose size the caller
+    chooses, and the PSD check reads its smallest eigenvalues from one
+    stacked `eigh`: returns the hermitianized stack and that decomposition.
     """
     dim = M.shape[-1]
     if dim < 1:
         raise ValidationError(f"{label(0)}expected a nonempty matrix, got shape {M.shape[1:]}")
     if not np.issubdtype(M.dtype, np.inexact):
         M = M.astype(float)  # integer squares in the norms could wrap
-    step = max(1, _CHECK_BLOCK // (dim * dim))
+    step = max(1, len(M)) if vectors else _block_len(dim)
     for start in range(0, len(M), step):
         X = M[start : start + step]
         flat = X.reshape(len(X), -1)
@@ -130,7 +140,12 @@ def _hermitian_psd(M: np.ndarray, label: Callable[[int], str], symbol: str = "A"
             dev = np.sqrt(np.vecdot(diff, diff).real)
         sound = np.isfinite(norm) & (dev <= SYM_TOL * np.maximum(1.0, norm))
         upto = len(X) if sound.all() else int(np.argmin(sound))
-        low = npl.eigvalsh(hermitianize(X[:upto]))[:, 0]
+        H = hermitianize(X[:upto])
+        if vectors:
+            spectrum = hermitian_eigh(H)
+            low = spectrum.eigenvalues[:, 0]
+        else:
+            low = npl.eigvalsh(H)[:, 0]
         bad = low < -PSD_TOL
         if nonzero:
             bad |= ~flat[:upto].any(axis=1)
@@ -147,6 +162,7 @@ def _hermitian_psd(M: np.ndarray, label: Callable[[int], str], symbol: str = "A"
         else:
             msg = "observation matrix is exactly zero"
         raise ValidationError(label(start + i) + msg)
+    return (H, spectrum) if vectors else None
 
 
 def _check_one(M: np.ndarray, symbol: str, nonzero: bool) -> np.ndarray:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .linalg import (
     DomainError,
     SpectralDecomposition,
     ValidationError,
+    _block_len,
     _from_spectrum,
     _hermitian_psd,
     hermitian_eigh,
@@ -69,7 +70,8 @@ class QstTranscript:
     losses: np.ndarray         # (T,)
     true_traces: np.ndarray    # (T,), trace of the announced state's weights
     min_eigs: np.ndarray       # (T,), smallest eigenvalue of announced rho
-    step_times_ns: np.ndarray  # (T,), decomposing A_t plus the update, monotonic clock
+    step_times_ns: np.ndarray  # (T,), the learner update, including the accumulator's
+                               # eigendecomposition, monotonic clock
     average_state: np.ndarray  # mean of the announced density matrices
     final_state: QsbState
 
@@ -212,8 +214,8 @@ def _play(
     states after each round numbered in `checkpoints`. With `transcript`,
     `per_round` holds the losses -log tr(A_t rho_t), the announced states'
     true traces and min eigenvalues, each (S, T), and the step times (T,)
-    in ns, which cover `observe` and the update; without it, none of these
-    is kept.
+    in ns, which cover the update alone, not `observe`; without it, none of
+    these is kept.
     """
     count = len(labels)
     start = qsb_init(dim)
@@ -238,10 +240,12 @@ def _play(
         if transcript:
             true_traces[:, t] = [learners.true_trace(s) for s in range(count)]
             min_eigs[:, t] = learners.min_eig
-            t0 = time.perf_counter_ns()
         try:
+            A, spectrum = observe(t)
+            if transcript:
+                t0 = time.perf_counter_ns()
             learners, overlaps = _qsb_update(
-                learners.log_weights, learners.shift, learners.rho, *observe(t), eta, labels
+                learners.log_weights, learners.shift, learners.rho, A, spectrum, eta, labels
             )
         except DomainError as exc:
             raise DomainError(f"round {t + 1}: {exc}") from exc
@@ -259,32 +263,48 @@ def _play(
 def run_qst_game(stream: np.ndarray, eta: float | None = None) -> QstTranscript:
     """Play the tomography game against a (T, D, D) stream of observations.
 
-    The whole stream is checked up front, in one stacked pass; a failure
-    names the first failing round. A recorded step time covers decomposing
-    the round's observation and updating the state.
+    The stream is checked a block of rounds at a time, each block just
+    before its rounds are played; a failure names the first failing round,
+    after the rounds of the blocks before it were played. A recorded step
+    time covers the learner update, including the accumulator's
+    eigendecomposition.
     """
     stream = np.asarray(stream, dtype=complex)
     if stream.ndim != 3 or stream.shape[0] < 1 or stream.shape[1] != stream.shape[2]:
         raise ValidationError(f"expected a nonempty (T, D, D) stream, got shape {stream.shape}")
-    _hermitian_psd(stream, lambda t: f"round {t + 1}: ")
-    return _qst_game(stream, np.arange(len(stream)), eta)
+    rounds, dim = stream.shape[:2]
+    step = _block_len(dim)
+    blocks = (stream[start : start + step] for start in range(0, rounds, step))
+    return _qst_game(blocks, rounds, dim, eta)
 
 
-def _qst_game(elements: np.ndarray, index: np.ndarray, eta: float | None) -> QstTranscript:
-    """`run_qst_game` on the stream `elements[index]`, whose elements are checked.
+def _qst_game(blocks: Iterable[np.ndarray], rounds: int, dim: int, eta: float | None,
+              checked: bool = False) -> QstTranscript:
+    """`run_qst_game` on the `rounds` observations that `blocks` holds in order.
 
-    Round t observes the Hermitian part of `elements[index[t]]`; the stream
-    is never stacked.
+    Each block, an (n, D, D) stack of consecutive rounds, is checked (unless
+    `checked`: its matrices passed the check already), hermitianized and
+    decomposed in one stacked `eigh` when its first round comes up, so only
+    the current block's spectra are held; round t observes its slice of them.
     """
-    rounds, dim = len(index), elements.shape[1]
     if eta is None:
         eta = learning_rate(dim, rounds)
 
-    def observe(t: int) -> tuple[np.ndarray, SpectralDecomposition]:
-        A = hermitianize(elements[index[t]][None])  # the Hermitian part that was checked
-        return A, hermitian_eigh(A)
+    def observations():
+        first = 0
+        for block in blocks:
+            if checked:
+                H = hermitianize(block)
+                mu, U = hermitian_eigh(H)
+            else:
+                H, (mu, U) = _hermitian_psd(block, lambda i: f"round {first + i + 1}: ",
+                                            vectors=True)
+            for i in range(len(H)):
+                yield H[i : i + 1], SpectralDecomposition(mu[i : i + 1], U[i : i + 1])
+            first += len(H)
 
-    played = _play(dim, rounds, eta, observe, transcript=True)
+    source = observations()
+    played = _play(dim, rounds, eta, lambda t: next(source), transcript=True)
     losses, true_traces, min_eigs, step_times = played.per_round
     return QstTranscript(
         eta=eta,

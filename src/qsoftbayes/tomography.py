@@ -195,7 +195,12 @@ def ml_objective(rho: np.ndarray, data: Dataset) -> float:
 
 
 def _outcome_cdf(rho: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """The CDF that `sample_outcome` inverts: tr(M_j rho), checked and clipped."""
+    """The outcome CDF of POVM `M` on state `rho`: the cumulative tr(M_j rho).
+
+    The probabilities are clipped to [0, 1] and renormalized, but only when
+    they deviate from the simplex by at most TRACE_TOL; larger deviations
+    mean the inputs were not a POVM and a density matrix.
+    """
     p = _overlaps(M, rho)
     if p.min() < -TRACE_TOL or p.max() > 1.0 + TRACE_TOL or abs(p.sum() - 1.0) > TRACE_TOL:
         raise DomainError(
@@ -204,25 +209,6 @@ def _outcome_cdf(rho: np.ndarray, M: np.ndarray) -> np.ndarray:
         )
     p = np.clip(p, 0.0, 1.0)
     return np.cumsum(p / p.sum())
-
-
-def sample_outcome(
-    rho: np.ndarray,
-    povm: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[int, np.ndarray]:
-    """Draw one measurement outcome j with probability tr(M_j rho).
-
-    Probabilities are clipped to [0, 1] and renormalized, but only when they
-    deviate from the simplex by at most TRACE_TOL; larger deviations mean the
-    inputs were not a POVM and a density matrix. Sampling inverts the CDF on
-    a single uniform draw, so the outcome stream is a pure function of the
-    generator state.
-    """
-    M = np.asarray(povm, dtype=complex)
-    cdf = _outcome_cdf(np.asarray(rho), M)
-    j = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(cdf) - 1)
-    return j, M[j]
 
 
 def generate_dataset(
@@ -235,9 +221,9 @@ def generate_dataset(
 
     Shot n uses POVM n mod len(povms), so multi-POVM experiments are balanced
     and the record order is deterministic given the generator. Each shot is
-    one uniform draw inverted through its POVM's CDF, which is computed once
-    per POVM: the records equal a loop of `sample_outcome` on the same
-    generator, bit for bit.
+    one uniform draw, made in shot order, inverted through its POVM's CDF,
+    which is computed once per POVM: outcome j has probability tr(M_j rho),
+    and the outcomes are a pure function of the generator state.
     """
     if shots < 1:
         raise ValidationError(f"shots must be positive, got {shots}")

@@ -577,6 +577,30 @@ class TestScalingBenchMode:
         assert report["ratios"][0]["median_ratio"] > 0
         # timing data is wall-clock noise; it stays out of the stable artifacts
         assert list(out.glob("*.csv")) == []
+        assert set(report["table"][0]) == {"dim", "rounds", "step_ns_median", "step_ns_mean",
+                                           "step_ns_p90"}
+        phases = load_payload(out / "manifest.json")["phase_seconds"]
+        assert set(phases) == {"d2", "d4"}
+        assert all(seconds >= 0.0 for seconds in phases.values())
+
+    def test_draws_no_more_than_one_block_at_a_time(self, tmp_path, run_cli, monkeypatch):
+        """Each dimension's stream is drawn a block of `_CHECK_BLOCK` entries
+        at a time (512 rounds at D = 4, 2 at D = 64), never whole."""
+        drawn = []
+        draw = cli.psd_observation_stream
+
+        def recorded(rng, rounds, dim):
+            drawn.append((dim, rounds))
+            return draw(rng, rounds, dim)
+
+        monkeypatch.setattr(cli, "psd_observation_stream", recorded)
+        assert run_cli(["scaling-bench", "--dim", "4,64", "--rounds", "1025", "--seeds", "3",
+                        "--out", str(tmp_path / "run")]) == 0
+        for dim in (4, 64):
+            counts = [rounds for d, rounds in drawn if d == dim]
+            assert max(counts) <= linalg._block_len(dim)
+            assert sum(counts) == 1025
+        assert linalg._block_len(4) == 512 and linalg._block_len(64) == 2
 
 
 # a per-record dataset file with two 1 x 1 records: dim, n, povm_indices

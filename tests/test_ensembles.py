@@ -28,10 +28,23 @@ def test_rank1_stream_equals_one_normalized_draw_per_round(seed, dim):
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("dim", [2, 16, 64])
 def test_psd_stream_equals_one_random_psd_draw_per_round(seed, dim):
+    """Bit for bit, also across blocks: D = 64 draws 2 rounds per block."""
     rng = make_rng(seed)
     reference = np.stack([random_psd(rng, dim) for _ in range(12)])
     stream = psd_observation_stream(make_rng(seed), 12, dim)
     assert stream.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("dim, rounds, first", [(4, 1025, 1), (4, 1025, 600), (32, 20, 3),
+                                                (32, 20, 8), (64, 5, 1)])
+def test_psd_stream_drawn_in_two_calls_equals_one_call(dim, rounds, first):
+    """Consecutive calls on one generator continue its stream: the draws
+    are consumed in round order, whatever the calls' block boundaries."""
+    whole = psd_observation_stream(make_rng(5), rounds, dim)
+    rng = make_rng(5)
+    parts = [psd_observation_stream(rng, first, dim),
+             psd_observation_stream(rng, rounds - first, dim)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 def test_psd_stream_holds_one_copy_of_its_rounds():

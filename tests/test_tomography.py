@@ -1,11 +1,18 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsoftbayes import cli, linalg, qsb, tomography
-from qsoftbayes.ensembles import make_rng, random_density, random_psd, uniform_returns
+from qsoftbayes.ensembles import (
+    make_rng,
+    psd_observation_stream,
+    random_density,
+    random_psd,
+    uniform_returns,
+)
 from qsoftbayes.linalg import (
     DomainError,
     ValidationError,
@@ -20,14 +27,13 @@ from qsoftbayes.portfolio import (
     soft_bayes_step,
 )
 from qsoftbayes.qsb import qsb_init, qsb_regret_bound, qsb_step, run_qst_game
-from qsoftbayes.serialize import save_dataset
+from qsoftbayes.serialize import _pairs, save_dataset
 from qsoftbayes.tomography import (
     Dataset,
     batch_ml_solve,
     generate_dataset,
     ml_objective,
     pauli_basis_povms,
-    sample_outcome,
     stationarity_operator,
     stochastic_qsb,
     validate_dataset,
@@ -287,6 +293,33 @@ class TestStackedCheck:
                 consume()
             assert str(err.value) == expected
 
+    @pytest.mark.parametrize("kind", ["non-hermitian", "indefinite", "zero", "nan"])
+    @pytest.mark.parametrize("bad", [8, 18], ids=["block-boundary", "last-partial-block"])
+    def test_a_game_names_a_bad_round_past_its_first_block(self, tmp_path, capsys, kind, bad):
+        """At D = 32 a block holds 8 rounds, so a 20-round stream is played as
+        rounds 1-8, 9-16 and the partial block 17-20. The game raises the
+        per-matrix check's message for round bad + 1 once it reaches that
+        round's block; a qst-game from-file input with the same records ends
+        in the same message for its record, on one line, with exit code 1."""
+        assert linalg._block_len(32) == 8
+        stream = psd_observation_stream(make_rng(41), 20, 32)
+        stream[bad] = BAD_MATRICES[kind](stream[bad])
+        expected = per_matrix_validation(stream, lambda t: f"round {t + 1}: ")
+        assert expected.startswith(f"round {bad + 1}: ")
+        with pytest.raises(ValidationError) as err:
+            run_qst_game(stream)
+        assert str(err.value) == expected
+
+        path = tmp_path / "stream.json"
+        path.write_text(json.dumps({"kind": "dataset", "dim": 32, "n": 20,
+                                    "has_provenance": False, "matrices": _pairs(stream)}))
+        out = tmp_path / "run"
+        assert cli.main(["qst-game", "--dim", "32", "--rounds", "20", "--povm", "from-file",
+                         "--input", str(path), "--out", str(out)]) == 1
+        message = expected.removeprefix(f"round {bad + 1}: ")
+        assert capsys.readouterr().err == f"error: record {bad}: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("povm, records", [("random-rank1", None), ("pauli-basis", None),
                                                ("from-file", 1000), ("from-file", 3000)],
                              ids=["random-rank1", "pauli-basis", "from-file", "from-file-longer"])
@@ -352,35 +385,22 @@ class TestMlObjective:
             ml_objective(np.diag([1.0, 0.0]), data)
 
 
-class TestSampleOutcome:
+def sample_outcome(rho: np.ndarray, povm: np.ndarray,
+                   rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """Reference: one shot of a POVM, outcome j with probability tr(M_j rho),
+    by inverting its CDF on one uniform draw; returns j and M_j."""
+    M = np.asarray(povm, dtype=complex)
+    cdf = tomography._outcome_cdf(np.asarray(rho), M)
+    j = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(cdf) - 1)
+    return j, M[j]
 
-    def test_point_mass_always_hits_its_outcome(self):
-        povm = pauli_basis_povms(1)[2]  # the computational basis
-        rng = make_rng(1)
-        for _ in range(20):
-            j, M = sample_outcome(np.diag([1.0, 0.0]).astype(complex), povm, rng)
-            assert j == 0
-            assert np.allclose(M, np.diag([1.0, 0.0]))
 
-    def test_frequencies_match_born_probabilities(self):
-        povm = pauli_basis_povms(1)[2]
-        rng = make_rng(2)
-        draws = np.array(
-            [sample_outcome(np.eye(2, dtype=complex) / 2, povm, rng)[0] for _ in range(100_000)]
-        )
-        assert abs(draws.mean() - 0.5) < 0.01
-
-    def test_same_seed_same_draws(self):
-        povm = pauli_basis_povms(1)[0]
-        rho = random_density(make_rng(5), 2)
-        a = [sample_outcome(rho, povm, make_rng(9))[0] for _ in range(1)]
-        b = [sample_outcome(rho, povm, make_rng(9))[0] for _ in range(1)]
-        assert a == b
+class TestOutcomeCdf:
 
     def test_rejects_non_simplex_probabilities(self):
         doubled = 2.0 * pauli_basis_povms(1)[2]
         with pytest.raises(DomainError, match="simplex"):
-            sample_outcome(np.eye(2, dtype=complex) / 2, doubled, make_rng(0))
+            tomography._outcome_cdf(np.eye(2, dtype=complex) / 2, doubled)
 
 
 class TestGenerateDataset:
