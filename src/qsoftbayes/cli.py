@@ -329,9 +329,10 @@ def write_ml_report(path, result: MlResult, f_star: float) -> None:
 
 # --- per-seed pipelines ---------------------------------------------------
 
-def _input_dataset(config: ExperimentConfig) -> Dataset:
-    """The --input dataset, which must have the configured dimension."""
-    data = load_dataset(config.input_path)
+def _input_dataset(config: ExperimentConfig, label: Callable[[int], str] | None = None) -> Dataset:
+    """The --input dataset, which must have the configured dimension; `label`
+    names a failing record as in `validate_dataset`."""
+    data = load_dataset(config.input_path, label)
     if data.dim != config.dims[0]:
         raise ConfigError(f"{config.input_path} has dimension {data.dim}, need {config.dims[0]}")
     return data
@@ -342,7 +343,8 @@ def _qst_datasets(config: ExperimentConfig) -> Iterator[Dataset]:
     a from-file input is loaded and checked once, and every seed plays its first --rounds records."""
     dim = config.dims[0]
     if config.povm == "from-file":
-        data = _input_dataset(config)
+        # record n is what round n + 1 of the game plays
+        data = _input_dataset(config, lambda n: f"record {n} (round {n + 1}): ")
         if len(data) < config.rounds:
             raise ConfigError(
                 f"{config.input_path} provides {len(data)} observations, need {config.rounds}"
@@ -427,9 +429,9 @@ class _Phases:
         self._mark = time.perf_counter()
 
     def lap(self, phase: str) -> None:
-        """Close `phase`, which ran since the previous lap (or since construction)."""
+        """Add to `phase` the time since the previous lap (or since construction)."""
         now = time.perf_counter()
-        self.seconds[phase] = now - self._mark
+        self.seconds[phase] = self.seconds.get(phase, 0.0) + (now - self._mark)
         self._mark = now
 
 
@@ -470,23 +472,29 @@ def _run_ops(config: ExperimentConfig, out_dir: Path) -> dict:
     return {"seed_summaries": summaries, "phase_seconds": phases.seconds}
 
 
-def _run_qst(config: ExperimentConfig, out_dir: Path) -> list[dict]:
-    """Each seed's game and oracle, then its artifacts; returns the seed summaries.
+def _run_qst(config: ExperimentConfig, out_dir: Path) -> dict:
+    """Each seed's dataset, game and oracle, then its artifacts.
 
     A from-file input is the same stream for every seed, so its game is
     played and its oracle solved once, and every seed's files are written
-    from that one result.
+    from that one result. Returns the manifest fields, with the seconds spent
+    in each phase, summed over the seeds.
     """
+    phases = _Phases()
     summaries, played = [], None
     for seed, data in zip(config.seeds, _qst_datasets(config)):
+        phases.lap("dataset")
         if data is not played:
             played, step = data, _block_len(data.dim)
             blocks = (data.elements[data.index[start : start + step]]
                       for start in range(0, len(data), step))
             transcript = _qst_game(blocks, len(data), data.dim, config.eta, checked=True)
+            phases.lap("game")
             _, f_star = batch_ml_solve(data, tol=1e-7)
+            phases.lap("oracle")
         summaries.append(_qst_seed(config, seed, transcript, f_star, out_dir))
-    return summaries
+        phases.lap("write")
+    return {"seed_summaries": summaries, "phase_seconds": phases.seconds}
 
 
 def _run_ml(config: ExperimentConfig, out_dir: Path) -> dict:
@@ -618,7 +626,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         if config.mode == "ops-game":
             extra.update(_run_ops(config, out_dir))
         elif config.mode == "qst-game":
-            extra["seed_summaries"] = _run_qst(config, out_dir)
+            extra.update(_run_qst(config, out_dir))
         elif config.mode == "ml-run":
             extra.update(_run_ml(config, out_dir))
         else:

@@ -42,10 +42,13 @@ def spectral(H: np.ndarray) -> SpectralDecomposition:
 
 
 def hermitian_eigh(H: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of an exactly Hermitian H, eigenvalues ascending.
+    """Eigendecomposition of a Hermitian H, eigenvalues ascending.
 
-    H is decomposed as given, so it must already equal its conjugate
-    transpose bit for bit (a `hermitianize` result, or a sum of them).
+    H is decomposed as given: `eigh` reads only its lower triangle and the
+    real part of its diagonal, and decomposes the Hermitian matrix they
+    define. So H must hold that matrix there bit for bit (a `hermitianize`
+    result, or a sum of them); its strict upper triangle and imaginary
+    diagonal are ignored.
     """
     try:
         w, V = npl.eigh(H)

@@ -8,7 +8,10 @@ inside a matrix exponential/logarithm sandwich.
 The state keeps log W_t as a running Hermitian accumulator: each step adds
 one matrix logarithm, which is exact (exp and log of Hermitian matrices
 invert each other) and avoids re-taking logs of stored exponentials. The
-accumulator's top eigenvalue is folded into a scalar `shift` every step so
+learner loop keeps only the accumulator's lower triangle and real diagonal,
+which are all that `eigh` reads, and rebuilds each state it hands out from
+them, exactly Hermitian. The accumulator's top eigenvalue is folded into a
+scalar `shift` every step so
 that taking exp never over- or underflows, even over 10^5-round runs where
 the unnormalized trace drops below double-precision range. The trace of the
 true weights, exp(shift) * tr(exp(logW)), is tracked per step because the
@@ -27,7 +30,6 @@ import numpy as np
 from .linalg import (
     EVAL_FLOOR,
     DomainError,
-    SpectralDecomposition,
     ValidationError,
     _block_len,
     _from_spectrum,
@@ -99,79 +101,89 @@ def qsb_init(dim: int) -> QsbState:
 
 
 def qsb_step(state: QsbState, A: np.ndarray, eta: float) -> QsbState:
-    """One update of the weights by (1 - eta) I + eta A / tr(A rho)."""
+    """One update of the weights by (1 - eta) I + eta A / tr(A rho).
+
+    Runs the lockstep update with one learner on a copy of the state's
+    accumulator, so `state` is left as it was.
+    """
     A = np.asarray(A, dtype=complex)
     if not np.any(A):
         raise ValidationError("observation matrix is exactly zero")
-    learners, _ = _qsb_update(
-        state.log_weights[None], np.array([state.shift]), state.rho[None],
-        A[None], spectral(A[None]), eta,
+    _check_eta(eta)
+    mu, U = spectral(A[None])
+    L = np.array(state.log_weights[None], dtype=complex)
+    shift = np.array([state.shift])
+    rho, total, min_eig, _ = _qsb_update(
+        L, _diagonals(L), shift, state.rho[None], A[None], mu, U, U.conj().swapaxes(-1, -2), eta,
     )
-    return learners.state(0, state.round + 1)
+    return _states(L, shift, rho, total, min_eig, state.round + 1)[0]
 
 
-class _Learners(NamedTuple):
-    """S learners' states as stacks: row s belongs to learner s.
+def _diagonals(L: np.ndarray) -> np.ndarray:
+    """A writable (S, D) view of the diagonals of a C-contiguous (S, D, D) stack."""
+    return L.reshape(len(L), -1)[:, :: L.shape[-1] + 1]
 
-    The true weight trace of learner s is exp(shift[s]) * total[s], where
-    total is the trace of exp(log_weights) before normalizing it to rho.
+
+def _true_traces(shift: np.ndarray, total: np.ndarray) -> list[float]:
+    """Each learner's true weight trace exp(shift) * total."""
+    return [math.exp(s + math.log(x)) for s, x in zip(shift.tolist(), total.tolist())]
+
+
+def _states(L: np.ndarray, shift: np.ndarray, rho: np.ndarray, total: np.ndarray,
+            min_eig: np.ndarray, round: int) -> list[QsbState]:
+    """The S learners' states, learner s from row s of the lockstep arrays.
+
+    Each state's log weights are the Hermitian matrix that `eigh` reads from
+    its accumulator: the lower triangle, mirrored, and the real diagonal.
     """
-
-    log_weights: np.ndarray  # (S, D, D)
-    shift: np.ndarray        # (S,)
-    rho: np.ndarray          # (S, D, D)
-    total: np.ndarray        # (S,)
-    min_eig: np.ndarray      # (S,), smallest eigenvalue of rho
-
-    def true_trace(self, s: int) -> float:
-        return math.exp(self.shift[s] + math.log(self.total[s]))
-
-    def state(self, s: int, round: int) -> QsbState:
-        return QsbState(
-            log_weights=self.log_weights[s],
-            shift=float(self.shift[s]),
-            rho=self.rho[s],
-            round=round,
-            true_trace=self.true_trace(s),
-            rho_min_eig=float(self.min_eig[s]),
-        )
+    log_weights = np.where(np.tri(L.shape[-1], k=-1, dtype=bool), L, L.conj().swapaxes(-1, -2))
+    _diagonals(log_weights)[:] = _diagonals(L).real
+    return [
+        QsbState(log_weights=log_weights[s], shift=float(shift[s]), rho=rho[s], round=round,
+                 true_trace=trace, rho_min_eig=float(min_eig[s]))
+        for s, trace in enumerate(_true_traces(shift, total))
+    ]
 
 
 def _qsb_update(
-    log_weights: np.ndarray,
+    L: np.ndarray,
+    diagonals: np.ndarray,
     shift: np.ndarray,
     rho: np.ndarray,
     A: np.ndarray,
-    spectrum: SpectralDecomposition,
+    mu: np.ndarray,
+    U: np.ndarray,
+    UH: np.ndarray,
     eta: float,
     labels: Sequence[str] = ("",),
-) -> tuple[_Learners, np.ndarray]:
-    """qsb_step for S learners at once, learner s observing A[s].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+    """qsb_step for S learners at once, learner s observing A[s], in place.
 
-    A is an (S, D, D) complex stack and `spectrum` its stacked `spectral`
-    decomposition. Also returns each learner's c = tr(A rho), whose negative
-    log is the round's loss. G = (1 - eta) I + (eta / c) A has A's
-    eigenvectors, so log G is built from A's spectrum (mu, U) as
+    L is the (S, D, D) accumulator of log weights, `diagonals` a view of its
+    diagonals and `shift` the (S,) shifts; the update writes all three. A is
+    an (S, D, D) complex stack with eigenvalues mu (ascending), eigenvectors
+    U and their conjugate transposes UH. Returns the new rho stack, each
+    learner's total = tr(exp(L)) before normalizing, the smallest eigenvalue
+    of its rho, and its c = tr(A rho), whose negative log is the round's
+    loss. G = (1 - eta) I + (eta / c) A has A's eigenvectors, so log G is
     U diag(log((1 - eta) + (eta / c) mu)) U^dagger and the step decomposes
-    only the new accumulators, as one stack. A caller that sees one
-    observation many times can decompose it once and pass the spectrum.
-    The overlaps are one stacked `vecdot`, equal bit for bit to each
-    learner's own `vdot`; a failed check names the first failing learner by
-    its label.
+    only the new accumulators, as one stack. The overlaps are one stacked
+    `vecdot`, equal bit for bit to each learner's own `vdot`; a failed check
+    names the first failing learner by its label. The caller checks eta.
     """
-    _check_eta(eta)
     overlaps = np.vecdot(A.reshape(len(A), -1), rho.reshape(len(rho), -1)).real
-    if (overlaps <= 0.0).any():
-        s = int(np.argmax(overlaps <= 0.0))
-        raise DomainError(f"{labels[s]}tr(A rho) = {float(overlaps[s])!r} is not positive")
-    mu, U = spectrum
+    c = overlaps.tolist()
+    if min(c) <= 0.0:
+        s = next(s for s, x in enumerate(c) if x <= 0.0)
+        raise DomainError(f"{labels[s]}tr(A rho) = {c[s]!r} is not positive")
     g = (1.0 - eta) + (eta / overlaps)[:, None] * mu
-    if (g[:, 0] <= EVAL_FLOOR).any():
-        s = int(np.argmax(g[:, 0] <= EVAL_FLOOR))
-        raise DomainError(f"{labels[s]}eigenvalue {float(g[s, 0])!r} of G is outside the domain of log")
-    # both terms are exactly Hermitian, so their sum is too; C order, for the
-    # diagonal view below
-    L = np.add(log_weights, _from_spectrum(np.log(g), U), order="C")
+    low = g[:, 0].tolist()
+    if min(low) <= EVAL_FLOOR:
+        s = next(s for s, x in enumerate(low) if x <= EVAL_FLOOR)
+        raise DomainError(f"{labels[s]}eigenvalue {low[s]!r} of G is outside the domain of log")
+    # eigh reads only the lower triangles and the real diagonals, so the
+    # accumulators need not be Hermitian, and log G is not hermitianized
+    np.add(L, (U * np.log(g)[:, None, :]) @ UH, out=L)
     lam, V = hermitian_eigh(L)
 
     # fold the top eigenvalues into the scalar shifts so exp stays in range
@@ -179,8 +191,9 @@ def _qsb_update(
     p = np.exp(lam - top[:, None])
     total = p.sum(axis=1)
     rho = _from_spectrum(p / total[:, None], V)
-    L.reshape(len(L), -1)[:, :: L.shape[-1] + 1] -= top[:, None]
-    return _Learners(L, shift + top, rho, total, p[:, 0] / total), overlaps
+    diagonals -= top[:, None]
+    shift += top
+    return rho, total, p[:, 0] / total, c
 
 
 # The quantum game has the classical game's regret guarantee, in one definition.
@@ -196,11 +209,17 @@ class _Played(NamedTuple):
     per_round: tuple[np.ndarray, ...] | None  # see `_play`
 
 
+# What `observe(t)` returns for round t: the (S, D, D) observations A, their
+# (S, D) eigenvalues mu (ascending), eigenvectors U and U's conjugate
+# transposes UH.
+_Observation = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
 def _play(
     dim: int,
     rounds: int,
     eta: float,
-    observe: Callable[[int], tuple[np.ndarray, SpectralDecomposition]],
+    observe: Callable[[int], _Observation],
     labels: Sequence[str] = ("",),
     checkpoints: frozenset[int] = frozenset(),
     transcript: bool = False,
@@ -208,24 +227,24 @@ def _play(
     """The learner loop shared by the online game and the stochastic estimator.
 
     Runs one learner per label in lockstep. Round t (from 0) announces the
-    states, takes from `observe(t)` the (S, D, D) complex stack of the
-    learners' observations and its `spectral` decomposition, and updates all
-    learners with one `_qsb_update`. Also returns the average announced
+    states, takes from `observe(t)` the learners' observations and their
+    spectra, and updates all learners with one `_qsb_update`, which writes
+    the loop's accumulator in place. Also returns the average announced
     states after each round numbered in `checkpoints`. With `transcript`,
     `per_round` holds the losses -log tr(A_t rho_t), the announced states'
     true traces and min eigenvalues, each (S, T), and the step times (T,)
     in ns, which cover the update alone, not `observe`; without it, none of
     these is kept.
     """
+    _check_eta(eta)
     count = len(labels)
     start = qsb_init(dim)
-    learners = _Learners(
-        log_weights=np.stack([start.log_weights] * count),
-        shift=np.zeros(count),
-        rho=np.stack([start.rho] * count),
-        total=np.ones(count),
-        min_eig=np.full(count, start.rho_min_eig),
-    )
+    L = np.stack([start.log_weights] * count)
+    diagonals = _diagonals(L)
+    shift = np.zeros(count)
+    rho = np.stack([start.rho] * count)
+    total = np.ones(count)
+    min_eig = np.full(count, start.rho_min_eig)
     if transcript:
         losses = np.empty((count, rounds))
         true_traces = np.empty((count, rounds))
@@ -234,26 +253,24 @@ def _play(
     rho_sum = np.zeros((count, dim, dim), dtype=complex)
     averages = []
     for t in range(rounds):
-        rho_sum += learners.rho
+        rho_sum += rho
         if t + 1 in checkpoints:
             averages.append(hermitianize(rho_sum / (t + 1)))
         if transcript:
-            true_traces[:, t] = [learners.true_trace(s) for s in range(count)]
-            min_eigs[:, t] = learners.min_eig
+            true_traces[:, t] = _true_traces(shift, total)
+            min_eigs[:, t] = min_eig
         try:
-            A, spectrum = observe(t)
+            A, mu, U, UH = observe(t)
             if transcript:
                 t0 = time.perf_counter_ns()
-            learners, overlaps = _qsb_update(
-                learners.log_weights, learners.shift, learners.rho, A, spectrum, eta, labels
-            )
+            rho, total, min_eig, c = _qsb_update(L, diagonals, shift, rho, A, mu, U, UH, eta, labels)
         except DomainError as exc:
             raise DomainError(f"round {t + 1}: {exc}") from exc
         if transcript:
             step_times[t] = time.perf_counter_ns() - t0
-            losses[:, t] = [-math.log(c) for c in overlaps.tolist()]
+            losses[:, t] = [-math.log(x) for x in c]
     return _Played(
-        final_states=[learners.state(s, rounds + 1) for s in range(count)],
+        final_states=_states(L, shift, rho, total, min_eig, rounds + 1),
         average_states=hermitianize(rho_sum / rounds),
         checkpoint_averages=averages,
         per_round=(losses, true_traces, min_eigs, step_times) if transcript else None,
@@ -299,8 +316,9 @@ def _qst_game(blocks: Iterable[np.ndarray], rounds: int, dim: int, eta: float | 
             else:
                 H, (mu, U) = _hermitian_psd(block, lambda i: f"round {first + i + 1}: ",
                                             vectors=True)
+            UH = U.conj().swapaxes(-1, -2)
             for i in range(len(H)):
-                yield H[i : i + 1], SpectralDecomposition(mu[i : i + 1], U[i : i + 1])
+                yield H[i : i + 1], mu[i : i + 1], U[i : i + 1], UH[i : i + 1]
             first += len(H)
 
     source = observations()

@@ -13,6 +13,7 @@ import hashlib
 import json
 import operator
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -81,8 +82,10 @@ def dataset_form(rec: dict) -> str:
     return "per-record" if has_matrices else "elements+index"
 
 
-def dataset_from_record(rec: dict) -> Dataset:
+def dataset_from_record(rec: dict, label: Callable[[int], str] | None = None) -> Dataset:
     """Read either dataset form; both give the same `Dataset`, bit for bit.
+
+    `label(n)` prefixes a check's failure at record n, as in `validate_dataset`.
 
     Every block's entry count is checked before any stack is allocated, and
     the elements+index form is never expanded to one block per record.
@@ -113,18 +116,19 @@ def dataset_from_record(rec: dict) -> Dataset:
     if rec.get("has_provenance"):
         povm_idx = _index_list(rec, "povm_indices", n, _INT64_END)
         out_idx = _index_list(rec, "outcome_indices", n, _INT64_END)
-    return Dataset(elements=elements, index=index, povm_indices=povm_idx, outcome_indices=out_idx)
+    return Dataset(elements=elements, index=index, povm_indices=povm_idx, outcome_indices=out_idx,
+                   label=label)
 
 
 def save_dataset(path, data: Dataset) -> None:
     _dump(path, dataset_to_record(data))
 
 
-def load_dataset(path) -> Dataset:
+def load_dataset(path, label: Callable[[int], str] | None = None) -> Dataset:
     rec = load_payload(path)
     if rec.get("kind") != "dataset":
         raise ValidationError(f"{path}: expected a dataset file, got kind {rec.get('kind')!r}")
-    return dataset_from_record(rec)
+    return dataset_from_record(rec, label)
 
 
 def save_return_stream(path, returns: np.ndarray) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .ensembles import make_rng
 from .linalg import (
     TRACE_TOL,
     DomainError,
-    SpectralDecomposition,
     ValidationError,
     _from_spectrum,
     _hermitian_psd,
@@ -28,7 +28,7 @@ from .linalg import (
     validate_density,
 )
 from .portfolio import _accelerated_ml, _simplex_projection, learning_rate
-from .qsb import QsbState, _play
+from .qsb import QsbState, _Observation, _play
 
 
 class Dataset:
@@ -39,13 +39,14 @@ class Dataset:
     each one's number of records. Build from a record stack, `matrices=M`,
     or from candidates and each record's candidate, `elements=C, index=i`.
 
-    Building one runs `validate_dataset`, so every instance holds valid
-    records and its consumers need not check them again. `elements` may share
-    memory with the stack it was built from: do not modify either in place.
+    Building one runs `validate_dataset`, with `label`, so every instance
+    holds valid records and its consumers need not check them again.
+    `elements` may share memory with the stack it was built from: do not
+    modify either in place.
     """
 
     def __init__(self, matrices=None, povm_indices=None, outcome_indices=None, *,
-                 elements=None, index=None) -> None:
+                 elements=None, index=None, label: Callable[[int], str] | None = None) -> None:
         if (matrices is None) == (elements is None) or (elements is None) != (index is None):
             raise ValidationError("a dataset takes either matrices, or elements and an index")
         stack = np.asarray(elements if matrices is None else matrices)
@@ -59,7 +60,7 @@ class Dataset:
         self.elements, self.index = _canonical(stack, index.astype(np.int64, copy=False))
         self.counts = np.bincount(self.index)
         self.povm_indices, self.outcome_indices = povm_indices, outcome_indices
-        validate_dataset(self)
+        validate_dataset(self, label)
 
     def __len__(self) -> int:
         return self.index.shape[0]
@@ -136,15 +137,17 @@ def validate_povm(elements: np.ndarray) -> np.ndarray:
     return M
 
 
-def validate_dataset(data: Dataset) -> Dataset:
+def validate_dataset(data: Dataset, label: Callable[[int], str] | None = None) -> Dataset:
     """Check every record is a valid observation; return the dataset.
 
     The distinct elements get `validate_observation`'s checks in one stacked
     pass, so each is checked once however many records hold it; a failure
-    names the first record holding the first failing element. Every
-    `Dataset` runs this when it is built.
+    names the first record n holding the first failing element, by the
+    prefix `label(n)` (default `record n: `). Every `Dataset` runs this when
+    it is built.
     """
-    _hermitian_psd(data.elements, lambda k: f"record {np.argmax(data.index == k)}: ")
+    prefix = label or (lambda n: f"record {n}: ")
+    _hermitian_psd(data.elements, lambda k: prefix(int(np.argmax(data.index == k))))
     for name, idx in (("povm_indices", data.povm_indices), ("outcome_indices", data.outcome_indices)):
         if idx is not None and len(idx) != len(data):
             raise ValidationError(f"{name} has length {len(idx)}, expected {len(data)}")
@@ -326,11 +329,14 @@ def stochastic_qsb(
         eta = learning_rate(dim, rounds)
     cps = _normalize_checkpoints(checkpoints, rounds)
 
-    eigenvalues, eigenvectors = spectral(data.elements)
+    # every element's spectrum, gathered from these stacks each round
+    elements = data.elements
+    mu, U = spectral(elements)
+    UH = np.ascontiguousarray(U.conj().swapaxes(-1, -2))
     rngs = [make_rng(seed) for seed in seeds]
     drawn = np.empty((0, len(seeds)), dtype=np.int64)  # (rounds of a block, S) elements
 
-    def observe(t: int) -> tuple[np.ndarray, SpectralDecomposition]:
+    def observe(t: int) -> _Observation:
         nonlocal drawn
         if t % _DRAW_BLOCK == 0:
             # integers(N, size=b) yields the draws of b integers(N) calls, in
@@ -339,9 +345,8 @@ def stochastic_qsb(
             records = np.stack([rng.integers(n_records, size=size) for rng in rngs], axis=1)
             drawn = data.index[records]
         ks = drawn[t % _DRAW_BLOCK]
-        return data.elements.take(ks, axis=0), SpectralDecomposition(
-            eigenvalues.take(ks, axis=0), eigenvectors.take(ks, axis=0)
-        )
+        return (elements.take(ks, axis=0), mu.take(ks, axis=0), U.take(ks, axis=0),
+                UH.take(ks, axis=0))
 
     played = _play(dim, rounds, eta, observe, [f"seed {seed}: " for seed in seeds],
                    frozenset(cps.tolist()))

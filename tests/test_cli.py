@@ -216,6 +216,36 @@ class TestConfigMapping:
             assert stable_artifacts(first) == stable_artifacts(again), name
 
 
+# The manifest fields every run writes, then each run's own fields and the
+# phases its `phase_seconds` times.
+MANIFEST_KEYS = {"kind", "config", "config_sha256", "rng", "package_version", "numpy_version",
+                 "mode", "elapsed_seconds", "wallclock_utc", "phase_seconds"}
+ML_MANIFEST = ({"oracle_objective", "oracle_cert_gap", "records", "distinct_records",
+                "seed_summaries", "mean_final_gap", "error_bound"},
+               {"dataset", "save_dataset", "oracle", "learners", "write"})
+MODE_MANIFESTS = {
+    "ops-game": ({"seed_summaries"}, {"returns", "game", "comparator", "write"}),
+    "qst-game": ({"seed_summaries"}, {"dataset", "game", "oracle", "write"}),
+    "ml-run": ML_MANIFEST,
+    "ml-run-from-file": ML_MANIFEST,
+    "scaling-bench": ({"scaling"}, {"d2", "d4"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODE_MANIFESTS))
+def test_each_mode_writes_its_manifest_keys_and_phases(tmp_path, run_cli, dataset_file, name):
+    """Every run mode's manifest has the same shape: the shared fields, its
+    own fields and the seconds of each of its phases."""
+    out = tmp_path / "run"
+    argv = [arg.format(input=dataset_file) for arg in RUNS[name]]
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    manifest = load_payload(out / "manifest.json")
+    fields, phases = MODE_MANIFESTS[name]
+    assert set(manifest) == MANIFEST_KEYS | fields
+    assert set(manifest["phase_seconds"]) == phases
+    assert all(seconds >= 0.0 for seconds in manifest["phase_seconds"].values())
+
+
 class TestValidateConfig:
 
     def cfg(self, **kwargs):

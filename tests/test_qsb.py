@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from qsoftbayes.qsb import (
     reverse_jensen_gap,
     run_qst_game,
 )
+from qsoftbayes.tomography import Dataset, stochastic_qsb
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -158,6 +160,56 @@ class TestQsbStep:
         )
         with pytest.raises(DomainError):
             qsb_step(rank1, np.diag([0.0, 1.0]), eta=0.5)
+
+
+def exactly_hermitian(M: np.ndarray) -> bool:
+    return np.array_equal(M, M.conj().T)
+
+
+class TestExitStates:
+    """The update decomposes accumulators whose strict upper triangles it
+    never writes; every state it hands out is rebuilt exactly Hermitian."""
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_every_state_is_exactly_hermitian_and_qsb_step_copies(self, dim):
+        rng = make_rng(60 + dim)
+        stream = psd_observation_stream(rng, 30, dim)
+        states = [run_qst_game(stream).final_state]
+        for seeds in ((5,), (5, 6)):
+            states += [r.final_state for r in stochastic_qsb(Dataset(matrices=stream), 40, seeds)]
+        state = qsb_init(dim)
+        for A in stream[:10]:
+            log_weights, rho = state.log_weights.copy(), state.rho.copy()
+            stepped = qsb_step(state, A, eta=0.3)
+            assert np.array_equal(state.log_weights, log_weights)
+            assert np.array_equal(state.rho, rho)
+            states.append(stepped)
+            state = stepped
+        for state in states:
+            assert exactly_hermitian(state.log_weights)
+            assert exactly_hermitian(state.rho)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 64])
+    def test_a_step_reads_only_the_lower_triangle_and_real_diagonal(self, dim):
+        """Noise in the strict upper triangle and in the imaginary diagonal of
+        the log weights changes no bit of the next step: `eigh` reads the
+        lower triangle only (numpy's default UPLO='L') and the diagonal's
+        real part."""
+        rng = make_rng(70 + dim)
+        stream = psd_observation_stream(rng, 4, dim)
+        state = qsb_init(dim)
+        for A in stream[:3]:
+            state = qsb_step(state, A, eta=0.3)
+        noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        upper = np.triu(np.ones((dim, dim), dtype=bool), k=1)
+        noisy = state.log_weights + np.where(upper, noise, 0.0) + 1j * np.diag(noise.real.diagonal())
+        assert not exactly_hermitian(noisy)
+        ours = qsb_step(state, stream[3], eta=0.3)
+        theirs = qsb_step(dataclasses.replace(state, log_weights=noisy), stream[3], eta=0.3)
+        for field in ("log_weights", "rho"):
+            assert np.array_equal(getattr(ours, field), getattr(theirs, field))
+        for field in ("shift", "true_trace", "rho_min_eig"):
+            assert getattr(ours, field) == getattr(theirs, field)
 
 
 class TestQsbRegretBound:

@@ -300,7 +300,8 @@ class TestStackedCheck:
         rounds 1-8, 9-16 and the partial block 17-20. The game raises the
         per-matrix check's message for round bad + 1 once it reaches that
         round's block; a qst-game from-file input with the same records ends
-        in the same message for its record, on one line, with exit code 1."""
+        in the same message, naming both the record and the round that
+        plays it, on one line, with exit code 1; ml-run names the record."""
         assert linalg._block_len(32) == 8
         stream = psd_observation_stream(make_rng(41), 20, 32)
         stream[bad] = BAD_MATRICES[kind](stream[bad])
@@ -317,8 +318,12 @@ class TestStackedCheck:
         assert cli.main(["qst-game", "--dim", "32", "--rounds", "20", "--povm", "from-file",
                          "--input", str(path), "--out", str(out)]) == 1
         message = expected.removeprefix(f"round {bad + 1}: ")
-        assert capsys.readouterr().err == f"error: record {bad}: {message}\n"
+        assert capsys.readouterr().err == f"error: record {bad} (round {bad + 1}): {message}\n"
         assert not out.exists()
+        # ml-run draws records in no round order, so it names the record alone
+        assert cli.main(["ml-run", "--dim", "32", "--rounds", "20", "--povm", "from-file",
+                         "--input", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: record {bad}: {message}\n"
 
     @pytest.mark.parametrize("povm, records", [("random-rank1", None), ("pauli-basis", None),
                                                ("from-file", 1000), ("from-file", 3000)],
@@ -345,7 +350,8 @@ class TestStackedCheck:
             checked = [len(data.elements)] + ([len(prefix.elements)] if records > 1000 else [])
         loads = []
         load = cli.load_dataset
-        monkeypatch.setattr(cli, "load_dataset", lambda path: loads.append(path) or load(path))
+        monkeypatch.setattr(cli, "load_dataset",
+                            lambda path, *label: loads.append(path) or load(path, *label))
         counts = []
         check = linalg._hermitian_psd
 
