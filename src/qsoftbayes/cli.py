@@ -37,7 +37,6 @@ from .ensembles import (
 from .linalg import (
     DomainError,
     ValidationError,
-    _block_len,
     _check_unit_trace,
     validate_observation,
 )
@@ -356,9 +355,7 @@ def _qst_datasets(config: ExperimentConfig) -> Iterator[Dataset]:
         if config.povm == "random-rank1":
             yield Dataset(matrices=rank1_observation_stream(rng, config.rounds, dim))
         elif config.povm == "pauli-basis":
-            truth = random_density(rng, dim)
-            yield generate_dataset(truth, pauli_basis_povms(dim.bit_length() - 1),
-                                   config.rounds, rng)
+            yield _pauli_dataset(rng, dim, config.rounds)
         else:
             yield data
 
@@ -412,11 +409,13 @@ def _ml_seed(result: MlResult, out_dir: Path, f_star: float) -> dict:
 def _ml_dataset(config: ExperimentConfig) -> Dataset:
     if config.povm == "from-file":
         return _input_dataset(config)
-    dim = config.dims[0]
-    rng = make_rng(config.data_seed)
+    return _pauli_dataset(make_rng(config.data_seed), config.dims[0], config.shots)
+
+
+def _pauli_dataset(rng: np.random.Generator, dim: int, shots: int) -> Dataset:
+    """`shots` Pauli-basis records of a random D = `dim` truth state, both drawn from `rng`."""
     truth = random_density(rng, dim)
-    return generate_dataset(truth, pauli_basis_povms(dim.bit_length() - 1),
-                            config.shots, rng)
+    return generate_dataset(truth, pauli_basis_povms(dim.bit_length() - 1), shots, rng)
 
 
 # --- mode drivers ---------------------------------------------------------
@@ -485,10 +484,9 @@ def _run_qst(config: ExperimentConfig, out_dir: Path) -> dict:
     for seed, data in zip(config.seeds, _qst_datasets(config)):
         phases.lap("dataset")
         if data is not played:
-            played, step = data, _block_len(data.dim)
-            blocks = (data.elements[data.index[start : start + step]]
-                      for start in range(0, len(data), step))
-            transcript = _qst_game(blocks, len(data), data.dim, config.eta, checked=True)
+            played = data
+            transcript = _qst_game(lambda start, stop: data.elements[data.index[start:stop]],
+                                   len(data), data.dim, config.eta, checked=True)
             phases.lap("game")
             _, f_star = batch_ml_solve(data, tol=1e-7)
             phases.lap("oracle")
@@ -536,10 +534,9 @@ def _run_ml(config: ExperimentConfig, out_dir: Path) -> dict:
 def _scaling_row(config: ExperimentConfig, seed: int, dim: int) -> dict:
     """Step times at one dimension. The stream is drawn, checked and played a
     block at a time, so no more than one block of it is held at once."""
-    rng, step = make_rng(seed), _block_len(dim)
-    blocks = (psd_observation_stream(rng, min(step, config.rounds - start), dim)
-              for start in range(0, config.rounds, step))
-    times = _qst_game(blocks, config.rounds, dim, config.eta).step_times_ns
+    rng = make_rng(seed)
+    times = _qst_game(lambda start, stop: psd_observation_stream(rng, stop - start, dim),
+                      config.rounds, dim, config.eta).step_times_ns
     return {"dim": dim, "rounds": config.rounds, **_step_summary(times)}
 
 

@@ -135,10 +135,9 @@ def ops_regret_bound(dim: int, rounds: float | np.ndarray) -> float | np.ndarray
     the scalar call's float at that horizon, bit for bit.
     """
     horizons = np.asarray(rounds)
-    _check_horizon(dim, horizons.min() if horizons.ndim else rounds)
-    if horizons.ndim:
-        return 2.0 * np.sqrt(horizons * dim * math.log(dim)) + math.log(dim)
-    return 2.0 * math.sqrt(rounds * dim * math.log(dim)) + math.log(dim)
+    _check_horizon(dim, horizons.min())
+    bound = 2.0 * np.sqrt(horizons * dim * math.log(dim)) + math.log(dim)
+    return bound if horizons.ndim else float(bound)
 
 
 def run_ops_game(returns: np.ndarray, eta: float | None = None) -> OpsTranscript:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -290,26 +290,25 @@ def run_qst_game(stream: np.ndarray, eta: float | None = None) -> QstTranscript:
     if stream.ndim != 3 or stream.shape[0] < 1 or stream.shape[1] != stream.shape[2]:
         raise ValidationError(f"expected a nonempty (T, D, D) stream, got shape {stream.shape}")
     rounds, dim = stream.shape[:2]
-    step = _block_len(dim)
-    blocks = (stream[start : start + step] for start in range(0, rounds, step))
-    return _qst_game(blocks, rounds, dim, eta)
+    return _qst_game(lambda start, stop: stream[start:stop], rounds, dim, eta)
 
 
-def _qst_game(blocks: Iterable[np.ndarray], rounds: int, dim: int, eta: float | None,
-              checked: bool = False) -> QstTranscript:
-    """`run_qst_game` on the `rounds` observations that `blocks` holds in order.
+def _qst_game(draw: Callable[[int, int], np.ndarray], rounds: int, dim: int,
+              eta: float | None, checked: bool = False) -> QstTranscript:
+    """`run_qst_game` on `rounds` observations, drawn a block at a time.
 
-    Each block, an (n, D, D) stack of consecutive rounds, is checked (unless
-    `checked`: its matrices passed the check already), hermitianized and
-    decomposed in one stacked `eigh` when its first round comes up, so only
-    the current block's spectra are held; round t observes its slice of them.
+    `draw(start, stop)` returns rounds start to stop - 1 (from 0), in blocks of
+    `_block_len(D)` rounds. Each is checked (unless `checked`: it passed the
+    check already), hermitianized and decomposed in one stacked `eigh` when
+    its first round comes up, so one block and its spectra are held at a time.
     """
     if eta is None:
         eta = learning_rate(dim, rounds)
 
     def observations():
-        first = 0
-        for block in blocks:
+        step = _block_len(dim)
+        for first in range(0, rounds, step):
+            block = draw(first, min(first + step, rounds))
             if checked:
                 H = hermitianize(block)
                 mu, U = hermitian_eigh(H)
@@ -319,7 +318,6 @@ def _qst_game(blocks: Iterable[np.ndarray], rounds: int, dim: int, eta: float | 
             UH = U.conj().swapaxes(-1, -2)
             for i in range(len(H)):
                 yield H[i : i + 1], mu[i : i + 1], U[i : i + 1], UH[i : i + 1]
-            first += len(H)
 
     source = observations()
     played = _play(dim, rounds, eta, lambda t: next(source), transcript=True)

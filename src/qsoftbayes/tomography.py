@@ -8,7 +8,6 @@ and an independent batch solver used as the optimization-error oracle.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -122,18 +121,25 @@ class MlResult:
 
 
 def validate_povm(elements: np.ndarray) -> np.ndarray:
-    """Check PSD elements summing to the identity; return a (J, D, D) stack.
+    """Check PSD elements summing to the identity; return a (..., J, D, D) stack.
 
-    Every element gets `validate_observation`'s checks in one stacked pass;
-    a failure names the first failing element j.
+    Leading axes hold several POVMs. All elements get `validate_observation`'s
+    checks in one stacked pass. A failure names the first failing element j and,
+    given several POVMs, its POVM k, or the POVM furthest from summing to I.
     """
-    M = np.asarray(elements, dtype=complex)
-    if M.ndim != 3 or M.shape[1] != M.shape[2] or M.shape[0] < 1:
-        raise ValidationError(f"expected a (J, D, D) stack of elements, got shape {M.shape}")
-    _hermitian_psd(M, lambda j: f"element {j}: ")
-    dev = float(np.abs(M.sum(axis=0) - np.eye(M.shape[1])).max())
-    if dev > TRACE_TOL:
-        raise ValidationError(f"elements sum to identity only within {dev:.3e}")
+    try:
+        M = np.asarray(elements, dtype=complex)
+    except ValueError as exc:  # a ragged list
+        raise ValidationError(f"elements must form one (..., J, D, D) stack: {exc}") from exc
+    if M.ndim < 3 or M.shape[-1] != M.shape[-2] or 0 in M.shape[:-2]:
+        raise ValidationError(f"expected a (..., J, D, D) stack of elements, got shape {M.shape}")
+    J = M.shape[-3]
+    povm = (lambda k: "") if M.ndim == 3 else (lambda k: f"POVM {k} ")
+    _hermitian_psd(M.reshape(-1, *M.shape[-2:]), lambda i: f"{povm(i // J)}element {i % J}: ")
+    dev = np.abs(M.sum(axis=-3) - np.eye(M.shape[-1])).max(axis=(-2, -1)).ravel()
+    k = int(np.argmax(dev))
+    if dev[k] > TRACE_TOL:
+        raise ValidationError(f"{povm(k)}elements sum to identity only within {dev[k]:.3e}")
     return M
 
 
@@ -198,54 +204,55 @@ def ml_objective(rho: np.ndarray, data: Dataset) -> float:
 
 
 def _outcome_cdf(rho: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """The outcome CDF of POVM `M` on state `rho`: the cumulative tr(M_j rho).
+    """The outcome CDFs of (..., J, D, D) POVMs `M` on `rho`: the cumulative tr(M_j rho).
 
     The probabilities are clipped to [0, 1] and renormalized, but only when
     they deviate from the simplex by at most TRACE_TOL; larger deviations
-    mean the inputs were not a POVM and a density matrix.
+    mean the inputs were not POVMs and a density matrix.
     """
-    p = _overlaps(M, rho)
-    if p.min() < -TRACE_TOL or p.max() > 1.0 + TRACE_TOL or abs(p.sum() - 1.0) > TRACE_TOL:
+    p = _overlaps(M.reshape(-1, *M.shape[-2:]), rho).reshape(M.shape[:-2])
+    total = p.sum(axis=-1)
+    worst = total.flat[np.argmax(np.abs(total - 1.0))]
+    if p.min() < -TRACE_TOL or p.max() > 1.0 + TRACE_TOL or abs(worst - 1.0) > TRACE_TOL:
         raise DomainError(
             f"outcome probabilities deviate from the simplex beyond {TRACE_TOL:.1e}: "
-            f"min {p.min():.3e}, max {p.max():.3e}, sum {p.sum():.12f}"
+            f"min {p.min():.3e}, max {p.max():.3e}, sum {worst:.12f}"
         )
     p = np.clip(p, 0.0, 1.0)
-    return np.cumsum(p / p.sum())
+    return np.cumsum(p / p.sum(axis=-1, keepdims=True), axis=-1)
 
 
 def generate_dataset(
     rho_true: np.ndarray,
-    povms: list[np.ndarray],
+    povms: np.ndarray,
     shots: int,
     rng: np.random.Generator,
 ) -> Dataset:
     """Simulate `shots` measurements of rho_true, cycling through the POVMs.
 
-    Shot n uses POVM n mod len(povms), so multi-POVM experiments are balanced
-    and the record order is deterministic given the generator. Each shot is
-    one uniform draw, made in shot order, inverted through its POVM's CDF,
-    which is computed once per POVM: outcome j has probability tr(M_j rho),
-    and the outcomes are a pure function of the generator state.
+    Shot n uses POVM n mod P of the (P, J, D, D) `povms`: one uniform draw,
+    made in shot order, inverted through that POVM's CDF, so outcome j has
+    probability tr(M_j rho) and the records are a pure function of the
+    generator. Only the POVMs the shots use become candidates, as a view.
     """
     if shots < 1:
         raise ValidationError(f"shots must be positive, got {shots}")
-    if len(povms) < 1:
-        raise ValidationError("at least one POVM is required")
     rho_true = validate_density(rho_true)
-    stacks = [validate_povm(p) for p in povms]
-    cdfs = [_outcome_cdf(rho_true, M) for M in stacks]
+    M = validate_povm(povms)
+    if M.ndim != 4:
+        raise ValidationError(f"expected a (P, J, D, D) stack of POVMs, got shape {M.shape}")
+    cdfs = _outcome_cdf(rho_true, M)
+    P, J = cdfs.shape
     # one double per shot, in shot order: the same draws as rng.random() per shot
     uniforms = rng.random(shots)
-    povm_idx = np.arange(shots, dtype=np.int64) % len(stacks)
+    povm_idx = np.arange(shots, dtype=np.int64) % P
     out_idx = np.empty(shots, dtype=np.int64)
-    for k, cdf in enumerate(cdfs):
-        own = slice(k, None, len(stacks))  # the shots that use POVM k
+    for k, cdf in enumerate(cdfs[:shots]):
+        own = slice(k, None, P)  # the shots that use POVM k
         j = np.searchsorted(cdf, uniforms[own], side="right")
-        out_idx[own] = np.minimum(j, len(cdf) - 1)
-    # shot n is outcome j of POVM k: candidate offsets[k] + j of all POVMs' elements
-    offsets = np.cumsum([0] + [len(M) for M in stacks[:-1]])
-    return Dataset(elements=np.concatenate(stacks), index=offsets[povm_idx] + out_idx,
+        out_idx[own] = np.minimum(j, J - 1)
+    # shot n is outcome j of POVM k: candidate k * J + j of the used POVMs' elements
+    return Dataset(elements=M[:shots].reshape(-1, *M.shape[2:]), index=povm_idx * J + out_idx,
                    povm_indices=povm_idx, outcome_indices=out_idx)
 
 
@@ -256,24 +263,23 @@ _QUBIT_BASES = {
 }
 
 
-def pauli_basis_povms(qubits: int) -> list[np.ndarray]:
+def pauli_basis_povms(qubits: int) -> np.ndarray:
     """Rank-one projective POVMs for every Pauli string in {X, Y, Z}^q.
 
-    Returns 3^q stacks of 2^q projectors; outcome j of a POVM projects onto
-    the tensor product of single-qubit eigenvectors selected by the bits of
-    j, with bit 0 addressing the first qubit: column j of the Kronecker
-    product of the single-qubit bases.
+    Returns one (3^q, 2^q, 2^q, 2^q) stack, the strings in lexicographic order;
+    outcome j of a POVM projects onto the tensor product of single-qubit
+    eigenvectors selected by the bits of j, the first qubit's the most
+    significant: column j of the Kronecker product of the single-qubit bases.
     """
     if qubits < 1:
         raise ValidationError(f"qubits must be positive, got {qubits}")
-    povms = []
-    for string in itertools.product("XYZ", repeat=qubits):
-        U = np.ones((1, 1), dtype=complex)  # not the first basis: that flips signed zeros
-        for s in string:
-            U = np.kron(U, _QUBIT_BASES[s])
-        C = np.ascontiguousarray(U.T)  # row j: outcome j's vector
-        povms.append(C[:, :, None] * C.conj()[:, None, :])
-    return povms
+    bases = np.stack(list(_QUBIT_BASES.values()))
+    U = np.ones((1, 1, 1), dtype=complex)  # not the first bases: that flips signed zeros
+    for _ in range(qubits):  # each string's Kronecker product with each qubit basis
+        n = 2 * U.shape[-1]
+        U = (U[:, None, :, None, :, None] * bases[:, None, :, None, :]).reshape(-1, n, n)
+    C = np.ascontiguousarray(U.swapaxes(-1, -2))  # row j of POVM k: outcome j's vector
+    return C[:, :, :, None] * C.conj()[:, :, None, :]
 
 
 def _normalize_checkpoints(checkpoints, rounds: int) -> np.ndarray:

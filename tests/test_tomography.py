@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,19 @@ class TestValidatePovm:
         with pytest.raises(ValidationError, match="element 1"):
             validate_povm(stack)
 
+    def test_names_the_failing_povm_of_a_stack(self):
+        """A (P, J, D, D) stack is checked in one pass; a failure names the
+        POVM k as well as the element j."""
+        povms = pauli_basis_povms(1)
+        povms[1, 0] -= np.eye(2)
+        with pytest.raises(ValidationError, match="^POVM 1 element 0: not positive semidefinite"):
+            validate_povm(povms)
+        povms = pauli_basis_povms(1)
+        povms[2] /= 2
+        with pytest.raises(ValidationError,
+                           match=r"^POVM 2 elements sum to identity only within 5\.000e-01$"):
+            validate_povm(povms)
+
 
 def random_povm(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """`count` PSD elements S^(-1/2) P_j S^(-1/2) of random P_j, S = sum_j P_j."""
@@ -331,8 +345,8 @@ class TestStackedCheck:
     def test_a_game_checks_each_observation_once(self, tmp_path, monkeypatch, povm, records):
         """Three 1000-round qst-game seeds at D = 4. Each seed's generated
         stream is checked once, in its dataset: the random-rank1 stream's
-        1000 records; a Pauli game's 4 elements of each of its 9 POVMs, then
-        the 36 distinct elements its records hold. A from-file input is
+        1000 records; a Pauli game's 9 POVMs, their 36 elements in one pass,
+        then the 36 distinct elements its records hold. A from-file input is
         loaded and checked once per run; a file longer than the rounds has
         its 1000-record prefix built (and checked) once, for all seeds."""
         argv = ["qst-game", "--dim", "4", "--rounds", "1000", "--povm", povm,
@@ -340,7 +354,7 @@ class TestStackedCheck:
         if povm == "random-rank1":
             checked = [1000] * 3
         elif povm == "pauli-basis":
-            checked = ([4] * 9 + [36]) * 3
+            checked = [36, 36] * 3
         else:
             rng = make_rng(5)
             data = generate_dataset(random_density(rng, 4), pauli_basis_povms(2), records, rng)
@@ -465,6 +479,33 @@ class TestGenerateDataset:
         with pytest.raises(ValidationError):
             generate_dataset(rho, [], 5, make_rng(0))
 
+    @pytest.mark.parametrize("povms, match", [
+        ([np.diag([1.0, 0.0])[None], pauli_basis_povms(1)[0]],
+         r"^elements must form one \(\.\.\., J, D, D\) stack: "),
+        ([], r"^expected a \(\.\.\., J, D, D\) stack of elements, got shape \(0,\)$"),
+    ], ids=["ragged", "empty"])
+    def test_rejects_a_ragged_or_empty_povm_list(self, povms, match):
+        """A list of POVMs that is no (P, J, D, D) stack ends in one
+        ValidationError, not numpy's ValueError."""
+        with pytest.raises(ValidationError, match=match):
+            generate_dataset(np.eye(2) / 2, povms, 5, make_rng(0))
+
+    def test_holds_one_copy_of_the_povm_set(self):
+        """At q = 4 the 81 POVMs take 5.3 MB. Ten shots use ten of them: the
+        traced peak of building the set and the dataset stays near one copy
+        of it, with no list of the POVMs and no concatenation beside it, and
+        no copy of the POVMs the shots do not use."""
+        truth = random_density(make_rng(9), 16)
+        tracemalloc.start()
+        try:
+            povms = pauli_basis_povms(4)
+            data = generate_dataset(truth, povms, 10, make_rng(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) == 10
+        assert peak <= 1.5 * povms.nbytes
+
 
 class TestPauliBasisPovms:
 
@@ -502,6 +543,13 @@ class TestPauliBasisPovms:
         """Signed zeros included, so generated datasets keep their bytes."""
         assert [M.tobytes() for M in pauli_basis_povms(qubits)] == \
             [M.tobytes() for M in per_outcome_pauli_povms(qubits)]
+
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+    def test_one_c_contiguous_stack(self, qubits):
+        povms = pauli_basis_povms(qubits)
+        dim = 2 ** qubits
+        assert povms.shape == (3 ** qubits, dim, dim, dim)
+        assert povms.flags.c_contiguous
 
 
 class TestStochasticQsb:
