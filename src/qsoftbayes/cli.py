@@ -28,8 +28,8 @@ from typing import Any, Callable, Iterator, NamedTuple
 import numpy as np
 
 from .ensembles import (
+    _psd_block,
     make_rng,
-    psd_observation_stream,
     random_density,
     rank1_observation_stream,
     uniform_returns,
@@ -38,6 +38,8 @@ from .linalg import (
     DomainError,
     ValidationError,
     _check_unit_trace,
+    hermitian_eigh,
+    hermitianize,
     validate_observation,
 )
 from .portfolio import (
@@ -471,6 +473,15 @@ def _run_ops(config: ExperimentConfig, out_dir: Path) -> dict:
     return {"seed_summaries": summaries, "phase_seconds": phases.seconds}
 
 
+def _dataset_block(data: Dataset, start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """Records start to stop - 1 of a dataset, hermitianized and decomposed.
+
+    The dataset's check passed them already, so they are not checked again.
+    """
+    H = hermitianize(data.elements[data.index[start:stop]])
+    return (H, *hermitian_eigh(H))
+
+
 def _run_qst(config: ExperimentConfig, out_dir: Path) -> dict:
     """Each seed's dataset, game and oracle, then its artifacts.
 
@@ -485,8 +496,8 @@ def _run_qst(config: ExperimentConfig, out_dir: Path) -> dict:
         phases.lap("dataset")
         if data is not played:
             played = data
-            transcript = _qst_game(lambda start, stop: data.elements[data.index[start:stop]],
-                                   len(data), data.dim, config.eta, checked=True)
+            transcript = _qst_game(lambda start, stop: _dataset_block(data, start, stop),
+                                   len(data), data.dim, config.eta)
             phases.lap("game")
             _, f_star = batch_ml_solve(data, tol=1e-7)
             phases.lap("oracle")
@@ -532,10 +543,11 @@ def _run_ml(config: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def _scaling_row(config: ExperimentConfig, seed: int, dim: int) -> dict:
-    """Step times at one dimension. The stream is drawn, checked and played a
-    block at a time, so no more than one block of it is held at once."""
+    """Step times at one dimension. The stream is drawn, checked, decomposed
+    and played a block at a time, so no more than one block of it is held at
+    once, and each block's one `eigh` both scales it and feeds the learner."""
     rng = make_rng(seed)
-    times = _qst_game(lambda start, stop: psd_observation_stream(rng, stop - start, dim),
+    times = _qst_game(lambda start, stop: _psd_block(rng, stop - start, dim),
                       config.rounds, dim, config.eta).step_times_ns
     return {"dim": dim, "rounds": config.rounds, **_step_summary(times)}
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _block_len, hermitianize
+from .linalg import _block_len, _hermitian_psd, hermitianize
 
 RNG_NAME = "philox"
 
@@ -28,10 +28,30 @@ def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> 
 
 def random_psd(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
     """Wishart random PSD matrix G G^dagger, normalized to unit operator norm."""
+    return _psd_block(rng, 1, dim, rank)[0][0]
+
+
+def _psd_block(rng: np.random.Generator, n: int, dim: int, rank: int | None = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`n` consecutive `random_psd` draws as one stack H, with its spectrum.
+
+    Each matrix draws the real then the imaginary parts of its (D, rank) G,
+    and G G^dagger is checked, hermitianized and decomposed in one stacked
+    `eigh` (`linalg._hermitian_psd`). H and its eigenvalues mu (ascending)
+    are then divided by each matrix's top eigenvalue, so H = U diag(mu) U^dagger
+    has unit operator norm and needs no second decomposition.
+    """
     r = dim if rank is None else rank
-    G = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
-    A = G @ G.conj().T
-    return hermitianize(A / np.linalg.eigvalsh(A)[-1])
+    # the draws, then G, then G G^dagger: rebinding one name frees each
+    # temporary as the next is made
+    A = rng.standard_normal((n, 2, dim, r))
+    A = A[:, 0] + 1j * A[:, 1]
+    A = A @ A.conj().swapaxes(-1, -2)
+    H, (mu, U) = _hermitian_psd(A, lambda i: f"draw {i + 1}: ", vectors=True)
+    top = mu[:, -1:]
+    H /= top[..., None]
+    mu /= top
+    return H, mu, U
 
 
 def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
@@ -73,19 +93,12 @@ def psd_observation_stream(rng: np.random.Generator, rounds: int, dim: int) -> n
     Round t is the `random_psd(rng, dim)` draw that a loop of them would make,
     bit for bit, and consecutive calls on one generator draw what one call
     would. The rounds are drawn a block at a time (see `linalg._block_len`),
-    each block by one draw, one stacked product and one stacked `eigvalsh`,
-    and written into the returned stack, so no temporary grows with the
-    rounds.
+    each block by one `_psd_block`, and written into the returned stack, so
+    no temporary grows with the rounds.
     """
     stream = np.empty((rounds, dim, dim), dtype=complex)
     step = _block_len(dim)
     for start in range(0, rounds, step):
         out = stream[start : start + step]
-        # the draws, then G, then G G^dagger: rebinding one name frees each
-        # temporary as the next is made
-        A = rng.standard_normal((len(out), 2, dim, dim))
-        A = A[:, 0] + 1j * A[:, 1]
-        A = A @ A.conj().swapaxes(-1, -2)
-        A /= np.linalg.eigvalsh(A)[:, -1, None, None]
-        out[...] = hermitianize(A)
+        out[...] = _psd_block(rng, len(out), dim)[0]
     return stream

@@ -277,6 +277,12 @@ def _play(
     )
 
 
+# What a game's `draw(start, stop)` returns: rounds start to stop - 1 as an
+# (n, D, D) Hermitian stack H, its (n, D) eigenvalues mu (ascending) and its
+# eigenvectors U.
+_Block = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def run_qst_game(stream: np.ndarray, eta: float | None = None) -> QstTranscript:
     """Play the tomography game against a (T, D, D) stream of observations.
 
@@ -290,17 +296,23 @@ def run_qst_game(stream: np.ndarray, eta: float | None = None) -> QstTranscript:
     if stream.ndim != 3 or stream.shape[0] < 1 or stream.shape[1] != stream.shape[2]:
         raise ValidationError(f"expected a nonempty (T, D, D) stream, got shape {stream.shape}")
     rounds, dim = stream.shape[:2]
-    return _qst_game(lambda start, stop: stream[start:stop], rounds, dim, eta)
+
+    def checked(start: int, stop: int) -> _Block:
+        H, (mu, U) = _hermitian_psd(stream[start:stop], lambda i: f"round {start + i + 1}: ",
+                                    vectors=True)
+        return H, mu, U
+
+    return _qst_game(checked, rounds, dim, eta)
 
 
-def _qst_game(draw: Callable[[int, int], np.ndarray], rounds: int, dim: int,
-              eta: float | None, checked: bool = False) -> QstTranscript:
+def _qst_game(draw: Callable[[int, int], _Block], rounds: int, dim: int,
+              eta: float | None) -> QstTranscript:
     """`run_qst_game` on `rounds` observations, drawn a block at a time.
 
     `draw(start, stop)` returns rounds start to stop - 1 (from 0), in blocks of
-    `_block_len(D)` rounds. Each is checked (unless `checked`: it passed the
-    check already), hermitianized and decomposed in one stacked `eigh` when
-    its first round comes up, so one block and its spectra are held at a time.
+    `_block_len(D)` rounds, already checked and decomposed (see `_Block`): the
+    caller says how. A block is drawn when its first round comes up, so one
+    block and its spectra are held at a time.
     """
     if eta is None:
         eta = learning_rate(dim, rounds)
@@ -308,13 +320,7 @@ def _qst_game(draw: Callable[[int, int], np.ndarray], rounds: int, dim: int,
     def observations():
         step = _block_len(dim)
         for first in range(0, rounds, step):
-            block = draw(first, min(first + step, rounds))
-            if checked:
-                H = hermitianize(block)
-                mu, U = hermitian_eigh(H)
-            else:
-                H, (mu, U) = _hermitian_psd(block, lambda i: f"round {first + i + 1}: ",
-                                            vectors=True)
+            H, mu, U = draw(first, min(first + step, rounds))
             UH = U.conj().swapaxes(-1, -2)
             for i in range(len(H)):
                 yield H[i : i + 1], mu[i : i + 1], U[i : i + 1], UH[i : i + 1]

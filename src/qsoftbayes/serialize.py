@@ -9,9 +9,11 @@ bytes on every run.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import operator
+import os
 from pathlib import Path
 from typing import Callable
 
@@ -326,8 +328,51 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+# The variables that set the thread count of OpenBLAS, of OpenMP and of MKL
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _best_effort(query: Callable[[], object]):
+    """`query()`, or None where it fails: the thread setup is a record, not a check."""
+    try:
+        return query()
+    except (OSError, AttributeError, LookupError, TypeError, ValueError):
+        return None
+
+
+def _openblas_threads() -> int | None:
+    """The thread count of the OpenBLAS bundled with numpy; None if it has none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return int(fn())
+    return None
+
+
+def thread_setup() -> dict:
+    """The CPUs this process may use and numpy's BLAS with its thread count,
+    as the environment sets it and as the library reports it. Each query is
+    best-effort: a field is None where it fails."""
+    blas = _best_effort(lambda: dict(np.show_config(mode="dicts")["Build Dependencies"]["blas"]))
+    blas = blas or {}
+    return {
+        "nproc": os.cpu_count(),
+        "affinity_cpus": _best_effort(lambda: len(os.sched_getaffinity(0))),
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads_env": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
+        "blas_threads_queried": _best_effort(_openblas_threads),
+    }
+
+
 def write_manifest(path, config: dict, extra: dict) -> None:
-    """Run manifest: config echo and hash, library versions, RNG name.
+    """Run manifest: config echo and hash, library versions, RNG name and the
+    thread setup (`thread_setup`).
 
     The `extra` block carries per-run facts (wall-clock, summaries), so the
     manifest itself is not byte-stable; the CSV and matrix artifacts are.
@@ -342,6 +387,7 @@ def write_manifest(path, config: dict, extra: dict) -> None:
         "rng": RNG_NAME,
         "package_version": __version__,
         "numpy_version": np.__version__,
+        "threads": thread_setup(),
     }
     record.update(extra)
     _dump(path, record)

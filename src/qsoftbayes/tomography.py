@@ -87,12 +87,19 @@ def _canonical(candidates: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, n
     form comes back as given: a complex stack without repeats is not copied.
     """
     C = np.ascontiguousarray(candidates, dtype=complex)
-    # maps each distinct candidate's bytes to the first candidate holding them
-    firsts: dict[bytes, int] = {}
-    owner = np.fromiter(
-        (firsts.setdefault(row.tobytes(), k) for k, row in enumerate(C.reshape(len(C), -1))),
-        dtype=np.int64, count=len(C),
-    )
+    rows = C.reshape(len(C), -1)
+    # maps a hash of each distinct candidate's bytes to the first candidate
+    # holding them; a match is confirmed on the bytes (not by value: -0.0 and
+    # 0.0 differ), and a hash shared by unequal candidates moves on to the
+    # next free key. No candidate's bytes outlive its turn.
+    firsts: dict[int, int] = {}
+    owner = np.empty(len(C), dtype=np.int64)
+    for k, row in enumerate(rows):
+        data = row.tobytes()
+        key = hash(data)
+        while (j := firsts.setdefault(key, k)) != k and rows[j].tobytes() != data:
+            key += 1
+        owner[k] = j
     used, first, inverse = np.unique(owner[index], return_index=True, return_inverse=True)
     order = np.argsort(first)  # positions in used, by first appearance
     if np.array_equal(used[order], np.arange(len(C))):

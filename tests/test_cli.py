@@ -219,7 +219,9 @@ class TestConfigMapping:
 # The manifest fields every run writes, then each run's own fields and the
 # phases its `phase_seconds` times.
 MANIFEST_KEYS = {"kind", "config", "config_sha256", "rng", "package_version", "numpy_version",
-                 "mode", "elapsed_seconds", "wallclock_utc", "phase_seconds"}
+                 "threads", "mode", "elapsed_seconds", "wallclock_utc", "phase_seconds"}
+THREAD_KEYS = {"nproc", "affinity_cpus", "blas", "blas_version", "blas_threads_env",
+               "blas_threads_queried"}
 ML_MANIFEST = ({"oracle_objective", "oracle_cert_gap", "records", "distinct_records",
                 "seed_summaries", "mean_final_gap", "error_bound"},
                {"dataset", "save_dataset", "oracle", "learners", "write"})
@@ -234,14 +236,16 @@ MODE_MANIFESTS = {
 
 @pytest.mark.parametrize("name", sorted(MODE_MANIFESTS))
 def test_each_mode_writes_its_manifest_keys_and_phases(tmp_path, run_cli, dataset_file, name):
-    """Every run mode's manifest has the same shape: the shared fields, its
-    own fields and the seconds of each of its phases."""
+    """Every run mode's manifest has the same shape: the shared fields with
+    the thread setup, its own fields and the seconds of each of its phases."""
     out = tmp_path / "run"
     argv = [arg.format(input=dataset_file) for arg in RUNS[name]]
     assert run_cli(argv + ["--out", str(out)]) == 0
     manifest = load_payload(out / "manifest.json")
     fields, phases = MODE_MANIFESTS[name]
     assert set(manifest) == MANIFEST_KEYS | fields
+    assert set(manifest["threads"]) == THREAD_KEYS
+    assert manifest["threads"]["nproc"] == os.cpu_count()
     assert set(manifest["phase_seconds"]) == phases
     assert all(seconds >= 0.0 for seconds in manifest["phase_seconds"].values())
 
@@ -617,13 +621,13 @@ class TestScalingBenchMode:
         """Each dimension's stream is drawn a block of `_CHECK_BLOCK` entries
         at a time (512 rounds at D = 4, 2 at D = 64), never whole."""
         drawn = []
-        draw = cli.psd_observation_stream
+        draw = cli._psd_block
 
         def recorded(rng, rounds, dim):
             drawn.append((dim, rounds))
             return draw(rng, rounds, dim)
 
-        monkeypatch.setattr(cli, "psd_observation_stream", recorded)
+        monkeypatch.setattr(cli, "_psd_block", recorded)
         assert run_cli(["scaling-bench", "--dim", "4,64", "--rounds", "1025", "--seeds", "3",
                         "--out", str(tmp_path / "run")]) == 0
         for dim in (4, 64):
@@ -631,6 +635,22 @@ class TestScalingBenchMode:
             assert max(counts) <= linalg._block_len(dim)
             assert sum(counts) == 1025
         assert linalg._block_len(4) == 512 and linalg._block_len(64) == 2
+
+    def test_decomposes_each_observation_once(self, tmp_path, run_cli, monkeypatch):
+        """At D = 64 the 5 rounds are blocks of 2, 2 and 1. One stacked `eigh`
+        per block both scales its draws and feeds the learner; each round adds
+        one `eigh` of the (1, D, D) accumulator. No `eigvalsh` is called."""
+        calls = {"eigh": [], "eigvalsh": []}
+        for name in calls:
+            def counted(M, *args, name=name, fn=getattr(np.linalg, name), **kwargs):
+                calls[name].append(M.shape)
+                return fn(M, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert run_cli(["scaling-bench", "--dim", "64", "--rounds", "5", "--seeds", "3",
+                        "--out", str(tmp_path / "run")]) == 0
+        pair, one = (2, 64, 64), (1, 64, 64)
+        assert calls["eigh"] == [pair, one, one, pair, one, one, one, one]
+        assert calls["eigvalsh"] == []
 
 
 # a per-record dataset file with two 1 x 1 records: dim, n, povm_indices

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsoftbayes.ensembles import (
+    _psd_block,
     make_rng,
     psd_observation_stream,
     random_psd,
@@ -33,6 +34,25 @@ def test_psd_stream_equals_one_random_psd_draw_per_round(seed, dim):
     reference = np.stack([random_psd(rng, dim) for _ in range(12)])
     stream = psd_observation_stream(make_rng(seed), 12, dim)
     assert stream.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 16, 64])
+def test_psd_stream_rounds_have_unit_operator_norm(dim):
+    stream = psd_observation_stream(make_rng(3), 9, dim)
+    assert np.abs(np.linalg.eigvalsh(stream)[:, -1] - 1.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("dim, rank", [(2, None), (16, None), (64, None), (5, 1), (8, 3)])
+def test_psd_block_spectrum_rebuilds_its_matrices(dim, rank):
+    """The returned spectrum is that of the scaled stack: U diag(mu) U^dagger
+    gives H back, the top eigenvalue is 1, and H is the stream's draw."""
+    H, mu, U = _psd_block(make_rng(4), 3, dim, rank)
+    rebuilt = (U * mu[:, None, :]) @ U.conj().swapaxes(-1, -2)
+    assert np.abs(rebuilt - H).max() <= 1e-13
+    assert np.array_equal(mu[:, -1], np.ones(3))
+    assert np.array_equal(H, H.conj().swapaxes(-1, -2))
+    if rank is None:
+        assert H.tobytes() == psd_observation_stream(make_rng(4), 3, dim).tobytes()
 
 
 @pytest.mark.parametrize("dim, rounds, first", [(4, 1025, 1), (4, 1025, 600), (32, 20, 3),

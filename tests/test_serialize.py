@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -518,3 +519,25 @@ class TestManifest:
         assert rec["rng"] == "philox"
         assert rec["elapsed_s"] == 1.5
         assert rec["numpy_version"] == np.__version__
+        assert rec["threads"]["nproc"] == os.cpu_count()
+
+    def test_thread_setup_reads_the_environment(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        setup = serialize.thread_setup()
+        assert setup["blas_threads_env"]["OPENBLAS_NUM_THREADS"] == "3"
+        assert setup["blas_threads_env"]["MKL_NUM_THREADS"] is None
+        assert json.loads(json.dumps(setup)) == setup
+
+    def test_thread_setup_is_best_effort(self, monkeypatch):
+        """A query that fails leaves its field None and raises nothing."""
+        def fail(*args, **kwargs):
+            raise OSError("not here")
+
+        monkeypatch.setattr(serialize.os, "sched_getaffinity", fail, raising=False)
+        monkeypatch.setattr(serialize.np, "show_config", fail)
+        monkeypatch.setattr(serialize.ctypes, "CDLL", fail)
+        setup = serialize.thread_setup()
+        assert setup["nproc"] == os.cpu_count()
+        for field in ("affinity_cpus", "blas", "blas_version", "blas_threads_queried"):
+            assert setup[field] is None, field

@@ -137,6 +137,20 @@ class TestDistinctElements:
         assert list(data.index) == [0, 1, 1, 0]
         assert list(data.counts) == [2, 2]
 
+    @pytest.mark.parametrize("shared_hash", [False, True], ids=["own-hash", "shared-hash"])
+    def test_candidates_are_told_apart_by_their_bytes(self, monkeypatch, shared_hash):
+        """A signed zero makes a distinct element, and so does a hash shared
+        by unequal candidates: a match is confirmed on the bytes."""
+        if shared_hash:
+            monkeypatch.setattr(tomography, "hash", lambda data: 7, raising=False)
+        a, b = np.eye(2), np.diag([1.0, 0.0])
+        signed = b.copy()
+        signed[0, 1] = signed[1, 0] = -0.0
+        data = Dataset(matrices=np.stack([b, a, signed, b.copy(), signed.copy(), a.copy()]))
+        assert data.elements.tobytes() == np.stack([b, a, signed]).astype(complex).tobytes()
+        assert list(data.index) == [0, 1, 2, 0, 2, 1]
+        assert list(data.counts) == [2, 2, 2]
+
     def test_a_generated_dataset_equals_its_record_stack(self):
         rng = make_rng(9)
         data = generate_dataset(random_density(rng, 4), pauli_basis_povms(2), 500, rng)
@@ -506,6 +520,22 @@ class TestGenerateDataset:
         assert len(data) == 10
         assert peak <= 1.5 * povms.nbytes
 
+
+    def test_keeps_no_copy_of_the_candidates(self):
+        """At q = 4 and 100 shots all 81 POVMs' 1296 elements are candidates.
+        Merging them holds no copy of their bytes beside the set, so the
+        traced peak of the call stays well under the set's 5.3 MB; a dict
+        keyed by each candidate's bytes would hold one more set-size."""
+        truth = random_density(make_rng(9), 16)
+        povms = pauli_basis_povms(4)
+        tracemalloc.start()
+        try:
+            data = generate_dataset(truth, povms, 100, make_rng(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) == 100
+        assert peak <= 0.5 * povms.nbytes
 
 class TestPauliBasisPovms:
 
