@@ -53,13 +53,14 @@ from .qsb import QstTranscript, _qst_game
 from .serialize import (
     dataset_form,
     dataset_from_record,
+    format_column,
     load_dataset,
     load_payload,
     matrix_from_record,
     return_stream_from_record,
     save_dataset,
     save_matrix,
-    write_csv,
+    write_columns,
     write_manifest,
 )
 from .tomography import (
@@ -293,23 +294,26 @@ def parse_config_file(path) -> dict:
 # --- report writers -------------------------------------------------------
 
 def write_ops_report(path, losses: np.ndarray, returns: np.ndarray,
-                     comparator_weights: np.ndarray) -> None:
-    """Per-round CSV for the classical game's (T,) losses against the hindsight comparator."""
+                     comparator_weights: np.ndarray, bound) -> None:
+    """Per-round CSV for the classical game's (T,) losses against the hindsight comparator.
+
+    `bound` is the `bound` column, `ops_regret_bound` at rounds 1 to T: an
+    array, or its text from `format_column`, which a run of several seeds
+    builds once for all of them.
+    """
     rounds, dim = returns.shape
     cum = np.cumsum(losses)
     comp_cum = np.cumsum(-np.log(returns @ comparator_weights))
-    rows = zip(range(1, rounds + 1), losses.tolist(), cum.tolist(),
-               comp_cum.tolist(), (cum - comp_cum).tolist(),
-               ops_regret_bound(dim, np.arange(1, rounds + 1)).tolist())
-    write_csv(path, OPS_COLUMNS, rows)
+    write_columns(path, OPS_COLUMNS,
+                  [range(1, rounds + 1), losses, cum, comp_cum, cum - comp_cum, bound])
 
 
 def write_qst_report(path, transcript: QstTranscript) -> None:
     """Per-round CSV for the quantum game; timing is reported elsewhere."""
-    rows = zip(range(1, len(transcript.losses) + 1), transcript.losses.tolist(),
-               transcript.cumulative_losses.tolist(), transcript.true_traces.tolist(),
-               transcript.min_eigs.tolist())
-    write_csv(path, QST_COLUMNS, rows)
+    write_columns(path, QST_COLUMNS, [
+        range(1, len(transcript.losses) + 1), transcript.losses,
+        transcript.cumulative_losses, transcript.true_traces, transcript.min_eigs,
+    ])
 
 
 def ml_error_bound(dim: int, rounds: float) -> float:
@@ -320,12 +324,11 @@ def ml_error_bound(dim: int, rounds: float) -> float:
 def write_ml_report(path, result: MlResult, f_star: float) -> None:
     """Per-checkpoint CSV for one stochastic run; header-only when no checkpoints."""
     dim = result.rho_bar.shape[0]
-    rows = [
-        (k + 1, int(t), result.objective_values[k],
-         ml_error_bound(dim, int(t)), result.objective_values[k] - f_star)
-        for k, t in enumerate(result.checkpoints)
-    ]
-    write_csv(path, ML_COLUMNS, rows)
+    checkpoints, values = result.checkpoints, result.objective_values
+    write_columns(path, ML_COLUMNS, [
+        range(1, len(checkpoints) + 1), checkpoints, values,
+        [ml_error_bound(dim, t) for t in checkpoints.tolist()], values - f_star,
+    ])
 
 
 # --- per-seed pipelines ---------------------------------------------------
@@ -455,9 +458,12 @@ def _run_ops(config: ExperimentConfig, out_dir: Path) -> dict:
     phases.lap("game")
     comparators = [_best_fixed_portfolio(stream) for stream in returns]
     phases.lap("comparator")
+    bounds = ops_regret_bound(dim, np.arange(1, rounds + 1))
+    bound_text = format_column(bounds)
     summaries = []
     for seed, stream, loss, comparator in zip(config.seeds, returns, losses, comparators):
-        write_ops_report(out_dir / f"ops_seed{seed}.csv", loss, stream, comparator.weights)
+        write_ops_report(out_dir / f"ops_seed{seed}.csv", loss, stream, comparator.weights,
+                         bound_text)
         total_loss = float(np.sum(loss))
         summaries.append({
             "seed": seed,
@@ -465,7 +471,7 @@ def _run_ops(config: ExperimentConfig, out_dir: Path) -> dict:
             "total_loss": total_loss,
             "comparator_loss": comparator.loss,
             "regret": total_loss - comparator.loss,
-            "regret_bound": ops_regret_bound(dim, rounds),
+            "regret_bound": float(bounds[-1]),
             "comparator_gap": comparator.gap,
             "comparator_iterations": comparator.iterations,
         })

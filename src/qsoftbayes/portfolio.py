@@ -1,9 +1,9 @@
 """Soft-Bayes online portfolio selection and its batch comparator.
 
 The learner plays a point on the probability simplex each round, observes a
-nonnegative return vector a_t, and pays -log<a_t, w_t>. The update mixes the
-multiplicative-weights direction with the current iterate, which keeps the
-iterate on the simplex with no renormalization step. The batch comparator
+nonnegative return vector a_t, and pays -log<a_t, w_t>. The update multiplies
+each weight by a factor whose weighted mean is 1, which keeps the iterate on
+the simplex with no renormalization step. The batch comparator
 runs the accelerated projected-gradient loop that the quantum ML oracle in
 `tomography` also runs; the loop lives here.
 """
@@ -93,16 +93,18 @@ def validate_return_stream(returns: np.ndarray) -> np.ndarray:
 
 
 def soft_bayes_step(w: np.ndarray, a: np.ndarray, eta: float) -> np.ndarray:
-    """One update w' = (1 - eta) w + eta (a * w) / <a, w>.
+    """One update w' = w * ((1 - eta) + (eta / <a, w>) a), Soft-Bayes' factor form.
 
-    Both terms are convex combinations of simplex points, so w' is on the
-    simplex without renormalization.
+    The factor is the diagonal of the quantum learner's G = (1 - eta) I +
+    (eta / c) A. It is at least 1 - eta > 0, and its w-weighted mean is
+    (1 - eta) + eta <a, w> / <a, w> = 1. So w' is nonnegative and sums to
+    what w sums to: the iterate stays on the simplex without renormalizing.
     """
     _check_eta(eta)
     dot = float(np.dot(a, w))  # must be positive for the loss and the update to exist
     if dot <= 0.0:
         raise DomainError(f"degenerate return: <a, w> = {dot!r}")
-    return (1.0 - eta) * w + eta * (a * w) / dot
+    return w * ((1.0 - eta) + (eta / dot) * a)
 
 
 def _check_eta(eta: float) -> None:
@@ -160,18 +162,20 @@ def _soft_bayes_lockstep(
     announced each round, or None unless `keep_portfolios`. Each round takes
     the S payoffs <a, w> from one `vecdot`, which equals `np.dot` bit for
     bit, and updates all S portfolios by `soft_bayes_step`'s expression in
-    preallocated buffers, so every stream's losses and portfolios are
-    those of a game played alone. A nonpositive payoff raises `DomainError`;
-    given the streams' `seeds`, the message names the seed and the round.
+    five ufunc calls into preallocated buffers, so every stream's losses
+    and portfolios are those of a game played alone. A nonpositive payoff
+    raises `DomainError`; given the streams' `seeds`, the message names the
+    seed and the round.
     """
     streams, rounds, dim = returns.shape
     if eta is None:
         eta = learning_rate(dim, rounds)
     _check_eta(eta)
 
+    keep = 1.0 - eta
     w = np.full((streams, dim), 1.0 / dim)
-    kept = np.empty_like(w)  # the round's (1 - eta) w
-    gain = np.empty_like(w)  # the round's eta (a * w) / <a, w>
+    ratio = np.empty((streams, 1))  # the round's eta / <a, w>
+    factor = np.empty_like(w)       # the round's (1 - eta) + (eta / <a, w>) a
     payoffs = np.empty((rounds, streams))
     portfolios = np.empty_like(returns) if keep_portfolios else None
     # ufunc outputs are passed by position, which is cheaper per call than out=
@@ -182,11 +186,10 @@ def _soft_bayes_lockstep(
             if portfolios is not None:
                 portfolios[:, t] = w
             np.vecdot(a, w, dot)
-            np.multiply(a, w, gain)
-            np.multiply(eta, gain, gain)
-            np.divide(gain, dot_column, gain)
-            np.multiply(1.0 - eta, w, kept)
-            np.add(kept, gain, w)
+            np.divide(eta, dot_column, ratio)
+            np.multiply(ratio, a, factor)
+            np.add(keep, factor, factor)
+            np.multiply(w, factor, w)
 
     bad = payoffs <= 0.0
     if bad.any():

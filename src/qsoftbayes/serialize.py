@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import json
 import operator
 import os
@@ -262,65 +263,105 @@ def load_payload(path) -> dict:
 
 
 def format_cell(value) -> str:
-    """One CSV cell: ints verbatim, floats at 17 significant digits."""
+    """One CSV cell: text and ints verbatim, floats at 17 significant digits."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return "%.17g" % float(value)
 
 
-# Lines formatted before `write_csv` writes them out: the lines of a long
-# file and their joined text are never held whole at the same time.
+# Rows formatted by one `%` and written at a time: the lines of a long file,
+# its joined text and its whole columns as Python lists are never held.
 _CSV_BLOCK = 2 ** 12
 
-
-def _row_format(types: tuple[type, ...]) -> str | None:
-    """One `%` format giving `format_cell` of every cell of a row of these
-    types, or None when a type has no such format."""
-    codes = []
-    for kind in types:
-        if issubclass(kind, (int, np.integer)):
-            codes.append("%d")
-        elif issubclass(kind, (float, np.floating)):
-            codes.append("%.17g")
-        else:
-            return None
-    return ",".join(codes)
+# The `%` code giving `format_cell` of a cell of each kind of numpy dtype
+_DTYPE_CODES = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
+_TYPE_CODES = (("%d", (int, np.integer)), ("%.17g", (float, np.floating)), ("%s", str))
 
 
-def write_csv(path, columns: list[str], rows) -> None:
-    """Fixed column order, '\\n' newlines, round-trip-exact floats.
+def _format_block(columns: list, rows: int) -> str:
+    """The lines of `rows` rows given as columns, each line ending in '\\n'.
 
-    Each row is the text of `format_cell` on each of its cells. A row whose
-    cell types are the first row's is formatted by one `%` with the format
-    those types give; any other row, cell by cell. The file is written
-    under a temporary name and renamed into place, so a row of the wrong
-    length raises `ValidationError` and leaves `path` as it was.
+    A column's `%` code comes from its cell types: `%d`, `%.17g` or `%s`
+    (text, written verbatim) when its cells share one, else its cells go
+    through `format_cell` one by one. A numpy column's code is its dtype's,
+    and it becomes a Python list here, one block at a time. The cells are
+    interleaved row by row into one tuple, and one `%` formats the block.
     """
+    codes, cells = [], [None] * (rows * len(columns))
+    for i, column in enumerate(columns):
+        if isinstance(column, np.ndarray) and column.dtype.kind in _DTYPE_CODES:
+            code, column = _DTYPE_CODES[column.dtype.kind], column.tolist()
+        else:
+            types = set(map(type, column))
+            code = next((code for code, kinds in _TYPE_CODES
+                         if all(issubclass(kind, kinds) for kind in types)), None)
+            if code is None:
+                code, column = "%s", list(map(format_cell, column))
+        codes.append(code)
+        cells[i::len(columns)] = column
+    return ((",".join(codes) + "\n") * rows) % tuple(cells)
+
+
+def format_column(column: np.ndarray) -> list[str]:
+    """`format_cell` of each entry of a numeric array: the text of a column
+    that several files share, to be formatted once."""
+    return _format_block([column], len(column)).split("\n")[:-1]
+
+
+def _write_blocks(path, names: list[str], blocks) -> None:
+    """The header line, then each text of `blocks`, written under a temporary
+    name and renamed into place; an error leaves `path` as it was."""
     path = Path(path)
     part = path.with_name(path.name + ".part")
-    types = fmt = None
     try:
         with part.open("w", encoding="utf-8", newline="") as f:
-            block = [",".join(columns)]
-            for row in rows:
-                if len(row) != len(columns):
-                    raise ValidationError(f"row has {len(row)} cells, expected {len(columns)}")
-                row_types = tuple(map(type, row))
-                if types is None:
-                    types, fmt = row_types, _row_format(row_types)
-                if fmt is not None and row_types == types:
-                    block.append(fmt % tuple(row))
-                else:
-                    block.append(",".join(map(format_cell, row)))
-                if len(block) == _CSV_BLOCK:
-                    f.write("\n".join(block) + "\n")
-                    block.clear()
-            if block:
-                f.write("\n".join(block) + "\n")
+            f.write(",".join(names) + "\n")
+            for text in blocks:
+                f.write(text)
         part.replace(path)
     except BaseException:
         part.unlink(missing_ok=True)
         raise
+
+
+def write_columns(path, names: list[str], columns: list) -> None:
+    """Fixed column order, '\\n' newlines, round-trip-exact floats.
+
+    `columns` holds one sequence per name, each as long as the first: a
+    numpy array, a list, a range or any other sliceable sequence. Row t is
+    the text of `format_cell` on each column's cell t. A column of the
+    wrong length raises `ValidationError` before anything is written.
+    """
+    if len(columns) != len(names):
+        raise ValidationError(f"{len(columns)} columns for {len(names)} names")
+    rows = len(columns[0]) if columns else 0
+    for name, column in zip(names, columns):
+        if len(column) != rows:
+            raise ValidationError(f"column {name!r} has {len(column)} cells, expected {rows}")
+    _write_blocks(path, names, (
+        _format_block([column[start:start + _CSV_BLOCK] for column in columns],
+                      min(_CSV_BLOCK, rows - start))
+        for start in range(0, rows, _CSV_BLOCK)
+    ))
+
+
+def write_csv(path, names: list[str], rows) -> None:
+    """`write_columns` for an iterable of rows.
+
+    Each block of rows is length-checked and transposed into columns. A row
+    of the wrong length raises `ValidationError` and leaves `path` as it was.
+    """
+    def blocks():
+        rows_left = iter(rows)
+        while block := list(itertools.islice(rows_left, _CSV_BLOCK)):
+            ragged = next((row for row in block if len(row) != len(names)), None)
+            if ragged is not None:
+                raise ValidationError(f"row has {len(ragged)} cells, expected {len(names)}")
+            yield _format_block(list(zip(*block)), len(block))
+
+    _write_blocks(path, names, blocks())
 
 
 def config_hash(config: dict) -> str:

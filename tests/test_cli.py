@@ -29,6 +29,7 @@ from qsoftbayes.linalg import DomainError, validate_density
 from qsoftbayes.portfolio import best_fixed_portfolio, ops_regret_bound, run_ops_game
 from qsoftbayes.serialize import (
     format_cell,
+    format_column,
     load_dataset,
     load_matrix,
     load_payload,
@@ -357,7 +358,8 @@ class TestOpsGameMode:
         returns = uniform_returns(make_rng(3), 500, 4)
         transcript = run_ops_game(returns)
         weights = best_fixed_portfolio(returns).weights
-        write_ops_report(tmp_path / "ops.csv", transcript.losses, returns, weights)
+        write_ops_report(tmp_path / "ops.csv", transcript.losses, returns, weights,
+                         format_column(ops_regret_bound(4, np.arange(1, 501))))
         cum = transcript.cumulative_losses
         comp_cum = np.cumsum(-np.log(returns @ weights))
         lines = [",".join(OPS_COLUMNS)] + [
@@ -381,6 +383,20 @@ class TestOpsGameMode:
             summaries = [load_payload(d / "manifest.json")["seed_summaries"]
                          for d in (tmp_path / "all", alone)]
             assert summaries[0][seed] == summaries[1][0]
+
+    def test_the_bound_column_is_computed_once_per_run(self, tmp_path, run_cli, monkeypatch):
+        """One vector `ops_regret_bound` call gives every seed's bound column
+        and its manifest `regret_bound`."""
+        calls = []
+        bound = cli.ops_regret_bound
+        monkeypatch.setattr(cli, "ops_regret_bound",
+                            lambda dim, rounds: calls.append(np.ndim(rounds)) or bound(dim, rounds))
+        out = tmp_path / "run"
+        assert run_cli(["ops-game", "--dim", "3", "--rounds", "50", "--seeds", "0,1,2",
+                        "--out", str(out)]) == 0
+        assert calls == [1]
+        for summary in load_payload(out / "manifest.json")["seed_summaries"]:
+            assert summary["regret_bound"] == ops_regret_bound(3, 50)
 
     def test_each_stream_is_checked_once(self, tmp_path, run_cli, monkeypatch):
         checked = []

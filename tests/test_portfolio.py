@@ -46,6 +46,18 @@ class TestSoftBayesStep:
                 assert np.all(w >= 0)
             assert abs(w.sum() - 1.0) <= 1e-9
 
+    def test_step_is_the_factor_form_bit_for_bit(self):
+        rng = make_rng(27)
+        for dim in (2, 3, 16, 33):
+            for _ in range(50):
+                w = rng.random(dim)
+                w /= w.sum()
+                a = rng.random(dim) * rng.integers(0, 2, dim)  # some returns are 0
+                a[0] += 0.5
+                eta = float(rng.uniform(0.001, 0.999))
+                expected = w * ((1 - eta) + (eta / np.dot(a, w)) * a)
+                assert soft_bayes_step(w, a, eta).tobytes() == expected.tobytes()
+
     def test_zero_return_coordinate_decays_exactly(self):
         w = np.array([0.25, 0.75])
         a = np.array([0.0, 2.0])

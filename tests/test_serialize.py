@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,15 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsoftbayes import serialize
-from qsoftbayes.cli import main
+from qsoftbayes.cli import main, write_ops_report
 from qsoftbayes.ensembles import make_rng, random_density, uniform_returns
 from qsoftbayes.linalg import ValidationError
+from qsoftbayes.portfolio import ops_regret_bound
 from qsoftbayes.serialize import (
     config_hash,
     dataset_form,
     dataset_from_record,
     dataset_to_record,
     format_cell,
+    format_column,
     load_dataset,
     load_matrix,
     load_payload,
@@ -28,6 +31,7 @@ from qsoftbayes.serialize import (
     save_dataset,
     save_matrix,
     save_return_stream,
+    write_columns,
     write_csv,
     write_manifest,
 )
@@ -500,6 +504,75 @@ class TestCsv:
         path = tmp_path / "t.csv"
         write_csv(path, ["a", "b"], [("2.5", 1), ("0.25", np.bool_(False))])
         assert path.read_text() == "a,b\n2.5,1\n0.25,0\n"
+
+    def test_text_cells_are_verbatim(self):
+        assert format_cell("0.1") == "0.1"
+        assert format_cell("x,y") == "x,y"
+
+    def test_columns_and_rows_equal_the_per_cell_reference(self, tmp_path):
+        """Both paths give `format_cell` of each cell across several blocks:
+        int, float64, float32, text and bool columns, as numpy arrays, lists
+        and a range, and columns whose types change within a block or from
+        one block to the next."""
+        rows = 2 * serialize._CSV_BLOCK + 5
+        rng = make_rng(7)
+        x = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        x[:6] = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]
+        x32 = (rng.standard_normal(rows) * 10.0 ** rng.integers(-45, 37, rows)).astype(np.float32)
+        x32[:5] = x[:5]
+        flags = rng.random(rows) < 0.5
+        block_mixed = [t if t < serialize._CSV_BLOCK else t / 7.0 for t in range(rows)]
+        columns = {
+            "range": range(1, rows + 1),
+            "int64": rng.integers(-2**62, 2**62, rows),
+            "uint8": rng.integers(0, 255, rows, dtype=np.uint8),
+            "float64": x,
+            "float32": x32,
+            "floats": x.tolist(),
+            "text": ["%.17g" % v for v in x.tolist()],
+            "bool": flags,
+            "bools": flags.tolist(),
+            "np_bools": list(flags),
+            "mixed": [v if t % 3 else int(t) for t, v in enumerate(x.tolist())],
+            "block_mixed": block_mixed,
+        }
+        names = list(columns)
+        reference = [",".join(names)] + [
+            ",".join(format_cell(column[t]) for column in columns.values()) for t in range(rows)
+        ]
+        expected = "\n".join(reference) + "\n"
+        write_columns(tmp_path / "columns.csv", names, list(columns.values()))
+        assert (tmp_path / "columns.csv").read_text() == expected
+        write_csv(tmp_path / "rows.csv", names, zip(*columns.values()))
+        assert (tmp_path / "rows.csv").read_text() == expected
+        for name in ("int64", "float64", "float32", "bool"):
+            assert format_column(columns[name]) == [format_cell(v) for v in columns[name]]
+
+    def test_a_column_of_the_wrong_length_leaves_no_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValidationError, match="column 'b' has 2 cells, expected 3"):
+            write_columns(path, ["a", "b"], [np.arange(3), [0.5, 0.25]])
+        with pytest.raises(ValidationError, match="1 columns for 2 names"):
+            write_columns(path, ["a", "b"], [np.arange(3)])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_ops_report_holds_no_whole_column_lists(self, tmp_path):
+        """A 20000-row ops report peaks below the five whole-column float
+        lists (loss, cum_loss, comparator_loss, regret, bound) that a
+        row-at-a-time writer builds before its first row."""
+        rounds, dim = 20_000, 16
+        returns = uniform_returns(make_rng(0), rounds, dim)
+        weights = np.full(dim, 1.0 / dim)
+        losses = -np.log(returns @ weights)
+        bound = ops_regret_bound(dim, np.arange(1, rounds + 1))
+        column_lists = 5 * (sys.getsizeof([0.5] * rounds) + rounds * sys.getsizeof(0.5))
+        tracemalloc.start()
+        try:
+            write_ops_report(tmp_path / "ops.csv", losses, returns, weights, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < column_lists
 
 
 class TestManifest:
