@@ -66,10 +66,9 @@ from .serialize import (
 from .tomography import (
     Dataset,
     MlResult,
-    batch_ml_solve,
+    _ml_oracle,
     generate_dataset,
     pauli_basis_povms,
-    stationarity_operator,
     stochastic_qsb,
 )
 
@@ -99,6 +98,10 @@ MAX_QUBITS = MAX_DIM.bit_length() - 1
 # Largest qubit count of a pauli-basis run: its 3^q POVMs take 24^q x 16
 # bytes, 127 MB at q = 5 and 3.06 GB at q = 6.
 MAX_PAULI_QUBITS = 5
+# Largest accepted rounds and shots: far above any workload (10^5 rounds on
+# 6000 shots), and small enough that numpy can size every array that grows
+# with them, so a larger request is refused before anything is allocated.
+MAX_ROUNDS = MAX_SHOTS = 10 ** 9
 
 
 class ConfigError(ValueError):
@@ -146,10 +149,10 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"dimensions must be at most {MAX_DIM}, got {config.dims}")
     if config.mode != "scaling-bench" and len(config.dims) != 1:
         raise ConfigError(f"mode {config.mode} takes exactly one dimension, got {config.dims}")
-    if config.rounds < 1:
-        raise ConfigError(f"rounds must be at least 1, got {config.rounds}")
-    if config.shots < 1:
-        raise ConfigError(f"shots must be at least 1, got {config.shots}")
+    if not 1 <= config.rounds <= MAX_ROUNDS:
+        raise ConfigError(f"rounds must be in [1, {MAX_ROUNDS}], got {config.rounds}")
+    if not 1 <= config.shots <= MAX_SHOTS:
+        raise ConfigError(f"shots must be in [1, {MAX_SHOTS}], got {config.shots}")
     if not config.seeds:
         raise ConfigError("at least one seed is required")
     if min(config.seeds) < 0 or len(set(config.seeds)) != len(config.seeds):
@@ -365,9 +368,10 @@ def _qst_datasets(config: ExperimentConfig) -> Iterator[Dataset]:
             yield data
 
 
-def _qst_seed(config: ExperimentConfig, seed: int, transcript: QstTranscript, f_star: float,
+def _qst_seed(config: ExperimentConfig, seed: int, transcript: QstTranscript, oracle: tuple,
               out: Path) -> dict:
-    """Write one seed's qst-game artifacts; returns its manifest summary."""
+    """Write one seed's qst-game artifacts, given its `_ml_oracle` answer; returns its summary."""
+    _, f_star, cert_gap, oracle_iterations = oracle
     comparator_loss = f_star * config.rounds
     write_qst_report(out / f"qst_seed{seed}.csv", transcript)
     save_matrix(out / f"rho_bar_seed{seed}.json", transcript.average_state)
@@ -382,6 +386,8 @@ def _qst_seed(config: ExperimentConfig, seed: int, transcript: QstTranscript, f_
         "comparator_loss": comparator_loss,
         "regret": transcript.total_loss - comparator_loss,
         "final_true_trace": transcript.final_state.true_trace,
+        "oracle_cert_gap": cert_gap,
+        "oracle_iterations": oracle_iterations,
         **_step_summary(times),
     }
 
@@ -505,9 +511,9 @@ def _run_qst(config: ExperimentConfig, out_dir: Path) -> dict:
             transcript = _qst_game(lambda start, stop: _dataset_block(data, start, stop),
                                    len(data), data.dim, config.eta)
             phases.lap("game")
-            _, f_star = batch_ml_solve(data, tol=1e-7)
+            oracle = _ml_oracle(data, tol=1e-7)
             phases.lap("oracle")
-        summaries.append(_qst_seed(config, seed, transcript, f_star, out_dir))
+        summaries.append(_qst_seed(config, seed, transcript, oracle, out_dir))
         phases.lap("write")
     return {"seed_summaries": summaries, "phase_seconds": phases.seconds}
 
@@ -522,8 +528,7 @@ def _run_ml(config: ExperimentConfig, out_dir: Path) -> dict:
     phases.lap("dataset")
     save_dataset(out_dir / "dataset.json", data)
     phases.lap("save_dataset")
-    rho_hat, f_star = batch_ml_solve(data, tol=1e-7)
-    cert_gap = float(np.linalg.eigvalsh(stationarity_operator(rho_hat, data))[-1]) - 1.0
+    rho_hat, f_star, cert_gap, oracle_iterations = _ml_oracle(data, tol=1e-7)
     phases.lap("oracle")
     checkpoints = list(config.checkpoints) if config.checkpoints is not None else None
     results = stochastic_qsb(data, config.rounds, config.seeds, eta=config.eta,
@@ -536,6 +541,7 @@ def _run_ml(config: ExperimentConfig, out_dir: Path) -> dict:
     extra: dict = {
         "oracle_objective": f_star,
         "oracle_cert_gap": cert_gap,
+        "oracle_iterations": oracle_iterations,
         "records": len(data),
         "distinct_records": len(data.elements),
         "seed_summaries": summaries,

@@ -99,17 +99,17 @@ def hs_inner(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.vdot(A, B).real)
 
 
-# Matrix entries checked at a time by `_hermitian_psd`, and played at a time
-# by the tomography game. A block holds at least one matrix, so each
-# temporary of a block stays at or under 128 kB only while D^2 <= 2^13
-# (D <= 90); a larger D takes one matrix per block. Blocks of 1 MB left their
-# freed temporaries resident and raised scaling-bench's peak RSS by 0.6 MB.
+# Matrix entries checked at a time by `_hermitian_psd`, and held at a time in
+# each stack of the learner loop's blocks. A block holds at least one round
+# of S matrices, so a block's temporaries stay at or under 128 kB only while
+# S D^2 <= 2^13 (D <= 90 at S = 1). Blocks of 1 MB left their freed
+# temporaries resident and raised scaling-bench's peak RSS by 0.6 MB.
 _CHECK_BLOCK = 2 ** 13
 
 
-def _block_len(dim: int) -> int:
-    """The number of D x D matrices in one block of `_CHECK_BLOCK` entries."""
-    return max(1, _CHECK_BLOCK // (dim * dim))
+def _block_len(dim: int, count: int = 1) -> int:
+    """Rounds of `count` D x D matrices in one block of `_CHECK_BLOCK` entries, at least one."""
+    return max(1, _CHECK_BLOCK // (count * dim * dim))
 
 
 def _hermitian_psd(M: np.ndarray, label: Callable[[int], str], symbol: str = "A",

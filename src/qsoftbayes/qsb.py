@@ -209,32 +209,29 @@ class _Played(NamedTuple):
     per_round: tuple[np.ndarray, ...] | None  # see `_play`
 
 
-# What `observe(t)` returns for round t: the (S, D, D) observations A, their
-# (S, D) eigenvalues mu (ascending), eigenvectors U and U's conjugate
-# transposes UH.
-_Observation = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
 def _play(
     dim: int,
     rounds: int,
     eta: float,
-    observe: Callable[[int], _Observation],
+    draw: Callable[[int, int], tuple[np.ndarray, ...]],
     labels: Sequence[str] = ("",),
     checkpoints: frozenset[int] = frozenset(),
     transcript: bool = False,
 ) -> _Played:
     """The learner loop shared by the online game and the stochastic estimator.
 
-    Runs one learner per label in lockstep. Round t (from 0) announces the
-    states, takes from `observe(t)` the learners' observations and their
-    spectra, and updates all learners with one `_qsb_update`, which writes
-    the loop's accumulator in place. Also returns the average announced
-    states after each round numbered in `checkpoints`. With `transcript`,
-    `per_round` holds the losses -log tr(A_t rho_t), the announced states'
-    true traces and min eigenvalues, each (S, T), and the step times (T,)
-    in ns, which cover the update alone, not `observe`; without it, none of
-    these is kept.
+    Runs one learner per label in lockstep, S in all. `draw(start, stop)`
+    returns rounds start to stop - 1 (from 0) of all learners: the (n, S, D, D)
+    observations A, their (n, S, D) eigenvalues mu (ascending), eigenvectors
+    U and U's conjugate transposes UH. It is called for blocks of
+    `_block_len(D, S)` rounds, each when its first round comes up. Round t
+    announces the states and updates all learners with one `_qsb_update` on
+    views of the round's slice, which writes the loop's accumulator in place.
+    Also returns the average announced states after each round numbered in
+    `checkpoints`. With `transcript`, `per_round` holds the losses
+    -log tr(A_t rho_t), the announced states' true traces and min
+    eigenvalues, each (S, T), and the step times (T,) in ns, which cover the
+    update alone, not `draw`; without it, none of these is kept.
     """
     _check_eta(eta)
     count = len(labels)
@@ -252,6 +249,7 @@ def _play(
         step_times = np.empty(rounds, dtype=np.int64)
     rho_sum = np.zeros((count, dim, dim), dtype=complex)
     averages = []
+    step = _block_len(dim, count)
     for t in range(rounds):
         rho_sum += rho
         if t + 1 in checkpoints:
@@ -259,11 +257,14 @@ def _play(
         if transcript:
             true_traces[:, t] = _true_traces(shift, total)
             min_eigs[:, t] = min_eig
+        i = t % step
+        if i == 0:
+            A, mu, U, UH = draw(t, min(t + step, rounds))
+        if transcript:
+            t0 = time.perf_counter_ns()
         try:
-            A, mu, U, UH = observe(t)
-            if transcript:
-                t0 = time.perf_counter_ns()
-            rho, total, min_eig, c = _qsb_update(L, diagonals, shift, rho, A, mu, U, UH, eta, labels)
+            rho, total, min_eig, c = _qsb_update(L, diagonals, shift, rho, A[i], mu[i], U[i], UH[i],
+                                                 eta, labels)
         except DomainError as exc:
             raise DomainError(f"round {t + 1}: {exc}") from exc
         if transcript:
@@ -309,24 +310,18 @@ def _qst_game(draw: Callable[[int, int], _Block], rounds: int, dim: int,
               eta: float | None) -> QstTranscript:
     """`run_qst_game` on `rounds` observations, drawn a block at a time.
 
-    `draw(start, stop)` returns rounds start to stop - 1 (from 0), in blocks of
-    `_block_len(D)` rounds, already checked and decomposed (see `_Block`): the
-    caller says how. A block is drawn when its first round comes up, so one
-    block and its spectra are held at a time.
+    `draw(start, stop)` returns rounds start to stop - 1 (from 0), already
+    checked and decomposed (see `_Block`): the caller says how. `_play`
+    calls it, with the learner axis added here, a block at a time.
     """
     if eta is None:
         eta = learning_rate(dim, rounds)
 
-    def observations():
-        step = _block_len(dim)
-        for first in range(0, rounds, step):
-            H, mu, U = draw(first, min(first + step, rounds))
-            UH = U.conj().swapaxes(-1, -2)
-            for i in range(len(H)):
-                yield H[i : i + 1], mu[i : i + 1], U[i : i + 1], UH[i : i + 1]
+    def one_learner(start: int, stop: int) -> tuple[np.ndarray, ...]:
+        H, mu, U = draw(start, stop)
+        return H[:, None], mu[:, None], U[:, None], U.conj().swapaxes(-1, -2)[:, None]
 
-    source = observations()
-    played = _play(dim, rounds, eta, lambda t: next(source), transcript=True)
+    played = _play(dim, rounds, eta, one_learner, transcript=True)
     losses, true_traces, min_eigs, step_times = played.per_round
     return QstTranscript(
         eta=eta,

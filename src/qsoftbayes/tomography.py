@@ -27,7 +27,7 @@ from .linalg import (
     validate_density,
 )
 from .portfolio import _accelerated_ml, _simplex_projection, learning_rate
-from .qsb import QsbState, _Observation, _play
+from .qsb import QsbState, _play
 
 
 class Dataset:
@@ -304,10 +304,6 @@ def _normalize_checkpoints(checkpoints, rounds: int) -> np.ndarray:
     return cps
 
 
-# rounds of record draws taken from each generator at a time
-_DRAW_BLOCK = 4096
-
-
 def stochastic_qsb(
     data: Dataset,
     rounds: int,
@@ -322,14 +318,14 @@ def stochastic_qsb(
     randomness-coupled with the classical learner), feeds that record's
     distinct element, equal to it bit for bit, to the online update, and
     accumulates the announced state. The learners run in lockstep: the D x D
-    algebra of a round runs once over the (S, D, D) stack of all learners,
-    and every element is decomposed once, in one stacked call before the
-    first round. So result s equals a loop of `qsb_step` over seed s's drawn
-    records, bit for bit, whatever the other seeds. Each estimate is the
-    average of all announced states; the objective of the running average
-    is evaluated at the requested checkpoints (default: a geometric
-    schedule plus the final round). A domain error names the seed and the
-    round.
+    algebra of a round runs once over the (S, D, D) stack of all learners.
+    Every element is decomposed once, before the first round, and a block of
+    rounds is drawn at a time, one `integers(N, size=n)` per seed. So result
+    s equals a loop of `qsb_step` over seed s's drawn records, bit for bit,
+    whatever the other seeds. Each estimate is the average of all announced
+    states; the objective of the running average is evaluated at the
+    requested checkpoints (default: a geometric schedule plus the final
+    round). A domain error names the seed and the round.
     """
     if rounds < 1:
         raise ValidationError(f"rounds must be at least 1, got {rounds}")
@@ -342,26 +338,20 @@ def stochastic_qsb(
         eta = learning_rate(dim, rounds)
     cps = _normalize_checkpoints(checkpoints, rounds)
 
-    # every element's spectrum, gathered from these stacks each round
+    # every element's spectrum, gathered from these stacks a block at a time
     elements = data.elements
     mu, U = spectral(elements)
     UH = np.ascontiguousarray(U.conj().swapaxes(-1, -2))
     rngs = [make_rng(seed) for seed in seeds]
-    drawn = np.empty((0, len(seeds)), dtype=np.int64)  # (rounds of a block, S) elements
 
-    def observe(t: int) -> _Observation:
-        nonlocal drawn
-        if t % _DRAW_BLOCK == 0:
-            # integers(N, size=b) yields the draws of b integers(N) calls, in
-            # order (pinned by the tests that replay the draws one at a time)
-            size = min(_DRAW_BLOCK, rounds - t)
-            records = np.stack([rng.integers(n_records, size=size) for rng in rngs], axis=1)
-            drawn = data.index[records]
-        ks = drawn[t % _DRAW_BLOCK]
-        return (elements.take(ks, axis=0), mu.take(ks, axis=0), U.take(ks, axis=0),
-                UH.take(ks, axis=0))
+    def draw(start: int, stop: int) -> tuple[np.ndarray, ...]:
+        # integers(N, size=n) yields the draws of n integers(N) calls, in
+        # order (pinned by the tests that replay the draws one at a time)
+        records = np.stack([rng.integers(n_records, size=stop - start) for rng in rngs], axis=1)
+        ks = data.index[records]  # (n, S) elements
+        return elements[ks], mu[ks], U[ks], UH[ks]
 
-    played = _play(dim, rounds, eta, observe, [f"seed {seed}: " for seed in seeds],
+    played = _play(dim, rounds, eta, draw, [f"seed {seed}: " for seed in seeds],
                    frozenset(cps.tolist()))
     return [
         MlResult(
@@ -406,7 +396,14 @@ def batch_ml_solve(
     `stationarity_operator`; f is its `ml_objective`. Every sum runs over
     the distinct records, weighted by their counts.
     """
-    rho, p, _, _ = _accelerated_ml(
+    return _ml_oracle(data, tol, max_iters)[:2]
+
+
+def _ml_oracle(data: Dataset, tol: float = 1e-7, max_iters: int = 100_000
+               ) -> tuple[np.ndarray, float, float, int]:
+    """`batch_ml_solve`'s `(rho, f)`, then the certificate lambda_max(R(rho)) - 1
+    it stopped on and the number of solver steps it took."""
+    rho, p, gap, steps = _accelerated_ml(
         np.eye(data.dim, dtype=complex) / data.dim,
         overlaps=lambda x: _overlaps(data.elements, x),
         gradient=lambda q: _stationarity(data, q),
@@ -415,7 +412,7 @@ def batch_ml_solve(
         counts=data.counts, total=len(data),
         tol=tol, max_iters=max_iters, what="ML solver",
     )
-    return rho, _neg_log_likelihood(data, p)
+    return rho, _neg_log_likelihood(data, p), gap, steps
 
 
 def _density_projection(H: np.ndarray) -> np.ndarray:

@@ -13,6 +13,8 @@ from qsoftbayes.cli import (
     ExperimentConfig,
     MAX_DIM,
     MAX_QUBITS,
+    MAX_ROUNDS,
+    MAX_SHOTS,
     ML_COLUMNS,
     OPS_COLUMNS,
     QST_COLUMNS,
@@ -223,8 +225,8 @@ MANIFEST_KEYS = {"kind", "config", "config_sha256", "rng", "package_version", "n
                  "threads", "mode", "elapsed_seconds", "wallclock_utc", "phase_seconds"}
 THREAD_KEYS = {"nproc", "affinity_cpus", "blas", "blas_version", "blas_threads_env",
                "blas_threads_queried"}
-ML_MANIFEST = ({"oracle_objective", "oracle_cert_gap", "records", "distinct_records",
-                "seed_summaries", "mean_final_gap", "error_bound"},
+ML_MANIFEST = ({"oracle_objective", "oracle_cert_gap", "oracle_iterations", "records",
+                "distinct_records", "seed_summaries", "mean_final_gap", "error_bound"},
                {"dataset", "save_dataset", "oracle", "learners", "write"})
 MODE_MANIFESTS = {
     "ops-game": ({"seed_summaries"}, {"returns", "game", "comparator", "write"}),
@@ -249,6 +251,12 @@ def test_each_mode_writes_its_manifest_keys_and_phases(tmp_path, run_cli, datase
     assert manifest["threads"]["nproc"] == os.cpu_count()
     assert set(manifest["phase_seconds"]) == phases
     assert all(seconds >= 0.0 for seconds in manifest["phase_seconds"].values())
+    # the oracle's certificate and step count: the run's, or each qst-game seed's
+    oracles = (manifest["seed_summaries"] if name == "qst-game"
+               else [manifest] if name.startswith("ml-run") else [])
+    for record in oracles:
+        assert record["oracle_cert_gap"] <= 1e-7
+        assert isinstance(record["oracle_iterations"], int) and record["oracle_iterations"] >= 0
 
 
 class TestValidateConfig:
@@ -269,7 +277,9 @@ class TestValidateConfig:
             self.cfg(dims=(2 ** 64,)),
             self.cfg(mode="scaling-bench", dims=(4, MAX_DIM + 1)),
             self.cfg(rounds=0),
+            self.cfg(rounds=MAX_ROUNDS + 1),
             self.cfg(shots=0),
+            self.cfg(mode="ml-run", dims=(4,), shots=MAX_SHOTS + 1),
             self.cfg(seeds=()),
             self.cfg(seeds=(-1,)),
             self.cfg(seeds=(1, 1)),
@@ -500,7 +510,7 @@ class TestQstGameMode:
 
     def test_from_file_plays_one_game_for_every_seed(self, tmp_path, run_cli, monkeypatch,
                                                      dataset_file):
-        calls = {"_qst_game": 0, "batch_ml_solve": 0}
+        calls = {"_qst_game": 0, "_ml_oracle": 0}
         for name in calls:
             def counted(*args, name=name, fn=getattr(cli, name), **kwargs):
                 calls[name] += 1
@@ -510,7 +520,7 @@ class TestQstGameMode:
         assert run_cli(["qst-game", "--dim", "2", "--rounds", "12", "--seeds", "0,1,2",
                         "--povm", "from-file", "--input", str(dataset_file),
                         "--out", str(out)]) == 0
-        assert calls == {"_qst_game": 1, "batch_ml_solve": 1}
+        assert calls == {"_qst_game": 1, "_ml_oracle": 1}
         for name in ("qst_seed{}.csv", "rho_bar_seed{}.json"):
             assert len({(out / name.format(seed)).read_bytes() for seed in (0, 1, 2)}) == 1
         summaries = load_payload(out / "manifest.json")["seed_summaries"]
@@ -822,6 +832,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["ops-game", "--dim", "4", "--rounds", "99999999999999999999"],
+        ["qst-game", "--dim", "4", "--povm", "random-rank1", "--rounds", "99999999999999999999"],
+        ["ml-run", "--qubits", "2", "--shots", "10", "--rounds", "99999999999999999999"],
+        ["ml-run", "--qubits", "2", "--shots", "99999999999999999999", "--rounds", "2"],
+        ["scaling-bench", "--dim", "4", "--rounds", str(MAX_ROUNDS + 1)],
+    ], ids=["ops-game", "qst-game", "ml-run-rounds", "ml-run-shots", "scaling-bench"])
+    def test_oversized_rounds_or_shots_are_a_one_line_config_error(self, tmp_path, capsys,
+                                                                  argv):
+        """Refused against MAX_ROUNDS and MAX_SHOTS before any directory is
+        made, not by a traceback after the dataset was written."""
+        out = tmp_path / "run"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"must be in [1, {MAX_ROUNDS}]" in err  # MAX_SHOTS is the same bound
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["ops-game", "--dim", "2", "--seeds", "-1"],

@@ -669,11 +669,12 @@ class TestStochasticQsb:
         assert result.final_state.true_trace == state.true_trace
 
     def test_draws_past_a_block_of_draws_replay_one_call_per_round(self):
-        """Draws are taken from each generator in blocks; across the block
-        boundary they must still be the draws of one integers(N) per round."""
+        """Draws are taken from each generator in the learner loop's blocks;
+        across the block boundary they must still be the draws of one
+        integers(N) per round."""
         rng = make_rng(13)
         data = generate_dataset(random_density(rng, 2), pauli_basis_povms(1), 50, rng)
-        rounds = tomography._DRAW_BLOCK + 300
+        rounds = linalg._block_len(2, 2) + 300  # D = 2, two seeds
         eta = learning_rate(2, rounds)
         for seed, result in zip((3, 8), stochastic_qsb(data, rounds, (3, 8), checkpoints=())):
             draws = make_rng(seed)
@@ -684,6 +685,34 @@ class TestStochasticQsb:
                 state = qsb_step(state, data.matrices[int(draws.integers(len(data)))], eta)
             assert np.array_equal(result.rho_bar, hermitianize(rho_sum / rounds))
             assert np.array_equal(result.final_state.rho, state.rho)
+
+    @pytest.mark.parametrize("seeds", [(2,), (2, 5, 7)])
+    def test_draws_no_more_than_one_block_at_a_time(self, monkeypatch, seeds):
+        """The loop asks for `_block_len(D, S)` rounds at a time, so each
+        gathered stack of all seeds' rounds holds at most `_CHECK_BLOCK`
+        entries, and the blocks cover every round once, in order."""
+        blocks = []
+        play = tomography._play
+
+        def recorded(dim, rounds, eta, draw, *args, **kwargs):
+            def drawn(start, stop):
+                block = draw(start, stop)
+                blocks.append((start, stop, [x.shape for x in block]))
+                return block
+            return play(dim, rounds, eta, drawn, *args, **kwargs)
+
+        monkeypatch.setattr(tomography, "_play", recorded)
+        rng = make_rng(16)
+        data = generate_dataset(random_density(rng, 4), pauli_basis_povms(2), 300, rng)
+        rounds, S = 1300, len(seeds)
+        stochastic_qsb(data, rounds, seeds, checkpoints=())
+        n = linalg._block_len(4, S)
+        assert [b[:2] for b in blocks] == [(t, min(t + n, rounds)) for t in range(0, rounds, n)]
+        for start, stop, shapes in blocks:
+            m = stop - start
+            assert shapes == [(m, S, 4, 4), (m, S, 4), (m, S, 4, 4), (m, S, 4, 4)]
+            assert m * S * 4 * 4 <= linalg._CHECK_BLOCK
+        assert linalg._block_len(4, 1) == 512 and linalg._block_len(4, 3) == 170
 
     def test_decomposes_the_element_stack_once_per_call(self, monkeypatch):
         decomposed = []
@@ -790,6 +819,19 @@ class TestBatchMlSolve:
         assert np.linalg.eigvalsh(R)[-1] <= 1.0 + 2e-7
         assert hs_inner(R, rho_hat) == pytest.approx(1.0, abs=1e-9)
         assert f == pytest.approx(ml_objective(rho_hat, data), abs=1e-12)
+
+    @pytest.mark.parametrize("qubits, shots", [(1, 300), (2, 2000)])
+    def test_oracle_keeps_the_certificate_of_the_returned_matrix(self, qubits, shots):
+        """The gap the solver stopped on equals, bit for bit, the certificate a
+        second pass takes on its answer, so no caller need take it again."""
+        rng = make_rng(20 + qubits)
+        data = generate_dataset(random_density(rng, 2 ** qubits), pauli_basis_povms(qubits),
+                                shots, rng)
+        rho, f, gap, iterations = tomography._ml_oracle(data, tol=1e-7)
+        assert gap == float(np.linalg.eigvalsh(stationarity_operator(rho, data))[-1]) - 1.0
+        assert gap <= 1e-7 and iterations >= 1
+        solved = batch_ml_solve(data, tol=1e-7)
+        assert np.array_equal(solved[0], rho) and solved[1] == f
 
     def test_value_lower_bounds_random_states(self):
         rho_true = random_density(make_rng(21), 4)
