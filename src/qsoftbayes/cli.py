@@ -386,6 +386,7 @@ def _qst_seed(config: ExperimentConfig, seed: int, transcript: QstTranscript, or
         "comparator_loss": comparator_loss,
         "regret": transcript.total_loss - comparator_loss,
         "final_true_trace": transcript.final_state.true_trace,
+        "final_min_eig": transcript.final_state.rho_min_eig,
         "oracle_cert_gap": cert_gap,
         "oracle_iterations": oracle_iterations,
         **_step_summary(times),
@@ -521,7 +522,8 @@ def _run_qst(config: ExperimentConfig, out_dir: Path) -> dict:
 def _run_ml(config: ExperimentConfig, out_dir: Path) -> dict:
     """Dataset, oracle, all seeds' learners in one lockstep call, artifacts.
 
-    Returns the manifest fields, with the seconds spent in each phase.
+    Returns the manifest fields, with the seconds spent in each phase and
+    the learners' microseconds per round (all seeds' steps of one round).
     """
     phases = _Phases()
     data = _ml_dataset(config)
@@ -551,6 +553,7 @@ def _run_ml(config: ExperimentConfig, out_dir: Path) -> dict:
         extra["mean_final_gap"] = float(np.mean(gaps))
         extra["error_bound"] = ml_error_bound(data.dim, config.rounds)
     extra["phase_seconds"] = phases.seconds
+    extra["learner_round_us"] = phases.seconds["learners"] / config.rounds * 1e6
     return extra
 
 

@@ -7,7 +7,9 @@ inside a matrix exponential/logarithm sandwich.
 
 The state keeps log W_t as a running Hermitian accumulator: each step adds
 one matrix logarithm, which is exact (exp and log of Hermitian matrices
-invert each other) and avoids re-taking logs of stored exponentials. The
+invert each other) and avoids re-taking logs of stored exponentials. For a
+rank-one observation the logarithm is a scalar times the identity plus a
+scaled projector, and the scalar goes to the shift instead. The
 learner loop keeps only the accumulator's lower triangle and real diagonal,
 which are all that `eigh` reads, and rebuilds each state it hands out from
 them, exactly Hermitian. The accumulator's top eigenvalue is folded into a
@@ -104,7 +106,9 @@ def qsb_step(state: QsbState, A: np.ndarray, eta: float) -> QsbState:
     """One update of the weights by (1 - eta) I + eta A / tr(A rho).
 
     Runs the lockstep update with one learner on a copy of the state's
-    accumulator, so `state` is left as it was.
+    accumulator, so `state` is left as it was. Like the learner loop, it
+    takes the rank-one update when A is rank one (see `_qsb_update`), so a
+    chain of `qsb_step` calls equals the loop bit for bit.
     """
     A = np.asarray(A, dtype=complex)
     if not np.any(A):
@@ -113,10 +117,9 @@ def qsb_step(state: QsbState, A: np.ndarray, eta: float) -> QsbState:
     mu, U = spectral(A[None])
     L = np.array(state.log_weights[None], dtype=complex)
     shift = np.array([state.shift])
-    rho, total, min_eig, _ = _qsb_update(
-        L, _diagonals(L), shift, state.rho[None], A[None], mu, U, U.conj().swapaxes(-1, -2), eta,
-    )
-    return _states(L, shift, rho, total, min_eig, state.round + 1)[0]
+    block = _rounds(A[None, None], mu[None], U[None], U.conj().swapaxes(-1, -2)[None])
+    rho, total, p, _ = _qsb_update(L, _diagonals(L), shift, state.rho[None], block, 0, eta)
+    return _states(L, shift, rho, total, p[:, 0] / total, state.round + 1)[0]
 
 
 def _diagonals(L: np.ndarray) -> np.ndarray:
@@ -145,37 +148,112 @@ def _states(L: np.ndarray, shift: np.ndarray, rho: np.ndarray, total: np.ndarray
     ]
 
 
+_EPS = 2.0 ** -52  # the machine epsilon of float64
+
+
+class _Rounds(NamedTuple):
+    """A block of n rounds of S learners' decomposed records, as `_qsb_update` reads them.
+
+    Row i holds round i's (S, D, D) observations A, their (S, D) eigenvalues
+    mu (ascending), eigenvectors U and U's conjugate transposes UH.
+    `ones[i]` holds one bool per learner: whether its record is rank one. P
+    holds the projectors u u^dagger onto the records' top eigenvectors u, or
+    None when no record is rank one; U and UH are None when every record is.
+    """
+
+    A: np.ndarray
+    mu: np.ndarray
+    U: np.ndarray
+    UH: np.ndarray
+    ones: list[list[bool]]
+    P: np.ndarray | None
+
+
+def _rounds(A: np.ndarray, mu: np.ndarray, U: np.ndarray, UH: np.ndarray) -> _Rounds:
+    """The `_Rounds` of an (n, S) block of decomposed records.
+
+    A record is rank one when every eigenvalue below its top one is at most
+    D eps times the top in magnitude: the rounding left by decomposing a
+    scaled projector (a Pauli record's lower eigenvalues measure at most
+    2.8e-16 against a top of 1 at q = 1-3). The criterion reads only the
+    record's own spectrum, so a learner takes the same update whichever
+    learners it steps beside.
+    """
+    top = mu[..., -1:]
+    one = (np.abs(mu[..., :-1]) <= (mu.shape[-1] * _EPS) * top).all(axis=-1)
+    if not one.any():
+        return _Rounds(A, mu, U, UH, one.tolist(), None)
+    u = U[..., -1]
+    P = u[..., :, None] * u.conj()[..., None, :]
+    if one.all():  # P takes the place of U and UH, so the block grows no larger
+        U = UH = None
+    return _Rounds(A, mu, U, UH, one.tolist(), P)
+
+
 def _qsb_update(
     L: np.ndarray,
     diagonals: np.ndarray,
     shift: np.ndarray,
     rho: np.ndarray,
-    A: np.ndarray,
-    mu: np.ndarray,
-    U: np.ndarray,
-    UH: np.ndarray,
+    block: _Rounds,
+    i: int,
     eta: float,
     labels: Sequence[str] = ("",),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
-    """qsb_step for S learners at once, learner s observing A[s], in place.
+    """qsb_step for S learners at once, learner s observing its record of round i, in place.
 
     L is the (S, D, D) accumulator of log weights, `diagonals` a view of its
-    diagonals and `shift` the (S,) shifts; the update writes all three. A is
-    an (S, D, D) complex stack with eigenvalues mu (ascending), eigenvectors
-    U and their conjugate transposes UH. Returns the new rho stack, each
-    learner's total = tr(exp(L)) before normalizing, the smallest eigenvalue
-    of its rho, and its c = tr(A rho), whose negative log is the round's
-    loss. G = (1 - eta) I + (eta / c) A has A's eigenvectors, so log G is
-    U diag(log((1 - eta) + (eta / c) mu)) U^dagger and the step decomposes
-    only the new accumulators, as one stack. The overlaps are one stacked
-    `vecdot`, equal bit for bit to each learner's own `vdot`; a failed check
-    names the first failing learner by its label. The caller checks eta.
+    diagonals and `shift` the (S,) shifts; the update writes all three.
+    Row i of `block` holds the records. Returns the new rho stack, each
+    learner's total = tr(exp(L)) before normalizing, the (S, D) spectra p
+    (ascending) that sum to it, so p[:, 0] / total is the smallest
+    eigenvalue of rho, and each learner's c = tr(A rho), whose negative log
+    is the round's loss. G = (1 - eta) I + (eta / c) A has A's eigenvectors,
+    so log G needs no decomposition of its own: a rank-one record steps by
+    `_rank_one_step`, any other by `_log_g_step`, each learner by its own
+    record's kind, and the step decomposes only the new accumulators, as one
+    stack. The overlaps are one stacked `vecdot`, equal bit for bit to each
+    learner's own `vdot`; a failed check names the first failing learner by
+    its label. The caller checks eta.
     """
+    A = block.A[i]
     overlaps = np.vecdot(A.reshape(len(A), -1), rho.reshape(len(rho), -1)).real
     c = overlaps.tolist()
     if min(c) <= 0.0:
         s = next(s for s, x in enumerate(c) if x <= 0.0)
         raise DomainError(f"{labels[s]}tr(A rho) = {c[s]!r} is not positive")
+    ones = block.ones[i]
+    if all(ones):
+        _rank_one_step(L, shift, overlaps, block.mu[i], block.P[i], eta)
+    elif not any(ones):
+        _log_g_step(L, overlaps, block.mu[i], block.U[i], block.UH[i], eta, labels)
+    else:  # learners of both kinds: each steps alone, on views of its rows
+        for s, one in enumerate(ones):
+            k = slice(s, s + 1)
+            if one:
+                _rank_one_step(L[k], shift[k], overlaps[k], block.mu[i, k], block.P[i, k], eta)
+            else:
+                _log_g_step(L[k], overlaps[k], block.mu[i, k], block.U[i, k], block.UH[i, k],
+                            eta, labels[k])
+    lam, V = hermitian_eigh(L)
+
+    # fold the top eigenvalues into the scalar shifts so exp stays in range
+    top = lam[:, -1]
+    p = np.exp(lam - top[:, None])
+    total = np.add.reduce(p, 1)
+    rho = _from_spectrum(p / total[:, None], V)
+    diagonals -= top[:, None]
+    shift += top
+    return rho, total, p, c
+
+
+def _log_g_step(L: np.ndarray, overlaps: np.ndarray, mu: np.ndarray, U: np.ndarray,
+                UH: np.ndarray, eta: float, labels: Sequence[str]) -> None:
+    """Add log G = U diag(log((1 - eta) + (eta / c) mu)) U^dagger to each accumulator of L.
+
+    The general update, for records of any rank; it fails when an
+    eigenvalue of G is at or below EVAL_FLOOR.
+    """
     g = (1.0 - eta) + (eta / overlaps)[:, None] * mu
     low = g[:, 0].tolist()
     if min(low) <= EVAL_FLOOR:
@@ -184,16 +262,20 @@ def _qsb_update(
     # eigh reads only the lower triangles and the real diagonals, so the
     # accumulators need not be Hermitian, and log G is not hermitianized
     np.add(L, (U * np.log(g)[:, None, :]) @ UH, out=L)
-    lam, V = hermitian_eigh(L)
 
-    # fold the top eigenvalues into the scalar shifts so exp stays in range
-    top = lam[:, -1]
-    p = np.exp(lam - top[:, None])
-    total = p.sum(axis=1)
-    rho = _from_spectrum(p / total[:, None], V)
-    diagonals -= top[:, None]
-    shift += top
-    return rho, total, p[:, 0] / total, c
+
+def _rank_one_step(L: np.ndarray, shift: np.ndarray, overlaps: np.ndarray, mu: np.ndarray,
+                   P: np.ndarray, eta: float) -> None:
+    """Add log G of rank-one records A = mu_top P to the accumulators L and shifts.
+
+    log G = log(1 - eta) I + log1p(kappa mu_top) P with kappa = eta / ((1 - eta) c):
+    the accumulator gains the scaled projector and the shift the constant,
+    one scalar per learner, as Soft-Bayes scales each weight by one factor.
+    Both logarithms are of numbers above 1 - eta > 0, so no floor check is needed.
+    """
+    w = np.log1p(eta / (1.0 - eta) / overlaps * mu[:, -1])
+    np.add(L, w[:, None, None] * P, out=L)
+    shift += math.log1p(-eta)
 
 
 # The quantum game has the classical game's regret guarantee, in one definition.
@@ -224,14 +306,17 @@ def _play(
     returns rounds start to stop - 1 (from 0) of all learners: the (n, S, D, D)
     observations A, their (n, S, D) eigenvalues mu (ascending), eigenvectors
     U and U's conjugate transposes UH. It is called for blocks of
-    `_block_len(D, S)` rounds, each when its first round comes up. Round t
-    announces the states and updates all learners with one `_qsb_update` on
-    views of the round's slice, which writes the loop's accumulator in place.
-    Also returns the average announced states after each round numbered in
-    `checkpoints`. With `transcript`, `per_round` holds the losses
-    -log tr(A_t rho_t), the announced states' true traces and min
-    eigenvalues, each (S, T), and the step times (T,) in ns, which cover the
-    update alone, not `draw`; without it, none of these is kept.
+    `_block_len(D, S)` rounds, each when its first round comes up, and
+    `_rounds` marks the block's rank-one records and builds their projectors
+    once. Round t announces the states and updates all learners with one
+    `_qsb_update` on its row of the block, which writes the loop's accumulator
+    in place; each learner takes the rank-one or the general update by its
+    own record, as `qsb_step` does. Also returns the average announced
+    states after each round numbered in `checkpoints`. With `transcript`,
+    `per_round` holds the losses -log tr(A_t rho_t), the announced states'
+    true traces and min eigenvalues, each (S, T), and the step times (T,)
+    in ns, which cover the update alone, not `draw`; without it, none of
+    these is kept, and the min eigenvalue is taken only for the exit states.
     """
     _check_eta(eta)
     count = len(labels)
@@ -241,7 +326,7 @@ def _play(
     shift = np.zeros(count)
     rho = np.stack([start.rho] * count)
     total = np.ones(count)
-    min_eig = np.full(count, start.rho_min_eig)
+    p = np.full((count, dim), start.rho_min_eig)  # the spectra of rho * total
     if transcript:
         losses = np.empty((count, rounds))
         true_traces = np.empty((count, rounds))
@@ -256,22 +341,22 @@ def _play(
             averages.append(hermitianize(rho_sum / (t + 1)))
         if transcript:
             true_traces[:, t] = _true_traces(shift, total)
-            min_eigs[:, t] = min_eig
+            min_eigs[:, t] = p[:, 0] / total
         i = t % step
         if i == 0:
-            A, mu, U, UH = draw(t, min(t + step, rounds))
+            block = None  # the played block goes before the next is drawn
+            block = _rounds(*draw(t, min(t + step, rounds)))
         if transcript:
             t0 = time.perf_counter_ns()
         try:
-            rho, total, min_eig, c = _qsb_update(L, diagonals, shift, rho, A[i], mu[i], U[i], UH[i],
-                                                 eta, labels)
+            rho, total, p, c = _qsb_update(L, diagonals, shift, rho, block, i, eta, labels)
         except DomainError as exc:
             raise DomainError(f"round {t + 1}: {exc}") from exc
         if transcript:
             step_times[t] = time.perf_counter_ns() - t0
             losses[:, t] = [-math.log(x) for x in c]
     return _Played(
-        final_states=_states(L, shift, rho, total, min_eig, rounds + 1),
+        final_states=_states(L, shift, rho, total, p[:, 0] / total, rounds + 1),
         average_states=hermitianize(rho_sum / rounds),
         checkpoint_averages=averages,
         per_round=(losses, true_traces, min_eigs, step_times) if transcript else None,

@@ -134,18 +134,6 @@ def load_dataset(path, label: Callable[[int], str] | None = None) -> Dataset:
     return dataset_from_record(rec, label)
 
 
-def save_return_stream(path, returns: np.ndarray) -> None:
-    returns = np.asarray(returns, dtype=float)
-    if returns.ndim != 2:
-        raise ValidationError(f"expected a (T, D) array, got shape {returns.shape}")
-    _dump(path, {
-        "kind": "return-stream",
-        "dim": int(returns.shape[1]),
-        "rounds": int(returns.shape[0]),
-        "rows": [[float(x) for x in row] for row in returns],
-    })
-
-
 def return_stream_from_record(rec: dict) -> np.ndarray:
     """The (rounds, dim) rows of a return-stream record, checked against its header."""
     shape = (_int_field(rec, "rounds"), _dim_field(rec))

@@ -245,17 +245,25 @@ def test_batch_oracle():
 def test_cubic_scaling():
     """Median per-step cost grows by at most 12x per dimension doubling
     over D in {8, 16, 32, 64} (a cubic step costs 8x; the slack absorbs
-    cache effects)."""
+    cache effects).
+
+    Each dimension's stream is drawn once and the four games are played
+    three times, interleaved (8, 16, 32, 64, 8, ...); each dimension's
+    least median is kept, so a stall of the host during one game moves at
+    most one of its three medians.
+    """
     run_qst_game(psd_observation_stream(make_rng(79), 50, 8))  # warm up BLAS
-    medians = {}
-    for dim in (8, 16, 32, 64):
-        stream = psd_observation_stream(make_rng(80), 300, dim)
-        transcript = run_qst_game(stream)
-        medians[dim] = float(np.median(transcript.step_times_ns))
+    dims = (8, 16, 32, 64)
+    streams = {dim: psd_observation_stream(make_rng(80), 300, dim) for dim in dims}
+    medians = {dim: math.inf for dim in dims}
+    for _ in range(3):
+        for dim in dims:
+            transcript = run_qst_game(streams[dim])
+            medians[dim] = min(medians[dim], float(np.median(transcript.step_times_ns)))
     ratios = [medians[2 * d] / medians[d] for d in (8, 16, 32)]
     ok = all(r <= 12.0 for r in ratios)
     verdict("cubic scaling", ok,
-            "median step-time ratios per doubling: "
+            "least of 3 median step-time ratios per doubling: "
             + ", ".join(f"{r:.2f}" for r in ratios) + " (cap 12)")
 
 

@@ -37,9 +37,9 @@ from qsoftbayes.serialize import (
     load_payload,
     save_dataset,
     save_matrix,
-    save_return_stream,
 )
 from qsoftbayes.tomography import generate_dataset, pauli_basis_povms
+from return_streams import save_return_stream
 
 
 def read_csv(path):
@@ -226,7 +226,8 @@ MANIFEST_KEYS = {"kind", "config", "config_sha256", "rng", "package_version", "n
 THREAD_KEYS = {"nproc", "affinity_cpus", "blas", "blas_version", "blas_threads_env",
                "blas_threads_queried"}
 ML_MANIFEST = ({"oracle_objective", "oracle_cert_gap", "oracle_iterations", "records",
-                "distinct_records", "seed_summaries", "mean_final_gap", "error_bound"},
+                "distinct_records", "seed_summaries", "mean_final_gap", "error_bound",
+                "learner_round_us"},
                {"dataset", "save_dataset", "oracle", "learners", "write"})
 MODE_MANIFESTS = {
     "ops-game": ({"seed_summaries"}, {"returns", "game", "comparator", "write"}),
@@ -257,6 +258,14 @@ def test_each_mode_writes_its_manifest_keys_and_phases(tmp_path, run_cli, datase
     for record in oracles:
         assert record["oracle_cert_gap"] <= 1e-7
         assert isinstance(record["oracle_iterations"], int) and record["oracle_iterations"] >= 0
+    # the learners' cost per round, and each learner's exit state
+    if name.startswith("ml-run"):
+        rounds = int(manifest["config"]["rounds"])
+        assert manifest["learner_round_us"] == manifest["phase_seconds"]["learners"] / rounds * 1e6
+    if name in ("qst-game", "ml-run", "ml-run-from-file"):
+        for summary in manifest["seed_summaries"]:
+            assert 0.0 < summary["final_min_eig"] < 1.0
+            assert 0.0 < summary["final_true_trace"] <= 1.0
 
 
 class TestValidateConfig:

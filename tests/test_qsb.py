@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from qsoftbayes import qsb
 from qsoftbayes.ensembles import (
     make_rng,
     psd_observation_stream,
     random_density,
     random_psd,
+    rank1_observation_stream,
     uniform_returns,
 )
 from qsoftbayes.linalg import (
@@ -17,6 +19,7 @@ from qsoftbayes.linalg import (
     herm_exp,
     herm_log,
     hermitianize,
+    spectral,
     validate_observation,
 )
 from qsoftbayes.portfolio import learning_rate, run_ops_game
@@ -29,7 +32,7 @@ from qsoftbayes.qsb import (
     reverse_jensen_gap,
     run_qst_game,
 )
-from qsoftbayes.tomography import Dataset, stochastic_qsb
+from qsoftbayes.tomography import Dataset, pauli_basis_povms, stochastic_qsb
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -210,6 +213,87 @@ class TestExitStates:
             assert np.array_equal(getattr(ours, field), getattr(theirs, field))
         for field in ("shift", "true_trace", "rho_min_eig"):
             assert getattr(ours, field) == getattr(theirs, field)
+
+
+def rank_one_records() -> list[tuple[str, np.ndarray]]:
+    """Rank-one records of every kind the package makes, each named."""
+    records = []
+    for q in (1, 2, 3):
+        for k, E in enumerate(pauli_basis_povms(q).reshape(-1, 2 ** q, 2 ** q)):
+            records.append((f"pauli q={q} element {k}", E))
+    for dim in (2, 8, 64):
+        for t, A in enumerate(rank1_observation_stream(make_rng(dim), 4, dim)):
+            records.append((f"rank1 stream D={dim} round {t}", A))
+    rng = make_rng(31)
+    for dim in (2, 4, 16):
+        records.append((f"random_psd rank 1 D={dim}", random_psd(rng, dim, rank=1)))
+    return records
+
+
+def is_rank_one(A: np.ndarray) -> bool:
+    """Whether the update reads A as a rank-one record."""
+    mu, U = spectral(A[None])
+    UH = U.conj().swapaxes(-1, -2)
+    return qsb._rounds(A[None, None], mu[None], U[None], UH[None]).ones == [[True]]
+
+
+class TestRankOneUpdate:
+    """A rank-one record A = mu u u^dagger steps the accumulator by
+    log1p(kappa mu) u u^dagger and the shift by log1p(-eta), in place of the
+    general U diag(log g) U^dagger."""
+
+    def general_step(self, monkeypatch, state, A, eta):
+        """qsb_step with every record read as full rank."""
+        with monkeypatch.context() as m:
+            m.setattr(qsb, "_EPS", -1.0)  # no eigenvalue is at most a negative bound
+            return qsb_step(state, A, eta)
+
+    def test_a_rank_one_step_equals_the_general_step(self, monkeypatch):
+        records = rank_one_records()
+        starts = {}
+        worst = 0.0
+        for name, A in records:
+            assert is_rank_one(A), name
+            dim = A.shape[0]
+            if dim not in starts:  # a state away from the maximally mixed one
+                state = qsb_init(dim)
+                for B in psd_observation_stream(make_rng(90 + dim), 3, dim):
+                    state = qsb_step(state, B, eta=0.3)
+                starts[dim] = state
+            for eta in (0.05, 0.5):
+                ours = qsb_step(starts[dim], A, eta)
+                theirs = self.general_step(monkeypatch, starts[dim], A, eta)
+                worst = max(worst,
+                            np.abs(ours.log_weights - theirs.log_weights).max(),
+                            np.abs(ours.rho - theirs.rho).max(),
+                            abs(ours.shift - theirs.shift),
+                            abs(ours.true_trace - theirs.true_trace))
+        assert worst <= 1e-13
+
+    def test_each_round_takes_the_update_of_its_record(self, monkeypatch):
+        calls = []
+        for name in ("_rank_one_step", "_log_g_step"):
+            step = getattr(qsb, name)
+            monkeypatch.setattr(qsb, name, lambda L, *args, _n=name, _s=step:
+                                calls.append((_n, len(L))) or _s(L, *args))
+        state = qsb_init(4)
+        qsb_step(state, pauli_basis_povms(2)[5, 1], eta=0.3)
+        assert calls == [("_rank_one_step", 1)]
+        calls.clear()
+        qsb_step(state, random_psd(make_rng(4), 4), eta=0.3)
+        assert calls == [("_log_g_step", 1)]
+        calls.clear()
+        qsb_step(state, np.diag([1.0, 1e-12, 0.0, 0.0]), eta=0.3)  # rank two
+        assert calls == [("_log_g_step", 1)]
+
+    def test_the_weight_trace_never_grows_over_a_long_rank_one_run(self):
+        stream = rank1_observation_stream(make_rng(33), 10_000, 4)
+        assert all(is_rank_one(A) for A in stream[:50])
+        transcript = run_qst_game(stream)
+        traces = np.append(transcript.true_traces, transcript.final_state.true_trace)
+        assert traces.max() <= 1.0 + 1e-12
+        assert np.diff(traces).max() <= 1e-12
+        assert traces[-1] < 1.0
 
 
 class TestQsbRegretBound:

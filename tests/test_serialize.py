@@ -30,12 +30,12 @@ from qsoftbayes.serialize import (
     return_stream_from_record,
     save_dataset,
     save_matrix,
-    save_return_stream,
     write_columns,
     write_csv,
     write_manifest,
 )
 from qsoftbayes.tomography import Dataset, generate_dataset, pauli_basis_povms
+from return_streams import save_return_stream
 
 
 class TestMatrixContainer:
@@ -426,10 +426,6 @@ class TestReturnStreamContainer:
         rec["rounds"] = 5
         with pytest.raises(ValidationError, match="contradicts"):
             return_stream_from_record(rec)
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(ValidationError):
-            save_return_stream("unused", np.ones(3))
 
 
 class TestCsv:

@@ -668,6 +668,44 @@ class TestStochasticQsb:
         assert np.array_equal(result.final_state.rho, state.rho)
         assert result.final_state.true_trace == state.true_trace
 
+    def test_equals_a_loop_of_qsb_step_on_records_of_mixed_rank(self, monkeypatch):
+        """Each learner takes the rank-one or the general update by its own
+        record, also in rounds where the lockstep seeds hold records of both
+        kinds: every seed equals its own loop of qsb_step, bit for bit."""
+        rng = make_rng(14)
+        pauli = generate_dataset(random_density(rng, 4), pauli_basis_povms(2), 60, rng)
+        full = np.stack([random_psd(rng, 4) for _ in range(20)])
+        data = Dataset(matrices=np.concatenate([pauli.matrices, full]))
+        rounds, seeds = 600, (9, 10, 11)
+        steps = {"_rank_one_step": 0, "_log_g_step": 0}
+        for name in steps:
+            step = getattr(qsb, name)
+            monkeypatch.setattr(qsb, name, lambda L, *args, _n=name, _s=step:
+                                steps.__setitem__(_n, steps[_n] + len(L)) or _s(L, *args))
+        results = stochastic_qsb(data, rounds, seeds)
+        monkeypatch.undo()
+
+        eta = learning_rate(4, rounds)
+        drawn = [make_rng(seed).integers(len(data), size=rounds) for seed in seeds]
+        ones = np.stack(drawn) < len(pauli)  # the Pauli records are rank one
+        assert steps == {"_rank_one_step": ones.sum(), "_log_g_step": (~ones).sum()}
+        assert (ones.any(axis=0) & ~ones.all(axis=0)).sum() > 100  # rounds of both kinds
+        for result, records in zip(results, drawn):
+            state = qsb_init(4)
+            rho_sum = np.zeros((4, 4), dtype=complex)
+            values = []
+            for t, n in enumerate(records.tolist(), start=1):
+                rho_sum += state.rho
+                if t in result.checkpoints:
+                    values.append(ml_objective(hermitianize(rho_sum / t), data))
+                state = qsb_step(state, data.matrices[n], eta)
+            assert np.array_equal(result.rho_bar, hermitianize(rho_sum / rounds))
+            assert np.array_equal(result.objective_values, values)
+            a, b = result.final_state, state
+            assert np.array_equal(a.log_weights, b.log_weights)
+            assert np.array_equal(a.rho, b.rho)
+            assert (a.shift, a.true_trace, a.rho_min_eig) == (b.shift, b.true_trace, b.rho_min_eig)
+
     def test_draws_past_a_block_of_draws_replay_one_call_per_round(self):
         """Draws are taken from each generator in the learner loop's blocks;
         across the block boundary they must still be the draws of one
