@@ -107,8 +107,9 @@ def qsb_step(state: QsbState, A: np.ndarray, eta: float) -> QsbState:
 
     Runs the lockstep update with one learner on a copy of the state's
     accumulator, so `state` is left as it was. Like the learner loop, it
-    takes the rank-one update when A is rank one (see `_qsb_update`), so a
-    chain of `qsb_step` calls equals the loop bit for bit.
+    takes the rank-one update when A is rank one by `_records`' test on its
+    spectrum, and hermitianizes the new rho (see `_qsb_update`), so a chain
+    of `qsb_step` calls equals the loop bit for bit.
     """
     A = np.asarray(A, dtype=complex)
     if not np.any(A):
@@ -117,8 +118,9 @@ def qsb_step(state: QsbState, A: np.ndarray, eta: float) -> QsbState:
     mu, U = spectral(A[None])
     L = np.array(state.log_weights[None], dtype=complex)
     shift = np.array([state.shift])
-    block = _rounds(A[None, None], mu[None], U[None], U.conj().swapaxes(-1, -2)[None])
-    rho, total, p, _ = _qsb_update(L, _diagonals(L), shift, state.rho[None], block, 0, eta)
+    block = _records(A[None, None], mu[None], U[None])
+    rho, total, p, _ = _qsb_update(L, _diagonals(L).real, shift, state.rho[None], block, 0,
+                                   block.one[0].tolist(), eta)
     return _states(L, shift, rho, total, p[:, 0] / total, state.round + 1)[0]
 
 
@@ -151,43 +153,46 @@ def _states(L: np.ndarray, shift: np.ndarray, rho: np.ndarray, total: np.ndarray
 _EPS = 2.0 ** -52  # the machine epsilon of float64
 
 
-class _Rounds(NamedTuple):
-    """A block of n rounds of S learners' decomposed records, as `_qsb_update` reads them.
-
-    Row i holds round i's (S, D, D) observations A, their (S, D) eigenvalues
-    mu (ascending), eigenvectors U and U's conjugate transposes UH.
-    `ones[i]` holds one bool per learner: whether its record is rank one. P
-    holds the projectors u u^dagger onto the records' top eigenvectors u, or
-    None when no record is rank one; U and UH are None when every record is.
-    """
+class _Records(NamedTuple):
+    """Records A, their eigenvalues mu (ascending), eigenvectors U and U's
+    conjugate transposes UH, over any leading axes; `one` marks the rank-one
+    records and P holds the projectors u u^dagger onto the top eigenvectors.
+    P is None when no record is rank one, U and UH when every record is."""
 
     A: np.ndarray
     mu: np.ndarray
-    U: np.ndarray
-    UH: np.ndarray
-    ones: list[list[bool]]
+    U: np.ndarray | None
+    UH: np.ndarray | None
+    one: np.ndarray
     P: np.ndarray | None
 
+    def take(self, index: np.ndarray) -> _Records:
+        """The records at `index` along the first axis, one fancy index per stack."""
+        return _Records(*(None if x is None else x[index] for x in self))
 
-def _rounds(A: np.ndarray, mu: np.ndarray, U: np.ndarray, UH: np.ndarray) -> _Rounds:
-    """The `_Rounds` of an (n, S) block of decomposed records.
+
+def _records(A: np.ndarray, mu: np.ndarray, U: np.ndarray,
+             UH: np.ndarray | None = None) -> _Records:
+    """Decomposed records, each marked rank one or not, with their projectors built once.
 
     A record is rank one when every eigenvalue below its top one is at most
     D eps times the top in magnitude: the rounding left by decomposing a
     scaled projector (a Pauli record's lower eigenvalues measure at most
     2.8e-16 against a top of 1 at q = 1-3). The criterion reads only the
     record's own spectrum, so a learner takes the same update whichever
-    learners it steps beside.
+    learners it steps beside. UH, when not given, is taken as a view of U's
+    conjugate, and only when some record is not rank one.
     """
-    top = mu[..., -1:]
-    one = (np.abs(mu[..., :-1]) <= (mu.shape[-1] * _EPS) * top).all(axis=-1)
-    if not one.any():
-        return _Rounds(A, mu, U, UH, one.tolist(), None)
-    u = U[..., -1]
-    P = u[..., :, None] * u.conj()[..., None, :]
-    if one.all():  # P takes the place of U and UH, so the block grows no larger
+    one = (np.abs(mu[..., :-1]) <= (mu.shape[-1] * _EPS) * mu[..., -1:]).all(axis=-1)
+    P = None
+    if one.any():
+        u = U[..., -1]
+        P = u[..., :, None] * u.conj()[..., None, :]
+    if one.all():
         U = UH = None
-    return _Rounds(A, mu, U, UH, one.tolist(), P)
+    elif UH is None:
+        UH = U.conj().swapaxes(-1, -2)
+    return _Records(A, mu, U, UH, one, P)
 
 
 def _qsb_update(
@@ -195,26 +200,30 @@ def _qsb_update(
     diagonals: np.ndarray,
     shift: np.ndarray,
     rho: np.ndarray,
-    block: _Rounds,
+    block: _Records,
     i: int,
+    ones: list[bool],
     eta: float,
     labels: Sequence[str] = ("",),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """qsb_step for S learners at once, learner s observing its record of round i, in place.
 
-    L is the (S, D, D) accumulator of log weights, `diagonals` a view of its
-    diagonals and `shift` the (S,) shifts; the update writes all three.
-    Row i of `block` holds the records. Returns the new rho stack, each
-    learner's total = tr(exp(L)) before normalizing, the (S, D) spectra p
-    (ascending) that sum to it, so p[:, 0] / total is the smallest
-    eigenvalue of rho, and each learner's c = tr(A rho), whose negative log
-    is the round's loss. G = (1 - eta) I + (eta / c) A has A's eigenvectors,
-    so log G needs no decomposition of its own: a rank-one record steps by
-    `_rank_one_step`, any other by `_log_g_step`, each learner by its own
-    record's kind, and the step decomposes only the new accumulators, as one
-    stack. The overlaps are one stacked `vecdot`, equal bit for bit to each
-    learner's own `vdot`; a failed check names the first failing learner by
-    its label. The caller checks eta.
+    L is the (S, D, D) accumulator of log weights, `diagonals` a view of the
+    real parts of its diagonals and `shift` the (S,) shifts; the update
+    writes all three. Row i of the (n, S) `block` holds the records, and
+    `ones`, row i of `block.one` as a list, marks the rank-one ones. Returns
+    the new rho stack, each learner's total = tr(exp(L)) before normalizing,
+    the (S, D) spectra p (ascending) that sum to it, so p[:, 0] / total is
+    the smallest eigenvalue of rho, and each learner's c = tr(A rho), whose
+    negative log is the round's loss. G = (1 - eta) I + (eta / c) A has A's
+    eigenvectors, so log G needs no decomposition of its own: a rank-one
+    record steps by `_rank_one_step`, any other by `_log_g_step` (in a round
+    with both kinds, each learner steps alone), and the step decomposes only
+    the new accumulators, as one stack. rho is hermitianized every round,
+    since the next overlaps and the running average read it. The overlaps
+    are one stacked `vecdot`, equal bit for bit to each learner's own
+    `vdot`; a failed check names the first failing learner by its label.
+    The caller checks eta.
     """
     A = block.A[i]
     overlaps = np.vecdot(A.reshape(len(A), -1), rho.reshape(len(rho), -1)).real
@@ -222,16 +231,16 @@ def _qsb_update(
     if min(c) <= 0.0:
         s = next(s for s, x in enumerate(c) if x <= 0.0)
         raise DomainError(f"{labels[s]}tr(A rho) = {c[s]!r} is not positive")
-    ones = block.ones[i]
     if all(ones):
-        _rank_one_step(L, shift, overlaps, block.mu[i], block.P[i], eta)
+        _rank_one_step(L, shift, c, block.mu[i, :, -1].tolist(), block.P[i], eta)
     elif not any(ones):
         _log_g_step(L, overlaps, block.mu[i], block.U[i], block.UH[i], eta, labels)
-    else:  # learners of both kinds: each steps alone, on views of its rows
+    else:  # records of both kinds: each learner steps alone, on views of its rows
         for s, one in enumerate(ones):
             k = slice(s, s + 1)
             if one:
-                _rank_one_step(L[k], shift[k], overlaps[k], block.mu[i, k], block.P[i, k], eta)
+                _rank_one_step(L[k], shift[k], c[k], block.mu[i, k, -1].tolist(), block.P[i, k],
+                               eta)
             else:
                 _log_g_step(L[k], overlaps[k], block.mu[i, k], block.U[i, k], block.UH[i, k],
                             eta, labels[k])
@@ -264,17 +273,19 @@ def _log_g_step(L: np.ndarray, overlaps: np.ndarray, mu: np.ndarray, U: np.ndarr
     np.add(L, (U * np.log(g)[:, None, :]) @ UH, out=L)
 
 
-def _rank_one_step(L: np.ndarray, shift: np.ndarray, overlaps: np.ndarray, mu: np.ndarray,
+def _rank_one_step(L: np.ndarray, shift: np.ndarray, c: list[float], top: list[float],
                    P: np.ndarray, eta: float) -> None:
     """Add log G of rank-one records A = mu_top P to the accumulators L and shifts.
 
     log G = log(1 - eta) I + log1p(kappa mu_top) P with kappa = eta / ((1 - eta) c):
     the accumulator gains the scaled projector and the shift the constant,
     one scalar per learner, as Soft-Bayes scales each weight by one factor.
-    Both logarithms are of numbers above 1 - eta > 0, so no floor check is needed.
+    c and top hold each learner's overlap and mu_top. Both logarithms are of
+    numbers above 1 - eta > 0, so no floor check is needed.
     """
-    w = np.log1p(eta / (1.0 - eta) / overlaps * mu[:, -1])
-    np.add(L, w[:, None, None] * P, out=L)
+    rate = eta / (1.0 - eta)
+    w = np.array([math.log1p(rate / x * m) for x, m in zip(c, top)])
+    L += w.reshape(-1, 1, 1) * P
     shift += math.log1p(-eta)
 
 
@@ -295,7 +306,7 @@ def _play(
     dim: int,
     rounds: int,
     eta: float,
-    draw: Callable[[int, int], tuple[np.ndarray, ...]],
+    draw: Callable[[int, int], _Records],
     labels: Sequence[str] = ("",),
     checkpoints: frozenset[int] = frozenset(),
     transcript: bool = False,
@@ -303,26 +314,25 @@ def _play(
     """The learner loop shared by the online game and the stochastic estimator.
 
     Runs one learner per label in lockstep, S in all. `draw(start, stop)`
-    returns rounds start to stop - 1 (from 0) of all learners: the (n, S, D, D)
-    observations A, their (n, S, D) eigenvalues mu (ascending), eigenvectors
-    U and U's conjugate transposes UH. It is called for blocks of
-    `_block_len(D, S)` rounds, each when its first round comes up, and
-    `_rounds` marks the block's rank-one records and builds their projectors
-    once. Round t announces the states and updates all learners with one
-    `_qsb_update` on its row of the block, which writes the loop's accumulator
-    in place; each learner takes the rank-one or the general update by its
-    own record, as `qsb_step` does. Also returns the average announced
-    states after each round numbered in `checkpoints`. With `transcript`,
-    `per_round` holds the losses -log tr(A_t rho_t), the announced states'
-    true traces and min eigenvalues, each (S, T), and the step times (T,)
-    in ns, which cover the update alone, not `draw`; without it, none of
-    these is kept, and the min eigenvalue is taken only for the exit states.
+    returns rounds start to stop - 1 (from 0) of all learners as `_Records`
+    of shape (n, S), their rank-one records marked and projectors built (see
+    `_records`). It is called for blocks of `_block_len(D, S)` rounds, each
+    when its first round comes up. Round t announces the states and updates
+    all learners with one `_qsb_update` on its row of the block, which writes
+    the loop's accumulator in place; each learner takes the rank-one or the
+    general update by its own record, as `qsb_step` does. Also returns the
+    average announced states after each round numbered in `checkpoints`.
+    With `transcript`, `per_round` holds the losses -log tr(A_t rho_t), the
+    announced states' true traces and min eigenvalues, each (S, T), and the
+    step times (T,) in ns, which cover the update alone, not `draw`; without
+    it, none of these is kept, and the min eigenvalue is taken only for the
+    exit states.
     """
     _check_eta(eta)
     count = len(labels)
     start = qsb_init(dim)
     L = np.stack([start.log_weights] * count)
-    diagonals = _diagonals(L)
+    diagonals = _diagonals(L).real
     shift = np.zeros(count)
     rho = np.stack([start.rho] * count)
     total = np.ones(count)
@@ -344,12 +354,13 @@ def _play(
             min_eigs[:, t] = p[:, 0] / total
         i = t % step
         if i == 0:
-            block = None  # the played block goes before the next is drawn
-            block = _rounds(*draw(t, min(t + step, rounds)))
+            block = draw(t, min(t + step, rounds))
+            ones = block.one.tolist()
         if transcript:
             t0 = time.perf_counter_ns()
         try:
-            rho, total, p, c = _qsb_update(L, diagonals, shift, rho, block, i, eta, labels)
+            rho, total, p, c = _qsb_update(L, diagonals, shift, rho, block, i, ones[i], eta,
+                                           labels)
         except DomainError as exc:
             raise DomainError(f"round {t + 1}: {exc}") from exc
         if transcript:
@@ -397,14 +408,15 @@ def _qst_game(draw: Callable[[int, int], _Block], rounds: int, dim: int,
 
     `draw(start, stop)` returns rounds start to stop - 1 (from 0), already
     checked and decomposed (see `_Block`): the caller says how. `_play`
-    calls it, with the learner axis added here, a block at a time.
+    calls it a block at a time, and the learner axis is added here, where
+    `_records` marks the block's rank-one records.
     """
     if eta is None:
         eta = learning_rate(dim, rounds)
 
-    def one_learner(start: int, stop: int) -> tuple[np.ndarray, ...]:
+    def one_learner(start: int, stop: int) -> _Records:
         H, mu, U = draw(start, stop)
-        return H[:, None], mu[:, None], U[:, None], U.conj().swapaxes(-1, -2)[:, None]
+        return _records(H[:, None], mu[:, None], U[:, None])
 
     played = _play(dim, rounds, eta, one_learner, transcript=True)
     losses, true_traces, min_eigs, step_times = played.per_round

@@ -27,7 +27,7 @@ from .linalg import (
     validate_density,
 )
 from .portfolio import _accelerated_ml, _simplex_projection, learning_rate
-from .qsb import QsbState, _play
+from .qsb import QsbState, _play, _records
 
 
 class Dataset:
@@ -319,8 +319,9 @@ def stochastic_qsb(
     distinct element, equal to it bit for bit, to the online update, and
     accumulates the announced state. The learners run in lockstep: the D x D
     algebra of a round runs once over the (S, D, D) stack of all learners.
-    Every element is decomposed once, before the first round, and a block of
-    rounds is drawn at a time, one `integers(N, size=n)` per seed. So result
+    Every element is decomposed, marked rank one or not and, if it is, given
+    its projector once, before the first round (see `qsb._records`); a block
+    of rounds is drawn at a time, one `integers(N, size=n)` per seed. So result
     s equals a loop of `qsb_step` over seed s's drawn records, bit for bit,
     whatever the other seeds. Each estimate is the average of all announced
     states; the objective of the running average is evaluated at the
@@ -338,18 +339,17 @@ def stochastic_qsb(
         eta = learning_rate(dim, rounds)
     cps = _normalize_checkpoints(checkpoints, rounds)
 
-    # every element's spectrum, gathered from these stacks a block at a time
+    # every element's spectrum, kind and projector, gathered a block at a time
     elements = data.elements
     mu, U = spectral(elements)
-    UH = np.ascontiguousarray(U.conj().swapaxes(-1, -2))
+    records = _records(elements, mu, U, np.ascontiguousarray(U.conj().swapaxes(-1, -2)))
     rngs = [make_rng(seed) for seed in seeds]
 
-    def draw(start: int, stop: int) -> tuple[np.ndarray, ...]:
+    def draw(start: int, stop: int) -> _Records:
         # integers(N, size=n) yields the draws of n integers(N) calls, in
         # order (pinned by the tests that replay the draws one at a time)
-        records = np.stack([rng.integers(n_records, size=stop - start) for rng in rngs], axis=1)
-        ks = data.index[records]  # (n, S) elements
-        return elements[ks], mu[ks], U[ks], UH[ks]
+        drawn = np.stack([rng.integers(n_records, size=stop - start) for rng in rngs], axis=1)
+        return records.take(data.index[drawn])  # (n, S) elements
 
     played = _play(dim, rounds, eta, draw, [f"seed {seed}: " for seed in seeds],
                    frozenset(cps.tolist()))

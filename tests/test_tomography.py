@@ -728,14 +728,15 @@ class TestStochasticQsb:
     def test_draws_no_more_than_one_block_at_a_time(self, monkeypatch, seeds):
         """The loop asks for `_block_len(D, S)` rounds at a time, so each
         gathered stack of all seeds' rounds holds at most `_CHECK_BLOCK`
-        entries, and the blocks cover every round once, in order."""
+        entries, and the blocks cover every round once, in order. A block of
+        rank-one records gathers their projectors and no eigenvectors."""
         blocks = []
         play = tomography._play
 
         def recorded(dim, rounds, eta, draw, *args, **kwargs):
             def drawn(start, stop):
                 block = draw(start, stop)
-                blocks.append((start, stop, [x.shape for x in block]))
+                blocks.append((start, stop, [x if x is None else x.shape for x in block]))
                 return block
             return play(dim, rounds, eta, drawn, *args, **kwargs)
 
@@ -748,7 +749,8 @@ class TestStochasticQsb:
         assert [b[:2] for b in blocks] == [(t, min(t + n, rounds)) for t in range(0, rounds, n)]
         for start, stop, shapes in blocks:
             m = stop - start
-            assert shapes == [(m, S, 4, 4), (m, S, 4), (m, S, 4, 4), (m, S, 4, 4)]
+            # A, mu, no eigenvectors (every Pauli record is rank one), kinds, P
+            assert shapes == [(m, S, 4, 4), (m, S, 4), None, None, (m, S), (m, S, 4, 4)]
             assert m * S * 4 * 4 <= linalg._CHECK_BLOCK
         assert linalg._block_len(4, 1) == 512 and linalg._block_len(4, 3) == 170
 
