@@ -6,10 +6,10 @@ ops-game       classical portfolio game on uniform random return streams
 qst-game       quantum tomography game on random or file-provided observations
 ml-run         stochastic ML estimation against a fixed synthetic dataset
 scaling-bench  per-step update cost across a list of dimensions
-validate       invariant report for a container file (matrix/dataset/stream)
+validate       invariant report for a container file (matrix or dataset)
 
 Every run writes a manifest (config echo + hash, library versions, RNG name,
-wall-clock) next to its artifacts. CSV and matrix artifacts are pure
+wall-clock, peak memory) next to its artifacts. CSV and matrix artifacts are pure
 functions of config + seed, byte for byte; wall-clock quantities live only
 in the manifest and the *_times.json sidecars.
 """
@@ -57,10 +57,10 @@ from .serialize import (
     load_dataset,
     load_payload,
     matrix_from_record,
-    return_stream_from_record,
     save_dataset,
     save_matrix,
     write_columns,
+    write_json,
     write_manifest,
 )
 from .tomography import (
@@ -149,6 +149,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"dimensions must be at most {MAX_DIM}, got {config.dims}")
     if config.mode != "scaling-bench" and len(config.dims) != 1:
         raise ConfigError(f"mode {config.mode} takes exactly one dimension, got {config.dims}")
+    if len(set(config.dims)) != len(config.dims):
+        raise ConfigError(f"dimensions must be distinct, got {config.dims}")
     if not 1 <= config.rounds <= MAX_ROUNDS:
         raise ConfigError(f"rounds must be in [1, {MAX_ROUNDS}], got {config.rounds}")
     if not 1 <= config.shots <= MAX_SHOTS:
@@ -376,9 +378,7 @@ def _qst_seed(config: ExperimentConfig, seed: int, transcript: QstTranscript, or
     write_qst_report(out / f"qst_seed{seed}.csv", transcript)
     save_matrix(out / f"rho_bar_seed{seed}.json", transcript.average_state)
     times = transcript.step_times_ns
-    (out / f"qst_seed{seed}_times.json").write_text(
-        json.dumps({"step_times_ns": [int(x) for x in times]}) + "\n", encoding="utf-8"
-    )
+    write_json(out / f"qst_seed{seed}_times.json", {"step_times_ns": times.tolist()})
     return {
         "seed": seed,
         "eta": transcript.eta,
@@ -585,9 +585,7 @@ def _run_scaling(config: ExperimentConfig, out_dir: Path) -> dict:
         for a, b in zip(table, table[1:])
     ]
     report = {"kind": "scaling-times", "seed": seed, "table": table, "ratios": ratios}
-    (out_dir / "scaling_times.json").write_text(
-        json.dumps(report, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "scaling_times.json", report)
     return {"scaling": report, "phase_seconds": phases.seconds}
 
 
@@ -615,11 +613,6 @@ def _run_validate(config: ExperimentConfig) -> list[str]:
         lines.append(f"distinct: {len(data.elements)}")
         lines.append(f"provenance: {'yes' if data.has_provenance else 'no'}")
         lines.append("records hermitian, psd, nonzero: ok")
-    elif kind == "return-stream":
-        rows = validate_return_stream(return_stream_from_record(rec))
-        lines.append(f"dim: {rows.shape[1]}")
-        lines.append(f"rounds: {rows.shape[0]}")
-        lines.append("rows finite, nonnegative and nonzero: ok")
     else:
         raise ValidationError(f"unrecognized container kind {kind!r}")
     lines.append("all checks passed")

@@ -54,10 +54,9 @@ def _psd_block(rng: np.random.Generator, n: int, dim: int, rank: int | None = No
     return H, mu, U
 
 
-def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random density matrix from the trace-normalized Wishart ensemble."""
-    r = dim if rank is None else rank
-    G = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
+    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     A = G @ G.conj().T
     return hermitianize(A / np.trace(A).real)
 

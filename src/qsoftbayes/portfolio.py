@@ -44,10 +44,6 @@ class OpsTranscript:
     def total_loss(self) -> float:
         return float(np.sum(self.losses))
 
-    @property
-    def average_portfolio(self) -> np.ndarray:
-        return self.portfolios.mean(axis=0)
-
 
 @dataclass(frozen=True)
 class ComparatorResult:

@@ -37,7 +37,6 @@ from .linalg import (
     _from_spectrum,
     _hermitian_psd,
     hermitian_eigh,
-    hermitianize,
     hs_inner,
     spectral,
 )
@@ -171,8 +170,7 @@ class _Records(NamedTuple):
         return _Records(*(None if x is None else x[index] for x in self))
 
 
-def _records(A: np.ndarray, mu: np.ndarray, U: np.ndarray,
-             UH: np.ndarray | None = None) -> _Records:
+def _records(A: np.ndarray, mu: np.ndarray, U: np.ndarray) -> _Records:
     """Decomposed records, each marked rank one or not, with their projectors built once.
 
     A record is rank one when every eigenvalue below its top one is at most
@@ -180,8 +178,8 @@ def _records(A: np.ndarray, mu: np.ndarray, U: np.ndarray,
     scaled projector (a Pauli record's lower eigenvalues measure at most
     2.8e-16 against a top of 1 at q = 1-3). The criterion reads only the
     record's own spectrum, so a learner takes the same update whichever
-    learners it steps beside. UH, when not given, is taken as a view of U's
-    conjugate, and only when some record is not rank one.
+    learners it steps beside. UH is a view of U's conjugate transpose, kept
+    with U only when some record is not rank one.
     """
     one = (np.abs(mu[..., :-1]) <= (mu.shape[-1] * _EPS) * mu[..., -1:]).all(axis=-1)
     P = None
@@ -189,10 +187,8 @@ def _records(A: np.ndarray, mu: np.ndarray, U: np.ndarray,
         u = U[..., -1]
         P = u[..., :, None] * u.conj()[..., None, :]
     if one.all():
-        U = UH = None
-    elif UH is None:
-        UH = U.conj().swapaxes(-1, -2)
-    return _Records(A, mu, U, UH, one, P)
+        return _Records(A, mu, None, None, one, P)
+    return _Records(A, mu, U, U.conj().swapaxes(-1, -2), one, P)
 
 
 def _qsb_update(
@@ -321,7 +317,8 @@ def _play(
     all learners with one `_qsb_update` on its row of the block, which writes
     the loop's accumulator in place; each learner takes the rank-one or the
     general update by its own record, as `qsb_step` does. Also returns the
-    average announced states after each round numbered in `checkpoints`.
+    average announced states after each round numbered in `checkpoints`,
+    exactly Hermitian as each announced state is.
     With `transcript`, `per_round` holds the losses -log tr(A_t rho_t), the
     announced states' true traces and min eigenvalues, each (S, T), and the
     step times (T,) in ns, which cover the update alone, not `draw`; without
@@ -348,7 +345,7 @@ def _play(
     for t in range(rounds):
         rho_sum += rho
         if t + 1 in checkpoints:
-            averages.append(hermitianize(rho_sum / (t + 1)))
+            averages.append(rho_sum / (t + 1))
         if transcript:
             true_traces[:, t] = _true_traces(shift, total)
             min_eigs[:, t] = p[:, 0] / total
@@ -368,7 +365,7 @@ def _play(
             losses[:, t] = [-math.log(x) for x in c]
     return _Played(
         final_states=_states(L, shift, rho, total, p[:, 0] / total, rounds + 1),
-        average_states=hermitianize(rho_sum / rounds),
+        average_states=rho_sum / rounds,
         checkpoint_averages=averages,
         per_round=(losses, true_traces, min_eigs, step_times) if transcript else None,
     )

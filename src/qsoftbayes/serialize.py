@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import itertools
 import json
 import operator
 import os
@@ -45,7 +44,7 @@ def matrix_from_record(rec: dict) -> np.ndarray:
 
 
 def save_matrix(path, M: np.ndarray) -> None:
-    _dump(path, matrix_to_record(M))
+    write_json(path, matrix_to_record(M))
 
 
 def load_matrix(path) -> np.ndarray:
@@ -124,7 +123,7 @@ def dataset_from_record(rec: dict, label: Callable[[int], str] | None = None) ->
 
 
 def save_dataset(path, data: Dataset) -> None:
-    _dump(path, dataset_to_record(data))
+    write_json(path, dataset_to_record(data))
 
 
 def load_dataset(path, label: Callable[[int], str] | None = None) -> Dataset:
@@ -132,22 +131,6 @@ def load_dataset(path, label: Callable[[int], str] | None = None) -> Dataset:
     if rec.get("kind") != "dataset":
         raise ValidationError(f"{path}: expected a dataset file, got kind {rec.get('kind')!r}")
     return dataset_from_record(rec, label)
-
-
-def return_stream_from_record(rec: dict) -> np.ndarray:
-    """The (rounds, dim) rows of a return-stream record, checked against its header."""
-    shape = (_int_field(rec, "rounds"), _dim_field(rec))
-    try:
-        rows = np.array(_field(rec, "rows"))
-    except ValueError as exc:  # ragged rows
-        raise ValidationError("rows are not a rectangular table") from exc
-    # JSON numbers only: a string such as "0.5", null or a boolean is rejected
-    if rows.dtype.kind not in "iuf":
-        raise ValidationError("rows hold an entry that is not a number")
-    rows = rows.astype(float)
-    if rows.shape != shape:
-        raise ValidationError(f"rows shape {rows.shape} contradicts the header")
-    return rows
 
 
 def _field(rec: dict, key: str):
@@ -232,9 +215,26 @@ def _dim_field(rec: dict) -> int:
     return dim
 
 
-def _dump(path, obj: dict) -> None:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+def _write_file(path, text: str, more=()) -> None:
+    """`text`, then each text of `more`, written under a temporary name and
+    renamed into place; an error leaves `path` as it was and no temporary."""
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open("w", encoding="utf-8", newline="") as f:
+            f.write(text)
+            for block in more:
+                f.write(block)
+        part.replace(path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, obj: dict) -> None:
+    """One JSON object with sorted keys and no spaces, ending in a newline;
+    every container, manifest and sidecar is written this way."""
+    _write_file(path, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_payload(path) -> dict:
@@ -298,22 +298,6 @@ def format_column(column: np.ndarray) -> list[str]:
     return _format_block([column], len(column)).split("\n")[:-1]
 
 
-def _write_blocks(path, names: list[str], blocks) -> None:
-    """The header line, then each text of `blocks`, written under a temporary
-    name and renamed into place; an error leaves `path` as it was."""
-    path = Path(path)
-    part = path.with_name(path.name + ".part")
-    try:
-        with part.open("w", encoding="utf-8", newline="") as f:
-            f.write(",".join(names) + "\n")
-            for text in blocks:
-                f.write(text)
-        part.replace(path)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
-
-
 def write_columns(path, names: list[str], columns: list) -> None:
     """Fixed column order, '\\n' newlines, round-trip-exact floats.
 
@@ -328,7 +312,7 @@ def write_columns(path, names: list[str], columns: list) -> None:
     for name, column in zip(names, columns):
         if len(column) != rows:
             raise ValidationError(f"column {name!r} has {len(column)} cells, expected {rows}")
-    _write_blocks(path, names, (
+    _write_file(path, ",".join(names) + "\n", (
         _format_block([column[start:start + _CSV_BLOCK] for column in columns],
                       min(_CSV_BLOCK, rows - start))
         for start in range(0, rows, _CSV_BLOCK)
@@ -338,18 +322,14 @@ def write_columns(path, names: list[str], columns: list) -> None:
 def write_csv(path, names: list[str], rows) -> None:
     """`write_columns` for an iterable of rows.
 
-    Each block of rows is length-checked and transposed into columns. A row
-    of the wrong length raises `ValidationError` and leaves `path` as it was.
+    A row of the wrong length raises `ValidationError` before anything is
+    written, and leaves `path` as it was.
     """
-    def blocks():
-        rows_left = iter(rows)
-        while block := list(itertools.islice(rows_left, _CSV_BLOCK)):
-            ragged = next((row for row in block if len(row) != len(names)), None)
-            if ragged is not None:
-                raise ValidationError(f"row has {len(ragged)} cells, expected {len(names)}")
-            yield _format_block(list(zip(*block)), len(block))
-
-    _write_blocks(path, names, blocks())
+    rows = list(rows)
+    ragged = next((row for row in rows if len(row) != len(names)), None)
+    if ragged is not None:
+        raise ValidationError(f"row has {len(ragged)} cells, expected {len(names)}")
+    write_columns(path, names, list(zip(*rows)) or [()] * len(names))
 
 
 def config_hash(config: dict) -> str:
@@ -399,9 +379,17 @@ def thread_setup() -> dict:
     }
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size (`VmHWM`, which `exec` resets), in MiB."""
+    status = Path("/proc/self/status").read_text(encoding="utf-8")
+    fields = dict(line.split(":", 1) for line in status.splitlines())
+    return int(fields["VmHWM"].split()[0]) / 1024
+
+
 def write_manifest(path, config: dict, extra: dict) -> None:
-    """Run manifest: config echo and hash, library versions, RNG name and the
-    thread setup (`thread_setup`).
+    """Run manifest: config echo and hash, library versions, RNG name, the
+    thread setup (`thread_setup`) and the peak memory so far (`peak_rss_mb`,
+    None where it cannot be read).
 
     The `extra` block carries per-run facts (wall-clock, summaries), so the
     manifest itself is not byte-stable; the CSV and matrix artifacts are.
@@ -417,6 +405,7 @@ def write_manifest(path, config: dict, extra: dict) -> None:
         "package_version": __version__,
         "numpy_version": np.__version__,
         "threads": thread_setup(),
+        "peak_rss_mb": _best_effort(_peak_rss_mb),
     }
     record.update(extra)
-    _dump(path, record)
+    write_json(path, record)

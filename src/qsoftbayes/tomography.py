@@ -342,7 +342,7 @@ def stochastic_qsb(
     # every element's spectrum, kind and projector, gathered a block at a time
     elements = data.elements
     mu, U = spectral(elements)
-    records = _records(elements, mu, U, np.ascontiguousarray(U.conj().swapaxes(-1, -2)))
+    records = _records(elements, mu, U)
     rngs = [make_rng(seed) for seed in seeds]
 
     def draw(start: int, stop: int) -> _Records:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsoftbayes import cli, linalg, portfolio, serialize
+from qsoftbayes import cli, linalg, portfolio
 from qsoftbayes.cli import (
     ConfigError,
     ExperimentConfig,
@@ -39,7 +39,6 @@ from qsoftbayes.serialize import (
     save_matrix,
 )
 from qsoftbayes.tomography import generate_dataset, pauli_basis_povms
-from return_streams import save_return_stream
 
 
 def read_csv(path):
@@ -222,7 +221,8 @@ class TestConfigMapping:
 # The manifest fields every run writes, then each run's own fields and the
 # phases its `phase_seconds` times.
 MANIFEST_KEYS = {"kind", "config", "config_sha256", "rng", "package_version", "numpy_version",
-                 "threads", "mode", "elapsed_seconds", "wallclock_utc", "phase_seconds"}
+                 "threads", "peak_rss_mb", "mode", "elapsed_seconds", "wallclock_utc",
+                 "phase_seconds"}
 THREAD_KEYS = {"nproc", "affinity_cpus", "blas", "blas_version", "blas_threads_env",
                "blas_threads_queried"}
 ML_MANIFEST = ({"oracle_objective", "oracle_cert_gap", "oracle_iterations", "records",
@@ -250,6 +250,7 @@ def test_each_mode_writes_its_manifest_keys_and_phases(tmp_path, run_cli, datase
     assert set(manifest) == MANIFEST_KEYS | fields
     assert set(manifest["threads"]) == THREAD_KEYS
     assert manifest["threads"]["nproc"] == os.cpu_count()
+    assert 0.0 < manifest["peak_rss_mb"] < 1024.0
     assert set(manifest["phase_seconds"]) == phases
     assert all(seconds >= 0.0 for seconds in manifest["phase_seconds"].values())
     # the oracle's certificate and step count: the run's, or each qst-game seed's
@@ -285,6 +286,7 @@ class TestValidateConfig:
             self.cfg(dims=(MAX_DIM + 1,)),
             self.cfg(dims=(2 ** 64,)),
             self.cfg(mode="scaling-bench", dims=(4, MAX_DIM + 1)),
+            self.cfg(mode="scaling-bench", dims=(16, 16)),  # a ratio from 16 to 16
             self.cfg(rounds=0),
             self.cfg(rounds=MAX_ROUNDS + 1),
             self.cfg(shots=0),
@@ -687,6 +689,59 @@ class TestScalingBenchMode:
         assert calls["eigh"] == [pair, one, one, pair, one, one, one, one]
         assert calls["eigvalsh"] == []
 
+    def test_a_repeated_dimension_is_refused(self, tmp_path, capsys):
+        """A ratio "from 16 to 16" means nothing: one config error line and no directory."""
+        out = tmp_path / "run"
+        assert main(["scaling-bench", "--dim", "16,16", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: dimensions must be distinct, got (16, 16)\n"
+        assert not out.exists()
+
+
+# The wall-clock sidecars, and a run that writes each (test_serialize.py
+# covers the CSV, container and manifest writers)
+SIDECARS = {"qst_seed0_times.json": RUNS["qst-game"], "scaling_times.json": RUNS["scaling-bench"]}
+
+
+@pytest.mark.parametrize("name", sorted(SIDECARS))
+def test_a_failed_sidecar_write_leaves_the_earlier_file_and_no_part(tmp_path, monkeypatch,
+                                                                    capsys, name):
+    """A sidecar, like every artifact, is written under `.part` and renamed
+    into place: when the rename fails, the earlier run's file keeps its
+    bytes, and the run ends in one error line with no `.part` left behind."""
+    out = tmp_path / "run"
+    argv = SIDECARS[name] + ["--out", str(out)]
+    assert main(argv) == 0
+    before = out.joinpath(name).read_bytes()
+    replace = Path.replace
+
+    def failing(self, target):
+        if Path(target).name == name:
+            raise OSError(f"cannot rename onto {name}")
+        return replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", failing)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot rename onto {name}\n"
+    assert out.joinpath(name).read_bytes() == before
+    assert list(out.glob("*.part")) == []
+
+
+def test_the_manifest_peak_is_the_runs_own_after_exec(tmp_path):
+    """`peak_rss_mb` is the process's own `VmHWM`, which `exec` resets: a run
+    exec'd from a parent that touched 200 MiB reports its own smaller peak
+    (`ru_maxrss` would keep the parent's)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "run"
+    argv = [sys.executable, "-m", "qsoftbayes.cli", *RUNS["ops-game"], "--out", str(out)]
+    code = ("import os, sys; ballast = bytearray(b'x') * (200 << 20); "
+            f"os.execv(sys.executable, {argv!r})")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
+                   timeout=120)
+    assert 0.0 < load_payload(out / "manifest.json")["peak_rss_mb"] < 150.0
+
 
 # a per-record dataset file with two 1 x 1 records: dim, n, povm_indices
 DATASET = (b'{"kind": "dataset", "dim": %s, "n": %s, "has_provenance": true,'
@@ -740,32 +795,12 @@ class TestValidateMode:
         assert report[1:6] == ["kind: dataset", "form: per-record", "dim: 1", "records: 2",
                                "distinct: 1"]
 
-    def test_return_stream_report(self, tmp_path, capsys, monkeypatch):
-        """The file is read and parsed once."""
+    def test_a_return_stream_is_an_unrecognized_kind(self, tmp_path, capsys):
+        """No mode reads a return-stream container any more."""
         path = tmp_path / "r.json"
-        save_return_stream(path, np.full((4, 2), 0.5))
-        reads = []
-        load = serialize.load_payload
-        for module in (cli, serialize):
-            monkeypatch.setattr(module, "load_payload", lambda p: reads.append(p) or load(p))
-        assert main(["validate", str(path)]) == 0
-        assert "rounds: 4" in capsys.readouterr().out
-        assert reads == [str(path)]
-
-    def test_return_stream_names_its_first_failing_round(self, tmp_path, capsys):
-        path = tmp_path / "r.json"
-        rows = np.full((4, 2), 0.5)
-        rows[2] = [0.5, -0.5]
-        rows[3] = 0.0
-        save_return_stream(path, rows)
+        path.write_text('{"kind": "return-stream", "rounds": 1, "dim": 2, "rows": [[0.5, 0.5]]}')
         assert main(["validate", str(path)]) == 1
-        assert capsys.readouterr().err == "error: round 3: return has negative entry -5.000e-01\n"
-
-    def test_return_stream_with_a_json_nan_fails(self, tmp_path, capsys):
-        path = tmp_path / "r.json"
-        path.write_text('{"kind": "return-stream", "rounds": 2, "dim": 2, "rows": [[0.5, 0.5], [NaN, 1]]}')
-        assert main(["validate", str(path)]) == 1
-        assert capsys.readouterr().err == "error: round 2: return has a non-finite entry\n"
+        assert capsys.readouterr() == ("", "error: unrecognized container kind 'return-stream'\n")
 
     def test_corrupt_file_fails(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -28,3 +29,20 @@ def test_the_cli_imports_no_third_party_package_but_numpy():
     loaded = {name.partition(".")[0] for name in run.stdout.split()}
     assert "qsoftbayes" in loaded and "numpy" in loaded
     assert loaded - set(sys.stdlib_module_names) == {"qsoftbayes", "numpy"}
+
+
+# The nine acceptance verdicts, one test each, in the order of the file
+VERDICTS = ["test_trace_bound", "test_classical_reduction", "test_regret_bounds",
+            "test_online_to_batch_convergence", "test_reverse_jensen_inequality",
+            "test_golden_thompson_inequality", "test_batch_oracle", "test_cubic_scaling",
+            "test_byte_determinism"]
+
+
+def test_the_acceptance_file_defines_exactly_the_nine_verdicts():
+    """A deletion sweep cannot drop, rename or skip a verdict silently: the
+    file's tests are the nine by name, none in a class, none decorated."""
+    tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
+    tests = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("test")]
+    assert [node.name for node in tests] == VERDICTS
+    assert all(node in tree.body and not node.decorator_list for node in tests)

@@ -127,7 +127,7 @@ class TestRunOpsGame:
     def test_all_ones_stream_has_zero_loss(self):
         transcript = run_ops_game(np.ones((5, 3)), eta=0.2)
         assert np.array_equal(transcript.losses, np.zeros(5))
-        assert np.allclose(transcript.average_portfolio, np.full(3, 1 / 3))
+        assert np.allclose(transcript.portfolios.mean(axis=0), np.full(3, 1 / 3))
 
     def test_two_hand_evaluated_rounds(self):
         stream = np.array([[2.0, 0.0], [2.0, 0.0]])
@@ -135,7 +135,7 @@ class TestRunOpsGame:
         assert np.allclose(transcript.portfolios, [[0.5, 0.5], [0.75, 0.25]], atol=1e-15)
         assert transcript.losses[0] == pytest.approx(0.0, abs=1e-15)
         assert transcript.losses[1] == pytest.approx(-0.4054651081081644, rel=1e-14)
-        assert np.allclose(transcript.average_portfolio, [0.625, 0.375], atol=1e-15)
+        assert np.allclose(transcript.portfolios.mean(axis=0), [0.625, 0.375], atol=1e-15)
 
     def test_transcript_equals_a_loop_of_the_step(self):
         returns = uniform_returns(make_rng(26), 300, 5)

@@ -175,11 +175,15 @@ class TestExitStates:
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_every_state_is_exactly_hermitian_and_qsb_step_copies(self, dim):
+        """So are the game's average state and the estimator's rho_bar."""
         rng = make_rng(60 + dim)
         stream = psd_observation_stream(rng, 30, dim)
-        states = [run_qst_game(stream).final_state]
+        game = run_qst_game(stream)
+        states, averages = [game.final_state], [game.average_state]
         for seeds in ((5,), (5, 6)):
-            states += [r.final_state for r in stochastic_qsb(Dataset(matrices=stream), 40, seeds)]
+            for result in stochastic_qsb(Dataset(matrices=stream), 40, seeds):
+                states.append(result.final_state)
+                averages.append(result.rho_bar)
         state = qsb_init(dim)
         for A in stream[:10]:
             log_weights, rho = state.log_weights.copy(), state.rho.copy()
@@ -191,6 +195,9 @@ class TestExitStates:
         for state in states:
             assert exactly_hermitian(state.log_weights)
             assert exactly_hermitian(state.rho)
+        # the mean of exactly Hermitian states is one, so it is not hermitianized
+        for average in averages:
+            assert exactly_hermitian(average)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 64])
     def test_a_step_reads_only_the_lower_triangle_and_real_diagonal(self, dim):
@@ -340,7 +347,7 @@ class TestRunQstGame:
         assert quantum.eta == classical.eta
         assert np.max(np.abs(quantum.losses - classical.losses)) <= 1e-10
         assert np.max(np.abs(np.diag(quantum.average_state).real
-                             - classical.average_portfolio)) <= 1e-10
+                             - classical.portfolios.mean(axis=0))) <= 1e-10
         off_diag = quantum.average_state - np.diag(np.diag(quantum.average_state))
         assert np.max(np.abs(off_diag)) <= 1e-12
 

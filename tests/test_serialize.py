@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from qsoftbayes.serialize import (
     load_payload,
     matrix_from_record,
     matrix_to_record,
-    return_stream_from_record,
     save_dataset,
     save_matrix,
     write_columns,
@@ -35,7 +35,6 @@ from qsoftbayes.serialize import (
     write_manifest,
 )
 from qsoftbayes.tomography import Dataset, generate_dataset, pauli_basis_povms
-from return_streams import save_return_stream
 
 
 class TestMatrixContainer:
@@ -411,23 +410,6 @@ def test_fuzzed_records_load_or_fail_with_one_error_line(tmp_path_factory, rec):
         assert code == (1 if data is None else 0)
 
 
-class TestReturnStreamContainer:
-
-    def test_round_trip_is_exact(self, tmp_path):
-        returns = uniform_returns(make_rng(3), 20, 4)
-        path = tmp_path / "r.json"
-        save_return_stream(path, returns)
-        assert return_stream_from_record(load_payload(path)).tobytes() == returns.tobytes()
-
-    def test_rejects_header_contradiction(self, tmp_path):
-        path = tmp_path / "r.json"
-        save_return_stream(path, np.ones((2, 3)))
-        rec = json.loads(path.read_text())
-        rec["rounds"] = 5
-        with pytest.raises(ValidationError, match="contradicts"):
-            return_stream_from_record(rec)
-
-
 class TestCsv:
 
     def test_float_cells_round_trip(self):
@@ -589,6 +571,21 @@ class TestManifest:
         assert rec["elapsed_s"] == 1.5
         assert rec["numpy_version"] == np.__version__
         assert rec["threads"]["nproc"] == os.cpu_count()
+        assert rec["peak_rss_mb"] > 0.0
+
+    def test_peak_memory_is_best_effort(self, tmp_path, monkeypatch):
+        """Where the process status cannot be read, the peak is None."""
+        read_text = Path.read_text
+
+        def fail(self, *args, **kwargs):
+            if self == Path("/proc/self/status"):
+                raise OSError("not here")
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", fail)
+        path = tmp_path / "manifest.json"
+        write_manifest(path, {"mode": "ops-game"}, {})
+        assert load_payload(path)["peak_rss_mb"] is None
 
     def test_thread_setup_reads_the_environment(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
@@ -610,3 +607,25 @@ class TestManifest:
         assert setup["nproc"] == os.cpu_count()
         for field in ("affinity_cpus", "blas", "blas_version", "blas_threads_queried"):
             assert setup[field] is None, field
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, x: save_matrix(path, np.eye(2) * x),
+    lambda path, x: save_dataset(path, Dataset(matrices=np.eye(2)[None] * x)),
+    lambda path, x: write_manifest(path, {"mode": "ops-game"}, {"x": x}),
+    lambda path, x: write_columns(path, ["x"], [[x]]),
+], ids=["matrix", "dataset", "manifest", "csv"])
+def test_a_failed_rename_leaves_the_earlier_file_and_no_part(tmp_path, monkeypatch, write):
+    """Every writer writes under `.part` and renames into place."""
+    path = tmp_path / "file"
+    write(path, 0.5)
+    before = path.read_bytes()
+
+    def fail(self, target):
+        raise OSError("cannot rename")
+
+    monkeypatch.setattr(Path, "replace", fail)
+    with pytest.raises(OSError, match="cannot rename"):
+        write(path, 0.25)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
