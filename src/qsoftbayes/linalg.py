@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 import numpy.linalg as npl
@@ -26,23 +26,19 @@ class DomainError(ValueError):
     """A value is outside the mathematical domain of the requested operation."""
 
 
-class SpectralDecomposition(NamedTuple):
-    eigenvalues: np.ndarray   # ascending, real
-    eigenvectors: np.ndarray  # columns, unitary
-
-
 def hermitianize(M: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (M + M^dagger) / 2 of a matrix or of a stack's matrices."""
     return (M + M.conj().swapaxes(-1, -2)) / 2
 
 
-def spectral(H: np.ndarray) -> SpectralDecomposition:
+def spectral(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the Hermitian part of H, eigenvalues ascending."""
     return hermitian_eigh(hermitianize(np.asarray(H)))
 
 
-def hermitian_eigh(H: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian H, eigenvalues ascending.
+def hermitian_eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian H: `eigenvalues` ascending, and
+    `eigenvectors` unitary, as columns.
 
     H is decomposed as given: `eigh` reads only its lower triangle and the
     real part of its diagonal, and decomposes the Hermitian matrix they
@@ -51,10 +47,9 @@ def hermitian_eigh(H: np.ndarray) -> SpectralDecomposition:
     diagonal are ignored.
     """
     try:
-        w, V = npl.eigh(H)
+        return npl.eigh(H)
     except npl.LinAlgError as exc:
         raise DomainError(f"eigendecomposition failed: {exc}") from exc
-    return SpectralDecomposition(w, V)
 
 
 def _from_spectrum(w: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -114,7 +109,7 @@ def _block_len(dim: int, count: int = 1) -> int:
 
 def _hermitian_psd(M: np.ndarray, label: Callable[[int], str], symbol: str = "A",
                    nonzero: bool = True, vectors: bool = False
-                   ) -> tuple[np.ndarray, SpectralDecomposition] | None:
+                   ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]] | None:
     """The validators' checks on every matrix of an (N, D, D) stack, in one pass.
 
     Each matrix must be finite, Hermitian and PSD and, with `nonzero`, not

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,6 +53,8 @@ class ComparatorResult:
     loss: float        # cumulative loss of `weights` on the stream
     gap: float         # duality-gap certificate at termination
     iterations: int
+    restarts: int      # momentum restarts (see `_accelerated_ml`)
+    backtracks: int    # step halvings
 
 
 def validate_returns(a: np.ndarray) -> np.ndarray:
@@ -217,7 +219,7 @@ def _best_fixed_portfolio(returns: np.ndarray, tol: float = 1e-8,
                           max_iters: int = 100_000) -> ComparatorResult:
     """`best_fixed_portfolio` on a checked (T, D) float64 stream."""
     rounds, dim = returns.shape
-    w, payoff, gap, steps = _accelerated_ml(
+    solved = _accelerated_ml(
         np.full(dim, 1.0 / dim),
         overlaps=lambda v: returns @ v,
         gradient=lambda p: returns.T @ (1.0 / p),
@@ -226,8 +228,23 @@ def _best_fixed_portfolio(returns: np.ndarray, tol: float = 1e-8,
         counts=np.ones(rounds), total=1,
         tol=tol, max_iters=max_iters, what="comparator",
     )
-    loss = -float(np.log(payoff).sum())
-    return ComparatorResult(weights=w, loss=loss, gap=gap, iterations=steps)
+    loss = -float(np.log(solved.p).sum())
+    return ComparatorResult(weights=solved.x, loss=loss, gap=solved.gap,
+                            iterations=solved.iterations, restarts=solved.restarts,
+                            backtracks=solved.backtracks)
+
+
+class _Solved(NamedTuple):
+    """What `_accelerated_ml` returns: the point x, its overlaps p, the
+    certificate it stopped on, and its counts of steps, momentum restarts
+    and step halvings."""
+
+    x: np.ndarray
+    p: np.ndarray
+    gap: float
+    iterations: int
+    restarts: int
+    backtracks: int
 
 
 def _accelerated_ml(
@@ -241,7 +258,7 @@ def _accelerated_ml(
     tol: float,
     max_iters: int,
     what: str,
-) -> tuple[np.ndarray, np.ndarray, float, int]:
+) -> _Solved:
     """Minimize f = -(1/total) sum_k counts_k log p_k(x) over a convex set.
 
     Accelerated projected gradient with restarts (Shang, Zhang and Ng, PRA
@@ -261,9 +278,11 @@ def _accelerated_ml(
     would rise. Both tests compare overlaps, not values of f, so they stay
     exact to the last bits near the optimum.
 
-    Returns `(x, p, gap, steps)` once `certificate <= tol` at x, the
-    certificate taken on exactly the returned point; raises `SolverError`
-    with the best gap seen after `max_iters` steps.
+    Returns x, p and the certificate once `certificate <= tol` at x, the
+    certificate taken on exactly the returned point, with the number of
+    steps, of restarts (a step whose momentum was dropped, because f would
+    rise or the extrapolated point left the domain) and of step halvings;
+    raises `SolverError` with the best gap seen after `max_iters` steps.
     """
     p = overlaps(x)
     if p.min() <= 0.0:
@@ -273,13 +292,14 @@ def _accelerated_ml(
     # after a restart (which sets t = 1), carry no momentum
     theta, step = 0.0, 1.0
     best_gap = math.inf
+    restarts = backtracks = 0
 
     for steps in range(max_iters):
         grad_x = gradient(p)
         gap = certificate(grad_x)
         best_gap = min(best_gap, gap)
         if gap <= tol:
-            return x, p, gap, steps
+            return _Solved(x, p, gap, steps, restarts, backtracks)
 
         theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
         y, p_y, grad = x, p, grad_x
@@ -291,12 +311,14 @@ def _accelerated_ml(
                 grad = gradient(p_y)
             else:
                 p_y, theta_next = p, 1.0
+                restarts += 1
         while True:
             cand = project(y + step * grad)
             q = overlaps(cand)
             d = cand - y
             if q.min() <= 0.0 or _bregman(counts, total, p_y, q) > np.vdot(d, d).real / (2.0 * step):
                 step /= 2.0
+                backtracks += 1
                 # from x a short enough step always passes; from an
                 # extrapolated y, whose projection may zero an overlap, it
                 # need not
@@ -306,6 +328,7 @@ def _accelerated_ml(
                 break
             # restart the momentum: step from x itself
             y, p_y, grad, theta_next = x, p, grad_x, 1.0
+            restarts += 1
         prev, p_prev = x, p
         x, p, theta = cand, q, theta_next
         step *= 1.2

@@ -18,6 +18,14 @@ that taking exp never over- or underflows, even over 10^5-round runs where
 the unnormalized trace drops below double-precision range. The trace of the
 true weights, exp(shift) * tr(exp(logW)), is tracked per step because the
 theory guarantees it never exceeds 1 and never increases.
+
+Each announced state is kept as its spectrum, the accumulator's
+eigenvectors V and the normalized weights w, and rho = V diag(w) V^dagger
+is built only where it is read. A rank-one observation A = mu u u^dagger
+reads its overlap from the spectrum, mu sum_j w_j |v_j^dagger u|^2, in
+O(D^2); any other observation reads tr(A rho) from the built state. So
+the learner loop builds the states of rounds whose observations are all
+rank one a block at a time, for the running average alone.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -49,20 +58,33 @@ class QsbState:
 
     log_weights carries log W_t minus shift * I; its largest eigenvalue is
     zero after the first update, so exp(log_weights) is always representable.
-    true_trace and rho_min_eig are cached from the eigendecomposition that
-    produced rho, since transcripts report both every round.
+    The announced state is kept as the spectrum of the decomposition that
+    produced it, which also gave true_trace: its eigenvalues `spectrum`
+    (ascending), which sum to `total`, and its eigenvectors `vectors`
+    (columns). So rho = vectors diag(spectrum / total) vectors^dagger, and
+    `rho` is built, exactly Hermitian, when first read.
     """
 
     log_weights: np.ndarray
     shift: float
-    rho: np.ndarray
+    spectrum: np.ndarray
+    total: float
+    vectors: np.ndarray
     round: int
     true_trace: float
-    rho_min_eig: float
 
     @property
     def dim(self) -> int:
-        return self.rho.shape[0]
+        return self.spectrum.shape[0]
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """The announced density matrix."""
+        return _from_spectrum(self.spectrum / self.total, self.vectors)
+
+    @property
+    def rho_min_eig(self) -> float:
+        return float(self.spectrum[0] / self.total)
 
 
 @dataclass(frozen=True)
@@ -74,7 +96,7 @@ class QstTranscript:
     true_traces: np.ndarray    # (T,), trace of the announced state's weights
     min_eigs: np.ndarray       # (T,), smallest eigenvalue of announced rho
     step_times_ns: np.ndarray  # (T,), the learner update, including the accumulator's
-                               # eigendecomposition, monotonic clock
+                               # eigendecomposition, monotonic clock; see `_play`
     average_state: np.ndarray  # mean of the announced density matrices
     final_state: QsbState
 
@@ -94,10 +116,11 @@ def qsb_init(dim: int) -> QsbState:
     return QsbState(
         log_weights=-math.log(dim) * np.eye(dim, dtype=complex),
         shift=0.0,
-        rho=np.eye(dim, dtype=complex) / dim,
+        spectrum=np.full(dim, 1.0 / dim),
+        total=1.0,
+        vectors=np.eye(dim, dtype=complex),
         round=1,
         true_trace=1.0,
-        rho_min_eig=1.0 / dim,
     )
 
 
@@ -106,9 +129,9 @@ def qsb_step(state: QsbState, A: np.ndarray, eta: float) -> QsbState:
 
     Runs the lockstep update with one learner on a copy of the state's
     accumulator, so `state` is left as it was. Like the learner loop, it
-    takes the rank-one update when A is rank one by `_records`' test on its
-    spectrum, and hermitianizes the new rho (see `_qsb_update`), so a chain
-    of `qsb_step` calls equals the loop bit for bit.
+    takes the rank-one overlap and update when A is rank one by `_records`'
+    test on its spectrum, and reads rho only when A is not, so a chain of
+    `qsb_step` calls equals the loop bit for bit.
     """
     A = np.asarray(A, dtype=complex)
     if not np.any(A):
@@ -116,11 +139,14 @@ def qsb_step(state: QsbState, A: np.ndarray, eta: float) -> QsbState:
     _check_eta(eta)
     mu, U = spectral(A[None])
     L = np.array(state.log_weights[None], dtype=complex)
-    shift = np.array([state.shift])
+    shift = [state.shift]
     block = _records(A[None, None], mu[None], U[None])
-    rho, total, p, _ = _qsb_update(L, _diagonals(L).real, shift, state.rho[None], block, 0,
-                                   block.one[0].tolist(), eta)
-    return _states(L, shift, rho, total, p[:, 0] / total, state.round + 1)[0]
+    ones = block.one[0].tolist()
+    rho = None if all(ones) else state.rho[None]
+    p, total, V, _ = _qsb_update(L, _diagonals(L).real, shift, state.spectrum[None],
+                                 np.array([state.total]), state.vectors[None], rho, block, 0,
+                                 ones, mu[:, -1].tolist(), eta)
+    return _states(L, shift, p, total, V, state.round + 1)[0]
 
 
 def _diagonals(L: np.ndarray) -> np.ndarray:
@@ -128,13 +154,13 @@ def _diagonals(L: np.ndarray) -> np.ndarray:
     return L.reshape(len(L), -1)[:, :: L.shape[-1] + 1]
 
 
-def _true_traces(shift: np.ndarray, total: np.ndarray) -> list[float]:
+def _true_traces(shift: list[float], total: np.ndarray) -> list[float]:
     """Each learner's true weight trace exp(shift) * total."""
-    return [math.exp(s + math.log(x)) for s, x in zip(shift.tolist(), total.tolist())]
+    return [math.exp(s + math.log(x)) for s, x in zip(shift, total.tolist())]
 
 
-def _states(L: np.ndarray, shift: np.ndarray, rho: np.ndarray, total: np.ndarray,
-            min_eig: np.ndarray, round: int) -> list[QsbState]:
+def _states(L: np.ndarray, shift: list[float], p: np.ndarray, total: np.ndarray,
+            V: np.ndarray, round: int) -> list[QsbState]:
     """The S learners' states, learner s from row s of the lockstep arrays.
 
     Each state's log weights are the Hermitian matrix that `eigh` reads from
@@ -143,9 +169,9 @@ def _states(L: np.ndarray, shift: np.ndarray, rho: np.ndarray, total: np.ndarray
     log_weights = np.where(np.tri(L.shape[-1], k=-1, dtype=bool), L, L.conj().swapaxes(-1, -2))
     _diagonals(log_weights)[:] = _diagonals(L).real
     return [
-        QsbState(log_weights=log_weights[s], shift=float(shift[s]), rho=rho[s], round=round,
-                 true_trace=trace, rho_min_eig=float(min_eig[s]))
-        for s, trace in enumerate(_true_traces(shift, total))
+        QsbState(log_weights=log_weights[s], shift=shift[s], spectrum=p[s], total=t,
+                 vectors=V[s], round=round, true_trace=trace)
+        for s, (t, trace) in enumerate(zip(total.tolist(), _true_traces(shift, total)))
     ]
 
 
@@ -155,12 +181,13 @@ _EPS = 2.0 ** -52  # the machine epsilon of float64
 class _Records(NamedTuple):
     """Records A, their eigenvalues mu (ascending), eigenvectors U and U's
     conjugate transposes UH, over any leading axes; `one` marks the rank-one
-    records and P holds the projectors u u^dagger onto the top eigenvectors.
-    P is None when no record is rank one, U and UH when every record is."""
+    records and P holds the projectors u u^dagger onto the top eigenvectors
+    u = U[..., -1]. P is None when no record is rank one, A and UH when every
+    record is."""
 
-    A: np.ndarray
+    A: np.ndarray | None
     mu: np.ndarray
-    U: np.ndarray | None
+    U: np.ndarray
     UH: np.ndarray | None
     one: np.ndarray
     P: np.ndarray | None
@@ -178,8 +205,9 @@ def _records(A: np.ndarray, mu: np.ndarray, U: np.ndarray) -> _Records:
     scaled projector (a Pauli record's lower eigenvalues measure at most
     2.8e-16 against a top of 1 at q = 1-3). The criterion reads only the
     record's own spectrum, so a learner takes the same update whichever
-    learners it steps beside. UH is a view of U's conjugate transpose, kept
-    with U only when some record is not rank one.
+    learners it steps beside. A rank-one record is read through mu, U and P
+    alone; A and UH, a view of U's conjugate transpose, are kept only when
+    some record is not rank one.
     """
     one = (np.abs(mu[..., :-1]) <= (mu.shape[-1] * _EPS) * mu[..., -1:]).all(axis=-1)
     P = None
@@ -187,69 +215,102 @@ def _records(A: np.ndarray, mu: np.ndarray, U: np.ndarray) -> _Records:
         u = U[..., -1]
         P = u[..., :, None] * u.conj()[..., None, :]
     if one.all():
-        return _Records(A, mu, None, None, one, P)
+        return _Records(None, mu, U, None, one, P)
     return _Records(A, mu, U, U.conj().swapaxes(-1, -2), one, P)
+
+
+def _spectral_overlaps(p: np.ndarray, total: np.ndarray, V: np.ndarray, u: np.ndarray,
+                       top: list[float]) -> list[float]:
+    """Each learner's tr(A rho) for a rank-one record A = mu_top u u^dagger.
+
+    Read from the announced state's spectrum, the (S, D) eigenvalues p that
+    sum to the (S,) totals and the (S, D, D) eigenvectors V, as
+    mu_top sum_j p_j |v_j^dagger u|^2 / total: O(D^2), and without rho.
+    u is the (S, D, 1) stack of top eigenvectors and `top` each learner's
+    mu_top. The sums run per learner, so each learner gets the bits of a
+    run of its own.
+    """
+    y = np.abs(np.vecdot(u, V, axis=-2))  # (S, D): |u^dagger v_j|
+    sums = np.vecdot(p, y * y).tolist()
+    return [m * x / t for m, x, t in zip(top, sums, total.tolist())]
 
 
 def _qsb_update(
     L: np.ndarray,
     diagonals: np.ndarray,
-    shift: np.ndarray,
-    rho: np.ndarray,
+    shift: list[float],
+    p: np.ndarray,
+    total: np.ndarray,
+    V: np.ndarray,
+    rho: np.ndarray | None,
     block: _Records,
     i: int,
     ones: list[bool],
+    mu_top: list[float],
     eta: float,
     labels: Sequence[str] = ("",),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """qsb_step for S learners at once, learner s observing its record of round i, in place.
 
     L is the (S, D, D) accumulator of log weights, `diagonals` a view of the
-    real parts of its diagonals and `shift` the (S,) shifts; the update
-    writes all three. Row i of the (n, S) `block` holds the records, and
-    `ones`, row i of `block.one` as a list, marks the rank-one ones. Returns
-    the new rho stack, each learner's total = tr(exp(L)) before normalizing,
-    the (S, D) spectra p (ascending) that sum to it, so p[:, 0] / total is
-    the smallest eigenvalue of rho, and each learner's c = tr(A rho), whose
-    negative log is the round's loss. G = (1 - eta) I + (eta / c) A has A's
-    eigenvectors, so log G needs no decomposition of its own: a rank-one
-    record steps by `_rank_one_step`, any other by `_log_g_step` (in a round
-    with both kinds, each learner steps alone), and the step decomposes only
-    the new accumulators, as one stack. rho is hermitianized every round,
-    since the next overlaps and the running average read it. The overlaps
-    are one stacked `vecdot`, equal bit for bit to each learner's own
-    `vdot`; a failed check names the first failing learner by its label.
+    real parts of its diagonals and `shift` the list of S shifts; the update
+    writes all three. The announced states come as their spectra, the
+    (S, D) eigenvalues p, their (S,) sums `total` and the (S, D, D)
+    eigenvectors V, and as the stack rho built from them, which may be None
+    when every record of the round is rank one: a rank-one record reads its
+    overlap from the spectrum (see `_spectral_overlaps`), any other from
+    rho. Row i of the (n, S) `block` holds the records; `ones` and
+    `mu_top`, row i of `block.one` and of the top eigenvalues as lists, mark
+    the rank-one ones and give their mu_top. Returns the new states'
+    spectra, in the same form: p (ascending), with the top eigenvalue
+    folded out, total = tr(exp(L)) and V; and each learner's c = tr(A rho),
+    whose negative log is the round's loss.
+    G = (1 - eta) I + (eta / c) A has A's eigenvectors, so log G needs no
+    decomposition of its own: a rank-one record steps by `_rank_one_step`,
+    any other by `_log_g_step` (in a round with both kinds, each learner
+    steps alone), and the step decomposes only the new accumulators, as one
+    stack. A failed check names the first failing learner by its label.
     The caller checks eta.
     """
-    A = block.A[i]
-    overlaps = np.vecdot(A.reshape(len(A), -1), rho.reshape(len(rho), -1)).real
-    c = overlaps.tolist()
+    every, some = all(ones), any(ones)
+    if some:
+        u = block.U[i, ..., -1, None]
+    if every:  # rho is not read
+        c = _spectral_overlaps(p, total, V, u, mu_top)
+    else:  # one stacked vecdot, equal bit for bit to each learner's own vdot
+        A = block.A[i]
+        overlaps = np.vecdot(A.reshape(len(A), -1), rho.reshape(len(rho), -1)).real
+        c = overlaps.tolist()
+        if some:
+            spectral = _spectral_overlaps(p, total, V, u, mu_top)
+            c = [x if one else y for one, x, y in zip(ones, spectral, c)]
+            overlaps = np.array(c)
     if min(c) <= 0.0:
         s = next(s for s, x in enumerate(c) if x <= 0.0)
         raise DomainError(f"{labels[s]}tr(A rho) = {c[s]!r} is not positive")
-    if all(ones):
-        _rank_one_step(L, shift, c, block.mu[i, :, -1].tolist(), block.P[i], eta)
-    elif not any(ones):
+    if every:
+        _rank_one_step(L, c, mu_top, block.P[i], eta)
+    elif not some:
         _log_g_step(L, overlaps, block.mu[i], block.U[i], block.UH[i], eta, labels)
     else:  # records of both kinds: each learner steps alone, on views of its rows
         for s, one in enumerate(ones):
             k = slice(s, s + 1)
             if one:
-                _rank_one_step(L[k], shift[k], c[k], block.mu[i, k, -1].tolist(), block.P[i, k],
-                               eta)
+                _rank_one_step(L[k], c[k], mu_top[k], block.P[i, k], eta)
             else:
                 _log_g_step(L[k], overlaps[k], block.mu[i, k], block.U[i, k], block.UH[i, k],
                             eta, labels[k])
     lam, V = hermitian_eigh(L)
 
-    # fold the top eigenvalues into the scalar shifts so exp stays in range
-    top = lam[:, -1]
-    p = np.exp(lam - top[:, None])
+    # fold the top eigenvalues into the scalar shifts so exp stays in range;
+    # a rank-one step's shift gains log(1 - eta) first (see `_rank_one_step`)
+    top = lam[:, -1:]
+    p = np.exp(lam - top)
     total = np.add.reduce(p, 1)
-    rho = _from_spectrum(p / total[:, None], V)
-    diagonals -= top[:, None]
-    shift += top
-    return rho, total, p, c
+    diagonals -= top
+    keep = math.log1p(-eta)
+    shift[:] = [(x + keep if one else x) + y for x, one, y in zip(shift, ones, top[:, 0].tolist())]
+    return p, total, V, c
 
 
 def _log_g_step(L: np.ndarray, overlaps: np.ndarray, mu: np.ndarray, U: np.ndarray,
@@ -269,20 +330,21 @@ def _log_g_step(L: np.ndarray, overlaps: np.ndarray, mu: np.ndarray, U: np.ndarr
     np.add(L, (U * np.log(g)[:, None, :]) @ UH, out=L)
 
 
-def _rank_one_step(L: np.ndarray, shift: np.ndarray, c: list[float], top: list[float],
-                   P: np.ndarray, eta: float) -> None:
-    """Add log G of rank-one records A = mu_top P to the accumulators L and shifts.
+def _rank_one_step(L: np.ndarray, c: list[float], top: list[float], P: np.ndarray,
+                   eta: float) -> None:
+    """Add log G of rank-one records A = mu_top P to the accumulators L, less its constant.
 
     log G = log(1 - eta) I + log1p(kappa mu_top) P with kappa = eta / ((1 - eta) c):
-    the accumulator gains the scaled projector and the shift the constant,
-    one scalar per learner, as Soft-Bayes scales each weight by one factor.
-    c and top hold each learner's overlap and mu_top. Both logarithms are of
-    numbers above 1 - eta > 0, so no floor check is needed.
+    the accumulator gains the scaled projector, and `_qsb_update` adds the
+    constant to the shift, one scalar per learner, as Soft-Bayes scales each
+    weight by one factor. c and top hold each learner's overlap and mu_top.
+    Both logarithms are of numbers above 1 - eta > 0, so no floor check is
+    needed.
     """
     rate = eta / (1.0 - eta)
-    w = np.array([math.log1p(rate / x * m) for x, m in zip(c, top)])
+    # complex, as numpy would cast it for the product anyway
+    w = np.array([math.log1p(rate / x * m) for x, m in zip(c, top)], dtype=complex)
     L += w.reshape(-1, 1, 1) * P
-    shift += math.log1p(-eta)
 
 
 # The quantum game has the classical game's regret guarantee, in one definition.
@@ -316,55 +378,106 @@ def _play(
     when its first round comes up. Round t announces the states and updates
     all learners with one `_qsb_update` on its row of the block, which writes
     the loop's accumulator in place; each learner takes the rank-one or the
-    general update by its own record, as `qsb_step` does. Also returns the
-    average announced states after each round numbered in `checkpoints`,
-    exactly Hermitian as each announced state is.
+    general overlap and update by its own record, as `qsb_step` does.
+
+    A round whose records are all rank one reads no rho, so its announced
+    states are kept as their spectra and built at the block's end, or at a
+    checkpoint, by one stacked `_from_spectrum`; the states any other round
+    reads are built at the end of the round before, while its eigenvectors
+    are fresh, or in the round when it is the first or opens a block after
+    a round that read no rho. Built states go into the running sum at once
+    unless kept ones came before them; at the block's end and at
+    checkpoints, `np.add.accumulate` adds those in round order, which gives
+    the bits of adding each in its round. Also
+    returns the average announced states after each round numbered in
+    `checkpoints`, exactly Hermitian as each announced state is.
     With `transcript`, `per_round` holds the losses -log tr(A_t rho_t), the
     announced states' true traces and min eigenvalues, each (S, T), and the
-    step times (T,) in ns, which cover the update alone, not `draw`; without
-    it, none of these is kept, and the min eigenvalue is taken only for the
-    exit states.
+    step times (T,) in ns, which cover the update and any build of rho in
+    the round, but not `draw` or the kept states' builds; without it, none
+    of these is kept.
     """
     _check_eta(eta)
     count = len(labels)
     start = qsb_init(dim)
     L = np.stack([start.log_weights] * count)
     diagonals = _diagonals(L).real
-    shift = np.zeros(count)
-    rho = np.stack([start.rho] * count)
-    total = np.ones(count)
-    p = np.full((count, dim), start.rho_min_eig)  # the spectra of rho * total
+    shift = [0.0] * count
+    p = np.stack([start.spectrum] * count)  # the announced states' spectra
+    total = np.full(count, start.total)
+    V = np.stack([start.vectors] * count)
     if transcript:
         losses = np.empty((count, rounds))
         true_traces = np.empty((count, rounds))
         min_eigs = np.empty((count, rounds))
         step_times = np.empty(rounds, dtype=np.int64)
     rho_sum = np.zeros((count, dim, dim), dtype=complex)
+    # the announced states not yet in rho_sum, in round order: the spectra
+    # (p, total, V) of a round that read no rho, or the (S, D, D) stack a later
+    # round built
+    pending: list[np.ndarray | tuple[np.ndarray, ...]] = []
+
+    def add_pending() -> None:
+        if not pending:
+            return
+        sums = np.empty((len(pending) + 1, count, dim, dim), dtype=complex)
+        sums[0] = rho_sum
+        spectra = [k for k, x in enumerate(pending, 1) if type(x) is tuple]
+        if spectra:
+            ps, totals, Vs = zip(*(pending[k - 1] for k in spectra))
+            w = np.concatenate(ps) / np.concatenate(totals)[:, None]
+            sums[spectra] = _from_spectrum(w, np.concatenate(Vs)).reshape(-1, count, dim, dim)
+        for k, x in enumerate(pending, 1):
+            if type(x) is not tuple:
+                sums[k] = x
+        np.add.accumulate(sums, axis=0, out=sums)
+        rho_sum[:] = sums[-1]
+        pending.clear()
+
     averages = []
+    rho = None  # the announced states, when the round before built them
     step = _block_len(dim, count)
     for t in range(rounds):
-        rho_sum += rho
-        if t + 1 in checkpoints:
-            averages.append(rho_sum / (t + 1))
+        i = t % step
+        if i == 0:
+            add_pending()
+            block = draw(t, min(t + step, rounds))
+            ones = block.one.tolist()
+            no_rho = block.one.all(axis=1).tolist()  # the rounds that read no rho
+            tops = block.mu[..., -1].tolist()
         if transcript:
             true_traces[:, t] = _true_traces(shift, total)
             min_eigs[:, t] = p[:, 0] / total
-        i = t % step
-        if i == 0:
-            block = draw(t, min(t + step, rounds))
-            ones = block.one.tolist()
-        if transcript:
             t0 = time.perf_counter_ns()
+        if no_rho[i]:
+            rho = None
+            pending.append((p, total, V))
+        elif rho is None:
+            rho = _from_spectrum(p / total[:, None], V)
         try:
-            rho, total, p, c = _qsb_update(L, diagonals, shift, rho, block, i, ones[i], eta,
-                                           labels)
+            p, total, V, c = _qsb_update(L, diagonals, shift, p, total, V, rho, block, i, ones[i],
+                                         tops[i], eta, labels)
         except DomainError as exc:
             raise DomainError(f"round {t + 1}: {exc}") from exc
+        # the next states, built while V is fresh if the next round (at the
+        # block's end, this one) reads rho
+        announced, rho = rho, (
+            None if t + 1 == rounds or no_rho[min(i + 1, len(no_rho) - 1)]
+            else _from_spectrum(p / total[:, None], V))
         if transcript:
             step_times[t] = time.perf_counter_ns() - t0
             losses[:, t] = [-math.log(x) for x in c]
+        if announced is not None:
+            if pending:  # it waits for the kept states before it
+                pending.append(announced)
+            else:
+                rho_sum += announced
+        if t + 1 in checkpoints:
+            add_pending()
+            averages.append(rho_sum / (t + 1))
+    add_pending()
     return _Played(
-        final_states=_states(L, shift, rho, total, p[:, 0] / total, rounds + 1),
+        final_states=_states(L, shift, p, total, V, rounds + 1),
         average_states=rho_sum / rounds,
         checkpoint_averages=averages,
         per_round=(losses, true_traces, min_eigs, step_times) if transcript else None,

@@ -26,7 +26,7 @@ from .linalg import (
     spectral,
     validate_density,
 )
-from .portfolio import _accelerated_ml, _simplex_projection, learning_rate
+from .portfolio import _accelerated_ml, _simplex_projection, _Solved, learning_rate
 from .qsb import QsbState, _play, _records
 
 
@@ -400,10 +400,11 @@ def batch_ml_solve(
 
 
 def _ml_oracle(data: Dataset, tol: float = 1e-7, max_iters: int = 100_000
-               ) -> tuple[np.ndarray, float, float, int]:
-    """`batch_ml_solve`'s `(rho, f)`, then the certificate lambda_max(R(rho)) - 1
-    it stopped on and the number of solver steps it took."""
-    rho, p, gap, steps = _accelerated_ml(
+               ) -> tuple[np.ndarray, float, _Solved]:
+    """`batch_ml_solve`'s `(rho, f)`, then the solver's record: the
+    certificate lambda_max(R(rho)) - 1 it stopped on and its counts of
+    steps, restarts and backtracks."""
+    solved = _accelerated_ml(
         np.eye(data.dim, dtype=complex) / data.dim,
         overlaps=lambda x: _overlaps(data.elements, x),
         gradient=lambda q: _stationarity(data, q),
@@ -412,7 +413,7 @@ def _ml_oracle(data: Dataset, tol: float = 1e-7, max_iters: int = 100_000
         counts=data.counts, total=len(data),
         tol=tol, max_iters=max_iters, what="ML solver",
     )
-    return rho, _neg_log_likelihood(data, p), gap, steps
+    return solved.x, _neg_log_likelihood(data, solved.p), solved
 
 
 def _density_projection(H: np.ndarray) -> np.ndarray:

@@ -225,7 +225,8 @@ MANIFEST_KEYS = {"kind", "config", "config_sha256", "rng", "package_version", "n
                  "phase_seconds"}
 THREAD_KEYS = {"nproc", "affinity_cpus", "blas", "blas_version", "blas_threads_env",
                "blas_threads_queried"}
-ML_MANIFEST = ({"oracle_objective", "oracle_cert_gap", "oracle_iterations", "records",
+ML_MANIFEST = ({"oracle_objective", "oracle_cert_gap", "oracle_iterations", "oracle_restarts",
+                "oracle_backtracks", "records",
                 "distinct_records", "seed_summaries", "mean_final_gap", "error_bound",
                 "learner_round_us"},
                {"dataset", "save_dataset", "oracle", "learners", "write"})
@@ -253,12 +254,13 @@ def test_each_mode_writes_its_manifest_keys_and_phases(tmp_path, run_cli, datase
     assert 0.0 < manifest["peak_rss_mb"] < 1024.0
     assert set(manifest["phase_seconds"]) == phases
     assert all(seconds >= 0.0 for seconds in manifest["phase_seconds"].values())
-    # the oracle's certificate and step count: the run's, or each qst-game seed's
+    # the oracle's certificate and counts: the run's, or each qst-game seed's
     oracles = (manifest["seed_summaries"] if name == "qst-game"
                else [manifest] if name.startswith("ml-run") else [])
     for record in oracles:
         assert record["oracle_cert_gap"] <= 1e-7
-        assert isinstance(record["oracle_iterations"], int) and record["oracle_iterations"] >= 0
+        for count in ("iterations", "restarts", "backtracks"):
+            assert isinstance(record[f"oracle_{count}"], int) and record[f"oracle_{count}"] >= 0
     # the learners' cost per round, and each learner's exit state
     if name.startswith("ml-run"):
         rounds = int(manifest["config"]["rounds"])
@@ -372,6 +374,9 @@ class TestOpsGameMode:
         summary = manifest["seed_summaries"][0]
         assert summary["comparator_gap"] <= 1e-8
         assert summary["regret"] <= summary["regret_bound"]
+        comparator = best_fixed_portfolio(uniform_returns(make_rng(1), 40, 3))
+        for count in ("iterations", "restarts", "backtracks"):
+            assert summary[f"comparator_{count}"] == getattr(comparator, count)
 
     def test_report_equals_the_row_by_row_reference(self, tmp_path):
         """The report is `format_cell` of each round's values, the bound taken
@@ -820,10 +825,11 @@ class TestValidateMode:
     @pytest.mark.parametrize("argv, content", [
         (["validate"], None),
         (["ml-run", "--dim", "2", "--povm", "from-file", "--input"], None),
-        (["validate"], b'{"kind": "return-stream", "dim": 2, "rows": [[0.5, 0.5]]}'),
-        (["validate"], b'{"kind": "return-stream", "rounds": 1, "rows": [[0.5, 0.5]]}'),
-        (["validate"], b'{"kind": "return-stream", "rounds": 2, "dim": 2, "rows": [[0.5, 0.5], [0.5]]}'),
-        (["validate"], b'{"kind": "return-stream", "rounds": 1, "dim": 2, "rows": [["0.5", 0.5]]}'),
+        (["validate"], b'{"kind": "dataset", "dim": 1, "matrices": [[[1.0, 0.0]]]}'),
+        (["validate"], b'{"kind": "matrix", "entries": [[1.0, 0.0]]}'),
+        (["validate"], b'{"kind": "dataset", "dim": 1, "n": 2,'
+                       b' "matrices": [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}'),
+        (["validate"], b'{"kind": "matrix", "dim": 1, "entries": [["0.5", 0.0]]}'),
         (["validate"], b'\xff\xfe{"kind": "matrix"}'),
         (["validate"], DATASET % (b'1', b'2', b'["x", "y"]')),
         (["validate"], DATASET % (b'1', b'2', b'[[1, 2]]')),
@@ -839,7 +845,7 @@ class TestValidateMode:
         (["validate"], b'{"kind": "matrix", "dim": 1, "entries": [[true, false]]}'),
         (["validate"], b'{"kind": "dataset", "dim": 1, "n": 1, "matrices": [[[true, false]]]}'),
         (["validate"], b'{"kind": "dataset", "dim": 1, "n": 1, "elements": [[[true, false]]], "index": [0]}'),
-    ], ids=["argv0", "argv1", "no-rounds", "no-dim", "ragged-rows", "string-entry", "not-utf8",
+    ], ids=["argv0", "argv1", "no-n", "no-dim", "ragged-rows", "string-entry", "not-utf8",
             "provenance-strings", "provenance-2d", "provenance-float", "dim-bool", "n-bool",
             "dim-huge", "index-past-the-end", "both-forms", "int-over-digit-limit", "nested-too-deep",
             "matrix-bool-entry", "record-bool-entry", "element-bool-entry"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qsoftbayes import portfolio
 from qsoftbayes.ensembles import make_rng, uniform_returns
 from qsoftbayes.linalg import DomainError, ValidationError
 from qsoftbayes.portfolio import (
@@ -262,7 +263,20 @@ class TestBestFixedPortfolio:
         result = best_fixed_portfolio(np.ones((6, 3)))
         assert result.loss == pytest.approx(0.0, abs=1e-12)
         assert result.gap <= 1e-8
-        assert result.iterations == 0
+        assert (result.iterations, result.restarts, result.backtracks) == (0, 0, 0)
+
+    def test_counts_restarts_and_backtracks(self, monkeypatch):
+        """From the uniform start the unit step overshoots the vertex-heavy
+        optimum: the solver halves it and restarts its momentum, and each
+        halving or restart costs one more projection."""
+        projections = []
+        project = portfolio._simplex_projection
+        monkeypatch.setattr(portfolio, "_simplex_projection",
+                            lambda v: projections.append(v) or project(v))
+        result = best_fixed_portfolio(np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]] * 7))
+        assert result.restarts >= 1 and result.backtracks >= 1
+        assert result.iterations < len(projections) <= (
+            result.iterations + result.restarts + result.backtracks)
 
     def test_bernoulli_closed_form(self):
         """Counts (3, 7) of the two vertices give weights (0.3, 0.7)."""

@@ -76,6 +76,25 @@ class TestQsbStep:
         stacked = np.vecdot(A.reshape(pairs, -1), rho.reshape(pairs, -1)).real
         assert np.array_equal(stacked, [np.vdot(a, r).real for a, r in zip(A, rho)])
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 32, 64])
+    def test_accumulated_states_equal_each_rounds_sum(self, dim):
+        """The learner loop adds a block's deferred states to the running sum
+        with one `np.add.accumulate`, seeded with the sum so far. It must
+        equal adding them one round at a time, bit for bit, or the average
+        states move."""
+        rng = make_rng(50 + dim)
+        rounds, learners = 40, 2
+        G = rng.standard_normal((rounds, learners, dim, dim)) * (1 + 1j)
+        states = G @ G.conj().swapaxes(-1, -2) / dim
+        running = np.zeros((learners, dim, dim), dtype=complex)
+        for rho in states[:7]:  # a running sum that is not zero
+            running += rho
+        sums = np.concatenate([running[None], states[7:]])
+        np.add.accumulate(sums, axis=0, out=sums)
+        for t, rho in enumerate(states[7:], start=1):
+            running += rho
+            assert np.array_equal(sums[t], running)
+
     def test_identity_observation_is_a_fixed_point(self):
         """tr(I rho) = 1, the multiplier collapses to I, nothing moves."""
         state = qsb_step(qsb_init(2), np.eye(2), eta=0.3)
@@ -156,10 +175,11 @@ class TestQsbStep:
         rank1 = QsbState(
             log_weights=np.zeros((2, 2), dtype=complex),
             shift=0.0,
-            rho=np.diag([1.0, 0.0]).astype(complex),
+            spectrum=np.array([0.0, 1.0]),  # rho = diag(1, 0)
+            total=1.0,
+            vectors=np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
             round=1,
             true_trace=1.0,
-            rho_min_eig=0.0,
         )
         with pytest.raises(DomainError):
             qsb_step(rank1, np.diag([0.0, 1.0]), eta=0.5)
@@ -275,6 +295,28 @@ class TestRankOneUpdate:
                             abs(ours.shift - theirs.shift),
                             abs(ours.true_trace - theirs.true_trace))
         assert worst <= 1e-13
+
+    def test_the_spectral_overlap_equals_the_overlap_with_rho(self):
+        """A rank-one record A = mu u u^dagger reads tr(A rho) from the
+        announced spectrum, mu sum_j w_j |v_j^dagger u|^2, without building
+        rho; it agrees with vdot(A, rho) to 1e-14 relative."""
+        starts = {}
+        worst = 0.0
+        for name, A in rank_one_records():
+            dim = A.shape[0]
+            if dim not in starts:  # a state away from the maximally mixed one
+                state = qsb_init(dim)
+                for B in psd_observation_stream(make_rng(95 + dim), 3, dim):
+                    state = qsb_step(state, B, eta=0.3)
+                starts[dim] = state
+            state = starts[dim]
+            mu, U = spectral(A[None])
+            ours = qsb._spectral_overlaps(state.spectrum[None], np.array([state.total]),
+                                          state.vectors[None], U[..., -1, None],
+                                          mu[:, -1].tolist())[0]
+            theirs = float(np.vdot(A, state.rho).real)
+            worst = max(worst, abs(ours - theirs) / theirs)
+        assert worst <= 1e-14
 
     def test_each_round_takes_the_update_of_its_record(self, monkeypatch):
         calls = []

@@ -729,7 +729,8 @@ class TestStochasticQsb:
         """The loop asks for `_block_len(D, S)` rounds at a time, so each
         gathered stack of all seeds' rounds holds at most `_CHECK_BLOCK`
         entries, and the blocks cover every round once, in order. A block of
-        rank-one records gathers their projectors and no eigenvectors."""
+        rank-one records gathers their eigenvectors and projectors, and
+        neither the records nor the eigenvectors' conjugate transposes."""
         blocks = []
         play = tomography._play
 
@@ -749,10 +750,31 @@ class TestStochasticQsb:
         assert [b[:2] for b in blocks] == [(t, min(t + n, rounds)) for t in range(0, rounds, n)]
         for start, stop, shapes in blocks:
             m = stop - start
-            # A, mu, no eigenvectors (every Pauli record is rank one), kinds, P
-            assert shapes == [(m, S, 4, 4), (m, S, 4), None, None, (m, S), (m, S, 4, 4)]
+            # no A, mu, U, no UH (every Pauli record is rank one), kinds, P
+            assert shapes == [None, (m, S, 4), (m, S, 4, 4), None, (m, S), (m, S, 4, 4)]
             assert m * S * 4 * 4 <= linalg._CHECK_BLOCK
         assert linalg._block_len(4, 1) == 512 and linalg._block_len(4, 3) == 170
+
+    def test_builds_rank_one_rounds_states_a_block_at_a_time(self, monkeypatch):
+        """Rounds whose records are all rank one read no rho: the loop builds
+        their announced states with one `_from_spectrum` per block or
+        checkpoint, each state once. Full-rank records have their states
+        built one round at a time."""
+        built = []
+        build = qsb._from_spectrum
+        monkeypatch.setattr(qsb, "_from_spectrum",
+                            lambda w, V: built.append(len(w)) or build(w, V))
+        rng = make_rng(17)
+        pauli = generate_dataset(random_density(rng, 4), pauli_basis_povms(2), 300, rng)
+        full = Dataset(matrices=np.stack([random_psd(rng, 4) for _ in range(20)]))
+        rounds, seeds = 1300, (2, 5)
+        checkpoints = len(stochastic_qsb(pauli, rounds, seeds)[0].checkpoints)
+        blocks = -(-rounds // linalg._block_len(4, len(seeds)))
+        assert len(built) <= blocks + checkpoints < rounds / 50
+        assert sum(built) == rounds * len(seeds)
+        built.clear()
+        stochastic_qsb(full, rounds, seeds)
+        assert built == [len(seeds)] * rounds
 
     def test_decomposes_the_element_stack_once_per_call(self, monkeypatch):
         decomposed = []
@@ -867,9 +889,10 @@ class TestBatchMlSolve:
         rng = make_rng(20 + qubits)
         data = generate_dataset(random_density(rng, 2 ** qubits), pauli_basis_povms(qubits),
                                 shots, rng)
-        rho, f, gap, iterations = tomography._ml_oracle(data, tol=1e-7)
+        rho, f, solver = tomography._ml_oracle(data, tol=1e-7)
+        gap = solver.gap
         assert gap == float(np.linalg.eigvalsh(stationarity_operator(rho, data))[-1]) - 1.0
-        assert gap <= 1e-7 and iterations >= 1
+        assert gap <= 1e-7 and solver.iterations >= 1
         solved = batch_ml_solve(data, tol=1e-7)
         assert np.array_equal(solved[0], rho) and solved[1] == f
 
