@@ -46,7 +46,6 @@ from .portfolio import (
     SolverError,
     _best_fixed_portfolio,
     _soft_bayes_lockstep,
-    _Solved,
     ops_regret_bound,
     validate_return_stream,
 )
@@ -374,7 +373,7 @@ def _qst_datasets(config: ExperimentConfig) -> Iterator[Dataset]:
 def _qst_seed(config: ExperimentConfig, seed: int, transcript: QstTranscript, oracle: tuple,
               out: Path) -> dict:
     """Write one seed's qst-game artifacts, given its `_ml_oracle` answer; returns its summary."""
-    _, f_star, solved = oracle
+    _, f_star, *solve = oracle
     comparator_loss = f_star * config.rounds
     write_qst_report(out / f"qst_seed{seed}.csv", transcript)
     save_matrix(out / f"rho_bar_seed{seed}.json", transcript.average_state)
@@ -388,19 +387,13 @@ def _qst_seed(config: ExperimentConfig, seed: int, transcript: QstTranscript, or
         "regret": transcript.total_loss - comparator_loss,
         "final_true_trace": transcript.final_state.true_trace,
         "final_min_eig": transcript.final_state.rho_min_eig,
-        **_oracle_summary(solved),
+        **dict(zip(_ORACLE_KEYS, solve)),
         **_step_summary(times),
     }
 
 
-def _oracle_summary(solved: _Solved) -> dict:
-    """The manifest's record of the oracle's solve: its certificate and counts."""
-    return {
-        "oracle_cert_gap": solved.gap,
-        "oracle_iterations": solved.iterations,
-        "oracle_restarts": solved.restarts,
-        "oracle_backtracks": solved.backtracks,
-    }
+# the manifest's keys for what `_ml_oracle` returns after (rho, f)
+_ORACLE_KEYS = ("oracle_cert_gap", "oracle_iterations", "oracle_restarts", "oracle_backtracks")
 
 
 def _step_summary(times: np.ndarray) -> dict:
@@ -542,7 +535,7 @@ def _run_ml(config: ExperimentConfig, out_dir: Path) -> dict:
     phases.lap("dataset")
     save_dataset(out_dir / "dataset.json", data)
     phases.lap("save_dataset")
-    rho_hat, f_star, solved = _ml_oracle(data, tol=1e-7)
+    rho_hat, f_star, *solve = _ml_oracle(data, tol=1e-7)
     phases.lap("oracle")
     checkpoints = list(config.checkpoints) if config.checkpoints is not None else None
     results = stochastic_qsb(data, config.rounds, config.seeds, eta=config.eta,
@@ -554,7 +547,7 @@ def _run_ml(config: ExperimentConfig, out_dir: Path) -> dict:
 
     extra: dict = {
         "oracle_objective": f_star,
-        **_oracle_summary(solved),
+        **dict(zip(_ORACLE_KEYS, solve)),
         "records": len(data),
         "distinct_records": len(data.elements),
         "seed_summaries": summaries,

@@ -24,8 +24,9 @@ eigenvectors V and the normalized weights w, and rho = V diag(w) V^dagger
 is built only where it is read. A rank-one observation A = mu u u^dagger
 reads its overlap from the spectrum, mu sum_j w_j |v_j^dagger u|^2, in
 O(D^2); any other observation reads tr(A rho) from the built state. So
-the learner loop builds the states of rounds whose observations are all
-rank one a block at a time, for the running average alone.
+the learner loop builds the states of a block of rounds whose
+observations are all rank one in one stack, for the running average
+alone.
 """
 
 from __future__ import annotations
@@ -380,22 +381,21 @@ def _play(
     the loop's accumulator in place; each learner takes the rank-one or the
     general overlap and update by its own record, as `qsb_step` does.
 
-    A round whose records are all rank one reads no rho, so its announced
-    states are kept as their spectra and built at the block's end, or at a
-    checkpoint, by one stacked `_from_spectrum`; the states any other round
-    reads are built at the end of the round before, while its eigenvectors
-    are fresh, or in the round when it is the first or opens a block after
-    a round that read no rho. Built states go into the running sum at once
-    unless kept ones came before them; at the block's end and at
-    checkpoints, `np.add.accumulate` adds those in round order, which gives
-    the bits of adding each in its round. Also
+    A block whose records are all rank one reads no rho, so it keeps its
+    announced states as their spectra and builds them at its end, or at a
+    checkpoint, by one stacked `_from_spectrum`; `np.add.accumulate` adds
+    them to the running sum in round order, which gives the bits of adding
+    each in its round. Any other block builds each round's states at the
+    end of the round before, while its eigenvectors are fresh, and adds
+    them in their round. Also
     returns the average announced states after each round numbered in
     `checkpoints`, exactly Hermitian as each announced state is.
     With `transcript`, `per_round` holds the losses -log tr(A_t rho_t), the
     announced states' true traces and min eigenvalues, each (S, T), and the
-    step times (T,) in ns, which cover the update and any build of rho in
-    the round, but not `draw` or the kept states' builds; without it, none
-    of these is kept.
+    step times (T,) in ns, which cover the update and, in a block that
+    builds its states round by round, the build of the next state and the
+    addition of this one to the running sum, but not `draw` or a block's
+    stacked build; without it, none of these is kept.
     """
     _check_eta(eta)
     count = len(labels)
@@ -412,46 +412,43 @@ def _play(
         min_eigs = np.empty((count, rounds))
         step_times = np.empty(rounds, dtype=np.int64)
     rho_sum = np.zeros((count, dim, dim), dtype=complex)
-    # the announced states not yet in rho_sum, in round order: the spectra
-    # (p, total, V) of a round that read no rho, or the (S, D, D) stack a later
-    # round built
-    pending: list[np.ndarray | tuple[np.ndarray, ...]] = []
+    step = _block_len(dim, count)
+    # the spectra of a block's announced states not yet in rho_sum, in round
+    # order: rows :kept of these buffers
+    kept_p = np.empty((step, count, dim))
+    kept_total = np.empty((step, count))
+    kept_V = np.empty((step, count, dim, dim), dtype=complex)
+    kept = 0
 
-    def add_pending() -> None:
-        if not pending:
+    def add_kept() -> None:
+        nonlocal kept
+        if not kept:
             return
-        sums = np.empty((len(pending) + 1, count, dim, dim), dtype=complex)
-        sums[0] = rho_sum
-        spectra = [k for k, x in enumerate(pending, 1) if type(x) is tuple]
-        if spectra:
-            ps, totals, Vs = zip(*(pending[k - 1] for k in spectra))
-            w = np.concatenate(ps) / np.concatenate(totals)[:, None]
-            sums[spectra] = _from_spectrum(w, np.concatenate(Vs)).reshape(-1, count, dim, dim)
-        for k, x in enumerate(pending, 1):
-            if type(x) is not tuple:
-                sums[k] = x
+        built = _from_spectrum((kept_p[:kept] / kept_total[:kept, :, None]).reshape(-1, dim),
+                               kept_V[:kept].reshape(-1, dim, dim))
+        sums = np.concatenate([rho_sum, built]).reshape(-1, count, dim, dim)
         np.add.accumulate(sums, axis=0, out=sums)
         rho_sum[:] = sums[-1]
-        pending.clear()
+        kept = 0
 
     averages = []
     rho = None  # the announced states, when the round before built them
-    step = _block_len(dim, count)
     for t in range(rounds):
         i = t % step
         if i == 0:
-            add_pending()
+            add_kept()
             block = draw(t, min(t + step, rounds))
             ones = block.one.tolist()
-            no_rho = block.one.all(axis=1).tolist()  # the rounds that read no rho
+            keep = bool(block.one.all())  # no round of the block reads rho
             tops = block.mu[..., -1].tolist()
         if transcript:
             true_traces[:, t] = _true_traces(shift, total)
             min_eigs[:, t] = p[:, 0] / total
             t0 = time.perf_counter_ns()
-        if no_rho[i]:
-            rho = None
-            pending.append((p, total, V))
+        if keep:
+            kept_p[kept], kept_total[kept], kept_V[kept] = p, total, V
+            kept += 1
+            rho = None  # a block before may have built it
         elif rho is None:
             rho = _from_spectrum(p / total[:, None], V)
         try:
@@ -459,23 +456,18 @@ def _play(
                                          tops[i], eta, labels)
         except DomainError as exc:
             raise DomainError(f"round {t + 1}: {exc}") from exc
-        # the next states, built while V is fresh if the next round (at the
-        # block's end, this one) reads rho
-        announced, rho = rho, (
-            None if t + 1 == rounds or no_rho[min(i + 1, len(no_rho) - 1)]
-            else _from_spectrum(p / total[:, None], V))
+        if not keep:
+            rho_sum += rho
+            # a block's last round builds the next states too, as if the next
+            # block were of its kind
+            rho = _from_spectrum(p / total[:, None], V) if t + 1 < rounds else None
         if transcript:
             step_times[t] = time.perf_counter_ns() - t0
             losses[:, t] = [-math.log(x) for x in c]
-        if announced is not None:
-            if pending:  # it waits for the kept states before it
-                pending.append(announced)
-            else:
-                rho_sum += announced
         if t + 1 in checkpoints:
-            add_pending()
+            add_kept()
             averages.append(rho_sum / (t + 1))
-    add_pending()
+    add_kept()
     return _Played(
         final_states=_states(L, shift, p, total, V, rounds + 1),
         average_states=rho_sum / rounds,

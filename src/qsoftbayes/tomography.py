@@ -26,7 +26,7 @@ from .linalg import (
     spectral,
     validate_density,
 )
-from .portfolio import _accelerated_ml, _simplex_projection, _Solved, learning_rate
+from .portfolio import _accelerated_ml, _simplex_projection, learning_rate
 from .qsb import QsbState, _play, _records
 
 
@@ -400,10 +400,9 @@ def batch_ml_solve(
 
 
 def _ml_oracle(data: Dataset, tol: float = 1e-7, max_iters: int = 100_000
-               ) -> tuple[np.ndarray, float, _Solved]:
-    """`batch_ml_solve`'s `(rho, f)`, then the solver's record: the
-    certificate lambda_max(R(rho)) - 1 it stopped on and its counts of
-    steps, restarts and backtracks."""
+               ) -> tuple[np.ndarray, float, float, int, int, int]:
+    """`batch_ml_solve`'s `(rho, f)`, then the certificate lambda_max(R(rho)) - 1
+    it stopped on and the solver's counts of steps, restarts and backtracks."""
     solved = _accelerated_ml(
         np.eye(data.dim, dtype=complex) / data.dim,
         overlaps=lambda x: _overlaps(data.elements, x),
@@ -413,7 +412,8 @@ def _ml_oracle(data: Dataset, tol: float = 1e-7, max_iters: int = 100_000
         counts=data.counts, total=len(data),
         tol=tol, max_iters=max_iters, what="ML solver",
     )
-    return solved.x, _neg_log_likelihood(data, solved.p), solved
+    return (solved.x, _neg_log_likelihood(data, solved.p), solved.gap, solved.iterations,
+            solved.restarts, solved.backtracks)
 
 
 def _density_projection(H: np.ndarray) -> np.ndarray:

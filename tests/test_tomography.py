@@ -758,8 +758,9 @@ class TestStochasticQsb:
     def test_builds_rank_one_rounds_states_a_block_at_a_time(self, monkeypatch):
         """Rounds whose records are all rank one read no rho: the loop builds
         their announced states with one `_from_spectrum` per block or
-        checkpoint, each state once. Full-rank records have their states
-        built one round at a time."""
+        checkpoint, each state once. A block with some full-rank record, of a
+        full-rank or a mixed stream, has its states built one round at a
+        time."""
         built = []
         build = qsb._from_spectrum
         monkeypatch.setattr(qsb, "_from_spectrum",
@@ -772,9 +773,10 @@ class TestStochasticQsb:
         blocks = -(-rounds // linalg._block_len(4, len(seeds)))
         assert len(built) <= blocks + checkpoints < rounds / 50
         assert sum(built) == rounds * len(seeds)
-        built.clear()
-        stochastic_qsb(full, rounds, seeds)
-        assert built == [len(seeds)] * rounds
+        for data in (full, Dataset(matrices=np.concatenate([pauli.matrices, full.matrices]))):
+            built.clear()
+            stochastic_qsb(data, rounds, seeds)
+            assert built == [len(seeds)] * rounds
 
     def test_decomposes_the_element_stack_once_per_call(self, monkeypatch):
         decomposed = []
@@ -889,10 +891,9 @@ class TestBatchMlSolve:
         rng = make_rng(20 + qubits)
         data = generate_dataset(random_density(rng, 2 ** qubits), pauli_basis_povms(qubits),
                                 shots, rng)
-        rho, f, solver = tomography._ml_oracle(data, tol=1e-7)
-        gap = solver.gap
+        rho, f, gap, iterations, _, _ = tomography._ml_oracle(data, tol=1e-7)
         assert gap == float(np.linalg.eigvalsh(stationarity_operator(rho, data))[-1]) - 1.0
-        assert gap <= 1e-7 and solver.iterations >= 1
+        assert gap <= 1e-7 and iterations >= 1
         solved = batch_ml_solve(data, tol=1e-7)
         assert np.array_equal(solved[0], rho) and solved[1] == f
 
