@@ -15,11 +15,11 @@ import json
 import operator
 import os
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .linalg import ValidationError
+from .linalg import ValidationError, _block_len
 from .tomography import Dataset
 
 
@@ -29,10 +29,15 @@ def _pairs(M: np.ndarray) -> list:
     return M.view(np.float64).reshape(*M.shape[:-2], -1, 2).tolist()
 
 
-def matrix_to_record(M: np.ndarray) -> dict:
+def _square(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {M.shape}")
+    return M
+
+
+def matrix_to_record(M: np.ndarray) -> dict:
+    M = _square(M)
     return {"kind": "matrix", "dim": M.shape[0], "entries": _pairs(M)}
 
 
@@ -44,7 +49,11 @@ def matrix_from_record(rec: dict) -> np.ndarray:
 
 
 def save_matrix(path, M: np.ndarray) -> None:
-    write_json(path, matrix_to_record(M))
+    """`write_json(path, matrix_to_record(M))`, byte for byte, without the
+    record's nested lists (see `_matrix_texts`)."""
+    M = _square(M)
+    _write_file(path, f'{{"dim":{M.shape[0]},"entries":',
+                [*_matrix_texts(M[None]), ',"kind":"matrix"}\n'])
 
 
 def load_matrix(path) -> np.ndarray:
@@ -115,7 +124,10 @@ def dataset_from_record(rec: dict, label: Callable[[int], str] | None = None) ->
             raise ValidationError(f"element {unused[0]} is referenced by no record")
         elements = _matrix_stack(blocks, dim, "element")
     povm_idx = out_idx = None
-    if rec.get("has_provenance"):
+    has_provenance = rec.get("has_provenance", False)
+    if type(has_provenance) is not bool:
+        raise ValidationError(f"'has_provenance' must be true or false, got {has_provenance!r}")
+    if has_provenance:
         povm_idx = _index_list(rec, "povm_indices", n, _INT64_END)
         out_idx = _index_list(rec, "outcome_indices", n, _INT64_END)
     return Dataset(elements=elements, index=index, povm_indices=povm_idx, outcome_indices=out_idx,
@@ -123,7 +135,59 @@ def dataset_from_record(rec: dict, label: Callable[[int], str] | None = None) ->
 
 
 def save_dataset(path, data: Dataset) -> None:
-    write_json(path, dataset_to_record(data))
+    """`write_json(path, dataset_to_record(data))`, byte for byte, written a
+    block of elements at a time (see `_matrix_texts`): neither the record's
+    nested lists nor the whole file's text is held. The keys come in sorted
+    order, and the integer lists are json's text of them."""
+    _write_file(path, f'{{"dim":{data.dim},"elements":[', _dataset_tail(data))
+
+
+def _dataset_tail(data: Dataset) -> Iterator[str]:
+    """The text of a dataset record after its '{"dim":D,"elements":['."""
+    yield from _matrix_texts(data.elements)
+    has = data.has_provenance
+    yield (f'],"has_provenance":{json.dumps(has)},"index":{_int_list(data.index)},'
+           f'"kind":"dataset","n":{len(data)}')
+    if has:
+        yield (f',"outcome_indices":{_int_list(data.outcome_indices)}'
+               f',"povm_indices":{_int_list(data.povm_indices)}')
+    yield "}\n"
+
+
+def _int_list(values) -> str:
+    return json.dumps(np.asarray(values, dtype=np.int64).tolist(), separators=(",", ":"))
+
+
+# json's text of the floats that are not finite; float.__repr__ spells the rest
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _matrix_texts(M: np.ndarray) -> Iterator[str]:
+    """The json text of a (K, D, D) stack's matrices, each a list of
+    row-major [re, im] pairs, joined by commas: one text for each block of
+    `linalg._block_len(D)` matrices."""
+    dim = M.shape[-1]
+    step = _block_len(max(dim, 1))
+    matrix = "[" + ",".join(["[%s,%s]"] * (dim * dim)) + "]"
+    for start in range(0, len(M), step):
+        block = M[start:start + step]
+        yield _spell(("," if start else "") + ",".join([matrix] * len(block)), block)
+
+
+def _spell(template: str, block: np.ndarray) -> str:
+    """`template` with its `%s` fields filled by json's text of the real and
+    imaginary parts of `block`'s entries, in order.
+
+    Each distinct bit pattern is spelled once (so -0.0 and 0.0 stay apart):
+    by `float.__repr__`, as json spells a finite float, or as NaN or Infinity.
+    """
+    block = np.ascontiguousarray(block, dtype=complex)
+    bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+    floats = bits.view(np.float64)
+    words = list(map(float.__repr__, floats.tolist()))
+    if not np.isfinite(floats).all():
+        words = [_NONFINITE.get(word, word) for word in words]
+    return template % tuple(np.array(words, dtype=object)[inverse].tolist())
 
 
 def load_dataset(path, label: Callable[[int], str] | None = None) -> Dataset:
@@ -223,8 +287,7 @@ def _write_file(path, text: str, more=()) -> None:
     try:
         with part.open("w", encoding="utf-8", newline="") as f:
             f.write(text)
-            for block in more:
-                f.write(block)
+            f.writelines(more)
         part.replace(path)
     except BaseException:
         part.unlink(missing_ok=True)

@@ -229,13 +229,13 @@ ML_MANIFEST = ({"oracle_objective", "oracle_cert_gap", "oracle_iterations", "ora
                 "oracle_backtracks", "records",
                 "distinct_records", "seed_summaries", "mean_final_gap", "error_bound",
                 "learner_round_us"},
-               {"dataset", "save_dataset", "oracle", "learners", "write"})
+               {"import_random", "dataset", "save_dataset", "oracle", "learners", "write"})
 MODE_MANIFESTS = {
-    "ops-game": ({"seed_summaries"}, {"returns", "game", "comparator", "write"}),
-    "qst-game": ({"seed_summaries"}, {"dataset", "game", "oracle", "write"}),
+    "ops-game": ({"seed_summaries"}, {"import_random", "returns", "game", "comparator", "write"}),
+    "qst-game": ({"seed_summaries"}, {"import_random", "dataset", "game", "oracle", "write"}),
     "ml-run": ML_MANIFEST,
     "ml-run-from-file": ML_MANIFEST,
-    "scaling-bench": ({"scaling"}, {"d2", "d4"}),
+    "scaling-bench": ({"scaling"}, {"import_random", "d2", "d4"}),
 }
 
 
@@ -439,7 +439,7 @@ class TestOpsGameMode:
         assert run_cli(["ops-game", "--dim", "2", "--rounds", "9", "--seeds", "0,1",
                         "--out", str(out)]) == 0
         phases = load_payload(out / "manifest.json")["phase_seconds"]
-        assert set(phases) == {"returns", "game", "comparator", "write"}
+        assert set(phases) == {"import_random", "returns", "game", "comparator", "write"}
         assert all(seconds >= 0.0 for seconds in phases.values())
         header, _ = read_csv(out / "ops_seed0.csv")
         assert header == OPS_COLUMNS
@@ -596,7 +596,8 @@ class TestMlRunMode:
         assert manifest["distinct_records"] == len(data.elements) <= 6
         assert manifest["oracle_cert_gap"] <= 1e-7
         phases = manifest["phase_seconds"]
-        assert set(phases) == {"dataset", "save_dataset", "oracle", "learners", "write"}
+        assert set(phases) == {"import_random", "dataset", "save_dataset", "oracle", "learners",
+                               "write"}
         assert all(seconds >= 0.0 for seconds in phases.values())
 
     def test_empty_checkpoints_skip_evaluation(self, tmp_path, run_cli):
@@ -656,7 +657,7 @@ class TestScalingBenchMode:
         assert set(report["table"][0]) == {"dim", "rounds", "step_ns_median", "step_ns_mean",
                                            "step_ns_p90"}
         phases = load_payload(out / "manifest.json")["phase_seconds"]
-        assert set(phases) == {"d2", "d4"}
+        assert set(phases) == {"import_random", "d2", "d4"}
         assert all(seconds >= 0.0 for seconds in phases.values())
 
     def test_draws_no_more_than_one_block_at_a_time(self, tmp_path, run_cli, monkeypatch):

@@ -182,3 +182,19 @@ def test_hermitianize_is_projection():
     H = hermitianize(M)
     assert np.array_equal(H, hermitianize(H))
     assert np.allclose(H, H.conj().T)
+
+
+def test_hermitianize_is_exactly_hermitian_and_keeps_the_division_zeros():
+    """The result is Hermitian bit for bit and is (M + M^H) / 2, also in the
+    signs of its zeros: complex division computes (a + b * 0) / 2, and
+    `* 0.5` (a complex product) gives the other sign to a -0.0 part, which
+    reaches eigh through the Pauli elements and moves ml-run's artifacts."""
+    rng = make_rng(16)
+    M = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    M[0, 1, 2] = M[0, 2, 1] = complex(-0.0, 1.0)
+    M[1, 0, 3] = M[1, 3, 0] = complex(-0.0, -0.0)
+    H = hermitianize(M)
+    assert np.array_equal(H, H.conj().swapaxes(-1, -2))
+    S = M + M.conj().swapaxes(-1, -2)
+    assert H.tobytes() == (S / 2).tobytes()
+    assert H.tobytes() != (S * 0.5).tobytes()

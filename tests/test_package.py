@@ -18,7 +18,8 @@ def test_the_cli_imports_no_third_party_package_but_numpy():
     """numpy is the one dependency: importing the CLI in a fresh interpreter
     loads no other installed package (scipy, say), only the standard library.
     Packages that the interpreter loads at start-up, before the import, are
-    not the CLI's."""
+    not the CLI's. numpy.random stays unloaded: a run imports it in a phase
+    of its own (`import_random`), outside the import that `setup_s` times."""
     src = str(Path(qsoftbayes.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -29,6 +30,7 @@ def test_the_cli_imports_no_third_party_package_but_numpy():
     loaded = {name.partition(".")[0] for name in run.stdout.split()}
     assert "qsoftbayes" in loaded and "numpy" in loaded
     assert loaded - set(sys.stdlib_module_names) == {"qsoftbayes", "numpy"}
+    assert "numpy.random" not in run.stdout.split()
 
 
 # The nine acceptance verdicts, one test each, in the order of the file

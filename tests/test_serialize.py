@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -13,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from qsoftbayes import serialize
 from qsoftbayes.cli import main, write_ops_report
-from qsoftbayes.ensembles import make_rng, random_density, uniform_returns
-from qsoftbayes.linalg import ValidationError
+from qsoftbayes.ensembles import _psd_block, make_rng, random_density, uniform_returns
+from qsoftbayes.linalg import ValidationError, _block_len
 from qsoftbayes.portfolio import ops_regret_bound
 from qsoftbayes.serialize import (
     config_hash,
@@ -284,6 +285,27 @@ class TestDatasetContainer:
         with pytest.raises(ValidationError, match=match):
             dataset_from_record(rec)
 
+    @pytest.mark.parametrize("value, provenance", [
+        ("absent", False), (False, False), (True, True),
+        ("yes", None), (0, None), (1, None), (None, None), ([True], None),
+    ])
+    @pytest.mark.parametrize("form", ["per-record", "elements+index"])
+    def test_has_provenance_must_be_a_json_boolean(self, value, provenance, form):
+        """Absent or false is no provenance, true is provenance; any other
+        value fails on its own, not on a list it would have named."""
+        data = generate_dataset(np.eye(2) / 2, pauli_basis_povms(1), 3, make_rng(5))
+        rec = per_record(data) if form == "per-record" else dataset_to_record(data)
+        if value == "absent":
+            del rec["has_provenance"]
+        else:
+            rec["has_provenance"] = value
+        if provenance is None:
+            message = f"'has_provenance' must be true or false, got {value!r}"
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                dataset_from_record(rec)
+        else:
+            assert dataset_from_record(rec).has_provenance is provenance
+
     @pytest.mark.parametrize("key, value, match", [
         ("dim", True, "'dim' must be a nonnegative integer, got True"),
         ("n", True, "'n' must be a nonnegative integer, got True"),
@@ -318,6 +340,75 @@ class TestDatasetContainer:
         rec = {"kind": "dataset", "dim": 10**10, "n": 1, "elements": [], "index": [0]}
         with pytest.raises(ValidationError, match=r"'index' holds 0, outside \[0, 0\)"):
             dataset_from_record(rec)
+
+
+# --- the block writer -------------------------------------------------------
+
+def json_reference(rec: dict) -> bytes:
+    """The bytes `write_json` gives a record: what the block writers must write."""
+    return (json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def psd_elements(n: int, dim: int) -> np.ndarray:
+    """n continuous-valued PSD matrices, distinct bit for bit."""
+    return _psd_block(make_rng(3), n, dim)[0]
+
+
+def with_provenance(matrices: np.ndarray) -> Dataset:
+    n = len(matrices)
+    return Dataset(matrices=matrices, povm_indices=np.arange(n), outcome_indices=np.arange(n) % 3)
+
+
+# K at one block of D = 4 elements (`linalg._block_len`) and one either side
+BLOCK_4 = _block_len(4)
+
+
+class TestBlockWriter:
+    """`save_dataset` and `save_matrix` write a block of elements at a time,
+    and their bytes are `write_json`'s of the record, `json_reference`."""
+
+    @pytest.mark.parametrize("make", [
+        signed_zero_data,
+        lambda: Dataset(matrices=np.array([np.diag([5e-324, 1e150]), np.diag([1.0, 2.0]),
+                                           np.diag([3.0, 0.0]), np.diag([1e16, 2.5e-8])])),
+        lambda: pauli_data(40),
+        lambda: Dataset(matrices=psd_elements(5, 3)),
+        lambda: Dataset(matrices=np.eye(2)[None]),
+        lambda: with_provenance(psd_elements(1, 4)),
+        lambda: with_provenance(psd_elements(BLOCK_4 - 1, 4)),
+        lambda: with_provenance(psd_elements(BLOCK_4, 4)),
+        lambda: Dataset(matrices=psd_elements(BLOCK_4 + 1, 4)),
+        lambda: Dataset(matrices=psd_elements(3, 100)),
+    ], ids=["signed-zeros", "tiny-huge-integral", "pauli", "no-provenance", "K=1",
+            "K=1-provenance", "block-1", "block", "block+1", "matrix-over-a-block"])
+    def test_save_dataset_writes_the_json_of_its_record(self, tmp_path, make):
+        data = make()
+        save_dataset(tmp_path / "d.json", data)
+        assert (tmp_path / "d.json").read_bytes() == json_reference(dataset_to_record(data))
+
+    @pytest.mark.parametrize("M", [
+        random_density(make_rng(4), 5),
+        np.array([[1.0, complex(-0.0, 0.0)], [complex(0.0, -0.0), 5e-324]]),
+        np.array([[np.nan, np.inf], [-np.inf, 1e300]]),
+        np.arange(9.0).reshape(3, 3).T,
+        psd_elements(1, 100)[0],
+    ], ids=["density", "signed-zeros", "non-finite", "real-transposed", "over-a-block"])
+    def test_save_matrix_writes_the_json_of_its_record(self, tmp_path, M):
+        save_matrix(tmp_path / "m.json", M)
+        assert (tmp_path / "m.json").read_bytes() == json_reference(matrix_to_record(M))
+
+    def test_a_continuous_dataset_is_written_in_bounded_memory(self, tmp_path):
+        """16 blocks of distinct D = 8 elements, every float of them distinct:
+        the traced peak is one block's work, well below the file's size."""
+        data = Dataset(matrices=psd_elements(16 * _block_len(8), 8))
+        path = tmp_path / "d.json"
+        tracemalloc.start()
+        try:
+            save_dataset(path, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
 
 
 # --- fuzzing the dataset reader ---------------------------------------------
@@ -408,6 +499,19 @@ def test_fuzzed_records_load_or_fail_with_one_error_line(tmp_path_factory, rec):
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
     if rec.get("kind") == "dataset":
         assert code == (1 if data is None else 0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dataset_records())
+def test_save_dataset_writes_the_json_of_any_loaded_record(tmp_path_factory, rec):
+    """Whatever dataset a record loads into is written as json.dumps writes its record."""
+    try:
+        data = dataset_from_record(rec)
+    except ValidationError:
+        return
+    path = tmp_path_factory.getbasetemp() / "written_dataset.json"
+    save_dataset(path, data)
+    assert path.read_bytes() == json_reference(dataset_to_record(data))
 
 
 class TestCsv:
