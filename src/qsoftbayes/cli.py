@@ -12,65 +12,39 @@ Every run writes a manifest (config echo + hash, library versions, RNG name,
 wall-clock, peak memory) next to its artifacts. CSV and matrix artifacts are pure
 functions of config + seed, byte for byte; wall-clock quantities live only
 in the manifest and the *_times.json sidecars.
+
+Importing this module loads numpy and `linalg`, which parsing, the config
+checks and the exit codes need. A run loads the modules its mode runs,
+`MODE_MODULES`, when it starts, and a function imports the names it uses.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .ensembles import (
-    _psd_block,
-    make_rng,
-    random_density,
-    rank1_observation_stream,
-    uniform_returns,
-)
 from .linalg import (
     DomainError,
+    SolverError,
     ValidationError,
     _check_unit_trace,
     hermitian_eigh,
     hermitianize,
     validate_observation,
 )
-from .portfolio import (
-    SolverError,
-    _best_fixed_portfolio,
-    _soft_bayes_lockstep,
-    ops_regret_bound,
-    validate_return_stream,
-)
-from .qsb import QstTranscript, _qst_game
-from .serialize import (
-    dataset_form,
-    dataset_from_record,
-    format_column,
-    load_dataset,
-    load_payload,
-    matrix_from_record,
-    save_dataset,
-    save_matrix,
-    write_columns,
-    write_json,
-    write_manifest,
-)
-from .tomography import (
-    Dataset,
-    MlResult,
-    _ml_oracle,
-    generate_dataset,
-    pauli_basis_povms,
-    stochastic_qsb,
-)
+
+if TYPE_CHECKING:
+    from .qsb import QstTranscript
+    from .tomography import Dataset, MlResult
 
 POVM_KINDS = ("pauli-basis", "random-rank1", "from-file")
 
@@ -86,6 +60,14 @@ MODE_KEYS = {
     "validate": ("input",),
 }
 MODE_POVMS = {"qst-game": POVM_KINDS, "ml-run": ("pauli-basis", "from-file")}
+# The package modules each run mode runs (with the modules they import),
+# loaded when its run starts; validate loads what reading its file needs.
+MODE_MODULES = {
+    "ops-game": ("ensembles", "portfolio", "serialize"),
+    "qst-game": ("serialize", "tomography"),
+    "ml-run": ("serialize", "tomography"),
+    "scaling-bench": ("ensembles", "qsb", "serialize"),
+}
 
 OPS_COLUMNS = ["round", "loss", "cum_loss", "comparator_loss", "regret", "bound"]
 QST_COLUMNS = ["round", "loss", "cum_loss", "true_trace", "min_eig_rho"]
@@ -275,10 +257,14 @@ def parse_config_file(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:
             rec = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # ValueError covers JSONDecodeError and an integer literal over
+        # Python's digit limit; RecursionError, nesting too deep
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: invalid JSON config: {exc}") from exc
         config = rec.get("config", rec)
         if not isinstance(config, dict):
@@ -306,6 +292,8 @@ def write_ops_report(path, losses: np.ndarray, returns: np.ndarray,
     array, or its text from `format_column`, which a run of several seeds
     builds once for all of them.
     """
+    from .serialize import write_columns
+
     rounds, dim = returns.shape
     cum = np.cumsum(losses)
     comp_cum = np.cumsum(-np.log(returns @ comparator_weights))
@@ -315,6 +303,8 @@ def write_ops_report(path, losses: np.ndarray, returns: np.ndarray,
 
 def write_qst_report(path, transcript: QstTranscript) -> None:
     """Per-round CSV for the quantum game; timing is reported elsewhere."""
+    from .serialize import write_columns
+
     write_columns(path, QST_COLUMNS, [
         range(1, len(transcript.losses) + 1), transcript.losses,
         transcript.cumulative_losses, transcript.true_traces, transcript.min_eigs,
@@ -328,6 +318,8 @@ def ml_error_bound(dim: int, rounds: float) -> float:
 
 def write_ml_report(path, result: MlResult, f_star: float) -> None:
     """Per-checkpoint CSV for one stochastic run; header-only when no checkpoints."""
+    from .serialize import write_columns
+
     dim = result.rho_bar.shape[0]
     checkpoints, values = result.checkpoints, result.objective_values
     write_columns(path, ML_COLUMNS, [
@@ -341,6 +333,8 @@ def write_ml_report(path, result: MlResult, f_star: float) -> None:
 def _input_dataset(config: ExperimentConfig, label: Callable[[int], str] | None = None) -> Dataset:
     """The --input dataset, which must have the configured dimension; `label`
     names a failing record as in `validate_dataset`."""
+    from .serialize import load_dataset
+
     data = load_dataset(config.input_path, label)
     if data.dim != config.dims[0]:
         raise ConfigError(f"{config.input_path} has dimension {data.dim}, need {config.dims[0]}")
@@ -350,6 +344,9 @@ def _input_dataset(config: ExperimentConfig, label: Callable[[int], str] | None 
 def _qst_datasets(config: ExperimentConfig) -> Iterator[Dataset]:
     """Each seed's game stream, as the dataset the oracle fits and the game plays;
     a from-file input is loaded and checked once, and every seed plays its first --rounds records."""
+    from .ensembles import make_rng, rank1_observation_stream
+    from .tomography import Dataset
+
     dim = config.dims[0]
     if config.povm == "from-file":
         # record n is what round n + 1 of the game plays
@@ -373,6 +370,8 @@ def _qst_datasets(config: ExperimentConfig) -> Iterator[Dataset]:
 def _qst_seed(config: ExperimentConfig, seed: int, transcript: QstTranscript, oracle: tuple,
               out: Path) -> dict:
     """Write one seed's qst-game artifacts, given its `_ml_oracle` answer; returns its summary."""
+    from .serialize import save_matrix, write_json
+
     _, f_star, *solve = oracle
     comparator_loss = f_star * config.rounds
     write_qst_report(out / f"qst_seed{seed}.csv", transcript)
@@ -407,6 +406,8 @@ def _step_summary(times: np.ndarray) -> dict:
 
 def _ml_seed(result: MlResult, out_dir: Path, f_star: float) -> dict:
     """Write one seed's ml-run artifacts; returns its manifest summary."""
+    from .serialize import save_matrix
+
     write_ml_report(out_dir / f"ml_seed{result.seed}.csv", result, f_star)
     save_matrix(out_dir / f"rho_bar_seed{result.seed}.json", result.rho_bar)
     summary = {
@@ -422,6 +423,8 @@ def _ml_seed(result: MlResult, out_dir: Path, f_star: float) -> dict:
 
 
 def _ml_dataset(config: ExperimentConfig) -> Dataset:
+    from .ensembles import make_rng
+
     if config.povm == "from-file":
         return _input_dataset(config)
     return _pauli_dataset(make_rng(config.data_seed), config.dims[0], config.shots)
@@ -429,6 +432,9 @@ def _ml_dataset(config: ExperimentConfig) -> Dataset:
 
 def _pauli_dataset(rng: np.random.Generator, dim: int, shots: int) -> Dataset:
     """`shots` Pauli-basis records of a random D = `dim` truth state, both drawn from `rng`."""
+    from .ensembles import random_density
+    from .tomography import generate_dataset, pauli_basis_povms
+
     truth = random_density(rng, dim)
     return generate_dataset(truth, pauli_basis_povms(dim.bit_length() - 1), shots, rng)
 
@@ -457,6 +463,15 @@ def _run_ops(config: ExperimentConfig, out_dir: Path, phases: _Phases) -> dict:
     once each; every later phase reads a seed's stream as a view of it.
     Returns the manifest fields, with the seconds spent in each phase.
     """
+    from .ensembles import make_rng, uniform_returns
+    from .portfolio import (
+        _best_fixed_portfolio,
+        _soft_bayes_lockstep,
+        ops_regret_bound,
+        validate_return_stream,
+    )
+    from .serialize import format_column
+
     dim, rounds = config.dims[0], config.rounds
     returns = np.empty((len(config.seeds), rounds, dim))
     for seed, stream in zip(config.seeds, returns):
@@ -507,6 +522,9 @@ def _run_qst(config: ExperimentConfig, out_dir: Path, phases: _Phases) -> dict:
     from that one result. Returns the manifest fields, with the seconds spent
     in each phase, summed over the seeds.
     """
+    from .qsb import _qst_game
+    from .tomography import _ml_oracle
+
     summaries, played = [], None
     for seed, data in zip(config.seeds, _qst_datasets(config)):
         phases.lap("dataset")
@@ -528,6 +546,9 @@ def _run_ml(config: ExperimentConfig, out_dir: Path, phases: _Phases) -> dict:
     Returns the manifest fields, with the seconds spent in each phase and
     the learners' microseconds per round (all seeds' steps of one round).
     """
+    from .serialize import save_dataset, save_matrix
+    from .tomography import _ml_oracle, stochastic_qsb
+
     data = _ml_dataset(config)
     phases.lap("dataset")
     save_dataset(out_dir / "dataset.json", data)
@@ -562,6 +583,9 @@ def _scaling_row(config: ExperimentConfig, seed: int, dim: int) -> dict:
     """Step times at one dimension. The stream is drawn, checked, decomposed
     and played a block at a time, so no more than one block of it is held at
     once, and each block's one `eigh` both scales it and feeds the learner."""
+    from .ensembles import _psd_block, make_rng
+    from .qsb import _qst_game
+
     rng = make_rng(seed)
     times = _qst_game(lambda start, stop: _psd_block(rng, stop - start, dim),
                       config.rounds, dim, config.eta).step_times_ns
@@ -574,6 +598,8 @@ def _run_scaling(config: ExperimentConfig, out_dir: Path, phases: _Phases) -> di
     Returns the manifest fields, with the seconds spent drawing, checking and
     playing each dimension, keyed like `d64`.
     """
+    from .serialize import write_json
+
     seed = config.seeds[0]
     table = []
     for dim in config.dims:
@@ -590,6 +616,8 @@ def _run_scaling(config: ExperimentConfig, out_dir: Path, phases: _Phases) -> di
 
 
 def _run_validate(config: ExperimentConfig) -> list[str]:
+    from .serialize import dataset_form, dataset_from_record, load_payload, matrix_from_record
+
     rec = load_payload(config.input_path)
     kind = rec.get("kind")
     lines = [f"file: {config.input_path}", f"kind: {kind}"]
@@ -640,16 +668,21 @@ def run_experiment(config: ExperimentConfig) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         extra: dict = {"mode": config.mode}
 
-        # numpy loads numpy.random on first use; its one-off import is a phase
-        # of its own, not a share of the first phase that draws
+        # numpy loads numpy.random on first use, and the mode's modules load
+        # here: their one-off imports are a phase of their own, not a share of
+        # the first phase that draws
         phases = _Phases()
         import numpy.random  # noqa: F401
-        phases.lap("import_random")
+        for name in MODE_MODULES[config.mode]:
+            importlib.import_module(f".{name}", __package__)
+        phases.lap("imports")
         driver = {"ops-game": _run_ops, "qst-game": _run_qst, "ml-run": _run_ml}
         extra.update(driver.get(config.mode, _run_scaling)(config, out_dir, phases))
 
         extra["elapsed_seconds"] = time.monotonic() - started
         extra["wallclock_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        from .serialize import write_manifest
+
         write_manifest(out_dir / "manifest.json", config_to_mapping(config), extra)
         print(f"wrote artifacts to {out_dir}")
         return 0

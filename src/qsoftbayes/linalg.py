@@ -26,6 +26,15 @@ class DomainError(ValueError):
     """A value is outside the mathematical domain of the requested operation."""
 
 
+class SolverError(RuntimeError):
+    """An iterative solver hit its iteration cap before certifying tolerance."""
+
+    def __init__(self, message: str, gap: float, iterations: int):
+        super().__init__(message)
+        self.gap = gap
+        self.iterations = iterations
+
+
 def hermitianize(M: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (M + M^dagger) / 2 of a matrix or of a stack's matrices."""
     return (M + M.conj().swapaxes(-1, -2)) / 2

@@ -16,16 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import DomainError, ValidationError
-
-
-class SolverError(RuntimeError):
-    """An iterative solver hit its iteration cap before certifying tolerance."""
-
-    def __init__(self, message: str, gap: float, iterations: int):
-        super().__init__(message)
-        self.gap = gap
-        self.iterations = iterations
+from .linalg import DomainError, SolverError, ValidationError
 
 
 @dataclass(frozen=True)

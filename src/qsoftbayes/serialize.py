@@ -15,12 +15,14 @@ import json
 import operator
 import os
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
 from .linalg import ValidationError, _block_len
-from .tomography import Dataset
+
+if TYPE_CHECKING:  # a reader imports it when it builds one, so writing loads no solver
+    from .tomography import Dataset
 
 
 def _pairs(M: np.ndarray) -> list:
@@ -101,6 +103,8 @@ def dataset_from_record(rec: dict, label: Callable[[int], str] | None = None) ->
     Every block's entry count is checked before any stack is allocated, and
     the elements+index form is never expanded to one block per record.
     """
+    from .tomography import Dataset
+
     dim = _dim_field(rec)
     n = _int_field(rec, "n")
     if n < 1:
@@ -138,7 +142,7 @@ def save_dataset(path, data: Dataset) -> None:
     """`write_json(path, dataset_to_record(data))`, byte for byte, written a
     block of elements at a time (see `_matrix_texts`): neither the record's
     nested lists nor the whole file's text is held. The keys come in sorted
-    order, and the integer lists are json's text of them."""
+    order, and the integer lists are json's text of them, a block at a time."""
     _write_file(path, f'{{"dim":{data.dim},"elements":[', _dataset_tail(data))
 
 
@@ -146,16 +150,29 @@ def _dataset_tail(data: Dataset) -> Iterator[str]:
     """The text of a dataset record after its '{"dim":D,"elements":['."""
     yield from _matrix_texts(data.elements)
     has = data.has_provenance
-    yield (f'],"has_provenance":{json.dumps(has)},"index":{_int_list(data.index)},'
-           f'"kind":"dataset","n":{len(data)}')
+    yield f'],"has_provenance":{json.dumps(has)},"index":'
+    yield from _int_list(data.index)
+    yield f',"kind":"dataset","n":{len(data)}'
     if has:
-        yield (f',"outcome_indices":{_int_list(data.outcome_indices)}'
-               f',"povm_indices":{_int_list(data.povm_indices)}')
+        yield ',"outcome_indices":'
+        yield from _int_list(data.outcome_indices)
+        yield ',"povm_indices":'
+        yield from _int_list(data.povm_indices)
     yield "}\n"
 
 
-def _int_list(values) -> str:
-    return json.dumps(np.asarray(values, dtype=np.int64).tolist(), separators=(",", ":"))
+# Integers of a list whose json text is made at a time
+_INT_BLOCK = 2 ** 13
+
+
+def _int_list(values) -> Iterator[str]:
+    """json's text of a list of integers, one text for each block of them."""
+    values = np.asarray(values, dtype=np.int64)
+    yield "["
+    for start in range(0, len(values), _INT_BLOCK):
+        text = json.dumps(values[start:start + _INT_BLOCK].tolist(), separators=(",", ":"))
+        yield ("," if start else "") + text[1:-1]
+    yield "]"
 
 
 # json's text of the floats that are not finite; float.__repr__ spells the rest

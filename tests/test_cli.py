@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsoftbayes import cli, linalg, portfolio
+from qsoftbayes import cli, ensembles, linalg, portfolio, qsb, tomography
 from qsoftbayes.cli import (
     ConfigError,
     ExperimentConfig,
@@ -229,13 +229,13 @@ ML_MANIFEST = ({"oracle_objective", "oracle_cert_gap", "oracle_iterations", "ora
                 "oracle_backtracks", "records",
                 "distinct_records", "seed_summaries", "mean_final_gap", "error_bound",
                 "learner_round_us"},
-               {"import_random", "dataset", "save_dataset", "oracle", "learners", "write"})
+               {"imports", "dataset", "save_dataset", "oracle", "learners", "write"})
 MODE_MANIFESTS = {
-    "ops-game": ({"seed_summaries"}, {"import_random", "returns", "game", "comparator", "write"}),
-    "qst-game": ({"seed_summaries"}, {"import_random", "dataset", "game", "oracle", "write"}),
+    "ops-game": ({"seed_summaries"}, {"imports", "returns", "game", "comparator", "write"}),
+    "qst-game": ({"seed_summaries"}, {"imports", "dataset", "game", "oracle", "write"}),
     "ml-run": ML_MANIFEST,
     "ml-run-from-file": ML_MANIFEST,
-    "scaling-bench": ({"scaling"}, {"import_random", "d2", "d4"}),
+    "scaling-bench": ({"scaling"}, {"imports", "d2", "d4"}),
 }
 
 
@@ -343,6 +343,19 @@ class TestParseConfigFile:
         with pytest.raises(ConfigError, match="object"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("content", [
+        b"mode=ops-game\ndim=\xff\n",
+        b'{"config": ' + b"[" * 10**5 + b"]" * 10**5 + b"}",
+        b'{"config": {"mode": "ops-game", "rounds": ' + b"9" * 5000 + b"}}",
+    ], ids=["not-utf-8", "nested-too-deep", "too-many-digits"])
+    def test_an_unreadable_file_exits_2_with_one_line(self, tmp_path, capsys, content):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(content)
+        assert main(["ops-game", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("text", ["mode=ml-run\nqubits=abc\n", '{"config": [1]}'],
                              ids=["key-value", "json"])
     def test_bad_config_file_exits_2_with_one_line(self, tmp_path, capsys, text):
@@ -414,8 +427,8 @@ class TestOpsGameMode:
         """One vector `ops_regret_bound` call gives every seed's bound column
         and its manifest `regret_bound`."""
         calls = []
-        bound = cli.ops_regret_bound
-        monkeypatch.setattr(cli, "ops_regret_bound",
+        bound = portfolio.ops_regret_bound
+        monkeypatch.setattr(portfolio, "ops_regret_bound",
                             lambda dim, rounds: calls.append(np.ndim(rounds)) or bound(dim, rounds))
         out = tmp_path / "run"
         assert run_cli(["ops-game", "--dim", "3", "--rounds", "50", "--seeds", "0,1,2",
@@ -427,9 +440,8 @@ class TestOpsGameMode:
     def test_each_stream_is_checked_once(self, tmp_path, run_cli, monkeypatch):
         checked = []
         check = portfolio.validate_return_stream
-        for module in (cli, portfolio):
-            monkeypatch.setattr(module, "validate_return_stream",
-                                lambda r: checked.append(r.shape) or check(r))
+        monkeypatch.setattr(portfolio, "validate_return_stream",
+                            lambda r: checked.append(r.shape) or check(r))
         assert run_cli(["ops-game", "--dim", "2", "--rounds", "7", "--seeds", "3,1",
                         "--out", str(tmp_path / "run")]) == 0
         assert checked == [(7, 2), (7, 2)]
@@ -439,7 +451,7 @@ class TestOpsGameMode:
         assert run_cli(["ops-game", "--dim", "2", "--rounds", "9", "--seeds", "0,1",
                         "--out", str(out)]) == 0
         phases = load_payload(out / "manifest.json")["phase_seconds"]
-        assert set(phases) == {"import_random", "returns", "game", "comparator", "write"}
+        assert set(phases) == {"imports", "returns", "game", "comparator", "write"}
         assert all(seconds >= 0.0 for seconds in phases.values())
         header, _ = read_csv(out / "ops_seed0.csv")
         assert header == OPS_COLUMNS
@@ -455,7 +467,7 @@ class TestOpsGameMode:
                 out[60:] = [0.0, 1.0]
             return out
 
-        monkeypatch.setattr(cli, "uniform_returns", returns)
+        monkeypatch.setattr(ensembles, "uniform_returns", returns)
         out = tmp_path / "run"
         assert main(["ops-game", "--dim", "2", "--rounds", "80", "--seeds", "4,5",
                      "--eta", "0.999999", "--out", str(out)]) == 1
@@ -527,11 +539,11 @@ class TestQstGameMode:
     def test_from_file_plays_one_game_for_every_seed(self, tmp_path, run_cli, monkeypatch,
                                                      dataset_file):
         calls = {"_qst_game": 0, "_ml_oracle": 0}
-        for name in calls:
-            def counted(*args, name=name, fn=getattr(cli, name), **kwargs):
+        for module, name in ((qsb, "_qst_game"), (tomography, "_ml_oracle")):
+            def counted(*args, name=name, fn=getattr(module, name), **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
-            monkeypatch.setattr(cli, name, counted)
+            monkeypatch.setattr(module, name, counted)
         out = tmp_path / "run"
         assert run_cli(["qst-game", "--dim", "2", "--rounds", "12", "--seeds", "0,1,2",
                         "--povm", "from-file", "--input", str(dataset_file),
@@ -596,7 +608,7 @@ class TestMlRunMode:
         assert manifest["distinct_records"] == len(data.elements) <= 6
         assert manifest["oracle_cert_gap"] <= 1e-7
         phases = manifest["phase_seconds"]
-        assert set(phases) == {"import_random", "dataset", "save_dataset", "oracle", "learners",
+        assert set(phases) == {"imports", "dataset", "save_dataset", "oracle", "learners",
                                "write"}
         assert all(seconds >= 0.0 for seconds in phases.values())
 
@@ -657,20 +669,20 @@ class TestScalingBenchMode:
         assert set(report["table"][0]) == {"dim", "rounds", "step_ns_median", "step_ns_mean",
                                            "step_ns_p90"}
         phases = load_payload(out / "manifest.json")["phase_seconds"]
-        assert set(phases) == {"import_random", "d2", "d4"}
+        assert set(phases) == {"imports", "d2", "d4"}
         assert all(seconds >= 0.0 for seconds in phases.values())
 
     def test_draws_no_more_than_one_block_at_a_time(self, tmp_path, run_cli, monkeypatch):
         """Each dimension's stream is drawn a block of `_CHECK_BLOCK` entries
         at a time (512 rounds at D = 4, 2 at D = 64), never whole."""
         drawn = []
-        draw = cli._psd_block
+        draw = ensembles._psd_block
 
         def recorded(rng, rounds, dim):
             drawn.append((dim, rounds))
             return draw(rng, rounds, dim)
 
-        monkeypatch.setattr(cli, "_psd_block", recorded)
+        monkeypatch.setattr(ensembles, "_psd_block", recorded)
         assert run_cli(["scaling-bench", "--dim", "4,64", "--rounds", "1025", "--seeds", "3",
                         "--out", str(tmp_path / "run")]) == 0
         for dim in (4, 64):
@@ -953,7 +965,7 @@ class TestExitCodes:
         def diverged(*args, **kwargs):
             raise DomainError("round 1: seed 0: diverged")
 
-        monkeypatch.setattr(cli, "stochastic_qsb", diverged)
+        monkeypatch.setattr(tomography, "stochastic_qsb", diverged)
         out = tmp_path / "run"
         assert main(["ml-run", "--qubits", "1", "--shots", "10", "--rounds", "2",
                      "--out", str(out)]) == 1
@@ -964,7 +976,7 @@ class TestExitCodes:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 8.00 EiB for an array")
 
-        monkeypatch.setattr(cli, "uniform_returns", exhausted)
+        monkeypatch.setattr(ensembles, "uniform_returns", exhausted)
         assert main(["ops-game", "--dim", "2", "--rounds", "5",
                      "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err

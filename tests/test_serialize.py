@@ -361,6 +361,8 @@ def with_provenance(matrices: np.ndarray) -> Dataset:
 
 # K at one block of D = 4 elements (`linalg._block_len`) and one either side
 BLOCK_4 = _block_len(4)
+# the integers of a list that save_dataset writes at a time
+INT_BLOCK = serialize._INT_BLOCK
 
 
 class TestBlockWriter:
@@ -379,8 +381,10 @@ class TestBlockWriter:
         lambda: with_provenance(psd_elements(BLOCK_4, 4)),
         lambda: Dataset(matrices=psd_elements(BLOCK_4 + 1, 4)),
         lambda: Dataset(matrices=psd_elements(3, 100)),
+        lambda: with_provenance(np.tile(psd_elements(3, 2), (INT_BLOCK, 1, 1))[:2 * INT_BLOCK + 1]),
     ], ids=["signed-zeros", "tiny-huge-integral", "pauli", "no-provenance", "K=1",
-            "K=1-provenance", "block-1", "block", "block+1", "matrix-over-a-block"])
+            "K=1-provenance", "block-1", "block", "block+1", "matrix-over-a-block",
+            "lists-over-two-blocks"])
     def test_save_dataset_writes_the_json_of_its_record(self, tmp_path, make):
         data = make()
         save_dataset(tmp_path / "d.json", data)
@@ -409,6 +413,21 @@ class TestBlockWriter:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 2
+
+    def test_the_integer_lists_are_written_in_bounded_memory(self, tmp_path):
+        """With provenance, every record distinct at D = 2: the traced peak
+        stays the same from 2^13 to 2^15 records, as it would not if a whole
+        index or provenance list were turned into one text."""
+        peaks = []
+        for n in (2 ** 13, 2 ** 15):
+            data = with_provenance(psd_elements(n, 2))
+            tracemalloc.start()
+            try:
+                save_dataset(tmp_path / f"d{n}.json", data)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.2 * peaks[0]
 
 
 # --- fuzzing the dataset reader ---------------------------------------------

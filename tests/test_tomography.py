@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsoftbayes import cli, linalg, qsb, tomography
+from qsoftbayes import cli, linalg, qsb, serialize, tomography
 from qsoftbayes.ensembles import (
     make_rng,
     psd_observation_stream,
@@ -377,8 +377,8 @@ class TestStackedCheck:
             prefix = Dataset(elements=data.elements, index=data.index[:1000])
             checked = [len(data.elements)] + ([len(prefix.elements)] if records > 1000 else [])
         loads = []
-        load = cli.load_dataset
-        monkeypatch.setattr(cli, "load_dataset",
+        load = serialize.load_dataset
+        monkeypatch.setattr(serialize, "load_dataset",
                             lambda path, *label: loads.append(path) or load(path, *label))
         counts = []
         check = linalg._hermitian_psd
