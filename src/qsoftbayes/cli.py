@@ -388,6 +388,7 @@ def _qst_seed(config: ExperimentConfig, seed: int, transcript: QstTranscript, or
         "final_min_eig": transcript.final_state.rho_min_eig,
         **dict(zip(_ORACLE_KEYS, solve)),
         **_step_summary(times),
+        "learner_rounds": transcript.learner_rounds,
     }
 
 
@@ -576,6 +577,7 @@ def _run_ml(config: ExperimentConfig, out_dir: Path, phases: _Phases) -> dict:
         extra["error_bound"] = ml_error_bound(data.dim, config.rounds)
     extra["phase_seconds"] = phases.seconds
     extra["learner_round_us"] = phases.seconds["learners"] / config.rounds * 1e6
+    extra["learner_rounds"] = results[0].learner_rounds
     return extra
 
 

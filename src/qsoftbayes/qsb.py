@@ -23,21 +23,23 @@ Each announced state is kept as its spectrum, the accumulator's
 eigenvectors V and the normalized weights w, and rho = V diag(w) V^dagger
 is built only where it is read. A rank-one observation A = mu u u^dagger
 reads its overlap from the spectrum, mu sum_j w_j |v_j^dagger u|^2, in
-O(D^2); any other observation reads tr(A rho) from the built state. So
-the learner loop builds the states of a block of rounds whose
-observations are all rank one in one stack, for the running average
-alone.
+O(D^2); any other observation reads tr(A rho) from the built state. The
+learner loop runs each block of rounds in a loop for its records' kind:
+all rank one, none or both. An all-rank-one block builds its states in
+one stack, for the running average alone, and a round of both kinds
+steps each kind once, on that kind's learners.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+import numpy.linalg as npl
 
 from .linalg import (
     EVAL_FLOOR,
@@ -46,7 +48,6 @@ from .linalg import (
     _block_len,
     _from_spectrum,
     _hermitian_psd,
-    hermitian_eigh,
     hs_inner,
     spectral,
 )
@@ -100,6 +101,7 @@ class QstTranscript:
                                # eigendecomposition, monotonic clock; see `_play`
     average_state: np.ndarray  # mean of the announced density matrices
     final_state: QsbState
+    learner_rounds: dict[str, int] = field(default_factory=dict)  # rounds by block kind; see `_play`
 
     @property
     def cumulative_losses(self) -> np.ndarray:
@@ -128,26 +130,22 @@ def qsb_init(dim: int) -> QsbState:
 def qsb_step(state: QsbState, A: np.ndarray, eta: float) -> QsbState:
     """One update of the weights by (1 - eta) I + eta A / tr(A rho).
 
-    Runs the lockstep update with one learner on a copy of the state's
-    accumulator, so `state` is left as it was. Like the learner loop, it
-    takes the rank-one overlap and update when A is rank one by `_records`'
-    test on its spectrum, and reads rho only when A is not, so a chain of
-    `qsb_step` calls equals the loop bit for bit.
+    Plays A as a one-round block of one learner, by the learner loop's own
+    code (`_Lockstep`), on a copy of the state's accumulator, so `state` is
+    left as it was and a chain of `qsb_step` calls equals the loop bit for
+    bit. A domain error names the round, `state.round`.
     """
     A = np.asarray(A, dtype=complex)
     if not np.any(A):
         raise ValidationError("observation matrix is exactly zero")
     _check_eta(eta)
     mu, U = spectral(A[None])
-    L = np.array(state.log_weights[None], dtype=complex)
-    shift = [state.shift]
     block = _records(A[None, None], mu[None], U[None])
-    ones = block.one[0].tolist()
-    rho = None if all(ones) else state.rho[None]
-    p, total, V, _ = _qsb_update(L, _diagonals(L).real, shift, state.spectrum[None],
-                                 np.array([state.total]), state.vectors[None], rho, block, 0,
-                                 ones, mu[:, -1].tolist(), eta)
-    return _states(L, shift, p, total, V, state.round + 1)[0]
+    loop = _Lockstep(np.array(state.log_weights[None], dtype=complex), [state.shift],
+                     state.spectrum[None], np.array([state.total]), state.vectors[None],
+                     eta, rounds=1, first=state.round)
+    loop.kind_of(block)(block, 0, 0, 1)
+    return loop.states(state.round + 1)[0]
 
 
 def _diagonals(L: np.ndarray) -> np.ndarray:
@@ -158,22 +156,6 @@ def _diagonals(L: np.ndarray) -> np.ndarray:
 def _true_traces(shift: list[float], total: np.ndarray) -> list[float]:
     """Each learner's true weight trace exp(shift) * total."""
     return [math.exp(s + math.log(x)) for s, x in zip(shift, total.tolist())]
-
-
-def _states(L: np.ndarray, shift: list[float], p: np.ndarray, total: np.ndarray,
-            V: np.ndarray, round: int) -> list[QsbState]:
-    """The S learners' states, learner s from row s of the lockstep arrays.
-
-    Each state's log weights are the Hermitian matrix that `eigh` reads from
-    its accumulator: the lower triangle, mirrored, and the real diagonal.
-    """
-    log_weights = np.where(np.tri(L.shape[-1], k=-1, dtype=bool), L, L.conj().swapaxes(-1, -2))
-    _diagonals(log_weights)[:] = _diagonals(L).real
-    return [
-        QsbState(log_weights=log_weights[s], shift=shift[s], spectrum=p[s], total=t,
-                 vectors=V[s], round=round, true_trace=trace)
-        for s, (t, trace) in enumerate(zip(total.tolist(), _true_traces(shift, total)))
-    ]
 
 
 _EPS = 2.0 ** -52  # the machine epsilon of float64
@@ -236,120 +218,292 @@ def _spectral_overlaps(p: np.ndarray, total: np.ndarray, V: np.ndarray, u: np.nd
     return [m * x / t for m, x, t in zip(top, sums, total.tolist())]
 
 
-def _qsb_update(
-    L: np.ndarray,
-    diagonals: np.ndarray,
-    shift: list[float],
-    p: np.ndarray,
-    total: np.ndarray,
-    V: np.ndarray,
-    rho: np.ndarray | None,
-    block: _Records,
-    i: int,
-    ones: list[bool],
-    mu_top: list[float],
-    eta: float,
-    labels: Sequence[str] = ("",),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
-    """qsb_step for S learners at once, learner s observing its record of round i, in place.
+def _log_g_step(overlaps: np.ndarray, mu: np.ndarray, U: np.ndarray, UH: np.ndarray,
+                eta: float, labels: Sequence[str]) -> np.ndarray:
+    """log G = U diag(log((1 - eta) + (eta / c) mu)) U^dagger of each record.
 
-    L is the (S, D, D) accumulator of log weights, `diagonals` a view of the
-    real parts of its diagonals and `shift` the list of S shifts; the update
-    writes all three. The announced states come as their spectra, the
-    (S, D) eigenvalues p, their (S,) sums `total` and the (S, D, D)
-    eigenvectors V, and as the stack rho built from them, which may be None
-    when every record of the round is rank one: a rank-one record reads its
-    overlap from the spectrum (see `_spectral_overlaps`), any other from
-    rho. Row i of the (n, S) `block` holds the records; `ones` and
-    `mu_top`, row i of `block.one` and of the top eigenvalues as lists, mark
-    the rank-one ones and give their mu_top. Returns the new states'
-    spectra, in the same form: p (ascending), with the top eigenvalue
-    folded out, total = tr(exp(L)) and V; and each learner's c = tr(A rho),
-    whose negative log is the round's loss.
-    G = (1 - eta) I + (eta / c) A has A's eigenvectors, so log G needs no
-    decomposition of its own: a rank-one record steps by `_rank_one_step`,
-    any other by `_log_g_step` (in a round with both kinds, each learner
-    steps alone), and the step decomposes only the new accumulators, as one
-    stack. A failed check names the first failing learner by its label.
-    The caller checks eta.
-    """
-    every, some = all(ones), any(ones)
-    if some:
-        u = block.U[i, ..., -1, None]
-    if every:  # rho is not read
-        c = _spectral_overlaps(p, total, V, u, mu_top)
-    else:  # one stacked vecdot, equal bit for bit to each learner's own vdot
-        A = block.A[i]
-        overlaps = np.vecdot(A.reshape(len(A), -1), rho.reshape(len(rho), -1)).real
-        c = overlaps.tolist()
-        if some:
-            spectral = _spectral_overlaps(p, total, V, u, mu_top)
-            c = [x if one else y for one, x, y in zip(ones, spectral, c)]
-            overlaps = np.array(c)
-    if min(c) <= 0.0:
-        s = next(s for s, x in enumerate(c) if x <= 0.0)
-        raise DomainError(f"{labels[s]}tr(A rho) = {c[s]!r} is not positive")
-    if every:
-        _rank_one_step(L, c, mu_top, block.P[i], eta)
-    elif not some:
-        _log_g_step(L, overlaps, block.mu[i], block.U[i], block.UH[i], eta, labels)
-    else:  # records of both kinds: each learner steps alone, on views of its rows
-        for s, one in enumerate(ones):
-            k = slice(s, s + 1)
-            if one:
-                _rank_one_step(L[k], c[k], mu_top[k], block.P[i, k], eta)
-            else:
-                _log_g_step(L[k], overlaps[k], block.mu[i, k], block.U[i, k], block.UH[i, k],
-                            eta, labels[k])
-    lam, V = hermitian_eigh(L)
-
-    # fold the top eigenvalues into the scalar shifts so exp stays in range;
-    # a rank-one step's shift gains log(1 - eta) first (see `_rank_one_step`)
-    top = lam[:, -1:]
-    p = np.exp(lam - top)
-    total = np.add.reduce(p, 1)
-    diagonals -= top
-    keep = math.log1p(-eta)
-    shift[:] = [(x + keep if one else x) + y for x, one, y in zip(shift, ones, top[:, 0].tolist())]
-    return p, total, V, c
-
-
-def _log_g_step(L: np.ndarray, overlaps: np.ndarray, mu: np.ndarray, U: np.ndarray,
-                UH: np.ndarray, eta: float, labels: Sequence[str]) -> None:
-    """Add log G = U diag(log((1 - eta) + (eta / c) mu)) U^dagger to each accumulator of L.
-
-    The general update, for records of any rank; it fails when an
-    eigenvalue of G is at or below EVAL_FLOOR.
+    The general update, for records of any rank; it fails, naming the first
+    failing learner by its label, when an eigenvalue of G is at or below
+    EVAL_FLOOR. G has A's eigenvectors, so log G needs no decomposition of
+    its own. `eigh` reads only the lower triangles and the real diagonals,
+    so the accumulators need not be Hermitian, and log G is not
+    hermitianized.
     """
     g = (1.0 - eta) + (eta / overlaps)[:, None] * mu
     low = g[:, 0].tolist()
     if min(low) <= EVAL_FLOOR:
         s = next(s for s, x in enumerate(low) if x <= EVAL_FLOOR)
         raise DomainError(f"{labels[s]}eigenvalue {low[s]!r} of G is outside the domain of log")
-    # eigh reads only the lower triangles and the real diagonals, so the
-    # accumulators need not be Hermitian, and log G is not hermitianized
-    np.add(L, (U * np.log(g)[:, None, :]) @ UH, out=L)
+    return (U * np.log(g)[:, None, :]) @ UH
 
 
-def _rank_one_step(L: np.ndarray, c: list[float], top: list[float], P: np.ndarray,
-                   eta: float) -> None:
-    """Add log G of rank-one records A = mu_top P to the accumulators L, less its constant.
+def _rank_one_step(c: list[float], top: list[float], P: np.ndarray, eta: float,
+                   w: np.ndarray) -> np.ndarray:
+    """log G of rank-one records A = mu_top P, less its constant.
 
     log G = log(1 - eta) I + log1p(kappa mu_top) P with kappa = eta / ((1 - eta) c):
-    the accumulator gains the scaled projector, and `_qsb_update` adds the
+    the accumulator gains the scaled projector, and the loop adds the
     constant to the shift, one scalar per learner, as Soft-Bayes scales each
-    weight by one factor. c and top hold each learner's overlap and mu_top.
-    Both logarithms are of numbers above 1 - eta > 0, so no floor check is
-    needed.
+    weight by one factor. c and top hold each learner's overlap and mu_top;
+    the scalars go into the complex (S, 1, 1) buffer w. Both logarithms are
+    of numbers above 1 - eta > 0, so no floor check is needed.
     """
     rate = eta / (1.0 - eta)
-    # complex, as numpy would cast it for the product anyway
-    w = np.array([math.log1p(rate / x * m) for x, m in zip(c, top)], dtype=complex)
-    L += w.reshape(-1, 1, 1) * P
+    w[:, 0, 0] = [math.log1p(rate / x * m) for x, m in zip(c, top)]
+    return w * P
+
+
+def _fold(lam: np.ndarray, diagonals: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Fold the accumulators' top eigenvalues out of their diagonals, so exp stays in range.
+
+    Returns the new states' spectra p = exp(lam - top) (ascending), their
+    sums total = tr(exp(L)) and the tops, which the caller adds to the shifts.
+    """
+    top = lam[:, -1:]
+    p = np.exp(lam - top)
+    diagonals -= top
+    return p, np.add.reduce(p, 1), top[:, 0].tolist()
+
+
+def _announced(p: np.ndarray, total: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The (S, D, D) announced states, built from their spectra."""
+    return _from_spectrum(p / total[:, None], V)
+
+
+def _subsets(one: list[bool]) -> tuple[slice | np.ndarray | None, ...]:
+    """The learner rows of a round's rank-one and of its other records.
+
+    Each is a slice when its rows are consecutive, so the round steps them
+    on views, else an index array; None when the round has none.
+    """
+    def rows(kind: bool) -> slice | np.ndarray | None:
+        picked = [s for s, x in enumerate(one) if x is kind]
+        if not picked:
+            return None
+        if picked[-1] - picked[0] == len(picked) - 1:
+            return slice(picked[0], picked[-1] + 1)
+        return np.array(picked)
+
+    return rows(True), rows(False)
 
 
 # The quantum game has the classical game's regret guarantee, in one definition.
 qsb_regret_bound = ops_regret_bound
+
+
+class _Lockstep:
+    """S learners stepped in lockstep, a block of rounds at a time.
+
+    Owns the (S, D, D) accumulator L of log weights, of which `eigh` reads
+    only the lower triangles and real diagonals, with `diagonals`, a view of
+    their real parts, and the S shifts; and the announced states as their
+    spectra: the (S, D) eigenvalues p, their (S,) sums `total` and the
+    (S, D, D) eigenvectors V. `rho_sum` is the running sum of the announced
+    states. Each block of rounds runs in the loop of its kind (`kind_of`):
+    `rank_one_rounds`, `general_rounds` or `mixed_rounds`. Each takes a
+    block of `_Records` of shape (n, S), its first round `start` (from 0)
+    and its rows a to b - 1, and writes the state in place. `first` numbers
+    round 0 in error messages, which name the round and the learner's label.
+    """
+
+    def __init__(self, L: np.ndarray, shift: list[float], p: np.ndarray, total: np.ndarray,
+                 V: np.ndarray, eta: float, rounds: int, labels: Sequence[str] = ("",),
+                 transcript: bool = False, first: int = 1) -> None:
+        count, dim = p.shape
+        self.L, self.diagonals, self.shift = L, _diagonals(L).real, shift
+        self.p, self.total, self.V = p, total, V
+        self.rho = None  # the announced states, when the round before built them
+        self.eta, self.rounds, self.first = eta, rounds, first
+        self.labels = labels
+        self.rho_sum = np.zeros((count, dim, dim), dtype=complex)
+        # the announced states of the last rank-one rounds, kept as spectra
+        # until `add_kept` adds them to `rho_sum`; `_play` draws blocks of
+        # `_block_len` rounds
+        n = min(_block_len(dim, count), rounds)
+        self.kept = (np.empty((n, count, dim)), np.empty((n, count)),
+                     np.empty((n, count, dim, dim), dtype=complex))
+        self.kept_rounds = 0
+        self.w = np.empty((count, 1, 1), dtype=complex)  # see `_rank_one_step`
+        # losses, true traces and min eigenvalues (S, T); step times (T,), ns
+        self.per_round = None
+        if transcript:
+            self.per_round = (np.empty((count, rounds)), np.empty((count, rounds)),
+                              np.empty((count, rounds)), np.empty(rounds, dtype=np.int64))
+        self.learner_rounds = dict.fromkeys(("rank_one", "general", "mixed"), 0)
+
+    def kind_of(self, block: _Records) -> Callable[[_Records, int, int, int], None]:
+        """The loop for a block whose records are all rank one, none or some."""
+        if block.one.all():
+            return self.rank_one_rounds
+        return self.mixed_rounds if block.one.any() else self.general_rounds
+
+    def states(self, round: int) -> list[QsbState]:
+        """The S learners' states. Each state's log weights are the Hermitian
+        matrix that `eigh` reads from its accumulator: the lower triangle,
+        mirrored, and the real diagonal."""
+        L, total = self.L, self.total
+        log_weights = np.where(np.tri(L.shape[-1], k=-1, dtype=bool), L, L.conj().swapaxes(-1, -2))
+        _diagonals(log_weights)[:] = self.diagonals
+        return [
+            QsbState(log_weights=log_weights[s], shift=self.shift[s], spectrum=self.p[s],
+                     total=t, vectors=self.V[s], round=round, true_trace=trace)
+            for s, (t, trace) in enumerate(zip(total.tolist(), _true_traces(self.shift, total)))
+        ]
+
+    def _failed(self, t: int, exc: Exception) -> DomainError:
+        if isinstance(exc, npl.LinAlgError):
+            exc = f"eigendecomposition failed: {exc}"
+        return DomainError(f"round {self.first + t}: {exc}")
+
+    def _before(self, t: int, shift: list[float], p: np.ndarray, total: np.ndarray) -> int:
+        """Record round t's announced true traces and min eigenvalues; start its clock."""
+        self.per_round[1][:, t] = _true_traces(shift, total)
+        self.per_round[2][:, t] = p[:, 0] / total
+        return time.perf_counter_ns()
+
+    def _after(self, t: int, c: list[float], t0: int) -> None:
+        """Record round t's step time and its losses -log tr(A rho)."""
+        self.per_round[3][t] = time.perf_counter_ns() - t0
+        self.per_round[0][:, t] = [-math.log(x) for x in c]
+
+    def rank_one_rounds(self, block: _Records, start: int, a: int, b: int) -> None:
+        """Rounds whose records are all rank one: no rho is read, so the
+        announced states are kept as their spectra, to be built and added to
+        `rho_sum` in one stack (`add_kept`)."""
+        self.add_kept()
+        L, diagonals, shift, w, eta = self.L, self.diagonals, self.shift, self.w, self.eta
+        p, total, V = self.p, self.total, self.V
+        kept_p, kept_total, kept_V = self.kept
+        record, eigh, keep = self.per_round is not None, npl.eigh, math.log1p(-eta)
+        rows = zip(range(start + a, start + b), block.U[a:b, ..., -1, None], block.P[a:b],
+                   block.mu[a:b, :, -1].tolist())
+        try:
+            for k, (t, u, P, top) in enumerate(rows):
+                if record:
+                    t0 = self._before(t, shift, p, total)
+                kept_p[k], kept_total[k], kept_V[k] = p, total, V
+                c = _spectral_overlaps(p, total, V, u, top)
+                if min(c) <= 0.0:
+                    raise self._overlap(c)
+                L += _rank_one_step(c, top, P, eta, w)
+                lam, V = eigh(L)
+                p, total, tops = _fold(lam, diagonals)
+                shift[:] = [x + keep + y for x, y in zip(shift, tops)]
+                if record:
+                    self._after(t, c, t0)
+        except (DomainError, npl.LinAlgError) as exc:
+            raise self._failed(t, exc) from exc
+        self.p, self.total, self.V, self.rho = p, total, V, None
+        self.kept_rounds = b - a
+        self.learner_rounds["rank_one"] += b - a
+
+    def add_kept(self) -> None:
+        """Build the kept states in one stack and add them to `rho_sum` in
+        round order: `np.add.accumulate`, seeded with the sum, gives the bits
+        of adding each in its round. Called before `rho_sum` is read or
+        added to."""
+        n, self.kept_rounds = self.kept_rounds, 0
+        if not n:
+            return
+        kept_p, kept_total, kept_V = self.kept
+        count, dim = kept_p.shape[1:]
+        built = _from_spectrum((kept_p[:n] / kept_total[:n, :, None]).reshape(-1, dim),
+                               kept_V[:n].reshape(-1, dim, dim))
+        sums = np.concatenate([self.rho_sum, built]).reshape(-1, count, dim, dim)
+        np.add.accumulate(sums, axis=0, out=sums)
+        self.rho_sum[:] = sums[-1]
+
+    def _overlap(self, c: list[float]) -> DomainError:
+        s = next(s for s, x in enumerate(c) if x <= 0.0)
+        return DomainError(f"{self.labels[s]}tr(A rho) = {c[s]!r} is not positive")
+
+    def general_rounds(self, block: _Records, start: int, a: int, b: int) -> None:
+        """Rounds whose records are all of higher rank: each reads tr(A rho)
+        from the built states, which each round builds for the next while its
+        eigenvectors are fresh, and adds to `rho_sum` in its round; the last
+        round of the run builds none."""
+        self.add_kept()
+        L, diagonals, shift, eta, labels = self.L, self.diagonals, self.shift, self.eta, self.labels
+        p, total, V, rho, rho_sum = self.p, self.total, self.V, self.rho, self.rho_sum
+        record, eigh, vecdot, last = self.per_round is not None, npl.eigh, np.vecdot, self.rounds - 1
+        if rho is None:
+            rho = _announced(p, total, V)
+        count = len(rho)
+        rows = zip(range(start + a, start + b), block.A[a:b], block.mu[a:b], block.U[a:b],
+                   block.UH[a:b])
+        try:
+            for t, A, mu, U, UH in rows:
+                if record:
+                    t0 = self._before(t, shift, p, total)
+                # one stacked vecdot, equal bit for bit to each learner's own vdot
+                overlaps = vecdot(A.reshape(count, -1), rho.reshape(count, -1)).real
+                c = overlaps.tolist()
+                if min(c) <= 0.0:
+                    raise self._overlap(c)
+                L += _log_g_step(overlaps, mu, U, UH, eta, labels)
+                lam, V = eigh(L)
+                p, total, tops = _fold(lam, diagonals)
+                shift[:] = [x + y for x, y in zip(shift, tops)]
+                rho_sum += rho
+                rho = _announced(p, total, V) if t < last else None
+                if record:
+                    self._after(t, c, t0)
+        except (DomainError, npl.LinAlgError) as exc:
+            raise self._failed(t, exc) from exc
+        self.p, self.total, self.V, self.rho = p, total, V, rho
+        self.learner_rounds["general"] += b - a
+
+    def mixed_rounds(self, block: _Records, start: int, a: int, b: int) -> None:
+        """Rounds of a block with records of both kinds: as `general_rounds`,
+        but a round steps its rank-one rows and its other rows each as one
+        stack (`_subsets`), each kind taking its own overlap and update on
+        its own rows only."""
+        self.add_kept()
+        L, diagonals, shift, eta = self.L, self.diagonals, self.shift, self.eta
+        p, total, V, rho, rho_sum = self.p, self.total, self.V, self.rho, self.rho_sum
+        record, eigh, vecdot, last = self.per_round is not None, npl.eigh, np.vecdot, self.rounds - 1
+        w, keep = self.w, math.log1p(-eta)
+        cbuf = np.empty(len(L))  # a round's overlaps, in learner order
+        labels = np.array(self.labels, dtype=object)  # indexed by row subsets
+        if rho is None:
+            rho = _announced(p, total, V)
+        subsets = {}  # the round's row subsets, by its rank-one marks
+        rows = zip(range(start + a, start + b), block.one[a:b].tolist(), block.A[a:b],
+                   block.mu[a:b], block.U[a:b], block.UH[a:b], block.P[a:b])
+        try:
+            for t, one, A, mu, U, UH, P in rows:
+                if record:
+                    t0 = self._before(t, shift, p, total)
+                key = tuple(one)
+                if key not in subsets:
+                    subsets[key] = _subsets(one)
+                r, g = subsets[key]
+                if r is not None:
+                    top = mu[r, -1].tolist()
+                    cr = _spectral_overlaps(p[r], total[r], V[r], U[r, :, -1, None], top)
+                    cbuf[r] = cr
+                if g is not None:
+                    Ag, rg = A[g], rho[g]
+                    cg = vecdot(Ag.reshape(len(Ag), -1), rg.reshape(len(rg), -1)).real
+                    cbuf[g] = cg
+                c = cbuf.tolist()
+                if min(c) <= 0.0:
+                    raise self._overlap(c)
+                if r is not None:
+                    L[r] += _rank_one_step(cr, top, P[r], eta, w[r])
+                if g is not None:
+                    L[g] += _log_g_step(cg, mu[g], U[g], UH[g], eta, labels[g])
+                lam, V = eigh(L)
+                p, total, tops = _fold(lam, diagonals)
+                shift[:] = [(x + keep if o else x) + y for x, o, y in zip(shift, one, tops)]
+                rho_sum += rho
+                rho = _announced(p, total, V) if t < last else None
+                if record:
+                    self._after(t, c, t0)
+        except (DomainError, npl.LinAlgError) as exc:
+            raise self._failed(t, exc) from exc
+        self.p, self.total, self.V, self.rho = p, total, V, rho
+        self.learner_rounds["mixed"] += b - a
 
 
 class _Played(NamedTuple):
@@ -359,6 +513,7 @@ class _Played(NamedTuple):
     average_states: np.ndarray              # (S, D, D), mean announced state
     checkpoint_averages: list[np.ndarray]   # (S, D, D) per checkpoint, in order
     per_round: tuple[np.ndarray, ...] | None  # see `_play`
+    learner_rounds: dict[str, int]          # rounds run by each kind's loop
 
 
 def _play(
@@ -376,103 +531,49 @@ def _play(
     returns rounds start to stop - 1 (from 0) of all learners as `_Records`
     of shape (n, S), their rank-one records marked and projectors built (see
     `_records`). It is called for blocks of `_block_len(D, S)` rounds, each
-    when its first round comes up. Round t announces the states and updates
-    all learners with one `_qsb_update` on its row of the block, which writes
-    the loop's accumulator in place; each learner takes the rank-one or the
-    general overlap and update by its own record, as `qsb_step` does.
-
-    A block whose records are all rank one reads no rho, so it keeps its
-    announced states as their spectra and builds them at its end, or at a
-    checkpoint, by one stacked `_from_spectrum`; `np.add.accumulate` adds
-    them to the running sum in round order, which gives the bits of adding
-    each in its round. Any other block builds each round's states at the
-    end of the round before, while its eigenvectors are fresh, and adds
-    them in their round. Also
-    returns the average announced states after each round numbered in
-    `checkpoints`, exactly Hermitian as each announced state is.
-    With `transcript`, `per_round` holds the losses -log tr(A_t rho_t), the
-    announced states' true traces and min eigenvalues, each (S, T), and the
-    step times (T,) in ns, which cover the update and, in a block that
-    builds its states round by round, the build of the next state and the
-    addition of this one to the running sum, but not `draw` or a block's
-    stacked build; without it, none of these is kept.
+    when its first round comes up, and the block's kind is decided then:
+    its rounds run in the loop of that kind (see `_Lockstep`), each learner
+    taking the rank-one or the general overlap and update by its own record,
+    as `qsb_step`, which runs the same loops, does. Also returns the average
+    announced states after each round numbered in `checkpoints`, exactly
+    Hermitian as each announced state is, and the rounds run by each
+    kind's loop. With `transcript`, `per_round` holds the losses
+    -log tr(A_t rho_t), the announced states' true traces and min
+    eigenvalues, each (S, T), and the step times (T,) in ns, which cover the
+    update and, in a block that builds its states round by round, the build
+    of the next state and the addition of this one to the running sum, but
+    not `draw` or a rank-one block's stacked build; without it, none of
+    these is kept.
     """
     _check_eta(eta)
     count = len(labels)
     start = qsb_init(dim)
-    L = np.stack([start.log_weights] * count)
-    diagonals = _diagonals(L).real
-    shift = [0.0] * count
-    p = np.stack([start.spectrum] * count)  # the announced states' spectra
-    total = np.full(count, start.total)
-    V = np.stack([start.vectors] * count)
-    if transcript:
-        losses = np.empty((count, rounds))
-        true_traces = np.empty((count, rounds))
-        min_eigs = np.empty((count, rounds))
-        step_times = np.empty(rounds, dtype=np.int64)
-    rho_sum = np.zeros((count, dim, dim), dtype=complex)
+    loop = _Lockstep(np.stack([start.log_weights] * count), [0.0] * count,
+                     np.stack([start.spectrum] * count), np.full(count, start.total),
+                     np.stack([start.vectors] * count), eta, rounds, labels, transcript)
     step = _block_len(dim, count)
-    # the spectra of a block's announced states not yet in rho_sum, in round
-    # order: rows :kept of these buffers
-    kept_p = np.empty((step, count, dim))
-    kept_total = np.empty((step, count))
-    kept_V = np.empty((step, count, dim, dim), dtype=complex)
-    kept = 0
-
-    def add_kept() -> None:
-        nonlocal kept
-        if not kept:
-            return
-        built = _from_spectrum((kept_p[:kept] / kept_total[:kept, :, None]).reshape(-1, dim),
-                               kept_V[:kept].reshape(-1, dim, dim))
-        sums = np.concatenate([rho_sum, built]).reshape(-1, count, dim, dim)
-        np.add.accumulate(sums, axis=0, out=sums)
-        rho_sum[:] = sums[-1]
-        kept = 0
-
+    marks, done = sorted(checkpoints), 0
     averages = []
-    rho = None  # the announced states, when the round before built them
-    for t in range(rounds):
-        i = t % step
-        if i == 0:
-            add_kept()
-            block = draw(t, min(t + step, rounds))
-            ones = block.one.tolist()
-            keep = bool(block.one.all())  # no round of the block reads rho
-            tops = block.mu[..., -1].tolist()
-        if transcript:
-            true_traces[:, t] = _true_traces(shift, total)
-            min_eigs[:, t] = p[:, 0] / total
-            t0 = time.perf_counter_ns()
-        if keep:
-            kept_p[kept], kept_total[kept], kept_V[kept] = p, total, V
-            kept += 1
-            rho = None  # a block before may have built it
-        elif rho is None:
-            rho = _from_spectrum(p / total[:, None], V)
-        try:
-            p, total, V, c = _qsb_update(L, diagonals, shift, p, total, V, rho, block, i, ones[i],
-                                         tops[i], eta, labels)
-        except DomainError as exc:
-            raise DomainError(f"round {t + 1}: {exc}") from exc
-        if not keep:
-            rho_sum += rho
-            # a block's last round builds the next states too, as if the next
-            # block were of its kind
-            rho = _from_spectrum(p / total[:, None], V) if t + 1 < rounds else None
-        if transcript:
-            step_times[t] = time.perf_counter_ns() - t0
-            losses[:, t] = [-math.log(x) for x in c]
-        if t + 1 in checkpoints:
-            add_kept()
-            averages.append(rho_sum / (t + 1))
-    add_kept()
+    for t in range(0, rounds, step):
+        stop = min(t + step, rounds)
+        block = draw(t, stop)
+        run = loop.kind_of(block)
+        a = t
+        while done < len(marks) and marks[done] <= stop:  # a checkpoint ends a run of rounds
+            b = marks[done]
+            run(block, t, a - t, b - t)
+            loop.add_kept()
+            averages.append(loop.rho_sum / b)
+            a, done = b, done + 1
+        if a < stop:
+            run(block, t, a - t, stop - t)
+    loop.add_kept()
     return _Played(
-        final_states=_states(L, shift, p, total, V, rounds + 1),
-        average_states=rho_sum / rounds,
+        final_states=loop.states(rounds + 1),
+        average_states=loop.rho_sum / rounds,
         checkpoint_averages=averages,
-        per_round=(losses, true_traces, min_eigs, step_times) if transcript else None,
+        per_round=loop.per_round,
+        learner_rounds=loop.learner_rounds,
     )
 
 
@@ -530,6 +631,7 @@ def _qst_game(draw: Callable[[int, int], _Block], rounds: int, dim: int,
         step_times_ns=step_times,
         average_state=played.average_states[0],
         final_state=played.final_states[0],
+        learner_rounds=played.learner_rounds,
     )
 
 

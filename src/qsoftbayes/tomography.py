@@ -9,7 +9,7 @@ and an independent batch solver used as the optimization-error oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -119,6 +119,8 @@ class MlResult:
     seed: int
     rounds: int
     final_state: QsbState         # the learner's state after the last round
+    # rounds run by each block kind's loop, shared by the lockstep seeds; see `qsb._play`
+    learner_rounds: dict[str, int] = field(default_factory=dict)
 
     @property
     def final_objective(self) -> float:
@@ -364,6 +366,7 @@ def stochastic_qsb(
             seed=seed,
             rounds=rounds,
             final_state=played.final_states[s],
+            learner_rounds=played.learner_rounds,
         )
         for s, seed in enumerate(seeds)
     ]

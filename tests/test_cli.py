@@ -228,7 +228,7 @@ THREAD_KEYS = {"nproc", "affinity_cpus", "blas", "blas_version", "blas_threads_e
 ML_MANIFEST = ({"oracle_objective", "oracle_cert_gap", "oracle_iterations", "oracle_restarts",
                 "oracle_backtracks", "records",
                 "distinct_records", "seed_summaries", "mean_final_gap", "error_bound",
-                "learner_round_us"},
+                "learner_round_us", "learner_rounds"},
                {"imports", "dataset", "save_dataset", "oracle", "learners", "write"})
 MODE_MANIFESTS = {
     "ops-game": ({"seed_summaries"}, {"imports", "returns", "game", "comparator", "write"}),
@@ -265,6 +265,12 @@ def test_each_mode_writes_its_manifest_keys_and_phases(tmp_path, run_cli, datase
     if name.startswith("ml-run"):
         rounds = int(manifest["config"]["rounds"])
         assert manifest["learner_round_us"] == manifest["phase_seconds"]["learners"] / rounds * 1e6
+    # the rounds each kind's loop ran: the run's, or each qst-game seed's game
+    kinds = ([s["learner_rounds"] for s in manifest["seed_summaries"]] if name == "qst-game"
+             else [manifest["learner_rounds"]] if name.startswith("ml-run") else [])
+    for counts in kinds:
+        assert set(counts) == {"rank_one", "general", "mixed"}
+        assert sum(counts.values()) == int(manifest["config"]["rounds"])
     if name in ("qst-game", "ml-run", "ml-run-from-file"):
         for summary in manifest["seed_summaries"]:
             assert 0.0 < summary["final_min_eig"] < 1.0

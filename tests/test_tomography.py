@@ -706,6 +706,46 @@ class TestStochasticQsb:
             assert np.array_equal(a.rho, b.rho)
             assert (a.shift, a.true_trace, a.rho_min_eig) == (b.shift, b.true_trace, b.rho_min_eig)
 
+    @pytest.mark.parametrize("count", [2, 20])
+    def test_a_mixed_round_steps_each_kind_once(self, monkeypatch, count):
+        """In a round whose lockstep seeds hold records of both kinds, the
+        rank-one rows step in one `_rank_one_step` and the others in one
+        `_log_g_step`; every seed still equals its own loop of qsb_step, bit
+        for bit, and the run counts its rounds by the kind of their block."""
+        rng = make_rng(14)
+        pauli = generate_dataset(random_density(rng, 4), pauli_basis_povms(2), 600, rng)
+        full = np.stack([random_psd(rng, 4) for _ in range(600)])
+        data = Dataset(matrices=np.concatenate([pauli.matrices, full]))
+        rounds, seeds = 400, tuple(range(30, 30 + count))
+        calls = [[]]  # per round, each step's name and rows
+        for name in ("_rank_one_step", "_log_g_step"):
+            step = getattr(qsb, name)
+            monkeypatch.setattr(qsb, name, lambda rows, *args, _n=name, _s=step:
+                                calls[-1].append((_n, len(rows))) or _s(rows, *args))
+        fold = qsb._fold
+        monkeypatch.setattr(qsb, "_fold", lambda *args: calls.append([]) or fold(*args))
+        results = stochastic_qsb(data, rounds, seeds)
+        monkeypatch.undo()
+
+        drawn = [make_rng(seed).integers(len(data), size=rounds) for seed in seeds]
+        ones = (np.stack(drawn) < len(pauli)).sum(axis=0).tolist()  # rank-one rows per round
+        assert calls[-1] == [] and len(calls) == rounds + 1
+        assert calls[:-1] == [[("_rank_one_step", r)] * (r > 0)
+                              + [("_log_g_step", count - r)] * (r < count) for r in ones]
+        assert sum(0 < r < count for r in ones) > rounds / 3  # rounds of both kinds
+        assert results[0].learner_rounds == {"rank_one": 0, "general": 0, "mixed": rounds}
+        eta = learning_rate(4, rounds)
+        for result, records in zip(results, drawn):
+            state = qsb_init(4)
+            rho_sum = np.zeros((4, 4), dtype=complex)
+            for n in records.tolist():
+                rho_sum += state.rho
+                state = qsb_step(state, data.matrices[n], eta)
+            assert np.array_equal(result.rho_bar, hermitianize(rho_sum / rounds))
+            a, b = result.final_state, state
+            assert np.array_equal(a.log_weights, b.log_weights)
+            assert (a.shift, a.true_trace, a.rho_min_eig) == (b.shift, b.true_trace, b.rho_min_eig)
+
     def test_draws_past_a_block_of_draws_replay_one_call_per_round(self):
         """Draws are taken from each generator in the learner loop's blocks;
         across the block boundary they must still be the draws of one
