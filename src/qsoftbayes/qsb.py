@@ -25,9 +25,9 @@ is built only where it is read. A rank-one observation A = mu u u^dagger
 reads its overlap from the spectrum, mu sum_j w_j |v_j^dagger u|^2, in
 O(D^2); any other observation reads tr(A rho) from the built state. The
 learner loop runs each block of rounds in a loop for its records' kind:
-all rank one, none or both. An all-rank-one block builds its states in
-one stack, for the running average alone, and a round of both kinds
-steps each kind once, on that kind's learners.
+an all-rank-one block builds its states in one stack, for the running
+average alone; any other block builds them round by round, and each of
+its rounds steps each kind once, on that kind's learners.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import numpy.linalg as npl
 
 from .linalg import (
     EVAL_FLOOR,
@@ -48,6 +48,7 @@ from .linalg import (
     _block_len,
     _from_spectrum,
     _hermitian_psd,
+    hermitian_eigh,
     hs_inner,
     spectral,
 )
@@ -101,7 +102,7 @@ class QstTranscript:
                                # eigendecomposition, monotonic clock; see `_play`
     average_state: np.ndarray  # mean of the announced density matrices
     final_state: QsbState
-    learner_rounds: dict[str, int] = field(default_factory=dict)  # rounds by block kind; see `_play`
+    learner_rounds: dict[str, int] = field(default_factory=dict)  # by block kind; see `_play`
 
     @property
     def cumulative_losses(self) -> np.ndarray:
@@ -153,6 +154,14 @@ def _diagonals(L: np.ndarray) -> np.ndarray:
     return L.reshape(len(L), -1)[:, :: L.shape[-1] + 1]
 
 
+@lru_cache
+def _below_diagonal(dim: int) -> np.ndarray:
+    """The (D, D) mask of the strict lower triangle, read-only as it is shared."""
+    mask = np.tri(dim, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _true_traces(shift: list[float], total: np.ndarray) -> list[float]:
     """Each learner's true weight trace exp(shift) * total."""
     return [math.exp(s + math.log(x)) for s, x in zip(shift, total.tolist())]
@@ -193,11 +202,11 @@ def _records(A: np.ndarray, mu: np.ndarray, U: np.ndarray) -> _Records:
     some record is not rank one.
     """
     one = (np.abs(mu[..., :-1]) <= (mu.shape[-1] * _EPS) * mu[..., -1:]).all(axis=-1)
-    P = None
-    if one.any():
+    ones, P = np.count_nonzero(one), None
+    if ones:
         u = U[..., -1]
         P = u[..., :, None] * u.conj()[..., None, :]
-    if one.all():
+    if ones == one.size:
         return _Records(None, mu, U, None, one, P)
     return _Records(A, mu, U, U.conj().swapaxes(-1, -2), one, P)
 
@@ -270,11 +279,13 @@ def _announced(p: np.ndarray, total: np.ndarray, V: np.ndarray) -> np.ndarray:
     return _from_spectrum(p / total[:, None], V)
 
 
-def _subsets(one: list[bool]) -> tuple[slice | np.ndarray | None, ...]:
+@lru_cache(maxsize=1024)
+def _subsets(one: tuple[bool, ...]) -> tuple[slice | np.ndarray | None, ...]:
     """The learner rows of a round's rank-one and of its other records.
 
     Each is a slice when its rows are consecutive, so the round steps them
-    on views, else an index array; None when the round has none.
+    on views, else an index array; None when the round has none. Cached by
+    the round's rank-one marks, which repeat from round to round.
     """
     def rows(kind: bool) -> slice | np.ndarray | None:
         picked = [s for s, x in enumerate(one) if x is kind]
@@ -291,6 +302,15 @@ def _subsets(one: list[bool]) -> tuple[slice | np.ndarray | None, ...]:
 qsb_regret_bound = ops_regret_bound
 
 
+_NO_LABEL = np.array([""], dtype=object)  # the one learner of `qsb_step`
+
+
+def _kind(block: _Records) -> str:
+    """Whether all of a block's records are rank one, none or some: `_records`
+    keeps no A for the first and no P for the second."""
+    return "rank_one" if block.A is None else "general" if block.P is None else "mixed"
+
+
 class _Lockstep:
     """S learners stepped in lockstep, a block of rounds at a time.
 
@@ -298,51 +318,41 @@ class _Lockstep:
     only the lower triangles and real diagonals, with `diagonals`, a view of
     their real parts, and the S shifts; and the announced states as their
     spectra: the (S, D) eigenvalues p, their (S,) sums `total` and the
-    (S, D, D) eigenvectors V. `rho_sum` is the running sum of the announced
-    states. Each block of rounds runs in the loop of its kind (`kind_of`):
-    `rank_one_rounds`, `general_rounds` or `mixed_rounds`. Each takes a
-    block of `_Records` of shape (n, S), its first round `start` (from 0)
-    and its rows a to b - 1, and writes the state in place. `first` numbers
-    round 0 in error messages, which name the round and the learner's label.
+    (S, D, D) eigenvectors V. A block of rounds runs in the loop of its kind
+    (`kind_of`): `rank_one_rounds` when all its records are rank one, else
+    `mixed_rounds`. Each takes a block of `_Records` of shape (n, S), its
+    first round `start` (from 0) and its rows a to b - 1, and writes the
+    state in place. `first` numbers round 0 in error messages, which name
+    the round and the learner's label, from the object array `labels`,
+    which row subsets index. `_play` hands in what only a run of many
+    rounds keeps, and `qsb_step` keeps none of it: `rho_sum`, the running
+    sum of the announced states; `kept`, (n, S) buffers of the spectra p,
+    totals and eigenvectors V for the rounds of a block (see `add_kept`);
+    and `per_round`, the transcript (see `_play`).
     """
 
     def __init__(self, L: np.ndarray, shift: list[float], p: np.ndarray, total: np.ndarray,
-                 V: np.ndarray, eta: float, rounds: int, labels: Sequence[str] = ("",),
-                 transcript: bool = False, first: int = 1) -> None:
-        count, dim = p.shape
+                 V: np.ndarray, eta: float, rounds: int, labels: np.ndarray = _NO_LABEL,
+                 first: int = 1, rho_sum: np.ndarray | None = None,
+                 kept: tuple[np.ndarray | None, ...] = (None, None, None),
+                 per_round: tuple[np.ndarray, ...] | None = None) -> None:
         self.L, self.diagonals, self.shift = L, _diagonals(L).real, shift
         self.p, self.total, self.V = p, total, V
         self.rho = None  # the announced states, when the round before built them
-        self.eta, self.rounds, self.first = eta, rounds, first
-        self.labels = labels
-        self.rho_sum = np.zeros((count, dim, dim), dtype=complex)
-        # the announced states of the last rank-one rounds, kept as spectra
-        # until `add_kept` adds them to `rho_sum`; `_play` draws blocks of
-        # `_block_len` rounds
-        n = min(_block_len(dim, count), rounds)
-        self.kept = (np.empty((n, count, dim)), np.empty((n, count)),
-                     np.empty((n, count, dim, dim), dtype=complex))
-        self.kept_rounds = 0
-        self.w = np.empty((count, 1, 1), dtype=complex)  # see `_rank_one_step`
-        # losses, true traces and min eigenvalues (S, T); step times (T,), ns
-        self.per_round = None
-        if transcript:
-            self.per_round = (np.empty((count, rounds)), np.empty((count, rounds)),
-                              np.empty((count, rounds)), np.empty(rounds, dtype=np.int64))
-        self.learner_rounds = dict.fromkeys(("rank_one", "general", "mixed"), 0)
+        self.eta, self.rounds, self.first, self.labels = eta, rounds, first, labels
+        self.rho_sum, self.kept, self.kept_rounds, self.per_round = rho_sum, kept, 0, per_round
+        self.w = np.empty((len(p), 1, 1), dtype=complex)  # see `_rank_one_step`
 
     def kind_of(self, block: _Records) -> Callable[[_Records, int, int, int], None]:
-        """The loop for a block whose records are all rank one, none or some."""
-        if block.one.all():
-            return self.rank_one_rounds
-        return self.mixed_rounds if block.one.any() else self.general_rounds
+        """The loop for a block of records all rank one, or not."""
+        return self.rank_one_rounds if _kind(block) == "rank_one" else self.mixed_rounds
 
     def states(self, round: int) -> list[QsbState]:
         """The S learners' states. Each state's log weights are the Hermitian
         matrix that `eigh` reads from its accumulator: the lower triangle,
         mirrored, and the real diagonal."""
         L, total = self.L, self.total
-        log_weights = np.where(np.tri(L.shape[-1], k=-1, dtype=bool), L, L.conj().swapaxes(-1, -2))
+        log_weights = np.where(_below_diagonal(L.shape[-1]), L, L.conj().swapaxes(-1, -2))
         _diagonals(log_weights)[:] = self.diagonals
         return [
             QsbState(log_weights=log_weights[s], shift=self.shift[s], spectrum=self.p[s],
@@ -350,10 +360,12 @@ class _Lockstep:
             for s, (t, trace) in enumerate(zip(total.tolist(), _true_traces(self.shift, total)))
         ]
 
-    def _failed(self, t: int, exc: Exception) -> DomainError:
-        if isinstance(exc, npl.LinAlgError):
-            exc = f"eigendecomposition failed: {exc}"
+    def _failed(self, t: int, exc: DomainError) -> DomainError:
         return DomainError(f"round {self.first + t}: {exc}")
+
+    def _overlap(self, c: list[float]) -> DomainError:
+        s = next(s for s, x in enumerate(c) if x <= 0.0)
+        return DomainError(f"{self.labels[s]}tr(A rho) = {c[s]!r} is not positive")
 
     def _before(self, t: int, shift: list[float], p: np.ndarray, total: np.ndarray) -> int:
         """Record round t's announced true traces and min eigenvalues; start its clock."""
@@ -373,15 +385,16 @@ class _Lockstep:
         self.add_kept()
         L, diagonals, shift, w, eta = self.L, self.diagonals, self.shift, self.w, self.eta
         p, total, V = self.p, self.total, self.V
-        kept_p, kept_total, kept_V = self.kept
-        record, eigh, keep = self.per_round is not None, npl.eigh, math.log1p(-eta)
+        summed, (kept_p, kept_total, kept_V) = self.rho_sum is not None, self.kept
+        record, eigh, keep = self.per_round is not None, hermitian_eigh, math.log1p(-eta)
         rows = zip(range(start + a, start + b), block.U[a:b, ..., -1, None], block.P[a:b],
                    block.mu[a:b, :, -1].tolist())
         try:
             for k, (t, u, P, top) in enumerate(rows):
                 if record:
                     t0 = self._before(t, shift, p, total)
-                kept_p[k], kept_total[k], kept_V[k] = p, total, V
+                if summed:
+                    kept_p[k], kept_total[k], kept_V[k] = p, total, V
                 c = _spectral_overlaps(p, total, V, u, top)
                 if min(c) <= 0.0:
                     raise self._overlap(c)
@@ -391,11 +404,11 @@ class _Lockstep:
                 shift[:] = [x + keep + y for x, y in zip(shift, tops)]
                 if record:
                     self._after(t, c, t0)
-        except (DomainError, npl.LinAlgError) as exc:
+        except DomainError as exc:
             raise self._failed(t, exc) from exc
         self.p, self.total, self.V, self.rho = p, total, V, None
-        self.kept_rounds = b - a
-        self.learner_rounds["rank_one"] += b - a
+        if summed:
+            self.kept_rounds = b - a
 
     def add_kept(self) -> None:
         """Build the kept states in one stack and add them to `rho_sum` in
@@ -413,76 +426,35 @@ class _Lockstep:
         np.add.accumulate(sums, axis=0, out=sums)
         self.rho_sum[:] = sums[-1]
 
-    def _overlap(self, c: list[float]) -> DomainError:
-        s = next(s for s, x in enumerate(c) if x <= 0.0)
-        return DomainError(f"{self.labels[s]}tr(A rho) = {c[s]!r} is not positive")
-
-    def general_rounds(self, block: _Records, start: int, a: int, b: int) -> None:
-        """Rounds whose records are all of higher rank: each reads tr(A rho)
-        from the built states, which each round builds for the next while its
-        eigenvectors are fresh, and adds to `rho_sum` in its round; the last
-        round of the run builds none."""
-        self.add_kept()
-        L, diagonals, shift, eta, labels = self.L, self.diagonals, self.shift, self.eta, self.labels
-        p, total, V, rho, rho_sum = self.p, self.total, self.V, self.rho, self.rho_sum
-        record, eigh, vecdot, last = self.per_round is not None, npl.eigh, np.vecdot, self.rounds - 1
-        if rho is None:
-            rho = _announced(p, total, V)
-        count = len(rho)
-        rows = zip(range(start + a, start + b), block.A[a:b], block.mu[a:b], block.U[a:b],
-                   block.UH[a:b])
-        try:
-            for t, A, mu, U, UH in rows:
-                if record:
-                    t0 = self._before(t, shift, p, total)
-                # one stacked vecdot, equal bit for bit to each learner's own vdot
-                overlaps = vecdot(A.reshape(count, -1), rho.reshape(count, -1)).real
-                c = overlaps.tolist()
-                if min(c) <= 0.0:
-                    raise self._overlap(c)
-                L += _log_g_step(overlaps, mu, U, UH, eta, labels)
-                lam, V = eigh(L)
-                p, total, tops = _fold(lam, diagonals)
-                shift[:] = [x + y for x, y in zip(shift, tops)]
-                rho_sum += rho
-                rho = _announced(p, total, V) if t < last else None
-                if record:
-                    self._after(t, c, t0)
-        except (DomainError, npl.LinAlgError) as exc:
-            raise self._failed(t, exc) from exc
-        self.p, self.total, self.V, self.rho = p, total, V, rho
-        self.learner_rounds["general"] += b - a
-
     def mixed_rounds(self, block: _Records, start: int, a: int, b: int) -> None:
-        """Rounds of a block with records of both kinds: as `general_rounds`,
-        but a round steps its rank-one rows and its other rows each as one
-        stack (`_subsets`), each kind taking its own overlap and update on
-        its own rows only."""
+        """Rounds of a block with some record of higher rank. Each round
+        steps its rank-one rows and its other rows each as one stack
+        (`_subsets`), each kind taking its own overlap and update on its own
+        rows only. The other rows read tr(A rho) from the built states,
+        which each round builds for the next while its eigenvectors are
+        fresh, and adds to `rho_sum` in its round; the last round of the run
+        builds none."""
         self.add_kept()
         L, diagonals, shift, eta = self.L, self.diagonals, self.shift, self.eta
         p, total, V, rho, rho_sum = self.p, self.total, self.V, self.rho, self.rho_sum
-        record, eigh, vecdot, last = self.per_round is not None, npl.eigh, np.vecdot, self.rounds - 1
-        w, keep = self.w, math.log1p(-eta)
-        cbuf = np.empty(len(L))  # a round's overlaps, in learner order
-        labels = np.array(self.labels, dtype=object)  # indexed by row subsets
+        record, eigh, vecdot = self.per_round is not None, hermitian_eigh, np.vecdot
+        w, keep, summed, last = self.w, math.log1p(-eta), rho_sum is not None, self.rounds - 1
+        labels, cbuf = self.labels, np.empty(len(L))  # a round's overlaps, in learner order
         if rho is None:
             rho = _announced(p, total, V)
-        subsets = {}  # the round's row subsets, by its rank-one marks
         rows = zip(range(start + a, start + b), block.one[a:b].tolist(), block.A[a:b],
-                   block.mu[a:b], block.U[a:b], block.UH[a:b], block.P[a:b])
+                   block.mu[a:b], block.U[a:b], block.UH[a:b],
+                   repeat(None) if block.P is None else block.P[a:b])
         try:
             for t, one, A, mu, U, UH, P in rows:
                 if record:
                     t0 = self._before(t, shift, p, total)
-                key = tuple(one)
-                if key not in subsets:
-                    subsets[key] = _subsets(one)
-                r, g = subsets[key]
+                r, g = _subsets(tuple(one))
                 if r is not None:
                     top = mu[r, -1].tolist()
                     cr = _spectral_overlaps(p[r], total[r], V[r], U[r, :, -1, None], top)
                     cbuf[r] = cr
-                if g is not None:
+                if g is not None:  # one stacked vecdot, equal bit for bit to each vdot
                     Ag, rg = A[g], rho[g]
                     cg = vecdot(Ag.reshape(len(Ag), -1), rg.reshape(len(rg), -1)).real
                     cbuf[g] = cg
@@ -496,14 +468,14 @@ class _Lockstep:
                 lam, V = eigh(L)
                 p, total, tops = _fold(lam, diagonals)
                 shift[:] = [(x + keep if o else x) + y for x, o, y in zip(shift, one, tops)]
-                rho_sum += rho
+                if summed:
+                    rho_sum += rho
                 rho = _announced(p, total, V) if t < last else None
                 if record:
                     self._after(t, c, t0)
-        except (DomainError, npl.LinAlgError) as exc:
+        except DomainError as exc:
             raise self._failed(t, exc) from exc
         self.p, self.total, self.V, self.rho = p, total, V, rho
-        self.learner_rounds["mixed"] += b - a
 
 
 class _Played(NamedTuple):
@@ -513,7 +485,7 @@ class _Played(NamedTuple):
     average_states: np.ndarray              # (S, D, D), mean announced state
     checkpoint_averages: list[np.ndarray]   # (S, D, D) per checkpoint, in order
     per_round: tuple[np.ndarray, ...] | None  # see `_play`
-    learner_rounds: dict[str, int]          # rounds run by each kind's loop
+    learner_rounds: dict[str, int]          # rounds by block kind
 
 
 def _play(
@@ -536,8 +508,8 @@ def _play(
     taking the rank-one or the general overlap and update by its own record,
     as `qsb_step`, which runs the same loops, does. Also returns the average
     announced states after each round numbered in `checkpoints`, exactly
-    Hermitian as each announced state is, and the rounds run by each
-    kind's loop. With `transcript`, `per_round` holds the losses
+    Hermitian as each announced state is, and the rounds in blocks of each
+    kind (`_kind`). With `transcript`, `per_round` holds the losses
     -log tr(A_t rho_t), the announced states' true traces and min
     eigenvalues, each (S, T), and the step times (T,) in ns, which cover the
     update and, in a block that builds its states round by round, the build
@@ -548,15 +520,27 @@ def _play(
     _check_eta(eta)
     count = len(labels)
     start = qsb_init(dim)
+    step = _block_len(dim, count)
+    n = min(step, rounds)  # the rank-one rounds' spectra, kept until built (`add_kept`)
+    kept = (np.empty((n, count, dim)), np.empty((n, count)),
+            np.empty((n, count, dim, dim), dtype=complex))
+    per_round = None
+    if transcript:
+        per_round = (np.empty((count, rounds)), np.empty((count, rounds)),
+                     np.empty((count, rounds)), np.empty(rounds, dtype=np.int64))
     loop = _Lockstep(np.stack([start.log_weights] * count), [0.0] * count,
                      np.stack([start.spectrum] * count), np.full(count, start.total),
-                     np.stack([start.vectors] * count), eta, rounds, labels, transcript)
-    step = _block_len(dim, count)
+                     np.stack([start.vectors] * count), eta, rounds,
+                     np.array(labels, dtype=object),
+                     rho_sum=np.zeros((count, dim, dim), dtype=complex),
+                     kept=kept, per_round=per_round)
     marks, done = sorted(checkpoints), 0
     averages = []
+    learner_rounds = dict.fromkeys(("rank_one", "general", "mixed"), 0)
     for t in range(0, rounds, step):
         stop = min(t + step, rounds)
         block = draw(t, stop)
+        learner_rounds[_kind(block)] += stop - t
         run = loop.kind_of(block)
         a = t
         while done < len(marks) and marks[done] <= stop:  # a checkpoint ends a run of rounds
@@ -572,8 +556,8 @@ def _play(
         final_states=loop.states(rounds + 1),
         average_states=loop.rho_sum / rounds,
         checkpoint_averages=averages,
-        per_round=loop.per_round,
-        learner_rounds=loop.learner_rounds,
+        per_round=per_round,
+        learner_rounds=learner_rounds,
     )
 
 

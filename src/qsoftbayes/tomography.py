@@ -119,7 +119,7 @@ class MlResult:
     seed: int
     rounds: int
     final_state: QsbState         # the learner's state after the last round
-    # rounds run by each block kind's loop, shared by the lockstep seeds; see `qsb._play`
+    # rounds by block kind, shared by the lockstep seeds; see `qsb._play`
     learner_rounds: dict[str, int] = field(default_factory=dict)
 
     @property

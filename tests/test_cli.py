@@ -265,7 +265,7 @@ def test_each_mode_writes_its_manifest_keys_and_phases(tmp_path, run_cli, datase
     if name.startswith("ml-run"):
         rounds = int(manifest["config"]["rounds"])
         assert manifest["learner_round_us"] == manifest["phase_seconds"]["learners"] / rounds * 1e6
-    # the rounds each kind's loop ran: the run's, or each qst-game seed's game
+    # the rounds by block kind: the run's, or each qst-game seed's game
     kinds = ([s["learner_rounds"] for s in manifest["seed_summaries"]] if name == "qst-game"
              else [manifest["learner_rounds"]] if name.startswith("ml-run") else [])
     for counts in kinds:

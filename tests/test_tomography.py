@@ -809,14 +809,18 @@ class TestStochasticQsb:
         pauli = generate_dataset(random_density(rng, 4), pauli_basis_povms(2), 300, rng)
         full = Dataset(matrices=np.stack([random_psd(rng, 4) for _ in range(20)]))
         rounds, seeds = 1300, (2, 5)
-        checkpoints = len(stochastic_qsb(pauli, rounds, seeds)[0].checkpoints)
+        result = stochastic_qsb(pauli, rounds, seeds)[0]
         blocks = -(-rounds // linalg._block_len(4, len(seeds)))
-        assert len(built) <= blocks + checkpoints < rounds / 50
+        assert len(built) <= blocks + len(result.checkpoints) < rounds / 50
         assert sum(built) == rounds * len(seeds)
-        for data in (full, Dataset(matrices=np.concatenate([pauli.matrices, full.matrices]))):
+        assert result.learner_rounds == {"rank_one": rounds, "general": 0, "mixed": 0}
+        for data, kind in ((full, "general"),
+                           (Dataset(matrices=np.concatenate([pauli.matrices, full.matrices])),
+                            "mixed")):
             built.clear()
-            stochastic_qsb(data, rounds, seeds)
+            result = stochastic_qsb(data, rounds, seeds)[0]
             assert built == [len(seeds)] * rounds
+            assert result.learner_rounds == {"rank_one": 0, "general": 0, "mixed": 0, kind: rounds}
 
     def test_decomposes_the_element_stack_once_per_call(self, monkeypatch):
         decomposed = []
