@@ -24,8 +24,11 @@ import argparse
 import importlib
 import json
 import math
+import os
 import sys
+import threading
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
@@ -36,6 +39,7 @@ from .linalg import (
     DomainError,
     SolverError,
     ValidationError,
+    _block_len,
     _check_unit_trace,
     hermitian_eigh,
     hermitianize,
@@ -581,16 +585,79 @@ def _run_ml(config: ExperimentConfig, out_dir: Path, phases: _Phases) -> dict:
     return extra
 
 
-def _scaling_row(config: ExperimentConfig, seed: int, dim: int) -> dict:
-    """Step times at one dimension. The stream is drawn, checked, decomposed
-    and played a block at a time, so no more than one block of it is held at
-    once, and each block's one `eigh` both scales it and feeds the learner."""
+def _draws_ahead() -> bool:
+    """Whether scaling-bench draws each block while the learner plays the one
+    before: only on a one-thread OpenBLAS with a second CPU to draw on. A
+    threaded BLAS called from both threads at once ran slower than the two
+    one after the other (1.5x at D = 64 on 2 CPUs with 2 BLAS threads)."""
+    from .serialize import _best_effort, _openblas_threads
+
+    cpus = _best_effort(lambda: len(os.sched_getaffinity(0))) or os.cpu_count() or 1
+    return _best_effort(_openblas_threads) == 1 and cpus > 1
+
+
+@contextmanager
+def _drawing_ahead(draw: Callable[[int, int], Any], rounds: int, step: int):
+    """Yield `draw` as the learner loop calls it, a block of `step` rounds at a
+    time, with each block drawn on a new thread while the loop plays the
+    block before it.
+
+    A block's draw starts when the block before it is handed over, so the
+    draws run one at a time and in block order, and at most two blocks are
+    held: the one playing and the one drawing. A failed draw raises when its
+    block comes up, with its message. The thread drawing is joined on exit,
+    also when the loop raises.
+    """
+    def drawing(start: int) -> tuple[threading.Thread, list]:
+        answer: list = []
+
+        def run() -> None:
+            try:
+                answer.append(draw(start, min(start + step, rounds)))
+            except BaseException as exc:  # raised again by `drawn`, on the loop's thread
+                answer.append(exc)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        return thread, answer
+
+    pending = drawing(0)
+
+    def drawn(start: int, stop: int):
+        nonlocal pending
+        thread, answer = pending
+        thread.join()
+        (block,) = answer
+        if isinstance(block, BaseException):
+            raise block
+        if stop < rounds:
+            pending = drawing(stop)
+        return block
+
+    try:
+        yield drawn
+    finally:
+        pending[0].join()
+
+
+def _scaling_row(config: ExperimentConfig, seed: int, dim: int, ahead: bool) -> dict:
+    """Step times at one dimension. The stream is drawn, checked and
+    decomposed a block at a time, the learner loop's blocks, so no whole
+    stream is held, and each block's one `eigh` both scales it and feeds the
+    learner. With `ahead`, each block is drawn on a second thread while the
+    learner plays the one before (`_drawing_ahead`); the generator gives
+    every block the same bits either way."""
     from .ensembles import _psd_block, make_rng
     from .qsb import _qst_game
 
     rng = make_rng(seed)
-    times = _qst_game(lambda start, stop: _psd_block(rng, stop - start, dim),
-                      config.rounds, dim, config.eta).step_times_ns
+
+    def draw(start: int, stop: int) -> tuple[np.ndarray, ...]:
+        return _psd_block(rng, stop - start, dim)
+
+    source = _drawing_ahead(draw, config.rounds, _block_len(dim)) if ahead else nullcontext(draw)
+    with source as blocks:
+        times = _qst_game(blocks, config.rounds, dim, config.eta).step_times_ns
     return {"dim": dim, "rounds": config.rounds, **_step_summary(times)}
 
 
@@ -602,17 +669,18 @@ def _run_scaling(config: ExperimentConfig, out_dir: Path, phases: _Phases) -> di
     """
     from .serialize import write_json
 
-    seed = config.seeds[0]
+    seed, ahead = config.seeds[0], _draws_ahead()
     table = []
     for dim in config.dims:
-        table.append(_scaling_row(config, seed, dim))
+        table.append(_scaling_row(config, seed, dim, ahead))
         phases.lap(f"d{dim}")
     ratios = [
         {"from_dim": a["dim"], "to_dim": b["dim"],
          "median_ratio": b["step_ns_median"] / a["step_ns_median"]}
         for a, b in zip(table, table[1:])
     ]
-    report = {"kind": "scaling-times", "seed": seed, "table": table, "ratios": ratios}
+    report = {"kind": "scaling-times", "seed": seed, "draws_ahead": ahead, "table": table,
+              "ratios": ratios}
     write_json(out_dir / "scaling_times.json", report)
     return {"scaling": report, "phase_seconds": phases.seconds}
 

@@ -35,9 +35,18 @@ class SolverError(RuntimeError):
         self.iterations = iterations
 
 
+# Complex division by 2 gives ((a + b*0) / 2, (b - a*0) / 2); the product with
+# complex(0.5, -0.0) gives (a/2 + b*0, b/2 - a*0): the same bits, signed zeros
+# included, at a fifth of the cost (only a part of magnitude 5e-324, which
+# halves to zero, can get the other zero's sign). A plain `* 0.5` flips some
+# zeros' signs, which changes eigh's reflections and so the artifacts' last bits.
+_HALF = complex(0.5, -0.0)
+
+
 def hermitianize(M: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (M + M^dagger) / 2 of a matrix or of a stack's matrices."""
-    return (M + M.conj().swapaxes(-1, -2)) / 2
+    H = M + M.conj().swapaxes(-1, -2)
+    return H * (_HALF if H.dtype.kind == "c" else 0.5)
 
 
 def spectral(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,8 @@ DIGESTS = {
         "ml-file-mixed": "77921033e0a7ced57409d304dbc87e760749164ebec484d60ef3844d4b9c1cc1",
         "qst-random-rank1": "0f5d913eea721db103e08023285b667871fde192803cf22e575d73c6b59f85fb",
         "qst-file-full-rank": "d1599582dc35ee5b07ee3bdcd118152216c76a77661bd2adb8b57e3f702245cd",
+        "qst-pauli-q2": "685710c96db5b76ffaf4ff6b1e0c4d4bad7a1b453f89afdde4d46214acee5cb0",
+        "ops-d16": "3d6937cd43c6323e698e6cbf47b92f941a252d4f7ee2af62f48c2e6df16974d2",
     },
 }
 
@@ -80,6 +82,9 @@ def runs(files: dict[str, Path]) -> dict[str, list[str]]:
                              "--rounds", "300", "--seeds", "0,1"],
         "qst-file-full-rank": ["qst-game", "--dim", "4", "--povm", "from-file", "--input",
                                str(files["full"]), "--rounds", "150", "--seeds", "6"],
+        "qst-pauli-q2": ["qst-game", "--qubits", "2", "--povm", "pauli-basis",
+                         "--rounds", "400", "--seeds", "0,1"],
+        "ops-d16": ["ops-game", "--dim", "16", "--rounds", "2000", "--seeds", "0,1"],
     }
 
 

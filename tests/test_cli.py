@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from qsoftbayes.cli import (
     write_ops_report,
 )
 from qsoftbayes.ensembles import make_rng, random_density, uniform_returns
-from qsoftbayes.linalg import DomainError, validate_density
+from qsoftbayes.linalg import DomainError, ValidationError, validate_density
 from qsoftbayes.portfolio import best_fixed_portfolio, ops_regret_bound, run_ops_game
 from qsoftbayes.serialize import (
     format_cell,
@@ -672,6 +674,7 @@ class TestScalingBenchMode:
         assert report["ratios"][0]["median_ratio"] > 0
         # timing data is wall-clock noise; it stays out of the stable artifacts
         assert list(out.glob("*.csv")) == []
+        assert report["draws_ahead"] is cli._draws_ahead()
         assert set(report["table"][0]) == {"dim", "rounds", "step_ns_median", "step_ns_mean",
                                            "step_ns_p90"}
         phases = load_payload(out / "manifest.json")["phase_seconds"]
@@ -697,21 +700,183 @@ class TestScalingBenchMode:
             assert sum(counts) == 1025
         assert linalg._block_len(4) == 512 and linalg._block_len(64) == 2
 
-    def test_decomposes_each_observation_once(self, tmp_path, run_cli, monkeypatch):
+    @pytest.mark.parametrize("ahead", [False, True])
+    def test_decomposes_each_observation_once(self, tmp_path, run_cli, monkeypatch, ahead):
         """At D = 64 the 5 rounds are blocks of 2, 2 and 1. One stacked `eigh`
         per block both scales its draws and feeds the learner; each round adds
-        one `eigh` of the (1, D, D) accumulator. No `eigvalsh` is called."""
+        one `eigh` of the (1, D, D) accumulator. No `eigvalsh` is called.
+        Drawn ahead, the blocks' `eigh`s run on the drawing thread and the
+        rounds' on the calling one; else all run on the calling thread, in turn."""
         calls = {"eigh": [], "eigvalsh": []}
         for name in calls:
             def counted(M, *args, name=name, fn=getattr(np.linalg, name), **kwargs):
-                calls[name].append(M.shape)
+                calls[name].append((threading.get_ident(), M.shape))
                 return fn(M, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(cli, "_draws_ahead", lambda: ahead)
         assert run_cli(["scaling-bench", "--dim", "64", "--rounds", "5", "--seeds", "3",
                         "--out", str(tmp_path / "run")]) == 0
+        here = threading.get_ident()
         pair, one = (2, 64, 64), (1, 64, 64)
-        assert calls["eigh"] == [pair, one, one, pair, one, one, one, one]
+        drawing = [shape for ident, shape in calls["eigh"] if ident != here]
+        learning = [shape for ident, shape in calls["eigh"] if ident == here]
+        if ahead:
+            assert drawing == [pair, pair, one]
+            assert learning == [one] * 5
+        else:
+            assert drawing == []
+            assert learning == [pair, one, one, pair, one, one, one, one]
         assert calls["eigvalsh"] == []
+
+    @pytest.mark.parametrize("threads, cpus, ahead", [(1, 2, True), (2, 2, False),
+                                                      (None, 2, False), (1, 1, False)])
+    def test_draws_ahead_only_on_a_one_thread_openblas_with_a_second_cpu(
+            self, monkeypatch, threads, cpus, ahead):
+        from qsoftbayes import serialize
+
+        monkeypatch.setattr(serialize, "_openblas_threads", lambda: threads)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert cli._draws_ahead() is ahead
+
+    @pytest.mark.parametrize("dim, rounds", [(4, 1025), (64, 5)])
+    def test_drawing_on_a_second_thread_keeps_the_games_bits(self, monkeypatch, dim, rounds):
+        """The game equals, bit for bit, the same game drawing each block on the
+        calling thread, also over a last block shorter than the rest, with the
+        interpreter switching threads as often as it can."""
+        assert rounds % linalg._block_len(dim) == 1
+        played, game = [], qsb._qst_game
+        monkeypatch.setattr(qsb, "_qst_game", lambda *args: played.append(game(*args)) or played[-1])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cli._scaling_row(ExperimentConfig(mode="scaling-bench", dims=(dim,), rounds=rounds), 3,
+                             dim, True)
+        finally:
+            sys.setswitchinterval(interval)
+        rng = make_rng(3)
+        alone = game(lambda start, stop: ensembles._psd_block(rng, stop - start, dim),
+                     rounds, dim, None)
+        (drawn_ahead,) = played
+        for name in ("losses", "true_traces", "min_eigs", "average_state"):
+            assert getattr(drawn_ahead, name).tobytes() == getattr(alone, name).tobytes(), name
+
+    def test_draws_each_block_once_in_order_and_ahead_of_the_learner(self, monkeypatch):
+        """`_psd_block` is entered once per block, in block order, never while
+        another draw runs, and block 2's draw runs while block 1 plays: it
+        waits for the learner's first step, which waits for it to be entered.
+        A draw made before or after block 1's rounds leaves one of the two
+        waiting out its timeout."""
+        dim, rounds = 64, 9
+        stream = ensembles.psd_observation_stream(make_rng(3), rounds, dim)
+        lock, running, most = threading.Lock(), [0], [0]
+        drawn, second, stepped, overlapped = [], threading.Event(), threading.Event(), []
+        draw = ensembles._psd_block
+
+        def recorded(rng, n, d):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            if len(drawn) == 1:
+                second.set()
+                overlapped.append(stepped.wait(timeout=10))
+            try:
+                time.sleep(0.005)  # widen the window a second draw would enter
+                block = draw(rng, n, d)
+            finally:
+                with lock:
+                    running[0] -= 1
+            drawn.append(block)
+            return block
+
+        waited, eigh = [], np.linalg.eigh
+
+        def learner_eigh(M, *args, **kwargs):
+            if threading.current_thread() is threading.main_thread() and not waited:
+                waited.append(second.wait(timeout=10))
+                stepped.set()
+            return eigh(M, *args, **kwargs)
+
+        served, game = [], qsb._qst_game
+
+        def watched(draw_block, *args):
+            def serve(start, stop):
+                served.append((start, stop, draw_block(start, stop)))
+                return served[-1][2]
+            return game(serve, *args)
+
+        monkeypatch.setattr(ensembles, "_psd_block", recorded)
+        monkeypatch.setattr(np.linalg, "eigh", learner_eigh)
+        monkeypatch.setattr(qsb, "_qst_game", watched)
+        cli._scaling_row(ExperimentConfig(mode="scaling-bench", dims=(dim,), rounds=rounds), 3, dim,
+                         True)
+        assert waited == overlapped == [True]
+        assert most == [1]
+        assert [(start, stop) for start, stop, _ in served] == [(0, 2), (2, 4), (4, 6), (6, 8),
+                                                                 (8, 9)]
+        assert len(drawn) == len(served)
+        for block, (start, stop, given) in zip(drawn, served):
+            assert block is given
+            assert block[0].tobytes() == stream[start:stop].tobytes()
+
+    def test_a_failed_draw_raises_when_its_block_comes_up(self, monkeypatch):
+        """Block 2's draw fails at once on the drawing thread. Its error is
+        raised here, message unchanged, after block 1's two rounds were
+        played; no later block is drawn and no thread is left running."""
+        drawn, draw = [], ensembles._psd_block
+
+        def failing(rng, n, d):
+            drawn.append(n)
+            if len(drawn) == 2:
+                raise ValidationError("draw 2: A is not positive semidefinite")
+            return draw(rng, n, d)
+
+        steps, eigh = [], np.linalg.eigh
+
+        def learner_eigh(M, *args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                steps.append(M.shape)
+            return eigh(M, *args, **kwargs)
+
+        monkeypatch.setattr(ensembles, "_psd_block", failing)
+        monkeypatch.setattr(np.linalg, "eigh", learner_eigh)
+        before = threading.active_count()
+        with pytest.raises(ValidationError) as raised:
+            cli._scaling_row(ExperimentConfig(mode="scaling-bench", dims=(64,), rounds=7), 3, 64,
+                             True)
+        assert str(raised.value) == "draw 2: A is not positive semidefinite"
+        assert steps == [(1, 64, 64)] * 2
+        assert drawn == [2, 2]
+        assert threading.active_count() == before
+
+    def test_a_learner_error_propagates_and_waits_for_the_draw(self, monkeypatch):
+        """The learner's third step fails while block 3's draw is still
+        running: its `DomainError` propagates, and the draw was joined."""
+        draw, slow = ensembles._psd_block, threading.Event()
+
+        def sleepy(rng, n, d):
+            block = draw(rng, n, d)
+            if slow.is_set():
+                time.sleep(0.2)
+            return block
+
+        steps, eigh = [], np.linalg.eigh
+
+        def learner_eigh(M, *args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                steps.append(M.shape)
+                if len(steps) == 2:
+                    slow.set()
+                if len(steps) == 3:
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(M, *args, **kwargs)
+
+        monkeypatch.setattr(ensembles, "_psd_block", sleepy)
+        monkeypatch.setattr(np.linalg, "eigh", learner_eigh)
+        before = threading.active_count()
+        with pytest.raises(DomainError, match="^round 3: eigendecomposition failed: Eigenvalues did not"):
+            cli._scaling_row(ExperimentConfig(mode="scaling-bench", dims=(64,), rounds=7), 3, 64,
+                             True)
+        assert threading.active_count() == before
 
     def test_a_repeated_dimension_is_refused(self, tmp_path, capsys):
         """A ratio "from 16 to 16" means nothing: one config error line and no directory."""

@@ -193,6 +193,9 @@ def test_hermitianize_is_exactly_hermitian_and_keeps_the_division_zeros():
     M = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
     M[0, 1, 2] = M[0, 2, 1] = complex(-0.0, 1.0)
     M[1, 0, 3] = M[1, 3, 0] = complex(-0.0, -0.0)
+    # every pair of parts from signed zeros and signed nonzeros, one per entry
+    parts = (0.0, -0.0, 1.5, -2.5)
+    M[2] = np.array([complex(a, b) for a in parts for b in parts]).reshape(4, 4)
     H = hermitianize(M)
     assert np.array_equal(H, H.conj().swapaxes(-1, -2))
     S = M + M.conj().swapaxes(-1, -2)
