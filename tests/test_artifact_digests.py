@@ -24,8 +24,12 @@ DIGESTS = {
         "ml-pauli-q2": "45c6f273dd0b0b81cd9004250125bfe68e1aa898f2889d12ed6f5bad9d44d002",
         "ml-file-rank1-q3": "445b814cda497c7a2388a4c2a7d333a8e6b214781602f6823c84a75c0e17fd41",
         "ml-file-mixed": "77921033e0a7ced57409d304dbc87e760749164ebec484d60ef3844d4b9c1cc1",
+        "ml-pauli-q3-two-index-blocks":
+            "c9666c581d15395e9a13a260b0b64fd10bdc560518ad70936352be7328d8fad8",
         "qst-random-rank1": "0f5d913eea721db103e08023285b667871fde192803cf22e575d73c6b59f85fb",
         "qst-file-full-rank": "d1599582dc35ee5b07ee3bdcd118152216c76a77661bd2adb8b57e3f702245cd",
+        "qst-file-full-rank-three-seeds":
+            "b19318f3c585b63e346c9611f5795af9d7dbe3dc6f584fe6d432029fb5cc1601",
         "qst-pauli-q2": "685710c96db5b76ffaf4ff6b1e0c4d4bad7a1b453f89afdde4d46214acee5cb0",
         "ops-d16": "3d6937cd43c6323e698e6cbf47b92f941a252d4f7ee2af62f48c2e6df16974d2",
     },
@@ -78,10 +82,16 @@ def runs(files: dict[str, Path]) -> dict[str, list[str]]:
                              str(files["rank1"]), "--rounds", "300", "--seeds", "2"],
         "ml-file-mixed": ["ml-run", "--dim", "4", "--povm", "from-file", "--input",
                           str(files["mixed"]), "--rounds", "600", "--seeds", "3,4,5"],
+        # 9000 shots: the dataset.json index spans two 8192-integer blocks
+        "ml-pauli-q3-two-index-blocks": ["ml-run", "--qubits", "3", "--shots", "9000",
+                                         "--rounds", "10"],
         "qst-random-rank1": ["qst-game", "--dim", "4", "--povm", "random-rank1",
                              "--rounds", "300", "--seeds", "0,1"],
         "qst-file-full-rank": ["qst-game", "--dim", "4", "--povm", "from-file", "--input",
                                str(files["full"]), "--rounds", "150", "--seeds", "6"],
+        "qst-file-full-rank-three-seeds": ["qst-game", "--dim", "4", "--povm", "from-file",
+                                           "--input", str(files["full"]), "--rounds", "150",
+                                           "--seeds", "6,7,8"],
         "qst-pauli-q2": ["qst-game", "--qubits", "2", "--povm", "pauli-basis",
                          "--rounds", "400", "--seeds", "0,1"],
         "ops-d16": ["ops-game", "--dim", "16", "--rounds", "2000", "--seeds", "0,1"],
