@@ -76,13 +76,20 @@ def rank1_observation_stream(rng: np.random.Generator, rounds: int, dim: int) ->
     """(rounds, dim, dim) stream of projectors onto Haar-random directions.
 
     Each round draws the real then the imaginary parts of one Gaussian
-    vector and normalizes it on its own.
+    vector and normalizes it on its own. The rounds are drawn a block at a
+    time (see `linalg._block_len`), with the bits of a loop of rounds: the
+    norm is taken as `np.linalg.norm` takes it, from the dot products of the
+    strided real and imaginary parts.
     """
     stream = np.empty((rounds, dim, dim), dtype=complex)
-    for t in range(rounds):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        stream[t] = np.outer(v, v.conj())
+    step = _block_len(dim)
+    for start in range(0, rounds, step):
+        out = stream[start : start + step]
+        z = rng.standard_normal((len(out), 2, dim))
+        v = z[:, 0] + 1j * z[:, 1]
+        norm = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+        v /= norm[:, None]
+        np.multiply(v[:, :, None], v.conj()[:, None, :], out=out)
     return stream
 
 

@@ -13,17 +13,20 @@ from qsoftbayes.ensembles import (
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("dim", [2, 4, 8, 32])
-def test_rank1_stream_equals_one_normalized_draw_per_round(seed, dim):
+@pytest.mark.parametrize("dim, rounds", [(2, 20), (4, 20), (8, 20), (32, 20), (64, 20),
+                                         (4, 1025)])
+def test_rank1_stream_equals_one_normalized_draw_per_round(seed, dim, rounds):
     """Each round: real then imaginary Gaussian parts, one norm, one outer
-    product, bit for bit."""
+    product, bit for bit, also across blocks: D = 64 draws 2 rounds per
+    block, and 1025 rounds at D = 4 are three blocks."""
     rng = make_rng(seed)
     reference = []
-    for _ in range(20):
+    for _ in range(rounds):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v = v / np.linalg.norm(v)
         reference.append(np.outer(v, v.conj()))
-    assert np.array_equal(rank1_observation_stream(make_rng(seed), 20, dim), np.stack(reference))
+    stream = rank1_observation_stream(make_rng(seed), rounds, dim)
+    assert stream.tobytes() == np.stack(reference).tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1])
