@@ -31,7 +31,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .linalg import (
 )
 
 if TYPE_CHECKING:
-    from .qsb import QstTranscript
+    from .qsb import QstTranscript, _Records
     from .tomography import Dataset, MlResult
 
 POVM_KINDS = ("pauli-basis", "random-rank1", "from-file")
@@ -345,30 +345,26 @@ def _input_dataset(config: ExperimentConfig, label: Callable[[int], str] | None 
     return data
 
 
-def _qst_datasets(config: ExperimentConfig) -> Iterator[Dataset]:
+def _qst_datasets(config: ExperimentConfig) -> list[Dataset]:
     """Each seed's game stream, as the dataset the oracle fits and the game plays;
-    a from-file input is loaded and checked once, and every seed plays its first --rounds records."""
+    a from-file input is loaded and checked once, and is every seed's dataset:
+    its first --rounds records."""
     from .ensembles import make_rng, rank1_observation_stream
     from .tomography import Dataset
 
-    dim = config.dims[0]
-    if config.povm == "from-file":
-        # record n is what round n + 1 of the game plays
-        data = _input_dataset(config, lambda n: f"record {n} (round {n + 1}): ")
-        if len(data) < config.rounds:
-            raise ConfigError(
-                f"{config.input_path} provides {len(data)} observations, need {config.rounds}"
-            )
-        if len(data) > config.rounds:
-            data = Dataset(elements=data.elements, index=data.index[: config.rounds])
-    for seed in config.seeds:
-        rng = make_rng(seed)
-        if config.povm == "random-rank1":
-            yield Dataset(matrices=rank1_observation_stream(rng, config.rounds, dim))
-        elif config.povm == "pauli-basis":
-            yield _pauli_dataset(rng, dim, config.rounds)
-        else:
-            yield data
+    dim, rounds = config.dims[0], config.rounds
+    if config.povm == "random-rank1":
+        return [Dataset(matrices=rank1_observation_stream(make_rng(seed), rounds, dim))
+                for seed in config.seeds]
+    if config.povm == "pauli-basis":
+        return [_pauli_dataset(make_rng(seed), dim, rounds) for seed in config.seeds]
+    # record n is what round n + 1 of the game plays
+    data = _input_dataset(config, lambda n: f"record {n} (round {n + 1}): ")
+    if len(data) < rounds:
+        raise ConfigError(f"{config.input_path} provides {len(data)} observations, need {rounds}")
+    if len(data) > rounds:
+        data = Dataset(elements=data.elements, index=data.index[:rounds])
+    return [data] * len(config.seeds)
 
 
 def _qst_seed(config: ExperimentConfig, seed: int, transcript: QstTranscript, oracle: tuple,
@@ -510,38 +506,45 @@ def _run_ops(config: ExperimentConfig, out_dir: Path, phases: _Phases) -> dict:
     return {"seed_summaries": summaries, "phase_seconds": phases.seconds}
 
 
-def _dataset_block(data: Dataset, start: int, stop: int) -> tuple[np.ndarray, ...]:
-    """Records start to stop - 1 of a dataset, hermitianized and decomposed.
+def _dataset_block(streams: list[Dataset], start: int, stop: int) -> _Records:
+    """Records start to stop - 1 of each stream, as one (n, S) block,
+    hermitianized and decomposed in one stacked `eigh`.
 
-    The dataset's check passed them already, so they are not checked again.
+    The datasets' checks passed them already, so they are not checked again.
     """
-    H = hermitianize(data.elements[data.index[start:stop]])
-    return (H, *hermitian_eigh(H))
+    from .qsb import _records
+
+    H = hermitianize(np.stack([data.elements[data.index[start:stop]] for data in streams],
+                              axis=1))
+    return _records(H, *hermitian_eigh(H))
 
 
 def _run_qst(config: ExperimentConfig, out_dir: Path, phases: _Phases) -> dict:
-    """Each seed's dataset, game and oracle, then its artifacts.
+    """Every seed's dataset, one lockstep game over the distinct datasets,
+    each one's oracle, then each seed's artifacts.
 
-    A from-file input is the same stream for every seed, so its game is
-    played and its oracle solved once, and every seed's files are written
-    from that one result. Returns the manifest fields, with the seconds spent
-    in each phase, summed over the seeds.
+    A from-file input is the same dataset for every seed, so it is played
+    as one stream, whose errors name no seed, and its oracle is solved
+    once; every seed's files are written from that one result. A generated
+    stream's errors name its seed. Returns the manifest fields, with the
+    seconds spent in each phase.
     """
     from .qsb import _qst_game
     from .tomography import _ml_oracle
 
-    summaries, played = [], None
-    for seed, data in zip(config.seeds, _qst_datasets(config)):
-        phases.lap("dataset")
-        if data is not played:
-            played = data
-            transcript = _qst_game(lambda start, stop: _dataset_block(data, start, stop),
-                                   len(data), data.dim, config.eta)
-            phases.lap("game")
-            oracle = _ml_oracle(data, tol=1e-7)
-            phases.lap("oracle")
-        summaries.append(_qst_seed(config, seed, transcript, oracle, out_dir))
-        phases.lap("write")
+    datasets = _qst_datasets(config)
+    phases.lap("dataset")
+    streams = list({id(data): data for data in datasets}.values())
+    labels = [""] if config.povm == "from-file" else [f"seed {s}: " for s in config.seeds]
+    transcripts = _qst_game(lambda start, stop: _dataset_block(streams, start, stop),
+                            config.rounds, config.dims[0], config.eta, labels)
+    phases.lap("game")
+    oracles = [_ml_oracle(data, tol=1e-7) for data in streams]
+    phases.lap("oracle")
+    answers = dict(zip(map(id, streams), zip(transcripts, oracles)))
+    summaries = [_qst_seed(config, seed, *answers[id(data)], out_dir)
+                 for seed, data in zip(config.seeds, datasets)]
+    phases.lap("write")
     return {"seed_summaries": summaries, "phase_seconds": phases.seconds}
 
 
@@ -644,21 +647,22 @@ def _scaling_row(config: ExperimentConfig, seed: int, dim: int, ahead: bool) -> 
     """Step times at one dimension. The stream is drawn, checked and
     decomposed a block at a time, the learner loop's blocks, so no whole
     stream is held, and each block's one `eigh` both scales it and feeds the
-    learner. With `ahead`, each block is drawn on a second thread while the
-    learner plays the one before (`_drawing_ahead`); the generator gives
-    every block the same bits either way."""
+    learner. With `ahead`, each block is drawn, and its records built, on a
+    second thread while the learner plays the one before (`_drawing_ahead`);
+    the generator gives every block the same bits either way."""
     from .ensembles import _psd_block, make_rng
-    from .qsb import _qst_game
+    from .qsb import _qst_game, _records
 
     rng = make_rng(seed)
 
-    def draw(start: int, stop: int) -> tuple[np.ndarray, ...]:
-        return _psd_block(rng, stop - start, dim)
+    def draw(start: int, stop: int) -> _Records:
+        H, mu, U = _psd_block(rng, stop - start, dim)
+        return _records(H[:, None], mu[:, None], U[:, None])
 
     source = _drawing_ahead(draw, config.rounds, _block_len(dim)) if ahead else nullcontext(draw)
     with source as blocks:
-        times = _qst_game(blocks, config.rounds, dim, config.eta).step_times_ns
-    return {"dim": dim, "rounds": config.rounds, **_step_summary(times)}
+        (transcript,) = _qst_game(blocks, config.rounds, dim, config.eta)
+    return {"dim": dim, "rounds": config.rounds, **_step_summary(transcript.step_times_ns)}
 
 
 def _run_scaling(config: ExperimentConfig, out_dir: Path, phases: _Phases) -> dict:

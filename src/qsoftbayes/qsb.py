@@ -144,9 +144,18 @@ def qsb_step(state: QsbState, A: np.ndarray, eta: float) -> QsbState:
     block = _records(A[None, None], mu[None], U[None])
     loop = _Lockstep(np.array(state.log_weights[None], dtype=complex), [state.shift],
                      state.spectrum[None], np.array([state.total]), state.vectors[None],
-                     eta, rounds=1, first=state.round)
+                     eta, 1, *_sums(1, 1, state.dim), first=state.round)
     loop.kind_of(block)(block, 0, 0, 1)
     return loop.states(state.round + 1)[0]
+
+
+def _sums(n: int, count: int, dim: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """A zero running sum of `count` learners' announced states, and the
+    buffers that keep `n` rounds of their spectra until they are built and
+    added to it (see `_Lockstep.add_kept`)."""
+    return (np.zeros((count, dim, dim), dtype=complex),
+            (np.empty((n, count, dim)), np.empty((n, count)),
+             np.empty((n, count, dim, dim), dtype=complex)))
 
 
 def _diagonals(L: np.ndarray) -> np.ndarray:
@@ -324,17 +333,16 @@ class _Lockstep:
     first round `start` (from 0) and its rows a to b - 1, and writes the
     state in place. `first` numbers round 0 in error messages, which name
     the round and the learner's label, from the object array `labels`,
-    which row subsets index. `_play` hands in what only a run of many
-    rounds keeps, and `qsb_step` keeps none of it: `rho_sum`, the running
-    sum of the announced states; `kept`, (n, S) buffers of the spectra p,
-    totals and eigenvectors V for the rounds of a block (see `add_kept`);
-    and `per_round`, the transcript (see `_play`).
+    which row subsets index. Every run keeps `rho_sum`, the running sum of
+    the announced states, and `kept`, (n, S) buffers of the spectra p,
+    totals and eigenvectors V for the rounds of a block (see `add_kept`),
+    both made by `_sums`; only `_play` with a transcript keeps `per_round`
+    (see `_play`). `qsb_step` runs one round of one learner.
     """
 
     def __init__(self, L: np.ndarray, shift: list[float], p: np.ndarray, total: np.ndarray,
-                 V: np.ndarray, eta: float, rounds: int, labels: np.ndarray = _NO_LABEL,
-                 first: int = 1, rho_sum: np.ndarray | None = None,
-                 kept: tuple[np.ndarray | None, ...] = (None, None, None),
+                 V: np.ndarray, eta: float, rounds: int, rho_sum: np.ndarray,
+                 kept: tuple[np.ndarray, ...], labels: np.ndarray = _NO_LABEL, first: int = 1,
                  per_round: tuple[np.ndarray, ...] | None = None) -> None:
         self.L, self.diagonals, self.shift = L, _diagonals(L).real, shift
         self.p, self.total, self.V = p, total, V
@@ -385,7 +393,7 @@ class _Lockstep:
         self.add_kept()
         L, diagonals, shift, w, eta = self.L, self.diagonals, self.shift, self.w, self.eta
         p, total, V = self.p, self.total, self.V
-        summed, (kept_p, kept_total, kept_V) = self.rho_sum is not None, self.kept
+        kept_p, kept_total, kept_V = self.kept
         record, eigh, keep = self.per_round is not None, hermitian_eigh, math.log1p(-eta)
         rows = zip(range(start + a, start + b), block.U[a:b, ..., -1, None], block.P[a:b],
                    block.mu[a:b, :, -1].tolist())
@@ -393,8 +401,7 @@ class _Lockstep:
             for k, (t, u, P, top) in enumerate(rows):
                 if record:
                     t0 = self._before(t, shift, p, total)
-                if summed:
-                    kept_p[k], kept_total[k], kept_V[k] = p, total, V
+                kept_p[k], kept_total[k], kept_V[k] = p, total, V
                 c = _spectral_overlaps(p, total, V, u, top)
                 if min(c) <= 0.0:
                     raise self._overlap(c)
@@ -407,8 +414,7 @@ class _Lockstep:
         except DomainError as exc:
             raise self._failed(t, exc) from exc
         self.p, self.total, self.V, self.rho = p, total, V, None
-        if summed:
-            self.kept_rounds = b - a
+        self.kept_rounds = b - a
 
     def add_kept(self) -> None:
         """Build the kept states in one stack and add them to `rho_sum` in
@@ -438,7 +444,7 @@ class _Lockstep:
         L, diagonals, shift, eta = self.L, self.diagonals, self.shift, self.eta
         p, total, V, rho, rho_sum = self.p, self.total, self.V, self.rho, self.rho_sum
         record, eigh, vecdot = self.per_round is not None, hermitian_eigh, np.vecdot
-        w, keep, summed, last = self.w, math.log1p(-eta), rho_sum is not None, self.rounds - 1
+        w, keep, last = self.w, math.log1p(-eta), self.rounds - 1
         labels, cbuf = self.labels, np.empty(len(L))  # a round's overlaps, in learner order
         if rho is None:
             rho = _announced(p, total, V)
@@ -468,8 +474,7 @@ class _Lockstep:
                 lam, V = eigh(L)
                 p, total, tops = _fold(lam, diagonals)
                 shift[:] = [(x + keep if o else x) + y for x, o, y in zip(shift, one, tops)]
-                if summed:
-                    rho_sum += rho
+                rho_sum += rho
                 rho = _announced(p, total, V) if t < last else None
                 if record:
                     self._after(t, c, t0)
@@ -521,9 +526,6 @@ def _play(
     count = len(labels)
     start = qsb_init(dim)
     step = _block_len(dim, count)
-    n = min(step, rounds)  # the rank-one rounds' spectra, kept until built (`add_kept`)
-    kept = (np.empty((n, count, dim)), np.empty((n, count)),
-            np.empty((n, count, dim, dim), dtype=complex))
     per_round = None
     if transcript:
         per_round = (np.empty((count, rounds)), np.empty((count, rounds)),
@@ -531,9 +533,8 @@ def _play(
     loop = _Lockstep(np.stack([start.log_weights] * count), [0.0] * count,
                      np.stack([start.spectrum] * count), np.full(count, start.total),
                      np.stack([start.vectors] * count), eta, rounds,
-                     np.array(labels, dtype=object),
-                     rho_sum=np.zeros((count, dim, dim), dtype=complex),
-                     kept=kept, per_round=per_round)
+                     *_sums(min(step, rounds), count, dim), np.array(labels, dtype=object),
+                     per_round=per_round)
     marks, done = sorted(checkpoints), 0
     averages = []
     learner_rounds = dict.fromkeys(("rank_one", "general", "mixed"), 0)
@@ -561,12 +562,6 @@ def _play(
     )
 
 
-# What a game's `draw(start, stop)` returns: rounds start to stop - 1 as an
-# (n, D, D) Hermitian stack H, its (n, D) eigenvalues mu (ascending) and its
-# eigenvectors U.
-_Block = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
 def run_qst_game(stream: np.ndarray, eta: float | None = None) -> QstTranscript:
     """Play the tomography game against a (T, D, D) stream of observations.
 
@@ -581,42 +576,32 @@ def run_qst_game(stream: np.ndarray, eta: float | None = None) -> QstTranscript:
         raise ValidationError(f"expected a nonempty (T, D, D) stream, got shape {stream.shape}")
     rounds, dim = stream.shape[:2]
 
-    def checked(start: int, stop: int) -> _Block:
+    def checked(start: int, stop: int) -> _Records:
         H, (mu, U) = _hermitian_psd(stream[start:stop], lambda i: f"round {start + i + 1}: ",
                                     vectors=True)
-        return H, mu, U
+        return _records(H[:, None], mu[:, None], U[:, None])
 
-    return _qst_game(checked, rounds, dim, eta)
+    return _qst_game(checked, rounds, dim, eta)[0]
 
 
-def _qst_game(draw: Callable[[int, int], _Block], rounds: int, dim: int,
-              eta: float | None) -> QstTranscript:
-    """`run_qst_game` on `rounds` observations, drawn a block at a time.
+def _qst_game(draw: Callable[[int, int], _Records], rounds: int, dim: int, eta: float | None,
+              labels: Sequence[str] = ("",)) -> list[QstTranscript]:
+    """`run_qst_game` on S streams of `rounds` observations, one per label,
+    played in lockstep and drawn a block at a time.
 
-    `draw(start, stop)` returns rounds start to stop - 1 (from 0), already
-    checked and decomposed (see `_Block`): the caller says how. `_play`
-    calls it a block at a time, and the learner axis is added here, where
-    `_records` marks the block's rank-one records.
+    `draw(start, stop)` returns rounds start to stop - 1 (from 0) of every
+    stream as `_Records` of shape (n, S), already checked and decomposed:
+    the caller says how (see `_play`). A domain error names the round and
+    the stream's label. Returns one transcript per stream; they share the
+    step times, each of which covers one round of all S streams.
     """
     if eta is None:
         eta = learning_rate(dim, rounds)
-
-    def one_learner(start: int, stop: int) -> _Records:
-        H, mu, U = draw(start, stop)
-        return _records(H[:, None], mu[:, None], U[:, None])
-
-    played = _play(dim, rounds, eta, one_learner, transcript=True)
-    losses, true_traces, min_eigs, step_times = played.per_round
-    return QstTranscript(
-        eta=eta,
-        losses=losses[0],
-        true_traces=true_traces[0],
-        min_eigs=min_eigs[0],
-        step_times_ns=step_times,
-        average_state=played.average_states[0],
-        final_state=played.final_states[0],
-        learner_rounds=played.learner_rounds,
-    )
+    played = _play(dim, rounds, eta, draw, labels, transcript=True)
+    losses, traces, min_eigs, step_times = played.per_round
+    return [QstTranscript(eta, loss, trace, low, step_times, average, final, played.learner_rounds)
+            for loss, trace, low, average, final
+            in zip(losses, traces, min_eigs, played.average_states, played.final_states)]
 
 
 def eta_bar(eta: float) -> float:

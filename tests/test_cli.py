@@ -40,7 +40,7 @@ from qsoftbayes.serialize import (
     save_dataset,
     save_matrix,
 )
-from qsoftbayes.tomography import generate_dataset, pauli_basis_povms
+from qsoftbayes.tomography import Dataset, generate_dataset, pauli_basis_povms
 
 
 def read_csv(path):
@@ -563,6 +563,78 @@ class TestQstGameMode:
         assert [s["seed"] for s in summaries] == [0, 1, 2]
         assert len({s["regret"] for s in summaries}) == 1
 
+    def test_generated_seeds_play_one_lockstep_game(self, tmp_path, run_cli, monkeypatch):
+        """All seeds' streams are played in one `_qst_game` call, each named by
+        its seed; each seed's stream has its own oracle, and every seed's
+        sidecar holds the one game's round times."""
+        played, game = [], qsb._qst_game
+        monkeypatch.setattr(qsb, "_qst_game", lambda *args: played.append(args[4:]) or game(*args))
+        oracles, oracle = [], tomography._ml_oracle
+        monkeypatch.setattr(tomography, "_ml_oracle",
+                            lambda data, **kwargs: oracles.append(data) or oracle(data, **kwargs))
+        out = tmp_path / "run"
+        assert run_cli(["qst-game", "--dim", "2", "--rounds", "40", "--seeds", "0,1,2",
+                        "--povm", "random-rank1", "--out", str(out)]) == 0
+        assert played == [(["seed 0: ", "seed 1: ", "seed 2: "],)]
+        assert len(oracles) == len({id(data) for data in oracles}) == 3
+        times = [(out / f"qst_seed{seed}_times.json").read_bytes() for seed in (0, 1, 2)]
+        assert len(set(times)) == 1
+
+    @pytest.mark.parametrize("model", [["--dim", "4", "--povm", "random-rank1"],
+                                       ["--qubits", "2", "--povm", "pauli-basis"]])
+    def test_each_seed_writes_what_it_writes_alone(self, tmp_path, run_cli, model):
+        """Three seeds in lockstep, played in blocks of 170 rounds, give the
+        bytes and summaries of single-seed runs, played in blocks of 512."""
+        assert linalg._block_len(4, 3) == 170 and linalg._block_len(4) == 512
+        args = ["qst-game", *model, "--rounds", "600"]
+        assert run_cli(args + ["--seeds", "0,1,2", "--out", str(tmp_path / "all")]) == 0
+        for seed in (0, 1, 2):
+            alone = tmp_path / f"seed{seed}"
+            assert run_cli(args + ["--seeds", str(seed), "--out", str(alone)]) == 0
+            for name in (f"qst_seed{seed}.csv", f"rho_bar_seed{seed}.json"):
+                assert (tmp_path / "all" / name).read_bytes() == (alone / name).read_bytes()
+            summaries = [load_payload(d / "manifest.json")["seed_summaries"]
+                         for d in (tmp_path / "all", alone)]
+            timed = ("step_ns_median", "step_ns_mean", "step_ns_p90")
+            assert ({k: v for k, v in summaries[0][seed].items() if k not in timed}
+                    == {k: v for k, v in summaries[1][0].items() if k not in timed})
+
+    # passes the dataset check (min eigenvalue -5e-11), but at eta near 1 its
+    # G = (1 - eta) I + (eta / c) A has a negative eigenvalue
+    BAD = np.diag([-5e-11, 1.0]).astype(complex)
+
+    def test_a_domain_error_names_the_first_failing_seed(self, tmp_path, capsys, monkeypatch):
+        """Seeds 1 and 2 both fail at round 3; the error names seed 1, the
+        first in the stack, and no directory is left."""
+        def stream(rng, rounds, dim):
+            records = np.array([np.eye(dim)] * rounds, dtype=complex)
+            if rng.bit_generator.seed_seq.entropy in (1, 2):
+                records[2] = self.BAD
+            return records
+
+        monkeypatch.setattr(ensembles, "rank1_observation_stream", stream)
+        out = tmp_path / "run"
+        assert main(["qst-game", "--dim", "2", "--rounds", "6", "--seeds", "0,1,2",
+                     "--povm", "random-rank1", "--eta", "0.999999999999",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: round 3: seed 1: eigenvalue ")
+        assert err.endswith(" of G is outside the domain of log\n")
+        assert not out.exists()
+
+    def test_a_from_file_domain_error_names_no_seed(self, tmp_path, capsys):
+        """A from-file input is one stream for every seed, so its error names none."""
+        records = np.array([np.eye(2)] * 6, dtype=complex)
+        records[2] = self.BAD
+        src = tmp_path / "stream.json"
+        save_dataset(src, Dataset(matrices=records))
+        assert main(["qst-game", "--dim", "2", "--rounds", "6", "--seeds", "0,1",
+                     "--povm", "from-file", "--input", str(src), "--eta", "0.999999999999",
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: round 3: eigenvalue ")
+        assert err.endswith(" of G is outside the domain of log\n")
+
     def test_from_file_stream_too_short(self, tmp_path, capsys):
         rho = random_density(make_rng(1), 2)
         data = generate_dataset(rho, pauli_basis_povms(1), 5, make_rng(1))
@@ -754,9 +826,13 @@ class TestScalingBenchMode:
         finally:
             sys.setswitchinterval(interval)
         rng = make_rng(3)
-        alone = game(lambda start, stop: ensembles._psd_block(rng, stop - start, dim),
-                     rounds, dim, None)
-        (drawn_ahead,) = played
+
+        def draw(start, stop):
+            H, mu, U = ensembles._psd_block(rng, stop - start, dim)
+            return qsb._records(H[:, None], mu[:, None], U[:, None])
+
+        (alone,) = game(draw, rounds, dim, None)
+        ((drawn_ahead,),) = played
         for name in ("losses", "true_traces", "min_eigs", "average_state"):
             assert getattr(drawn_ahead, name).tobytes() == getattr(alone, name).tobytes(), name
 
@@ -815,8 +891,8 @@ class TestScalingBenchMode:
                                                                  (8, 9)]
         assert len(drawn) == len(served)
         for block, (start, stop, given) in zip(drawn, served):
-            assert block is given
-            assert block[0].tobytes() == stream[start:stop].tobytes()
+            assert given.A.base is block[0]  # the drawn stack, given the learner axis
+            assert given.A[:, 0].tobytes() == stream[start:stop].tobytes()
 
     def test_a_failed_draw_raises_when_its_block_comes_up(self, monkeypatch):
         """Block 2's draw fails at once on the drawing thread. Its error is
