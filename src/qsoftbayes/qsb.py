@@ -599,7 +599,9 @@ def _qst_game(draw: Callable[[int, int], _Records], rounds: int, dim: int, eta: 
         eta = learning_rate(dim, rounds)
     played = _play(dim, rounds, eta, draw, labels, transcript=True)
     losses, traces, min_eigs, step_times = played.per_round
-    return [QstTranscript(eta, loss, trace, low, step_times, average, final, played.learner_rounds)
+    return [QstTranscript(eta=eta, losses=loss, true_traces=trace, min_eigs=low,
+                          step_times_ns=step_times, average_state=average, final_state=final,
+                          learner_rounds=played.learner_rounds)
             for loss, trace, low, average, final
             in zip(losses, traces, min_eigs, played.average_states, played.final_states)]
 
