@@ -32,6 +32,12 @@ DIGESTS = {
             "b19318f3c585b63e346c9611f5795af9d7dbe3dc6f584fe6d432029fb5cc1601",
         "qst-pauli-q2": "685710c96db5b76ffaf4ff6b1e0c4d4bad7a1b453f89afdde4d46214acee5cb0",
         "ops-d16": "3d6937cd43c6323e698e6cbf47b92f941a252d4f7ee2af62f48c2e6df16974d2",
+        "byte-determinism-ops-d3":
+            "e6212a34c2d0198dfc491cd97ca6bf60c06d2f92014f16884e95ef8e487be03c",
+        "byte-determinism-qst-random-rank1-d2":
+            "117617150157bd1aafa19e5b68d2a08fd00413dd730526bc355b6741fcb1af6c",
+        "byte-determinism-ml-pauli-q1":
+            "837380819bd12a95abe86bf92cef4189ccb4428560688946e7effa4744ab52b4",
     },
 }
 
@@ -95,6 +101,14 @@ def runs(files: dict[str, Path]) -> dict[str, list[str]]:
         "qst-pauli-q2": ["qst-game", "--qubits", "2", "--povm", "pauli-basis",
                          "--rounds", "400", "--seeds", "0,1"],
         "ops-d16": ["ops-game", "--dim", "16", "--rounds", "2000", "--seeds", "0,1"],
+        # the runs of test_acceptance.py::test_byte_determinism; its scaling-bench
+        # run is left out, as it writes no stable file (only scaling_times.json)
+        "byte-determinism-ops-d3": ["ops-game", "--dim", "3", "--rounds", "50",
+                                    "--seeds", "0,1"],
+        "byte-determinism-qst-random-rank1-d2": ["qst-game", "--dim", "2", "--rounds", "40",
+                                                 "--seeds", "2", "--povm", "random-rank1"],
+        "byte-determinism-ml-pauli-q1": ["ml-run", "--qubits", "1", "--shots", "120",
+                                         "--rounds", "64", "--seeds", "0,1"],
     }
 
 
