@@ -370,14 +370,12 @@ def _qst_datasets(config: ExperimentConfig) -> list[Dataset]:
 def _qst_seed(config: ExperimentConfig, seed: int, transcript: QstTranscript, oracle: tuple,
               out: Path) -> dict:
     """Write one seed's qst-game artifacts, given its `_ml_oracle` answer; returns its summary."""
-    from .serialize import save_matrix, write_json
+    from .serialize import save_matrix
 
     _, f_star, *solve = oracle
     comparator_loss = f_star * config.rounds
     write_qst_report(out / f"qst_seed{seed}.csv", transcript)
     save_matrix(out / f"rho_bar_seed{seed}.json", transcript.average_state)
-    times = transcript.step_times_ns
-    write_json(out / f"qst_seed{seed}_times.json", {"step_times_ns": times.tolist()})
     return {
         "seed": seed,
         "eta": transcript.eta,
@@ -387,8 +385,6 @@ def _qst_seed(config: ExperimentConfig, seed: int, transcript: QstTranscript, or
         "final_true_trace": transcript.final_state.true_trace,
         "final_min_eig": transcript.final_state.rho_min_eig,
         **dict(zip(_ORACLE_KEYS, solve)),
-        **_step_summary(times),
-        "learner_rounds": transcript.learner_rounds,
     }
 
 
@@ -479,7 +475,7 @@ def _run_ops(config: ExperimentConfig, out_dir: Path, phases: _Phases) -> dict:
         uniform_returns(make_rng(seed), rounds, dim, out=stream)
         validate_return_stream(stream)
     phases.lap("returns")
-    eta, losses, _ = _soft_bayes_lockstep(returns, config.eta, seeds=config.seeds)
+    eta, losses = _soft_bayes_lockstep(returns, config.eta, seeds=config.seeds)
     phases.lap("game")
     comparators = [_best_fixed_portfolio(stream) for stream in returns]
     phases.lap("comparator")
@@ -526,10 +522,12 @@ def _run_qst(config: ExperimentConfig, out_dir: Path, phases: _Phases) -> dict:
     A from-file input is the same dataset for every seed, so it is played
     as one stream, whose errors name no seed, and its oracle is solved
     once; every seed's files are written from that one result. A generated
-    stream's errors name its seed. Returns the manifest fields, with the
-    seconds spent in each phase.
+    stream's errors name its seed. The game's step times, each one round
+    of all streams, go to one `qst_times.json`. Returns the manifest
+    fields, with the seconds spent in each phase.
     """
     from .qsb import _qst_game
+    from .serialize import write_json
     from .tomography import _ml_oracle
 
     datasets = _qst_datasets(config)
@@ -544,8 +542,11 @@ def _run_qst(config: ExperimentConfig, out_dir: Path, phases: _Phases) -> dict:
     answers = dict(zip(map(id, streams), zip(transcripts, oracles)))
     summaries = [_qst_seed(config, seed, *answers[id(data)], out_dir)
                  for seed, data in zip(config.seeds, datasets)]
+    times = transcripts[0].step_times_ns
+    write_json(out_dir / "qst_times.json", {"step_times_ns": times.tolist()})
     phases.lap("write")
-    return {"seed_summaries": summaries, "phase_seconds": phases.seconds}
+    return {"seed_summaries": summaries, **_step_summary(times),
+            "learner_rounds": transcripts[0].learner_rounds, "phase_seconds": phases.seconds}
 
 
 def _run_ml(config: ExperimentConfig, out_dir: Path, phases: _Phases) -> dict:
@@ -690,7 +691,7 @@ def _run_scaling(config: ExperimentConfig, out_dir: Path, phases: _Phases) -> di
 
 
 def _run_validate(config: ExperimentConfig) -> list[str]:
-    from .serialize import dataset_form, dataset_from_record, load_payload, matrix_from_record
+    from .serialize import dataset_from_record, load_payload, matrix_from_record
 
     rec = load_payload(config.input_path)
     kind = rec.get("kind")
@@ -709,7 +710,6 @@ def _run_validate(config: ExperimentConfig) -> list[str]:
             lines.append(f"trace: {trace:.12g} (not a density)")
     elif kind == "dataset":
         data = dataset_from_record(rec)
-        lines.append(f"form: {dataset_form(rec)}")
         lines.append(f"dim: {data.dim}")
         lines.append(f"records: {len(data)}")
         lines.append(f"distinct: {len(data.elements)}")

@@ -24,8 +24,7 @@ class OpsTranscript:
     """Per-round record of one online portfolio game."""
 
     eta: float
-    portfolios: np.ndarray  # (T, D), row t is the portfolio announced at round t
-    losses: np.ndarray      # (T,)
+    losses: np.ndarray  # (T,)
 
     @property
     def cumulative_losses(self) -> np.ndarray:
@@ -133,28 +132,21 @@ def ops_regret_bound(dim: int, rounds: float | np.ndarray) -> float | np.ndarray
 
 def run_ops_game(returns: np.ndarray, eta: float | None = None) -> OpsTranscript:
     """Play Soft-Bayes against a (T, D) stream of return vectors."""
-    returns = validate_return_stream(returns)
-    eta, losses, portfolios = _soft_bayes_lockstep(returns[None], eta, keep_portfolios=True)
-    return OpsTranscript(eta=eta, portfolios=portfolios[0], losses=losses[0])
+    eta, losses = _soft_bayes_lockstep(validate_return_stream(returns)[None], eta)
+    return OpsTranscript(eta=eta, losses=losses[0])
 
 
-def _soft_bayes_lockstep(
-    returns: np.ndarray,
-    eta: float | None,
-    keep_portfolios: bool = False,
-    seeds: Sequence[int] | None = None,
-) -> tuple[float, np.ndarray, np.ndarray | None]:
+def _soft_bayes_lockstep(returns: np.ndarray, eta: float | None,
+                         seeds: Sequence[int] | None = None) -> tuple[float, np.ndarray]:
     """Play Soft-Bayes on each (T, D) stream of a checked (S, T, D) stack, in lockstep.
 
-    Returns `(eta, losses, portfolios)`: the rate played (the horizon-tuned
-    one when `eta` is None), the (S, T) losses, and the (S, T, D) portfolios
-    announced each round, or None unless `keep_portfolios`. Each round takes
-    the S payoffs <a, w> from one `vecdot`, which equals `np.dot` bit for
-    bit, and updates all S portfolios by `soft_bayes_step`'s expression in
-    five ufunc calls into preallocated buffers, so every stream's losses
-    and portfolios are those of a game played alone. A nonpositive payoff
-    raises `DomainError`; given the streams' `seeds`, the message names the
-    seed and the round.
+    Returns `(eta, losses)`: the rate played (the horizon-tuned one when
+    `eta` is None) and the (S, T) losses. Each round takes the S payoffs
+    <a, w> from one `vecdot`, which equals `np.dot` bit for bit, and updates
+    all S portfolios by `soft_bayes_step`'s expression in five ufunc calls
+    into preallocated buffers, so every stream's losses are those of a game
+    played alone. A nonpositive payoff raises `DomainError`; given the
+    streams' `seeds`, the message names the seed and the round.
     """
     streams, rounds, dim = returns.shape
     if eta is None:
@@ -166,14 +158,11 @@ def _soft_bayes_lockstep(
     ratio = np.empty((streams, 1))  # the round's eta / <a, w>
     factor = np.empty_like(w)       # the round's (1 - eta) + (eta / <a, w>) a
     payoffs = np.empty((rounds, streams))
-    portfolios = np.empty_like(returns) if keep_portfolios else None
     # ufunc outputs are passed by position, which is cheaper per call than out=
     rows = zip(returns.swapaxes(0, 1), payoffs, payoffs[:, :, None])
     # after a zero payoff the updates divide by it; that round raises below
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t, (a, dot, dot_column) in enumerate(rows):
-            if portfolios is not None:
-                portfolios[:, t] = w
+        for a, dot, dot_column in rows:
             np.vecdot(a, w, dot)
             np.divide(eta, dot_column, ratio)
             np.multiply(ratio, a, factor)
@@ -187,7 +176,7 @@ def _soft_bayes_lockstep(
         raise DomainError(f"{where}degenerate return: <a, w> = {float(payoffs[t, s])!r}")
     by_stream = payoffs.T.ravel().tolist()
     losses = -np.fromiter(map(math.log, by_stream), float, len(by_stream))
-    return eta, losses.reshape(streams, rounds), portfolios
+    return eta, losses.reshape(streams, rounds)
 
 
 def best_fixed_portfolio(

@@ -2,32 +2,17 @@
 
 Each round the learner announces a density matrix rho_t, an opponent reveals
 a nonzero PSD observation A_t, and the learner pays -log tr(A_t rho_t). The
-update multiplies unnormalized weights W_t by (1 - eta) I + eta A_t / tr(A_t rho_t)
-inside a matrix exponential/logarithm sandwich.
+update multiplies the weights W_t by (1 - eta) I + eta A_t / tr(A_t rho_t).
 
-The state keeps log W_t as a running Hermitian accumulator: each step adds
-one matrix logarithm, which is exact (exp and log of Hermitian matrices
-invert each other) and avoids re-taking logs of stored exponentials. For a
-rank-one observation the logarithm is a scalar times the identity plus a
-scaled projector, and the scalar goes to the shift instead. The
-learner loop keeps only the accumulator's lower triangle and real diagonal,
-which are all that `eigh` reads, and rebuilds each state it hands out from
-them, exactly Hermitian. The accumulator's top eigenvalue is folded into a
-scalar `shift` every step so
-that taking exp never over- or underflows, even over 10^5-round runs where
-the unnormalized trace drops below double-precision range. The trace of the
-true weights, exp(shift) * tr(exp(logW)), is tracked per step because the
-theory guarantees it never exceeds 1 and never increases.
-
-Each announced state is kept as its spectrum, the accumulator's
-eigenvectors V and the normalized weights w, and rho = V diag(w) V^dagger
-is built only where it is read. A rank-one observation A = mu u u^dagger
-reads its overlap from the spectrum, mu sum_j w_j |v_j^dagger u|^2, in
-O(D^2); any other observation reads tr(A rho) from the built state. The
-learner loop runs each block of rounds in a loop for its records' kind:
-an all-rank-one block builds its states in one stack, for the running
-average alone; any other block builds them round by round, and each of
-its rounds steps each kind once, on that kind's learners.
+The state keeps log W_t as a running Hermitian accumulator and adds one
+matrix logarithm per step, which is exact, as exp and log of Hermitian
+matrices invert each other. Its top eigenvalue is folded into a scalar
+`shift` every step, so that exp never over- or underflows, even where the
+true trace exp(shift) * tr(exp(log W_t)) drops below double range over
+10^5 rounds. That trace is tracked because the theory says it is at most 1
+and never increases. An announced state is kept as its spectrum and built
+only where it is read, and a rank-one observation reads tr(A rho) from that
+spectrum in O(D^2).
 """
 
 from __future__ import annotations
@@ -142,20 +127,9 @@ def qsb_step(state: QsbState, A: np.ndarray, eta: float) -> QsbState:
     _check_eta(eta)
     mu, U = spectral(A[None])
     block = _records(A[None, None], mu[None], U[None])
-    loop = _Lockstep(np.array(state.log_weights[None], dtype=complex), [state.shift],
-                     state.spectrum[None], np.array([state.total]), state.vectors[None],
-                     eta, 1, *_sums(1, 1, state.dim), first=state.round)
+    loop = _Lockstep([state], eta, 1, 1, first=state.round)
     loop.kind_of(block)(block, 0, 0, 1)
     return loop.states(state.round + 1)[0]
-
-
-def _sums(n: int, count: int, dim: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """A zero running sum of `count` learners' announced states, and the
-    buffers that keep `n` rounds of their spectra until they are built and
-    added to it (see `_Lockstep.add_kept`)."""
-    return (np.zeros((count, dim, dim), dtype=complex),
-            (np.empty((n, count, dim)), np.empty((n, count)),
-             np.empty((n, count, dim, dim), dtype=complex)))
 
 
 def _diagonals(L: np.ndarray) -> np.ndarray:
@@ -311,9 +285,6 @@ def _subsets(one: tuple[bool, ...]) -> tuple[slice | np.ndarray | None, ...]:
 qsb_regret_bound = ops_regret_bound
 
 
-_NO_LABEL = np.array([""], dtype=object)  # the one learner of `qsb_step`
-
-
 def _kind(block: _Records) -> str:
     """Whether all of a block's records are rank one, none or some: `_records`
     keeps no A for the first and no P for the second."""
@@ -321,35 +292,36 @@ def _kind(block: _Records) -> str:
 
 
 class _Lockstep:
-    """S learners stepped in lockstep, a block of rounds at a time.
+    """S learners stepped in lockstep from `states`, a block of rounds at a time.
 
     Owns the (S, D, D) accumulator L of log weights, of which `eigh` reads
-    only the lower triangles and real diagonals, with `diagonals`, a view of
-    their real parts, and the S shifts; and the announced states as their
-    spectra: the (S, D) eigenvalues p, their (S,) sums `total` and the
-    (S, D, D) eigenvectors V. A block of rounds runs in the loop of its kind
-    (`kind_of`): `rank_one_rounds` when all its records are rank one, else
-    `mixed_rounds`. Each takes a block of `_Records` of shape (n, S), its
-    first round `start` (from 0) and its rows a to b - 1, and writes the
-    state in place. `first` numbers round 0 in error messages, which name
-    the round and the learner's label, from the object array `labels`,
-    which row subsets index. Every run keeps `rho_sum`, the running sum of
-    the announced states, and `kept`, (n, S) buffers of the spectra p,
-    totals and eigenvectors V for the rounds of a block (see `add_kept`),
-    both made by `_sums`; only `_play` with a transcript keeps `per_round`
-    (see `_play`). `qsb_step` runs one round of one learner.
+    only the lower triangles and real diagonals (`diagonals` is a view of
+    their real parts), the S shifts, and the announced states as their
+    spectra: eigenvalues p, their sums `total` and eigenvectors V. Each
+    round loop takes a block of `_Records` of shape (n, S), its first round
+    `start` (from 0) and its rows a to b - 1, and writes the state in place.
+    `rho_sum` is the running sum of the announced states; `kept` buffers
+    up to `block` rounds of spectra until `add_kept` builds them. Error
+    messages number round 0 as `first` and name the learner by `labels`.
     """
 
-    def __init__(self, L: np.ndarray, shift: list[float], p: np.ndarray, total: np.ndarray,
-                 V: np.ndarray, eta: float, rounds: int, rho_sum: np.ndarray,
-                 kept: tuple[np.ndarray, ...], labels: np.ndarray = _NO_LABEL, first: int = 1,
+    def __init__(self, states: Sequence[QsbState], eta: float, rounds: int, block: int,
+                 labels: Sequence[str] = ("",), first: int = 1,
                  per_round: tuple[np.ndarray, ...] | None = None) -> None:
-        self.L, self.diagonals, self.shift = L, _diagonals(L).real, shift
-        self.p, self.total, self.V = p, total, V
+        count, dim = len(states), states[0].dim
+        self.L = np.array([s.log_weights for s in states], dtype=complex)
+        self.diagonals, self.shift = _diagonals(self.L).real, [s.shift for s in states]
+        self.p = np.stack([s.spectrum for s in states])
+        self.total = np.array([s.total for s in states])
+        self.V = np.stack([s.vectors for s in states])
         self.rho = None  # the announced states, when the round before built them
-        self.eta, self.rounds, self.first, self.labels = eta, rounds, first, labels
-        self.rho_sum, self.kept, self.kept_rounds, self.per_round = rho_sum, kept, 0, per_round
-        self.w = np.empty((len(p), 1, 1), dtype=complex)  # see `_rank_one_step`
+        self.eta, self.rounds, self.first = eta, rounds, first
+        self.labels = np.array(labels, dtype=object)  # indexed by row subsets
+        self.rho_sum = np.zeros((count, dim, dim), dtype=complex)
+        self.kept = (np.empty((block, count, dim)), np.empty((block, count)),
+                     np.empty((block, count, dim, dim), dtype=complex))
+        self.kept_rounds, self.per_round = 0, per_round
+        self.w = np.empty((count, 1, 1), dtype=complex)  # see `_rank_one_step`
 
     def kind_of(self, block: _Records) -> Callable[[_Records, int, int, int], None]:
         """The loop for a block of records all rank one, or not."""
@@ -504,36 +476,26 @@ def _play(
 ) -> _Played:
     """The learner loop shared by the online game and the stochastic estimator.
 
-    Runs one learner per label in lockstep, S in all. `draw(start, stop)`
-    returns rounds start to stop - 1 (from 0) of all learners as `_Records`
-    of shape (n, S), their rank-one records marked and projectors built (see
-    `_records`). It is called for blocks of `_block_len(D, S)` rounds, each
-    when its first round comes up, and the block's kind is decided then:
-    its rounds run in the loop of that kind (see `_Lockstep`), each learner
-    taking the rank-one or the general overlap and update by its own record,
-    as `qsb_step`, which runs the same loops, does. Also returns the average
-    announced states after each round numbered in `checkpoints`, exactly
-    Hermitian as each announced state is, and the rounds in blocks of each
-    kind (`_kind`). With `transcript`, `per_round` holds the losses
-    -log tr(A_t rho_t), the announced states' true traces and min
-    eigenvalues, each (S, T), and the step times (T,) in ns, which cover the
-    update and, in a block that builds its states round by round, the build
-    of the next state and the addition of this one to the running sum, but
-    not `draw` or a rank-one block's stacked build; without it, none of
-    these is kept.
+    Runs one learner per label in lockstep. `draw(start, stop)` returns
+    rounds start to stop - 1 (from 0) of all learners as `_Records` of shape
+    (n, S); it is called for blocks of `_block_len(D, S)` rounds, in order,
+    and each block runs in the loop of its kind (`_Lockstep.kind_of`). Also
+    returns the average announced states after each round in `checkpoints`
+    and the rounds in blocks of each kind (`_kind`). With `transcript`,
+    `per_round` holds the (S, T) losses, true traces and min eigenvalues of
+    the announced states and the (T,) step times in ns. A step time covers
+    the update and, in a block that builds its states round by round, the
+    build of the next state, but not `draw` or a rank-one block's stacked
+    build.
     """
     _check_eta(eta)
     count = len(labels)
-    start = qsb_init(dim)
     step = _block_len(dim, count)
     per_round = None
     if transcript:
         per_round = (np.empty((count, rounds)), np.empty((count, rounds)),
                      np.empty((count, rounds)), np.empty(rounds, dtype=np.int64))
-    loop = _Lockstep(np.stack([start.log_weights] * count), [0.0] * count,
-                     np.stack([start.spectrum] * count), np.full(count, start.total),
-                     np.stack([start.vectors] * count), eta, rounds,
-                     *_sums(min(step, rounds), count, dim), np.array(labels, dtype=object),
+    loop = _Lockstep([qsb_init(dim)] * count, eta, rounds, min(step, rounds), labels,
                      per_round=per_round)
     marks, done = sorted(checkpoints), 0
     averages = []

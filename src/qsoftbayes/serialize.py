@@ -25,24 +25,6 @@ if TYPE_CHECKING:  # a reader imports it when it builds one, so writing loads no
     from .tomography import Dataset
 
 
-def _pairs(M: np.ndarray) -> list:
-    """The row-major [re, im] pairs of a matrix, or of each matrix of a stack."""
-    M = np.ascontiguousarray(M, dtype=complex)
-    return M.view(np.float64).reshape(*M.shape[:-2], -1, 2).tolist()
-
-
-def _square(M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {M.shape}")
-    return M
-
-
-def matrix_to_record(M: np.ndarray) -> dict:
-    M = _square(M)
-    return {"kind": "matrix", "dim": M.shape[0], "entries": _pairs(M)}
-
-
 def matrix_from_record(rec: dict) -> np.ndarray:
     dim = _dim_field(rec)
     entries = _field(rec, "entries")
@@ -51,9 +33,12 @@ def matrix_from_record(rec: dict) -> np.ndarray:
 
 
 def save_matrix(path, M: np.ndarray) -> None:
-    """`write_json(path, matrix_to_record(M))`, byte for byte, without the
-    record's nested lists (see `_matrix_texts`)."""
-    M = _square(M)
+    """A matrix record: `{"dim":D,"entries":[...],"kind":"matrix"}` with no
+    spaces and a final newline, the entries being M's row-major [re, im]
+    pairs as json spells them (see `_matrix_texts`)."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {M.shape}")
     _write_file(path, f'{{"dim":{M.shape[0]},"entries":',
                 [*_matrix_texts(M[None]), ',"kind":"matrix"}\n'])
 
@@ -65,43 +50,13 @@ def load_matrix(path) -> np.ndarray:
     return matrix_from_record(rec)
 
 
-def dataset_to_record(data: Dataset) -> dict:
-    """The elements+index form: each distinct record once, and each record's element."""
-    rec = {
-        "kind": "dataset",
-        "dim": data.dim,
-        "n": len(data),
-        "has_provenance": data.has_provenance,
-        "elements": _pairs(data.elements),
-        "index": data.index.tolist(),
-    }
-    if data.has_provenance:
-        rec["povm_indices"] = np.asarray(data.povm_indices, dtype=np.int64).tolist()
-        rec["outcome_indices"] = np.asarray(data.outcome_indices, dtype=np.int64).tolist()
-    return rec
-
-
-def dataset_form(rec: dict) -> str:
-    """Which layout a dataset record uses: 'per-record' or 'elements+index'.
-
-    The per-record form (`matrices`, one block per record) is what earlier
-    versions wrote; `dataset_to_record` writes the elements+index form.
-    """
-    has_matrices, has_elements = "matrices" in rec, "elements" in rec
-    if has_matrices and has_elements:
-        raise ValidationError("dataset record holds both 'matrices' and 'elements'")
-    if not (has_matrices or has_elements):
-        raise ValidationError("container record is missing 'matrices' or 'elements'")
-    return "per-record" if has_matrices else "elements+index"
-
-
 def dataset_from_record(rec: dict, label: Callable[[int], str] | None = None) -> Dataset:
-    """Read either dataset form; both give the same `Dataset`, bit for bit.
+    """A dataset record's `Dataset`: its distinct `elements`, each a block of
+    dim² [re, im] pairs, and each record's element, `index`.
 
     `label(n)` prefixes a check's failure at record n, as in `validate_dataset`.
-
-    Every block's entry count is checked before any stack is allocated, and
-    the elements+index form is never expanded to one block per record.
+    Every element's entry count is checked before the stack is allocated,
+    and the elements are never expanded to one block per record.
     """
     from .tomography import Dataset
 
@@ -109,24 +64,16 @@ def dataset_from_record(rec: dict, label: Callable[[int], str] | None = None) ->
     n = _int_field(rec, "n")
     if n < 1:
         raise ValidationError("dataset header says n=0; a dataset holds at least one record")
-    if dataset_form(rec) == "per-record":
-        records = rec["matrices"]
-        if not isinstance(records, list):
-            raise ValidationError("dataset 'matrices' is not a list of records")
-        if len(records) != n:
-            raise ValidationError(f"dataset header says n={n} but {len(records)} records are stored")
-        elements, index = _matrix_stack(records, dim, "record"), np.arange(n)
-    else:
-        blocks = rec["elements"]
-        if not isinstance(blocks, list):
-            raise ValidationError("dataset 'elements' is not a list of matrices")
-        # the index comes first: it fails on an empty element list, which
-        # would otherwise allocate a (0, dim, dim) stack for any header dim
-        index = _index_list(rec, "index", n, len(blocks))
-        unused = np.flatnonzero(np.bincount(index, minlength=len(blocks)) == 0)
-        if len(unused):
-            raise ValidationError(f"element {unused[0]} is referenced by no record")
-        elements = _matrix_stack(blocks, dim, "element")
+    blocks = _field(rec, "elements")
+    if not isinstance(blocks, list):
+        raise ValidationError("dataset 'elements' is not a list of matrices")
+    # the index comes first: it fails on an empty element list, which
+    # would otherwise allocate a (0, dim, dim) stack for any header dim
+    index = _index_list(rec, "index", n, len(blocks))
+    unused = np.flatnonzero(np.bincount(index, minlength=len(blocks)) == 0)
+    if len(unused):
+        raise ValidationError(f"element {unused[0]} is referenced by no record")
+    elements = _matrix_stack(blocks, dim)
     povm_idx = out_idx = None
     has_provenance = rec.get("has_provenance", False)
     if type(has_provenance) is not bool:
@@ -139,10 +86,13 @@ def dataset_from_record(rec: dict, label: Callable[[int], str] | None = None) ->
 
 
 def save_dataset(path, data: Dataset) -> None:
-    """`write_json(path, dataset_to_record(data))`, byte for byte, written a
-    block of elements at a time (see `_matrix_texts`): neither the record's
-    nested lists nor the whole file's text is held. The keys come in sorted
-    order, and the integer lists are json's text of them, a block at a time."""
+    """A dataset record, its keys in sorted order with no spaces and a final
+    newline: `dim`, the distinct `elements` as row-major [re, im] pairs,
+    `has_provenance`, each record's element `index`, `kind`, `n`, and with
+    provenance `outcome_indices` and `povm_indices`. The elements are
+    written a block at a time (see `_matrix_texts`) and the integer lists in
+    blocks of their json text, so neither nested lists nor the whole file's
+    text is held."""
     _write_file(path, f'{{"dim":{data.dim},"elements":[', _dataset_tail(data))
 
 
@@ -268,24 +218,24 @@ def _parse_entries(entries: list) -> np.ndarray:
         raise ValidationError("matrix record entries are not [re, im] number pairs") from exc
 
 
-def _matrix_stack(blocks: list, dim: int, label: str) -> np.ndarray:
+def _matrix_stack(blocks: list, dim: int) -> np.ndarray:
     """Parse blocks of dim² [re, im] pairs into a (len(blocks), dim, dim) stack.
 
     Every block's entry count is checked first, so a header `dim` that no
     block matches fails before the stack is allocated. A failure names the
-    block (`record 3: ...`, `element 0: ...`).
+    block (`element 3: ...`).
     """
     for i, entries in enumerate(blocks):
         try:
             _check_entries(entries, dim)
         except ValidationError as exc:
-            raise ValidationError(f"{label} {i}: {exc}") from exc
+            raise ValidationError(f"element {i}: {exc}") from exc
     stack = np.empty((len(blocks), dim, dim), dtype=complex)
     for i, entries in enumerate(blocks):
         try:
             stack[i] = _parse_entries(entries).reshape(dim, dim)
         except ValidationError as exc:
-            raise ValidationError(f"{label} {i}: {exc}") from exc
+            raise ValidationError(f"element {i}: {exc}") from exc
     return stack
 
 

@@ -315,20 +315,15 @@ def stochastic_qsb(
 ) -> list[MlResult]:
     """Estimate the ML state by running one learner per seed on resampled records.
 
-    Each round every learner draws one record index uniformly (the draw of
-    one `integers(N)` call on its seed's generator, so runs can be
-    randomness-coupled with the classical learner), feeds that record's
-    distinct element, equal to it bit for bit, to the online update, and
-    accumulates the announced state. The learners run in lockstep: the D x D
-    algebra of a round runs once over the (S, D, D) stack of all learners.
-    Every element is decomposed, marked rank one or not and, if it is, given
-    its projector once, before the first round (see `qsb._records`); a block
-    of rounds is drawn at a time, one `integers(N, size=n)` per seed. So result
-    s equals a loop of `qsb_step` over seed s's drawn records, bit for bit,
-    whatever the other seeds. Each estimate is the average of all announced
-    states; the objective of the running average is evaluated at the
-    requested checkpoints (default: a geometric schedule plus the final
-    round). A domain error names the seed and the round.
+    Each round every learner draws one record uniformly from its seed's
+    generator, as one `integers(N)` call would, plays that record's distinct
+    element (equal to it bit for bit) and accumulates the announced state.
+    The learners run in lockstep, yet result s equals a loop of `qsb_step`
+    over seed s's drawn records, bit for bit, whatever the other seeds. Each
+    estimate is the average of all announced states; the objective of the
+    running average is evaluated at the requested checkpoints (default: a
+    geometric schedule plus the final round). A domain error names the seed
+    and the round.
     """
     if rounds < 1:
         raise ValidationError(f"rounds must be at least 1, got {rounds}")

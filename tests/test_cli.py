@@ -42,6 +42,8 @@ from qsoftbayes.serialize import (
 )
 from qsoftbayes.tomography import Dataset, generate_dataset, pauli_basis_povms
 
+from reference_records import pairs
+
 
 def read_csv(path):
     lines = Path(path).read_text().splitlines()
@@ -234,7 +236,8 @@ ML_MANIFEST = ({"oracle_objective", "oracle_cert_gap", "oracle_iterations", "ora
                {"imports", "dataset", "save_dataset", "oracle", "learners", "write"})
 MODE_MANIFESTS = {
     "ops-game": ({"seed_summaries"}, {"imports", "returns", "game", "comparator", "write"}),
-    "qst-game": ({"seed_summaries"}, {"imports", "dataset", "game", "oracle", "write"}),
+    "qst-game": ({"seed_summaries", "step_ns_median", "step_ns_mean", "step_ns_p90",
+                  "learner_rounds"}, {"imports", "dataset", "game", "oracle", "write"}),
     "ml-run": ML_MANIFEST,
     "ml-run-from-file": ML_MANIFEST,
     "scaling-bench": ({"scaling"}, {"imports", "d2", "d4"}),
@@ -267,9 +270,8 @@ def test_each_mode_writes_its_manifest_keys_and_phases(tmp_path, run_cli, datase
     if name.startswith("ml-run"):
         rounds = int(manifest["config"]["rounds"])
         assert manifest["learner_round_us"] == manifest["phase_seconds"]["learners"] / rounds * 1e6
-    # the rounds by block kind: the run's, or each qst-game seed's game
-    kinds = ([s["learner_rounds"] for s in manifest["seed_summaries"]] if name == "qst-game"
-             else [manifest["learner_rounds"]] if name.startswith("ml-run") else [])
+    # the rounds by block kind, of the run's one lockstep game
+    kinds = [manifest["learner_rounds"]] if name.startswith(("ml-run", "qst-game")) else []
     for counts in kinds:
         assert set(counts) == {"rank_one", "general", "mixed"}
         assert sum(counts.values()) == int(manifest["config"]["rounds"])
@@ -525,13 +527,13 @@ class TestQstGameMode:
         assert all(b <= a + 1e-12 for a, b in zip(traces, traces[1:]))
 
         validate_density(load_matrix(out / "rho_bar_seed5.json"))
-        sidecar = json.loads((out / "qst_seed5_times.json").read_text())
+        sidecar = json.loads((out / "qst_times.json").read_text())
         assert len(sidecar["step_times_ns"]) == 30
         assert all(isinstance(x, int) and x >= 0 for x in sidecar["step_times_ns"])
 
-        summary = load_payload(out / "manifest.json")["seed_summaries"][0]
-        assert summary["step_ns_median"] > 0
-        assert summary["final_true_trace"] <= 1.0 + 1e-9
+        manifest = load_payload(out / "manifest.json")
+        assert manifest["step_ns_median"] > 0
+        assert manifest["seed_summaries"][0]["final_true_trace"] <= 1.0 + 1e-9
 
     def test_from_file_stream(self, tmp_path, run_cli):
         rho = random_density(make_rng(1), 2)
@@ -565,8 +567,8 @@ class TestQstGameMode:
 
     def test_generated_seeds_play_one_lockstep_game(self, tmp_path, run_cli, monkeypatch):
         """All seeds' streams are played in one `_qst_game` call, each named by
-        its seed; each seed's stream has its own oracle, and every seed's
-        sidecar holds the one game's round times."""
+        its seed; each seed's stream has its own oracle, and the run's one
+        sidecar holds the game's round times."""
         played, game = [], qsb._qst_game
         monkeypatch.setattr(qsb, "_qst_game", lambda *args: played.append(args[4:]) or game(*args))
         oracles, oracle = [], tomography._ml_oracle
@@ -577,8 +579,9 @@ class TestQstGameMode:
                         "--povm", "random-rank1", "--out", str(out)]) == 0
         assert played == [(["seed 0: ", "seed 1: ", "seed 2: "],)]
         assert len(oracles) == len({id(data) for data in oracles}) == 3
-        times = [(out / f"qst_seed{seed}_times.json").read_bytes() for seed in (0, 1, 2)]
-        assert len(set(times)) == 1
+        assert sorted(p.name for p in out.glob("*_times.json")) == ["qst_times.json"]
+        sidecar = json.loads((out / "qst_times.json").read_text())
+        assert len(sidecar["step_times_ns"]) == 40
 
     @pytest.mark.parametrize("model", [["--dim", "4", "--povm", "random-rank1"],
                                        ["--qubits", "2", "--povm", "pauli-basis"]])
@@ -595,9 +598,7 @@ class TestQstGameMode:
                 assert (tmp_path / "all" / name).read_bytes() == (alone / name).read_bytes()
             summaries = [load_payload(d / "manifest.json")["seed_summaries"]
                          for d in (tmp_path / "all", alone)]
-            timed = ("step_ns_median", "step_ns_mean", "step_ns_p90")
-            assert ({k: v for k, v in summaries[0][seed].items() if k not in timed}
-                    == {k: v for k, v in summaries[1][0].items() if k not in timed})
+            assert summaries[0][seed] == summaries[1][0]
 
     # passes the dataset check (min eigenvalue -5e-11), but at eta near 1 its
     # G = (1 - eta) I + (eta / c) A has a negative eigenvalue
@@ -964,7 +965,7 @@ class TestScalingBenchMode:
 
 # The wall-clock sidecars, and a run that writes each (test_serialize.py
 # covers the CSV, container and manifest writers)
-SIDECARS = {"qst_seed0_times.json": RUNS["qst-game"], "scaling_times.json": RUNS["scaling-bench"]}
+SIDECARS = {"qst_times.json": RUNS["qst-game"], "scaling_times.json": RUNS["scaling-bench"]}
 
 
 @pytest.mark.parametrize("name", sorted(SIDECARS))
@@ -1008,9 +1009,10 @@ def test_the_manifest_peak_is_the_runs_own_after_exec(tmp_path):
     assert 0.0 < load_payload(out / "manifest.json")["peak_rss_mb"] < 150.0
 
 
-# a per-record dataset file with two 1 x 1 records: dim, n, povm_indices
+# a dataset file with two 1 x 1 records of one element: dim, n, povm_indices
 DATASET = (b'{"kind": "dataset", "dim": %s, "n": %s, "has_provenance": true,'
-           b' "matrices": [[[1.0, 0.0]], [[1.0, 0.0]]], "povm_indices": %s, "outcome_indices": [0, 0]}')
+           b' "elements": [[[1.0, 0.0]]], "index": [0, 0], "povm_indices": %s,'
+           b' "outcome_indices": [0, 0]}')
 
 
 class TestValidateMode:
@@ -1046,19 +1048,10 @@ class TestValidateMode:
         data = generate_dataset(rho, pauli_basis_povms(1), 9, make_rng(4))
         save_dataset(path, data)
         assert main(["validate", str(path)]) == 0
-        report = capsys.readouterr().out
-        assert "form: elements+index" in report
-        assert "records: 9" in report
-        assert f"distinct: {len(data.elements)}" in report
-        assert "all checks passed" in report
-
-    def test_per_record_dataset_report(self, tmp_path, capsys):
-        path = tmp_path / "d.json"
-        path.write_bytes(DATASET % (b'1', b'2', b'[0, 3]'))
-        assert main(["validate", str(path)]) == 0
-        report = capsys.readouterr().out.splitlines()
-        assert report[1:6] == ["kind: dataset", "form: per-record", "dim: 1", "records: 2",
-                               "distinct: 1"]
+        assert capsys.readouterr().out.splitlines() == [
+            f"file: {path}", "kind: dataset", "dim: 2", "records: 9",
+            f"distinct: {len(data.elements)}", "provenance: yes",
+            "records hermitian, psd, nonzero: ok", "all checks passed"]
 
     def test_a_return_stream_is_an_unrecognized_kind(self, tmp_path, capsys):
         """No mode reads a return-stream container any more."""
@@ -1085,10 +1078,10 @@ class TestValidateMode:
     @pytest.mark.parametrize("argv, content", [
         (["validate"], None),
         (["ml-run", "--dim", "2", "--povm", "from-file", "--input"], None),
-        (["validate"], b'{"kind": "dataset", "dim": 1, "matrices": [[[1.0, 0.0]]]}'),
+        (["validate"], b'{"kind": "dataset", "dim": 1, "elements": [[[1.0, 0.0]]], "index": [0]}'),
         (["validate"], b'{"kind": "matrix", "entries": [[1.0, 0.0]]}'),
-        (["validate"], b'{"kind": "dataset", "dim": 1, "n": 2,'
-                       b' "matrices": [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}'),
+        (["validate"], b'{"kind": "dataset", "dim": 1, "n": 2, "index": [0, 1],'
+                       b' "elements": [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}'),
         (["validate"], b'{"kind": "matrix", "dim": 1, "entries": [["0.5", 0.0]]}'),
         (["validate"], b'\xff\xfe{"kind": "matrix"}'),
         (["validate"], DATASET % (b'1', b'2', b'["x", "y"]')),
@@ -1098,16 +1091,16 @@ class TestValidateMode:
         (["validate"], DATASET % (b'1', b'true', b'[0, 0]')),
         (["validate"], DATASET % (b'10000000', b'2', b'[0, 0]')),
         (["validate"], b'{"kind": "dataset", "dim": 1, "n": 1, "elements": [[[1, 0]]], "index": [1]}'),
-        (["validate"], b'{"kind": "dataset", "dim": 1, "n": 1, "elements": [[[1, 0]]], "index": [0],'
-                       b' "matrices": [[[1, 0]]]}'),
-        (["validate"], b'{"kind": "dataset", "dim": 1, "n": 1, "matrices": [[[1' + b'0' * 5000 + b', 0]]]}'),
+        (["validate"], b'{"kind": "dataset", "dim": 1, "n": 1, "index": [0],'
+                       b' "elements": [[[1' + b'0' * 5000 + b', 0]]]}'),
         (["validate"], b'[' * 100000),
         (["validate"], b'{"kind": "matrix", "dim": 1, "entries": [[true, false]]}'),
-        (["validate"], b'{"kind": "dataset", "dim": 1, "n": 1, "matrices": [[[true, false]]]}'),
+        (["validate"], b'{"kind": "dataset", "dim": 1, "n": 2, "index": [0, 1],'
+                       b' "elements": [[[1.0, 0.0]], [[1.0, false]]]}'),
         (["validate"], b'{"kind": "dataset", "dim": 1, "n": 1, "elements": [[[true, false]]], "index": [0]}'),
     ], ids=["argv0", "argv1", "no-n", "no-dim", "ragged-rows", "string-entry", "not-utf8",
             "provenance-strings", "provenance-2d", "provenance-float", "dim-bool", "n-bool",
-            "dim-huge", "index-past-the-end", "both-forms", "int-over-digit-limit", "nested-too-deep",
+            "dim-huge", "index-past-the-end", "int-over-digit-limit", "nested-too-deep",
             "matrix-bool-entry", "record-bool-entry", "element-bool-entry"])
     def test_missing_file_is_a_one_line_error(self, tmp_path, capsys, argv, content):
         """A missing or malformed input file ends in one error line, exit 1."""
@@ -1120,6 +1113,19 @@ class TestValidateMode:
         assert err.startswith("error:") and err.count("\n") == 1
         if content is None:
             assert "input.json" in err
+
+    @pytest.mark.parametrize("argv", [["validate"],
+                                      ["ml-run", "--dim", "2", "--povm", "from-file", "--input"]])
+    def test_a_per_record_file_is_a_one_line_error(self, tmp_path, capsys, argv):
+        """The per-record form that earlier versions wrote, one `matrices`
+        block per record, is not read."""
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"kind": "dataset", "dim": 2, "n": 2, "has_provenance": False,
+                                    "matrices": [pairs(np.eye(2))] * 2}))
+        out = ["--out", str(tmp_path / "run")] if argv[0] == "ml-run" else []
+        assert main(argv + [str(path)] + out) == 1
+        assert capsys.readouterr() == ("", "error: container record is missing 'elements'\n")
+        assert not (tmp_path / "run").exists()
 
 
 class TestExitCodes:

@@ -22,7 +22,7 @@ from qsoftbayes.linalg import (
     spectral,
     validate_observation,
 )
-from qsoftbayes.portfolio import learning_rate, run_ops_game
+from qsoftbayes.portfolio import learning_rate, run_ops_game, soft_bayes_step
 from qsoftbayes.qsb import (
     QsbState,
     eta_bar,
@@ -388,8 +388,11 @@ class TestRunQstGame:
         classical = run_ops_game(returns)
         assert quantum.eta == classical.eta
         assert np.max(np.abs(quantum.losses - classical.losses)) <= 1e-10
+        portfolios = [np.full(4, 0.25)]  # the portfolio announced at each round
+        for a in returns[:-1]:
+            portfolios.append(soft_bayes_step(portfolios[-1], a, classical.eta))
         assert np.max(np.abs(np.diag(quantum.average_state).real
-                             - classical.portfolios.mean(axis=0))) <= 1e-10
+                             - np.mean(portfolios, axis=0))) <= 1e-10
         off_diag = quantum.average_state - np.diag(np.diag(quantum.average_state))
         assert np.max(np.abs(off_diag)) <= 1e-12
 

@@ -19,16 +19,13 @@ from qsoftbayes.linalg import ValidationError, _block_len
 from qsoftbayes.portfolio import ops_regret_bound
 from qsoftbayes.serialize import (
     config_hash,
-    dataset_form,
     dataset_from_record,
-    dataset_to_record,
     format_cell,
     format_column,
     load_dataset,
     load_matrix,
     load_payload,
     matrix_from_record,
-    matrix_to_record,
     save_dataset,
     save_matrix,
     write_columns,
@@ -36,6 +33,8 @@ from qsoftbayes.serialize import (
     write_manifest,
 )
 from qsoftbayes.tomography import Dataset, generate_dataset, pauli_basis_povms
+
+from reference_records import dataset_to_record, matrix_to_record
 
 
 class TestMatrixContainer:
@@ -70,9 +69,10 @@ class TestMatrixContainer:
         assert json.dumps(dataset_to_record(data)["elements"]) == json.dumps(
             [reference(E) for E in data.elements])
 
-    def test_rejects_non_square_input(self):
-        with pytest.raises(ValidationError):
-            matrix_to_record(np.zeros((2, 3)))
+    def test_rejects_non_square_input(self, tmp_path):
+        with pytest.raises(ValidationError, match="square"):
+            save_matrix(tmp_path / "m.json", np.zeros((2, 3)))
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_entry_count_mismatch(self):
         with pytest.raises(ValidationError, match="entries"):
@@ -80,7 +80,7 @@ class TestMatrixContainer:
 
     def test_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "wrong.json"
-        path.write_text('{"kind":"dataset","dim":1,"n":0,"matrices":[]}')
+        path.write_text('{"kind":"dataset","dim":1,"n":1,"elements":[[[1,0]]],"index":[0]}')
         with pytest.raises(ValidationError, match="kind"):
             load_matrix(path)
 
@@ -97,23 +97,6 @@ class TestMatrixContainer:
             load_matrix(path)
 
 
-def per_record(data: Dataset) -> dict:
-    """The per-record form earlier versions wrote: one [re, im] block per record."""
-    M = np.ascontiguousarray(data.matrices, dtype=complex)
-    n, dim = M.shape[0], M.shape[1]
-    rec = {
-        "kind": "dataset",
-        "dim": dim,
-        "n": n,
-        "has_provenance": data.has_provenance,
-        "matrices": M.view(np.float64).reshape(n, dim * dim, 2).tolist(),
-    }
-    if data.has_provenance:
-        rec["povm_indices"] = data.povm_indices.tolist()
-        rec["outcome_indices"] = data.outcome_indices.tolist()
-    return rec
-
-
 def pauli_data(shots: int) -> Dataset:
     rho = random_density(make_rng(2), 2)
     return generate_dataset(rho, pauli_basis_povms(1), shots, make_rng(2))
@@ -124,6 +107,11 @@ def signed_zero_data() -> Dataset:
     plus, minus = np.eye(2, dtype=complex), np.eye(2, dtype=complex)
     minus[0, 1] = minus[1, 0] = complex(-0.0, -0.0)
     return Dataset(matrices=np.stack([plus, minus, plus, minus, minus]))
+
+
+def three_elements() -> Dataset:
+    """Three records holding two distinct D = 2 elements, indexed [0, 1, 0]."""
+    return Dataset(matrices=np.array([np.eye(2), np.diag([1.0, 0.0]), np.eye(2)]))
 
 
 def assert_same_dataset(a: Dataset, b: Dataset) -> None:
@@ -170,34 +158,9 @@ class TestDatasetContainer:
         data = pauli_data(40)
         rec = dataset_to_record(data)
         assert "matrices" not in rec
-        assert dataset_form(rec) == "elements+index"
         assert len(rec["elements"]) == len(data.elements) <= 6
         assert rec["index"] == data.index.tolist()
         assert rec["n"] == len(rec["index"]) == 40
-
-    def test_a_per_record_file_and_its_rewrite_load_equal(self, tmp_path):
-        old, new = tmp_path / "old.json", tmp_path / "new.json"
-        old.write_text(json.dumps(per_record(pauli_data(40))))
-        assert dataset_form(load_payload(old)) == "per-record"
-        save_dataset(new, load_dataset(old))
-        assert dataset_form(load_payload(new)) == "elements+index"
-        assert_same_dataset(load_dataset(old), load_dataset(new))
-
-    def test_ml_run_writes_the_same_artifacts_from_either_form(self, tmp_path, capsys):
-        data = pauli_data(300)
-        inputs = {"per-record": tmp_path / "old.json", "elements+index": tmp_path / "new.json"}
-        inputs["per-record"].write_text(json.dumps(per_record(data)))
-        save_dataset(inputs["elements+index"], data)
-        for form, path in inputs.items():
-            assert main(["ml-run", "--dim", "2", "--povm", "from-file", "--input", str(path),
-                         "--rounds", "64", "--seeds", "0,1", "--out", str(tmp_path / form)]) == 0
-        capsys.readouterr()
-        stable = sorted(p.name for p in (tmp_path / "per-record").iterdir()
-                        if p.name != "manifest.json")
-        assert "dataset.json" in stable and len(stable) == 6
-        for name in stable:
-            old = (tmp_path / "per-record" / name).read_bytes()
-            assert old == (tmp_path / "elements+index" / name).read_bytes(), name
 
     def test_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "m.json"
@@ -205,25 +168,15 @@ class TestDatasetContainer:
         with pytest.raises(ValidationError, match="kind"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("n", [1, 5])
-    def test_header_count_must_match_the_stored_records(self, tmp_path, n):
-        data = generate_dataset(np.eye(2) / 2, pauli_basis_povms(1), 2, make_rng(5))
-        rec = per_record(data)
-        rec["n"] = n
-        path = tmp_path / "d.json"
-        path.write_text(json.dumps(rec))
-        with pytest.raises(ValidationError, match=f"n={n} but 2 records"):
-            load_dataset(path)
-
     def test_every_record_must_hold_dim_squared_entries(self):
-        rec = per_record(Dataset(matrices=np.broadcast_to(np.eye(2), (3, 2, 2))))
-        rec["matrices"][1] = rec["matrices"][1][:3]
-        with pytest.raises(ValidationError, match="record 1: .*3 entries, expected 4"):
+        rec = dataset_to_record(three_elements())
+        rec["elements"][1] = rec["elements"][1][:3]
+        with pytest.raises(ValidationError, match="element 1: .*3 entries, expected 4"):
             dataset_from_record(rec)
 
-    @pytest.mark.parametrize("key", ["dim", "n", "matrices"])
+    @pytest.mark.parametrize("key", ["dim", "n", "elements"])
     def test_missing_header_keys(self, key):
-        rec = per_record(Dataset(matrices=np.broadcast_to(np.eye(2), (2, 2, 2))))
+        rec = dataset_to_record(three_elements())
         del rec[key]
         with pytest.raises(ValidationError, match=f"missing '{key}'"):
             dataset_from_record(rec)
@@ -231,11 +184,11 @@ class TestDatasetContainer:
     @pytest.mark.parametrize("pair", [["1.5", "0"], ["nan", "0"], [1.5, "0"], [None, 0.0],
                                       [10**400, 0.0], [True, 0.0], [1.0, False]])
     def test_entries_must_be_numbers(self, tmp_path, pair):
-        rec = per_record(Dataset(matrices=np.broadcast_to(np.eye(2), (2, 2, 2))))
-        rec["matrices"][1][0] = pair
+        rec = dataset_to_record(three_elements())
+        rec["elements"][1][0] = pair
         path = tmp_path / "d.json"
         path.write_text(json.dumps(rec))
-        with pytest.raises(ValidationError, match="record 1: .*not \\[re, im\\] number pairs"):
+        with pytest.raises(ValidationError, match="element 1: .*not \\[re, im\\] number pairs"):
             load_dataset(path)
 
     def test_missing_matrix_entries(self):
@@ -253,14 +206,12 @@ class TestDatasetContainer:
         (lambda r: r["elements"].append(r["elements"][0]), "element 2 is referenced by no record"),
         (lambda r: r["elements"][1].pop(), "element 1: .*3 entries, expected 4"),
         (lambda r: r["elements"][1].__setitem__(0, ["1", 0.0]), "element 1: .*not \\[re, im\\] number pairs"),
-        (lambda r: r.__setitem__("matrices", []), "holds both 'matrices' and 'elements'"),
         (lambda r: r.pop("index"), "missing 'index'"),
     ], ids=["index-past-the-end", "index-negative", "index-bool", "index-float", "index-nested",
             "index-short", "index-not-a-list", "unreferenced-element", "short-element",
-            "string-entry", "both-forms", "no-index"])
+            "string-entry", "no-index"])
     def test_rejects_a_malformed_elements_index_record(self, edit, match):
-        data = Dataset(matrices=np.array([np.eye(2), np.diag([1.0, 0.0]), np.eye(2)]))
-        rec = dataset_to_record(data)
+        rec = dataset_to_record(three_elements())
         assert rec["index"] == [0, 1, 0]
         edit(rec)
         with pytest.raises(ValidationError, match=match):
@@ -277,10 +228,9 @@ class TestDatasetContainer:
         ([0, 0], "'povm_indices' must be a list of n=3 integers"),
         ("012", "'povm_indices' must be a list of n=3 integers"),
     ])
-    @pytest.mark.parametrize("form", ["per-record", "elements+index"])
-    def test_provenance_must_be_n_nonnegative_integers(self, values, match, form):
+    def test_provenance_must_be_n_nonnegative_integers(self, values, match):
         data = generate_dataset(np.eye(2) / 2, pauli_basis_povms(1), 3, make_rng(5))
-        rec = per_record(data) if form == "per-record" else dataset_to_record(data)
+        rec = dataset_to_record(data)
         rec["povm_indices"] = values
         with pytest.raises(ValidationError, match=match):
             dataset_from_record(rec)
@@ -289,12 +239,11 @@ class TestDatasetContainer:
         ("absent", False), (False, False), (True, True),
         ("yes", None), (0, None), (1, None), (None, None), ([True], None),
     ])
-    @pytest.mark.parametrize("form", ["per-record", "elements+index"])
-    def test_has_provenance_must_be_a_json_boolean(self, value, provenance, form):
+    def test_has_provenance_must_be_a_json_boolean(self, value, provenance):
         """Absent or false is no provenance, true is provenance; any other
         value fails on its own, not on a list it would have named."""
         data = generate_dataset(np.eye(2) / 2, pauli_basis_povms(1), 3, make_rng(5))
-        rec = per_record(data) if form == "per-record" else dataset_to_record(data)
+        rec = dataset_to_record(data)
         if value == "absent":
             del rec["has_provenance"]
         else:
@@ -310,11 +259,11 @@ class TestDatasetContainer:
         ("dim", True, "'dim' must be a nonnegative integer, got True"),
         ("n", True, "'n' must be a nonnegative integer, got True"),
         ("n", 0, "n=0; a dataset holds at least one record"),
-        ("dim", 10**7, "record 0: .*4 entries, expected 100000000000000"),
-        ("dim", 2**70, "record 0: .*4 entries, expected"),
+        ("dim", 10**7, "element 0: .*4 entries, expected 100000000000000"),
+        ("dim", 2**70, "element 0: .*4 entries, expected"),
     ])
     def test_rejects_a_bad_header_before_allocating(self, key, value, match):
-        rec = per_record(Dataset(matrices=np.broadcast_to(np.eye(2), (2, 2, 2))))
+        rec = dataset_to_record(Dataset(matrices=np.broadcast_to(np.eye(2), (2, 2, 2))))
         rec[key] = value
         with pytest.raises(ValidationError, match=match):
             dataset_from_record(rec)
@@ -444,14 +393,14 @@ POOL = {1: [np.array([[1.0]]), np.array([[0.25]])],
 
 @st.composite
 def dataset_records(draw):
-    """A valid record in either form, then up to four random edits of it."""
+    """A valid record, then up to four random edits of it."""
     dim = draw(st.sampled_from([1, 2]))
     picks = draw(st.lists(st.integers(0, len(POOL[dim]) - 1), min_size=1, max_size=6))
     povm = draw(st.none() | st.lists(st.integers(0, 5), min_size=len(picks), max_size=len(picks)))
     data = Dataset(matrices=np.array([POOL[dim][k] for k in picks], dtype=complex),
                    povm_indices=None if povm is None else np.array(povm),
                    outcome_indices=None if povm is None else np.array(povm[::-1]))
-    rec = draw(st.sampled_from([per_record, dataset_to_record]))(data)
+    rec = dataset_to_record(data)
     for _ in range(draw(st.integers(0, 4))):
         _edit(draw, rec)
     return rec

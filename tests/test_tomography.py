@@ -28,7 +28,7 @@ from qsoftbayes.portfolio import (
     soft_bayes_step,
 )
 from qsoftbayes.qsb import qsb_init, qsb_regret_bound, qsb_step, run_qst_game
-from qsoftbayes.serialize import _pairs, save_dataset
+from qsoftbayes.serialize import save_dataset
 from qsoftbayes.tomography import (
     Dataset,
     batch_ml_solve,
@@ -40,6 +40,8 @@ from qsoftbayes.tomography import (
     validate_dataset,
     validate_povm,
 )
+
+from reference_records import pairs
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -340,8 +342,11 @@ class TestStackedCheck:
         assert str(err.value) == expected
 
         path = tmp_path / "stream.json"
+        # every record is its own element: the loader cannot build a Dataset
+        # of a bad record, so its file is written by hand
         path.write_text(json.dumps({"kind": "dataset", "dim": 32, "n": 20,
-                                    "has_provenance": False, "matrices": _pairs(stream)}))
+                                    "has_provenance": False, "elements": pairs(stream),
+                                    "index": list(range(20))}))
         out = tmp_path / "run"
         assert cli.main(["qst-game", "--dim", "32", "--rounds", "20", "--povm", "from-file",
                          "--input", str(path), "--out", str(out)]) == 1
