@@ -311,9 +311,9 @@ class _Lockstep:
         count, dim = len(states), states[0].dim
         self.L = np.array([s.log_weights for s in states], dtype=complex)
         self.diagonals, self.shift = _diagonals(self.L).real, [s.shift for s in states]
-        self.p = np.stack([s.spectrum for s in states])
+        self.p = np.array([s.spectrum for s in states])
         self.total = np.array([s.total for s in states])
-        self.V = np.stack([s.vectors for s in states])
+        self.V = np.array([s.vectors for s in states])
         self.rho = None  # the announced states, when the round before built them
         self.eta, self.rounds, self.first = eta, rounds, first
         self.labels = np.array(labels, dtype=object)  # indexed by row subsets
