@@ -724,6 +724,34 @@ class TestMlRunMode:
         stored = load_dataset(out / "dataset.json")
         assert np.array_equal(stored.matrices, data.matrices)
 
+    @pytest.mark.parametrize("provenance", [True, False], ids=["provenance", "no-provenance"])
+    def test_from_file_dataset_is_stored_byte_for_byte(self, tmp_path, run_cli, provenance):
+        """The stored dataset.json is the bytes of a from-file input that
+        save_dataset wrote, provenance and the signs of zeros included."""
+        data = generate_dataset(random_density(make_rng(2), 2), pauli_basis_povms(1), 40,
+                                make_rng(2))
+        if not provenance:
+            data = Dataset(matrices=data.matrices)
+        src = tmp_path / "data.json"
+        save_dataset(src, data)
+        out = tmp_path / "run"
+        assert run_cli(["ml-run", "--dim", "2", "--povm", "from-file", "--input", str(src),
+                        "--rounds", "16", "--seeds", "0", "--out", str(out)]) == 0
+        assert (out / "dataset.json").read_bytes() == src.read_bytes()
+
+    def test_from_file_dataset_keeps_signed_zeros_byte_for_byte(self, tmp_path, run_cli):
+        """Records that differ only in the sign of a zero stay distinct elements."""
+        zero = np.diag([1.0, 0.0]).astype(complex)
+        signed = zero.copy()
+        signed[0, 1] = signed[1, 0] = complex(-0.0, -0.0)
+        src = tmp_path / "data.json"
+        save_dataset(src, Dataset(matrices=np.array([zero, signed, np.diag([0.0, 1.0]), signed])))
+        out = tmp_path / "run"
+        assert run_cli(["ml-run", "--dim", "2", "--povm", "from-file", "--input", str(src),
+                        "--rounds", "8", "--seeds", "0", "--out", str(out)]) == 0
+        assert (out / "dataset.json").read_bytes() == src.read_bytes()
+        assert len(load_dataset(out / "dataset.json").elements) == 3
+
     def test_from_file_dataset_of_another_dimension(self, tmp_path, capsys, dataset_file):
         out = tmp_path / "run"
         code = main(["ml-run", "--qubits", "3", "--povm", "from-file", "--input",
@@ -1115,14 +1143,15 @@ class TestValidateMode:
             assert "input.json" in err
 
     @pytest.mark.parametrize("argv", [["validate"],
-                                      ["ml-run", "--dim", "2", "--povm", "from-file", "--input"]])
+                                      ["ml-run", "--dim", "2", "--povm", "from-file", "--input"],
+                                      ["qst-game", "--dim", "2", "--povm", "from-file", "--input"]])
     def test_a_per_record_file_is_a_one_line_error(self, tmp_path, capsys, argv):
         """The per-record form that earlier versions wrote, one `matrices`
         block per record, is not read."""
         path = tmp_path / "input.json"
         path.write_text(json.dumps({"kind": "dataset", "dim": 2, "n": 2, "has_provenance": False,
                                     "matrices": [pairs(np.eye(2))] * 2}))
-        out = ["--out", str(tmp_path / "run")] if argv[0] == "ml-run" else []
+        out = ["--out", str(tmp_path / "run")] if argv[0] != "validate" else []
         assert main(argv + [str(path)] + out) == 1
         assert capsys.readouterr() == ("", "error: container record is missing 'elements'\n")
         assert not (tmp_path / "run").exists()

@@ -126,6 +126,17 @@ def assert_same_dataset(a: Dataset, b: Dataset) -> None:
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def read_record(tmp_path, rec: dict, source: str) -> Dataset:
+    """`rec`'s dataset, read from the dict itself or from its JSON file: a
+    check must hold for the values the JSON parser gives back too, where a
+    JSON true is a Python bool and 2**63 an exact int."""
+    if source == "record":
+        return dataset_from_record(rec)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(rec))
+    return load_dataset(path)
+
+
 class TestDatasetContainer:
 
     def test_round_trip_with_provenance(self, tmp_path):
@@ -166,6 +177,17 @@ class TestDatasetContainer:
         path = tmp_path / "m.json"
         save_matrix(path, np.eye(2))
         with pytest.raises(ValidationError, match="kind"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_header_count_must_match_the_stored_records(self, tmp_path, n):
+        """A header `n` that is not the number of records fails on the index."""
+        data = generate_dataset(np.eye(2) / 2, pauli_basis_povms(1), 2, make_rng(5))
+        rec = dataset_to_record(data)
+        rec["n"] = n
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(rec))
+        with pytest.raises(ValidationError, match=f"'index' must be a list of n={n} integers"):
             load_dataset(path)
 
     def test_every_record_must_hold_dim_squared_entries(self):
@@ -228,18 +250,20 @@ class TestDatasetContainer:
         ([0, 0], "'povm_indices' must be a list of n=3 integers"),
         ("012", "'povm_indices' must be a list of n=3 integers"),
     ])
-    def test_provenance_must_be_n_nonnegative_integers(self, values, match):
+    @pytest.mark.parametrize("source", ["record", "file"])
+    def test_provenance_must_be_n_nonnegative_integers(self, tmp_path, values, match, source):
         data = generate_dataset(np.eye(2) / 2, pauli_basis_povms(1), 3, make_rng(5))
         rec = dataset_to_record(data)
         rec["povm_indices"] = values
         with pytest.raises(ValidationError, match=match):
-            dataset_from_record(rec)
+            read_record(tmp_path, rec, source)
 
     @pytest.mark.parametrize("value, provenance", [
         ("absent", False), (False, False), (True, True),
         ("yes", None), (0, None), (1, None), (None, None), ([True], None),
     ])
-    def test_has_provenance_must_be_a_json_boolean(self, value, provenance):
+    @pytest.mark.parametrize("source", ["record", "file"])
+    def test_has_provenance_must_be_a_json_boolean(self, tmp_path, value, provenance, source):
         """Absent or false is no provenance, true is provenance; any other
         value fails on its own, not on a list it would have named."""
         data = generate_dataset(np.eye(2) / 2, pauli_basis_povms(1), 3, make_rng(5))
@@ -251,9 +275,9 @@ class TestDatasetContainer:
         if provenance is None:
             message = f"'has_provenance' must be true or false, got {value!r}"
             with pytest.raises(ValidationError, match=re.escape(message)):
-                dataset_from_record(rec)
+                read_record(tmp_path, rec, source)
         else:
-            assert dataset_from_record(rec).has_provenance is provenance
+            assert read_record(tmp_path, rec, source).has_provenance is provenance
 
     @pytest.mark.parametrize("key, value, match", [
         ("dim", True, "'dim' must be a nonnegative integer, got True"),
